@@ -18,6 +18,9 @@ between tail subsets and indexed subsets,
 This is algebraically identical to the unit-level identity because a unit
 subset is fully treated exactly when its cluster image is, and it keeps the
 computation polynomial when neighborhoods are large but touch few clusters.
+Both vectors on the right depend on a cluster subset only through its size
+(moments.size_class_pinv), so each unit's coefficients are grouped by the
+size of their cluster image and dotted with two per-size vectors.
 """
 
 from __future__ import annotations
@@ -28,15 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats
+from .clustering import Clustering, ClusterStats, cluster_neighborhoods
 from .design import Design, joint_treat_prob
 from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph, degree_stats
 from .moments import (
     DesignMoments,
-    cached_cluster_system,
-    cached_index,
     monte_carlo_moments,
+    size_class_pinv,
+    size_class_sums,
     theta_vector,
 )
 from .outcomes import ClusterAggregatedModel, LowOrderModel, cluster_aggregate, mixed_signs
@@ -129,6 +132,14 @@ def gamma_crd(c_size: int, m: int, k: int) -> tuple[float, float]:
     return quadform, (c_size + 1) * quadform
 
 
+def _by_size(stats: ClusterStats, f) -> np.ndarray:
+    """f(c) for every unit's cluster-neighborhood size c, one call per
+    distinct c."""
+    sizes = [len(nb) for nb in stats.cluster_nbhd]
+    cs, inverse = np.unique(sizes, return_inverse=True)
+    return np.array([f(int(c)) for c in cs], dtype=np.float64)[inverse]
+
+
 def gamma_profile(
     stats: ClusterStats,
     d: Design,
@@ -146,41 +157,31 @@ def gamma_profile(
     order. "monte_carlo" does the same from estimated moments and needs the
     graph to locate each unit's cluster neighborhood.
     """
-    n = stats.n
-    gamma_sq = np.empty(n)
     scaled: np.ndarray | None = None
     if gamma_source == "closed":
         if d.is_bernoulli:
-            by_c: dict[int, float] = {}
-            for i, nb in enumerate(stats.cluster_nbhd):
-                c = len(nb)
-                if c not in by_c:
-                    by_c[c] = gamma_gcr_closed(c, beta, d.p)
-                gamma_sq[i] = by_c[c]
+            gamma_sq = _by_size(stats, lambda c: gamma_gcr_closed(c, beta, d.p))
         else:
             if beta != 1:
                 raise InputError(
                     "closed-form gamma for the complete design is first-order only"
                 )
-            scaled = np.empty(n)
-            for i, nb in enumerate(stats.cluster_nbhd):
-                gamma_sq[i], scaled[i] = gamma_crd(len(nb), d.m, d.k)
+            gamma_sq, scaled = _by_size(stats, lambda c: gamma_crd(c, d.m, d.k)).T
         provenance = "closed_form"
     elif gamma_source == "quadform":
-        by_c = {}
-        th_cache: dict[int, np.ndarray] = {}
-        for i, nb in enumerate(stats.cluster_nbhd):
-            c = len(nb)
-            if c not in by_c:
-                _, P, _ = cached_cluster_system(d, c, beta)
-                th = th_cache.setdefault(P.shape[0], theta_vector(P.shape[0]))
-                by_c[c] = float(th @ P @ th)
-            gamma_sq[i] = by_c[c]
+
+        def quadform(c: int) -> float:
+            # theta' M^+ theta sums v = M^+ theta over the non-empty subsets
+            a = size_class_pinv(d, c, beta)
+            return math.fsum(math.comb(c, s) * a[s] for s in range(1, a.size))
+
+        gamma_sq = _by_size(stats, quadform)
         provenance = "quadform"
     elif gamma_source == "monte_carlo":
         if g is None:
             raise InputError("monte_carlo gamma needs the interference graph")
-        for i in range(n):
+        gamma_sq = np.empty(stats.n)
+        for i in range(stats.n):
             dm = monte_carlo_moments(d, g, i, beta, mc_samples, mc_seed)
             gamma_sq[i] = gamma_quadform(dm)
         provenance = "quadform"
@@ -208,33 +209,29 @@ def bias_exact(
     if model.n != g.n or d.n != g.n:
         raise InputError("model, graph, and design must agree on n")
     assign = d.clustering.assignment
+    sizes = np.diff(cluster_neighborhoods(g, d.clustering)[0])
+    per_size: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     total = 0.0
     for i in range(g.n):
-        ground = sorted({assign[j] for j in g.in_neighbors[i]})
-        c = len(ground)
-        rank = {cid: r for r, cid in enumerate(ground)}
-        M, _, v = cached_cluster_system(d, c, beta)
-        index = cached_index(c, beta)
-        theta = theta_vector(len(index))
-        proj = M @ v - theta
-        x_lo = np.zeros(len(index))
-        tail: dict[tuple[int, ...], float] = {}
+        c = int(sizes[i])
+        if c not in per_size:
+            # (M v)_k on a size-k cluster subset, k = 0..c: the first
+            # min(beta, c) + 1 entries give M v - theta, all of them Cross v
+            a = size_class_pinv(d, c, beta)
+            probs = [joint_treat_prob(d, u) for u in range(c + 1)]
+            Mv = size_class_sums(probs, c, c, a.size - 1) @ a
+            proj = Mv[: a.size] - (np.arange(a.size) > 0)
+            per_size[c] = (proj, Mv - 1.0)
+        proj, cross = per_size[c]
+        x_lo = np.zeros(proj.size)
+        x_tail = np.zeros(cross.size)
         for s, val in model.coeffs[i].items():
-            u = tuple(sorted({rank[assign[j]] for j in s}))
+            image = len({assign[j] for j in s})
             if len(s) <= beta:
-                x_lo[index.position[u]] += val
+                x_lo[image] += val
             else:
-                tail[u] = tail.get(u, 0.0) + val
-        contrib = float(x_lo @ proj)
-        if tail:
-            probs = np.array([joint_treat_prob(d, t) for t in range(c + 1)])
-            for u, val in tail.items():
-                u_ind = np.zeros(c, dtype=np.int64)
-                u_ind[list(u)] = 1
-                inter = index.membership @ u_ind
-                union_sizes = index.sizes + len(u) - inter
-                contrib += val * (float(probs[union_sizes] @ v) - 1.0)
-        total += contrib
+                x_tail[image] += val
+        total += float(x_lo @ proj) + float(x_tail @ cross)
     return total / g.n
 
 
@@ -389,13 +386,7 @@ def variance_bound(
         stats, d, beta, gamma_source, g=g, mc_samples=mc_samples, mc_seed=mc_seed
     )
     if gamma_source == "closed" and d.is_bernoulli:
-        by_c: dict[int, float] = {}
-        eff = np.empty(n)
-        for i, nb in enumerate(stats.cluster_nbhd):
-            c = len(nb)
-            if c not in by_c:
-                by_c[c] = gamma_gcr_envelope(c, beta, d.p)
-            eff[i] = by_c[c]
+        eff = _by_size(stats, lambda c: gamma_gcr_envelope(c, beta, d.p))
     elif gamma_source == "closed":
         assert profile.scaled is not None
         eff = profile.scaled

@@ -36,12 +36,7 @@ from .errors import (
     PositivityError,
     PreconditionError,
 )
-from .estimator import (
-    crd_beta1_estimate,
-    gcr_explicit_estimate,
-    ht_estimate,
-    pinv_estimate,
-)
+from .estimator import estimate
 from .graph import InterferenceGraph, cycle_power, load_edge_list, sbm_sample
 from .harness import (
     EstimatorSpec,
@@ -396,10 +391,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
         unit = o.get("unit", _int, default=0)
         seed = o.get("seed", _int, default=0)
         mc = monte_carlo_moments(d, g, unit, beta, samples, seed)
-        ground = tuple(
-            sorted({int(d.clustering.assignment[j]) for j in g.in_neighbors[unit]})
-        )
-        analytic = analytic_cluster_moments(d, ground, beta)
+        analytic = analytic_cluster_moments(d, mc.index.ground, beta)
         err = float(np.linalg.norm(mc.M_pinv - analytic.M_pinv))
         rows = []
         for section, mat in (("M", mc.M), ("M_pinv", mc.M_pinv)):
@@ -512,38 +504,14 @@ def _cmd_estimate(o: _Opts) -> None:
     seed = o.get("seed", _int, default=0)
     draw = sample(d, seed, o.get("replicate", _int, default=0))
     Y = evaluate(model, g, draw.z)
-    if spec.kind == "pinv":
-        breakdown = pinv_estimate(g, Y, draw, d, spec.beta)
-    elif spec.kind == "gcr_explicit":
-        if not d.is_bernoulli:
-            raise InputError("gcr_explicit needs a Bernoulli design")
-        breakdown = gcr_explicit_estimate(g, Y, draw, d.clustering, d.p, spec.beta)
-    elif spec.kind == "ht":
-        breakdown = ht_estimate(g, Y, draw, d)
-    else:
-        if d.variant != "complete_gcr":
-            raise InputError("crd1 needs a complete cluster design")
-        breakdown = crd_beta1_estimate(g, Y, draw, d.clustering, d.k)
-    rows = [
-        {
-            "estimator": breakdown.kind,
-            "beta": "" if spec.beta is None else spec.beta,
-            "metric": "tte_hat",
-            "unit": "",
-            "value": repr(breakdown.tte_hat),
-        }
-    ]
+    breakdown = estimate(g, Y, draw, d, spec.kind, spec.beta)
+    base = {"estimator": breakdown.kind, "beta": "" if spec.beta is None else spec.beta}
+    rows = [dict(base, metric="tte_hat", unit="", value=repr(breakdown.tte_hat))]
     if o.get("weights", _bool, default=False):
-        for i, wi in enumerate(breakdown.weights):
-            rows.append(
-                {
-                    "estimator": breakdown.kind,
-                    "beta": "" if spec.beta is None else spec.beta,
-                    "metric": "weight",
-                    "unit": i,
-                    "value": repr(float(wi)),
-                }
-            )
+        rows += [
+            dict(base, metric="weight", unit=i, value=repr(float(wi)))
+            for i, wi in enumerate(breakdown.weights)
+        ]
     names = ["estimator", "beta", "metric", "unit", "value"]
     write_csv(rows, names, o.get("out", _str), seed=seed)
 

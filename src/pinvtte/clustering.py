@@ -8,6 +8,7 @@ constructor only validates, so tests can build explicit labelings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "contiguous_cycle_clusters",
     "louvain",
     "modularity",
+    "cluster_neighborhoods",
     "cluster_stats",
     "load_clustering",
     "save_clustering",
@@ -112,22 +114,38 @@ def contiguous_cycle_clusters(n: int, w: int) -> Clustering:
     return Clustering(tuple(i // w for i in range(n)), n // w)
 
 
-def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
+def cluster_neighborhoods(
+    g: InterferenceGraph, c: Clustering
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster neighborhoods as CSR arrays (indptr, cluster_ids): the sorted
+    distinct ids of the clusters touching N_i are
+    cluster_ids[indptr[i]:indptr[i + 1]], never empty since i is in N_i."""
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
-    assign = c.assignment
-    nbhds = tuple(
-        tuple(sorted({assign[j] for j in g.in_neighbors[i]})) for i in range(g.n)
+    degrees = g.degrees
+    members = np.fromiter(
+        itertools.chain.from_iterable(g.in_neighbors),
+        dtype=np.int64,
+        count=int(degrees.sum()),
     )
-    sizes = c.sizes()
-    c_max = max(len(u) for u in nbhds)
-    full = sum(1 for u in nbhds if len(u) == c.m)
+    units = np.repeat(np.arange(g.n, dtype=np.int64), degrees)
+    keys = np.unique(units * c.m + np.asarray(c.assignment, dtype=np.int64)[members])
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // c.m, minlength=g.n), out=indptr[1:])
+    return indptr, keys % c.m
+
+
+def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
+    indptr, ids = cluster_neighborhoods(g, c)
+    flat, bounds = ids.tolist(), indptr.tolist()
+    nbhds = tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+    sizes = np.diff(indptr)
     return ClusterStats(
         m=c.m,
         cluster_nbhd=nbhds,
-        C_max=c_max,
-        N_max=int(sizes.max()),
-        full_contact_count=full,
+        C_max=int(sizes.max()),
+        N_max=int(c.sizes().max()),
+        full_contact_count=int(np.count_nonzero(sizes == c.m)),
     )
 
 

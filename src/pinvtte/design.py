@@ -180,11 +180,7 @@ def joint_treat_prob(d: Design, t: int) -> float:
         raise InputError("subset size must be nonnegative")
     if d.is_bernoulli:
         return d.p**t
-    num, den = 1.0, 1.0
-    for off in range(t):
-        num *= d.k - off
-        den *= d.m - off
-    return num / den if num > 0 else 0.0
+    return _falling_ratio(d.k, d.m, t)
 
 
 def joint_control_prob(d: Design, t: int) -> float:
@@ -193,8 +189,16 @@ def joint_control_prob(d: Design, t: int) -> float:
         raise InputError("subset size must be nonnegative")
     if d.is_bernoulli:
         return (1.0 - d.p) ** t
-    num, den = 1.0, 1.0
+    return _falling_ratio(d.m - d.k, d.m, t)
+
+
+def _falling_ratio(a: int, b: int, t: int) -> float:
+    """prod_{l<t} (a-l)/(b-l): the probability that t specific items out of
+    b all fall in a uniformly drawn a-subset. Multiplying ratios rather than
+    dividing two falling factorials keeps large t from overflowing."""
+    out = 1.0
     for off in range(t):
-        num *= d.m - d.k - off
-        den *= d.m - off
-    return num / den if num > 0 else 0.0
+        if off >= a:
+            return 0.0
+        out *= (a - off) / (b - off)
+    return out

@@ -5,36 +5,54 @@ a weight computed from the realized assignment and averages Y_i * weight_i.
 The returned breakdown keeps the per-unit weights so callers can audit or
 recombine them.
 
-Four routes are implemented independently and cross-checked in tests:
+Each weight depends on a draw only through (c_i, t_i): the number of clusters
+in unit i's cluster neighborhood and how many of them are treated. So every
+estimator is a table of weights by (c, t), built only for the c present, and
+one gather applies any table to a whole matrix of draws. The four tables are
+derived independently and cross-checked in tests:
 
-  pinv_estimate          moment-matrix route, any design: weight_i is the
-                         inner product of M^+ theta with the realized subset
-                         products over unit i's cluster neighborhood
-  gcr_explicit_estimate  product route for Bernoulli cluster designs, via
-                         elementary symmetric polynomial sums
-  ht_estimate            Horvitz-Thompson full-neighborhood route
-  crd_beta1_estimate     closed first-order weights for the complete design
+  pinv          moment-matrix route, any design: sum_s a_s(c) C(t, s), where
+                v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
+                (moments.size_class_pinv) and C(t, s) counts the treated ones
+  gcr_explicit  product route for Bernoulli cluster designs: two truncated
+                elementary symmetric sums of t treated and c - t untreated
+                centered values
+  ht            Horvitz-Thompson full-neighborhood route
+  crd1          closed first-order weights for the complete design
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering
-from .design import AssignmentDraw, Design, joint_control_prob, joint_treat_prob
-from .errors import InputError, PositivityError
+from .clustering import Clustering, cluster_neighborhoods
+from .design import (
+    AssignmentDraw,
+    Design,
+    bernoulli_gcr,
+    complete_gcr,
+    joint_control_prob,
+    joint_treat_prob,
+)
+from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
-from .moments import SubsetIndex, cached_cluster_system, cached_index
+from .moments import size_class_pinv
 
 __all__ = [
     "EstimateBreakdown",
+    "estimate",
+    "batch_estimates",
     "pinv_estimate",
     "gcr_explicit_estimate",
     "ht_estimate",
     "crd_beta1_estimate",
 ]
+
+# draws times units gathered at once; bounds the kernel's temporary arrays
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -47,25 +65,129 @@ class EstimateBreakdown:
     weights: np.ndarray
 
 
-def _subset_products(index: SubsetIndex, wg: np.ndarray) -> np.ndarray:
-    """Products of wg over every indexed subset, via the parent links."""
-    out = np.empty(len(index))
-    out[0] = 1.0
-    for r in range(1, len(index)):
-        out[r] = out[index.parent[r]] * wg[index.last_pos[r]]
-    return out
+# ---------------------------------------------------------------------------
+# weight tables: row[t] is the weight of a unit with c clusters, t treated
+# ---------------------------------------------------------------------------
 
 
-def _subset_products_batch(index: SubsetIndex, Wg: np.ndarray) -> np.ndarray:
-    """Row-parallel version of _subset_products for an (R, c) draw matrix."""
-    out = np.empty((Wg.shape[0], len(index)))
-    out[:, 0] = 1.0
-    for r in range(1, len(index)):
-        out[:, r] = out[:, index.parent[r]] * Wg[:, index.last_pos[r]]
-    return out
+def _binomials(c: int, top: int) -> np.ndarray:
+    """B[t, s] = C(t, s) for t <= c and s <= top, as floats."""
+    return np.array(
+        [[math.comb(t, s) for s in range(top + 1)] for t in range(c + 1)],
+        dtype=np.float64,
+    )
 
 
-def _check_lengths(g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design) -> np.ndarray:
+def _pinv_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
+    a = size_class_pinv(d, c, beta)
+    return _binomials(c, a.size - 1) @ a
+
+
+def _gcr_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
+    # sum_{|U| <= beta} [prod_U (w - p)/p - prod_U (w - p)/(p - 1)]: the
+    # elementary symmetric sum e_k of t copies of x and c - t copies of y is
+    # sum_{i + j = k} C(t, i) C(c - t, j) x^i y^j
+    p = d.p
+    top = min(beta, c)
+    B = _binomials(c, top)
+    treated, control = B, B[::-1]  # C(t, i) and C(c - t, j)
+    row = np.zeros(c + 1)
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            coef = ((1.0 - p) / p) ** i * (-1.0) ** j - (-1.0) ** i * (p / (1.0 - p)) ** j
+            row += coef * treated[:, i] * control[:, j]
+    return row
+
+
+def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
+    # a complete design treats exactly k clusters, so a neighborhood wider
+    # than k (or than m - k) can never be fully treated (or untreated)
+    if not d.is_bernoulli:
+        for side, room in (("treated", d.k), ("untreated", d.m - d.k)):
+            if c > room:
+                raise PositivityError(
+                    f"unit {unit} has zero probability of a fully {side} neighborhood"
+                )
+    row = np.zeros(c + 1)
+    for side, t, sign, prob in (
+        ("treated", c, 1.0, joint_treat_prob(d, c)),
+        ("untreated", 0, -1.0, joint_control_prob(d, c)),
+    ):
+        inv = 1.0 / prob if prob > 0.0 else math.inf
+        if not math.isfinite(inv):
+            raise CapacityError(
+                f"unit {unit}: the probability {prob!r} of a fully {side} "
+                f"neighborhood of c={c} clusters underflows in double precision"
+            )
+        row[t] += sign * inv
+    return row
+
+
+def _crd1_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
+    # units in contact with every cluster use the rank-deficient
+    # pseudoinverse form
+    m, k = d.m, d.k
+    t = np.arange(c + 1, dtype=np.float64)
+    if c < m:
+        return m * m * (m - 1) / (k * (m - k) * (m - c)) * (t - c * k / m)
+    return m * k * k / (k * k + m) ** 2 * (t + c / k)
+
+
+_ROWS = {"pinv": _pinv_row, "gcr_explicit": _gcr_row, "ht": _ht_row, "crd1": _crd1_row}
+
+
+def _table(g: InterferenceGraph, d: Design, kind: str, beta: int | None):
+    """Flat weight table for every unit of g: unit i's weight when t of its
+    clusters are treated is values[base[i] + t]. Returns (values, base,
+    (indptr, cluster_ids))."""
+    if kind not in _ROWS:
+        raise InputError(f"unknown estimator kind {kind!r}")
+    if kind in ("pinv", "gcr_explicit") and (beta is None or beta < 1):
+        raise InputError(f"estimator order must be at least 1, got beta={beta}")
+    if kind == "gcr_explicit" and not d.is_bernoulli:
+        raise InputError("gcr_explicit needs a Bernoulli design")
+    if kind == "crd1" and d.variant != "complete_gcr":
+        raise InputError("crd1 needs a complete cluster design")
+    indptr, ids = cluster_neighborhoods(g, d.clustering)
+    sizes = np.diff(indptr)
+    cs, first, inverse = np.unique(sizes, return_index=True, return_inverse=True)
+    rows = [np.empty(0)] * cs.size
+    # built in order of first appearance, so an error names the lowest unit
+    for j in np.argsort(first):
+        rows[j] = _ROWS[kind](d, beta, int(cs[j]), int(first[j]))
+    starts = np.concatenate(([0], np.cumsum(cs + 1)[:-1]))
+    return np.concatenate(rows), starts[inverse].astype(np.int32), (indptr, ids)
+
+
+def _gather(values: np.ndarray, base: np.ndarray, nbhd, W: np.ndarray) -> np.ndarray:
+    """(R, n) weights for the (R, m) int8 draw matrix W."""
+    if W.size and (W.min() < 0 or W.max() > 1):
+        raise InputError("cluster draws must be 0/1 treatment indicators")
+    indptr, ids = nbhd
+    treated = np.add.reduceat(W[:, ids], indptr[:-1], axis=1, dtype=np.int32)
+    treated += base
+    return values[treated]
+
+
+# ---------------------------------------------------------------------------
+# public estimators
+# ---------------------------------------------------------------------------
+
+
+def estimate(
+    g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design, kind: str, beta: int | None = None
+) -> EstimateBreakdown:
+    """One estimate of kind "pinv", "gcr_explicit", "ht" or "crd1" from one
+    draw. The two pseudoinverse routes need beta >= 1; "ht" ignores beta and
+    "crd1" is first order.
+
+    Raises
+    ------
+    InputError
+        For malformed input, or a kind the design cannot carry.
+    PositivityError, CapacityError
+        As for ht_estimate.
+    """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != (g.n,):
         raise InputError(f"Y has shape {Y.shape}, expected ({g.n},)")
@@ -73,15 +195,26 @@ def _check_lengths(g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design) -> 
         raise InputError(f"design covers {d.n} units but graph has {g.n}")
     if draw.w.shape != (d.m,):
         raise InputError(f"draw has {draw.w.shape[0]} clusters, design has {d.m}")
-    return Y
+    values, base, nbhd = _table(g, d, kind, beta)
+    weights = _gather(values, base, nbhd, np.asarray(draw.w, dtype=np.int8)[None, :])[0]
+    order = {"ht": None, "crd1": 1}.get(kind, beta)
+    return EstimateBreakdown(kind, order, float(np.mean(Y * weights)), weights)
 
 
-def _cluster_grounds(g: InterferenceGraph, c: Clustering) -> list[np.ndarray]:
-    assign = c.assignment
-    return [
-        np.array(sorted({assign[j] for j in g.in_neighbors[i]}), dtype=np.int64)
-        for i in range(g.n)
-    ]
+def batch_estimates(
+    g: InterferenceGraph, d: Design, kind: str, beta: int | None, W: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
+    """mean(Y[r] * weights[r]) for every row r of the (R, m) draw matrix W and
+    the (R, n) outcome matrix Y: the table and gather of estimate, applied to
+    blocks of draws so that no (R, n) weight array is held."""
+    W = np.asarray(W, dtype=np.int8)
+    values, base, nbhd = _table(g, d, kind, beta)
+    out = np.empty(W.shape[0])
+    step = max(1, _BLOCK // g.n)
+    for start in range(0, W.shape[0], step):
+        block = slice(start, start + step)
+        out[block] = np.mean(Y[block] * _gather(values, base, nbhd, W[block]), axis=1)
+    return out
 
 
 def pinv_estimate(
@@ -95,30 +228,7 @@ def pinv_estimate(
     treatments. Works for any design the moments module can describe; no
     positivity is required.
     """
-    Y = _check_lengths(g, Y, draw, d)
-    if beta < 1:
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    w = draw.w.astype(np.float64)
-    weights = np.empty(g.n)
-    for i, ground in enumerate(_cluster_grounds(g, d.clustering)):
-        c_size = ground.size
-        _, _, v = cached_cluster_system(d, c_size, beta)
-        index = cached_index(c_size, beta)
-        prods = _subset_products(index, w[ground])
-        weights[i] = float(prods @ v)
-    tte_hat = float(np.mean(Y * weights))
-    return EstimateBreakdown(kind="pinv", beta=beta, tte_hat=tte_hat, weights=weights)
-
-
-def _elementary_symmetric_sum(vals: np.ndarray, beta: int) -> float:
-    """Sum of elementary symmetric polynomials e_0 + ... + e_beta of vals."""
-    e = np.zeros(min(beta, vals.size) + 1)
-    e[0] = 1.0
-    for j, v in enumerate(vals):
-        top = min(beta, j + 1, e.size - 1)
-        for x in range(top, 0, -1):
-            e[x] += e[x - 1] * v
-    return float(e.sum())
+    return estimate(g, Y, draw, d, "pinv", beta)
 
 
 def gcr_explicit_estimate(
@@ -133,27 +243,11 @@ def gcr_explicit_estimate(
 
     The weight is the difference of two truncated products over unit i's
     cluster neighborhood, sum_{|U| <= beta} [prod_{C in U} (w_C - p)/p -
-    prod_{C in U} (w_C - p)/(p - 1)], evaluated by elementary symmetric
-    polynomial recursion rather than subset enumeration.
+    prod_{C in U} (w_C - p)/(p - 1)], evaluated as elementary symmetric
+    sums in the number of treated clusters rather than by subset
+    enumeration.
     """
-    if not (0.0 < p < 1.0):
-        raise InputError(f"treatment probability p={p} not in (0, 1)")
-    if beta < 1:
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (g.n,):
-        raise InputError(f"Y has shape {Y.shape}, expected ({g.n},)")
-    w = draw.w.astype(np.float64)
-    weights = np.empty(g.n)
-    for i, ground in enumerate(_cluster_grounds(g, clustering)):
-        centered = w[ground] - p
-        weights[i] = _elementary_symmetric_sum(
-            centered / p, beta
-        ) - _elementary_symmetric_sum(centered / (p - 1.0), beta)
-    tte_hat = float(np.mean(Y * weights))
-    return EstimateBreakdown(
-        kind="gcr_explicit", beta=beta, tte_hat=tte_hat, weights=weights
-    )
+    return estimate(g, Y, draw, bernoulli_gcr(clustering, p), "gcr_explicit", beta)
 
 
 def ht_estimate(
@@ -166,23 +260,11 @@ def ht_estimate(
     PositivityError
         If some unit's neighborhood can never be fully treated or fully
         untreated under the design (only possible for the complete design).
+    CapacityError
+        If such a probability is positive but too small for its inverse to
+        be represented in double precision.
     """
-    Y = _check_lengths(g, Y, draw, d)
-    w = draw.w
-    weights = np.empty(g.n)
-    for i, ground in enumerate(_cluster_grounds(g, d.clustering)):
-        c_size = ground.size
-        p1 = joint_treat_prob(d, c_size)
-        p0 = joint_control_prob(d, c_size)
-        if p1 == 0.0 or p0 == 0.0:
-            side = "treated" if p1 == 0.0 else "untreated"
-            raise PositivityError(
-                f"unit {i} has zero probability of a fully {side} neighborhood"
-            )
-        treated = int(w[ground].sum())
-        weights[i] = (treated == c_size) / p1 - (treated == 0) / p0
-    tte_hat = float(np.mean(Y * weights))
-    return EstimateBreakdown(kind="ht", beta=None, tte_hat=tte_hat, weights=weights)
+    return estimate(g, Y, draw, d, "ht")
 
 
 def crd_beta1_estimate(
@@ -194,65 +276,4 @@ def crd_beta1_estimate(
     centered cluster treatments; units in contact with every cluster use the
     rank-deficient pseudoinverse form instead.
     """
-    m = clustering.m
-    if not (1 <= k <= m - 1):
-        raise InputError(f"k={k} outside [1, m-1] for m={m}")
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (g.n,):
-        raise InputError(f"Y has shape {Y.shape}, expected ({g.n},)")
-    w = draw.w.astype(np.float64)
-    weights = np.empty(g.n)
-    for i, ground in enumerate(_cluster_grounds(g, clustering)):
-        c_size = ground.size
-        if c_size < m:
-            pref = m * m * (m - 1) / (k * (m - k) * (m - c_size))
-            weights[i] = pref * float(np.sum(w[ground] - k / m))
-        else:
-            pref = m * k * k / (k * k + m) ** 2
-            weights[i] = pref * float(np.sum(w[ground] + 1.0 / k))
-    tte_hat = float(np.mean(Y * weights))
-    return EstimateBreakdown(kind="crd1", beta=1, tte_hat=tte_hat, weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# batched weight kernels for the experiment harness
-# ---------------------------------------------------------------------------
-#
-# These share the per-unit math with the public functions above but take a
-# full (R, m) matrix of cluster draws, so a replication sweep costs one pass
-# over units instead of one pass per draw. Equality with the public
-# per-draw functions is pinned by tests.
-
-
-def batch_pinv_weights(
-    g: InterferenceGraph, d: Design, beta: int, W: np.ndarray
-) -> np.ndarray:
-    if beta < 1:
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    R = W.shape[0]
-    weights = np.empty((R, g.n))
-    Wf = W.astype(np.float64)
-    for i, ground in enumerate(_cluster_grounds(g, d.clustering)):
-        c_size = ground.size
-        _, _, v = cached_cluster_system(d, c_size, beta)
-        index = cached_index(c_size, beta)
-        prods = _subset_products_batch(index, Wf[:, ground])
-        weights[:, i] = prods @ v
-    return weights
-
-
-def batch_ht_weights(g: InterferenceGraph, d: Design, W: np.ndarray) -> np.ndarray:
-    R = W.shape[0]
-    weights = np.empty((R, g.n))
-    for i, ground in enumerate(_cluster_grounds(g, d.clustering)):
-        c_size = ground.size
-        p1 = joint_treat_prob(d, c_size)
-        p0 = joint_control_prob(d, c_size)
-        if p1 == 0.0 or p0 == 0.0:
-            side = "treated" if p1 == 0.0 else "untreated"
-            raise PositivityError(
-                f"unit {i} has zero probability of a fully {side} neighborhood"
-            )
-        treated = W[:, ground].sum(axis=1)
-        weights[:, i] = (treated == c_size) / p1 - (treated == 0) / p0
-    return weights
+    return estimate(g, Y, draw, complete_gcr(clustering, k), "crd1")

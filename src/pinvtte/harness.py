@@ -8,6 +8,7 @@ so parallel or repeated runs produce identical numbers.
 
 from __future__ import annotations
 
+import csv
 import math
 import subprocess
 import sys
@@ -19,15 +20,10 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
-from .clustering import Clustering, cluster_stats
-from .design import Design, draw_from_w, enumerate_support, sample
+from .clustering import Clustering, cluster_neighborhoods, cluster_stats
+from .design import Design, enumerate_support, sample
 from .errors import InputError
-from .estimator import (
-    batch_ht_weights,
-    batch_pinv_weights,
-    crd_beta1_estimate,
-    gcr_explicit_estimate,
-)
+from .estimator import batch_estimates
 from .graph import InterferenceGraph
 from .moments import analytic_cluster_moments, monte_carlo_moments
 from .outcomes import LowOrderModel, evaluate, outcome_bound, true_tte
@@ -152,10 +148,8 @@ def replicate_estimates(
 ) -> np.ndarray:
     """Estimates for a batch of cluster assignments, one per row of W.
 
-    The pseudoinverse and Horvitz-Thompson routes run through the batched
-    weight kernels; the explicit product-form and complete-design closed
-    forms go through their public per-draw functions. Outcomes are realized
-    per draw from the model.
+    Outcomes are realized per draw from the model; every estimator kind then
+    applies one weight table to all draws (estimator.batch_estimates).
     """
     W = np.asarray(W, dtype=np.int8)
     if W.ndim != 2 or W.shape[1] != d.m:
@@ -166,30 +160,7 @@ def replicate_estimates(
     Y = np.empty((R, g.n))
     for r in range(R):
         Y[r] = evaluate(model, g, Z[r])
-    if spec.kind == "pinv":
-        weights = batch_pinv_weights(g, d, spec.beta, W)
-        return np.mean(Y * weights, axis=1)
-    if spec.kind == "ht":
-        weights = batch_ht_weights(g, d, W)
-        return np.mean(Y * weights, axis=1)
-    if spec.kind == "gcr_explicit":
-        if not d.is_bernoulli:
-            raise InputError("gcr_explicit needs a Bernoulli design")
-        out = np.empty(R)
-        for r in range(R):
-            draw = draw_from_w(d, W[r])
-            out[r] = gcr_explicit_estimate(
-                g, Y[r], draw, d.clustering, d.p, spec.beta
-            ).tte_hat
-        return out
-    # crd1
-    if d.variant != "complete_gcr":
-        raise InputError("crd1 needs a complete cluster design")
-    out = np.empty(R)
-    for r in range(R):
-        draw = draw_from_w(d, W[r])
-        out[r] = crd_beta1_estimate(g, Y[r], draw, d.clustering, d.k).tte_hat
-    return out
+    return batch_estimates(g, d, spec.kind, spec.beta, W, Y)
 
 
 def _analytic_bias(cfg: ExperimentConfig) -> float | None:
@@ -394,11 +365,10 @@ def mc_convergence_report(
     deviations over all (seed, unit) pairs, with log10 columns ready for
     log-log plotting.
     """
+    indptr, ids = cluster_neighborhoods(g, d.clustering)
     targets = {}
     for i in units:
-        ground = tuple(
-            sorted({int(d.clustering.assignment[j]) for j in g.in_neighbors[i]})
-        )
+        ground = tuple(ids[indptr[i] : indptr[i + 1]].tolist())
         targets[i] = analytic_cluster_moments(d, ground, beta).M_pinv
     detail = []
     per_R: dict[int, list[float]] = {R: [] for R in R_grid}
@@ -460,9 +430,10 @@ def write_csv(
 ) -> None:
     """Write tidy rows as CSV with a trailing metadata comment block.
 
-    path None writes to stdout. Values are written as-is (callers repr()
-    floats they want round-trippable). The trailing comments record the
-    seed and the source version so every output file is self-describing.
+    path None writes to stdout. Values are written as str() of themselves
+    (callers repr() floats they want round-trippable), quoted only where a
+    value holds a comma, quote or line break. The trailing comments record
+    the seed and the source version so every output file is self-describing.
     """
     out: TextIO
     close = False
@@ -472,9 +443,10 @@ def write_csv(
         out = open(path, "w", encoding="utf-8", newline="")
         close = True
     try:
-        out.write(",".join(fieldnames) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fieldnames)
         for row in rows:
-            out.write(",".join(str(row.get(f, "")) for f in fieldnames) + "\n")
+            writer.writerow([str(row.get(f, "")) for f in fieldnames])
         if seed is not None:
             out.write(f"# seed={seed}\n")
         out.write(f"# git_describe={git_describe()}\n")

@@ -15,6 +15,11 @@ for both designs in the package, so closed forms are available:
                  (or pseudoinverse, when the neighborhood spans all clusters)
                  is written out explicitly.
 
+Since entries depend only on |U union V|, M^+ theta is constant on each
+subset-size class, v[U] = a_{|U|}, and size_class_pinv returns a_0..a_beta
+without the dense system. The dense SubsetIndex systems serve as the
+reference it is tested against and for the Monte Carlo and support oracles.
+
 Numeric SVD pseudoinversion and Monte Carlo moment estimation cover designs
 or orders with no closed form, and double as cross-checks in tests.
 """
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering
-from .design import Design, enumerate_support, sample
+from .clustering import Clustering, cluster_neighborhoods
+from .design import Design, _falling_ratio, enumerate_support, joint_treat_prob, sample
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
 
@@ -45,8 +50,8 @@ __all__ = [
     "monte_carlo_moments",
     "support_moments",
     "analytic_cluster_moments",
-    "cached_cluster_system",
-    "cached_index",
+    "size_class_sums",
+    "size_class_pinv",
     "block_lift",
     "lifted_moments",
     "lifted_pinv",
@@ -158,14 +163,6 @@ def bern_cluster_moments(index: SubsetIndex, p: float) -> DesignMoments:
     return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
 
 
-def _crd_ff(m: int, k: int, t: int) -> float:
-    num, den = 1.0, 1.0
-    for off in range(t):
-        num *= k - off
-        den *= m - off
-    return num / den if num > 0 else 0.0
-
-
 def crd_cluster_moments(index: SubsetIndex, m: int, k: int) -> DesignMoments:
     """Moments for the design that treats a uniform k-subset of m clusters.
 
@@ -181,7 +178,7 @@ def crd_cluster_moments(index: SubsetIndex, m: int, k: int) -> DesignMoments:
     if c > m:
         raise InputError(f"ground set has {c} clusters but the design only {m}")
     usize = index.union_sizes()
-    ff = np.array([_crd_ff(m, k, t) for t in range(usize.max() + 1)])
+    ff = np.array([_falling_ratio(k, m, t) for t in range(usize.max() + 1)])
     M = ff[usize]
     if index.sizes.max(initial=0) <= 1:
         P = _crd_beta1_pinv(c, m, k)
@@ -253,8 +250,8 @@ def numeric_pinv(M, tol: float | None = None) -> np.ndarray:
 
 
 def _cluster_ground(d: Design, g: InterferenceGraph, i: int) -> tuple[int, ...]:
-    assign = d.clustering.assignment
-    return tuple(sorted({assign[j] for j in g.in_neighbors[i]}))
+    indptr, ids = cluster_neighborhoods(g, d.clustering)
+    return tuple(ids[indptr[i] : indptr[i + 1]].tolist())
 
 
 def monte_carlo_moments(
@@ -310,40 +307,60 @@ def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
     return crd_cluster_moments(index, d.m, d.k)
 
 
-# Moment systems depend on the neighborhood only through its size, so one
-# (variant, parameters, size, beta) entry serves every unit with that shape.
-_SYSTEM_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_INDEX_CACHE: dict[tuple[int, int], SubsetIndex] = {}
+def size_class_sums(values, c: int, rows: int, cols: int) -> np.ndarray:
+    """Union-size sums over the size classes of a c-element ground set.
+
+    K[s, t] = sum_i C(s, i) C(c-s, t-i) values[s+t-i] for s <= rows and
+    t <= cols: the sum of values[|U union V|] over all size-t subsets V, for
+    any fixed size-s subset U (i counts the shared elements). values must
+    cover union sizes up to min(c, rows + cols).
+    """
+    K = np.zeros((rows + 1, cols + 1))
+    for s in range(rows + 1):
+        for t in range(cols + 1):
+            K[s, t] = sum(
+                math.comb(s, i) * math.comb(c - s, t - i) * values[s + t - i]
+                for i in range(max(0, t - (c - s)), min(s, t) + 1)
+            )
+    return K
 
 
-def cached_index(c_size: int, beta: int) -> SubsetIndex:
-    """Subset index over the canonical ground set 0..c_size-1, cached. Any
-    sorted ground set of the same size maps onto it positionally."""
-    key = (c_size, beta)
-    idx = _INDEX_CACHE.get(key)
-    if idx is None:
-        idx = enumerate_subsets(tuple(range(c_size)), beta)
-        _INDEX_CACHE[key] = idx
-    return idx
+def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
+    """Per-size coefficients a_0..a_min(beta, c) of M^+ theta for a cluster
+    neighborhood of c clusters under design d: v[U] = a_{|U|}.
 
-
-def cached_cluster_system(
-    d: Design, c_size: int, beta: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M, M_pinv, M_pinv @ theta) for a cluster neighborhood of c_size
-    clusters under design d, cached across units and draws."""
+    Bernoulli designs sum the closed-form pseudoinverse entries over the size
+    classes of V, with no numeric solve. The complete design pseudo-inverts
+    the (beta+1)-square restriction of M to the size-class indicators, on
+    their orthonormal basis: M is symmetric and maps that subspace to itself,
+    so M^+ restricted there is the pseudoinverse of the restriction.
+    """
+    if beta < 0:
+        raise InputError(f"beta must be nonnegative, got {beta}")
+    top = min(beta, c)
     if d.is_bernoulli:
-        key = ("bern", d.p, c_size, beta)
-    else:
-        key = ("crd", d.m, d.k, c_size, beta)
-    hit = _SYSTEM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dm = analytic_cluster_moments(d, tuple(range(c_size)), beta)
-    v = dm.M_pinv @ theta_vector(len(dm.index))
-    entry = (dm.M, dm.M_pinv, v)
-    _SYSTEM_CACHE[key] = entry
-    return entry
+        # v[U] = sum_{V nonempty} (-1/p)^{|U|+|V|} T[|U union V|]; writing T
+        # as a sum over supersets X of U union V and summing V over the
+        # subsets of X first, with (p/(1-p)) (1 - 1/p) = -1, leaves
+        # (-1/p)^s sum over X containing U, |X| <= beta, of
+        # (-1)^|X| - (p/(1-p))^|X|, free of cancellation between entries
+        p = d.p
+        r = p / (1.0 - p)
+        return np.array(
+            [
+                (-1.0 / p) ** s
+                * sum(
+                    math.comb(c - s, x - s) * ((-1.0) ** x - r**x)
+                    for x in range(s, top + 1)
+                )
+                for s in range(top + 1)
+            ]
+        )
+    length = min(c, 2 * top) + 1  # largest union of two indexed subsets
+    probs = [joint_treat_prob(d, u) for u in range(length)]
+    root = np.sqrt([float(math.comb(c, s)) for s in range(top + 1)])
+    reduced = size_class_sums(probs, c, top, top) * root[:, None] / root[None, :]
+    return (numeric_pinv(reduced)[:, 1:] @ root[1:]) / root
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,14 @@ class TestGammaProfile:
         assert quad.provenance == "quadform"
         assert closed.scaled is None
 
+    def test_crd_quadform_third_order_exact(self):
+        # theta' M^+ theta at c=23, beta=3, m=2000, k=1000, solved in exact
+        # rationals; a dense 2,048-row SVD lands 4.6e-10 away
+        g = cycle_power(2000, 11)
+        clus = singleton_clustering(2000)
+        prof = gamma_profile(cluster_stats(g, clus), complete_gcr(clus, 1000), 3, "quadform")
+        assert np.all(np.abs(prof.gamma_sq / 7416.268251395429 - 1.0) <= 1e-11)
+
     def test_crd_closed_fills_scaled(self):
         g = cycle_power(8, 1)
         c = Clustering.from_labels([i // 2 for i in range(8)])

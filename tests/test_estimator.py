@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinvtte import (
+    CapacityError,
     Clustering,
     InputError,
     PositivityError,
+    batch_estimates,
     bernoulli_gcr,
     bernoulli_unit,
     complete_gcr,
@@ -28,7 +30,7 @@ from pinvtte import (
     singleton_clustering,
     true_tte,
 )
-from pinvtte.estimator import batch_ht_weights, batch_pinv_weights
+from pinvtte.estimator import _gcr_row, _pinv_row
 from conftest import random_clustering, random_graph, random_model
 
 
@@ -184,34 +186,104 @@ class TestPositivity:
 
 
 class TestBatchKernels:
+    """The kernel over R draws reproduces the public function per draw."""
+
+    def check(self, g, d, kind, beta, per_draw, seed):
+        gen = np.random.default_rng(seed)
+        W = np.stack([sample(d, seed, r).w for r in range(12)])
+        Y = gen.standard_normal((12, g.n))
+        batch = batch_estimates(g, d, kind, beta, W, Y)
+        for r in range(12):
+            per = per_draw(g, Y[r], draw_from_w(d, W[r]))
+            assert batch[r] == pytest.approx(per.tte_hat, abs=1e-12)
+
     def test_pinv_batch_matches_per_draw(self, rng):
         gen = np.random.default_rng(7)
         g = random_graph(gen, 8)
-        c = random_clustering(gen, 8, 4)
-        d = bernoulli_gcr(c, 0.4)
-        W = np.stack([sample(d, 1, r).w for r in range(12)])
-        batch = batch_pinv_weights(g, d, 2, W)
-        for r in range(12):
-            per = pinv_estimate(g, np.zeros(8), draw_from_w(d, W[r]), d, 2)
-            assert np.allclose(batch[r], per.weights, atol=1e-12)
+        d = bernoulli_gcr(random_clustering(gen, 8, 4), 0.4)
+        self.check(g, d, "pinv", 2, lambda g, Y, dr: pinv_estimate(g, Y, dr, d, 2), 1)
 
     def test_ht_batch_matches_per_draw(self, rng):
         gen = np.random.default_rng(8)
         g = random_graph(gen, 7)
         d = bernoulli_unit(7, 0.35)
-        W = np.stack([sample(d, 2, r).w for r in range(10)])
-        batch = batch_ht_weights(g, d, W)
-        for r in range(10):
-            per = ht_estimate(g, np.zeros(7), draw_from_w(d, W[r]), d)
-            assert np.allclose(batch[r], per.weights, atol=1e-12)
+        self.check(g, d, "ht", None, lambda g, Y, dr: ht_estimate(g, Y, dr, d), 2)
+
+    def test_gcr_explicit_batch_matches_per_draw(self, rng):
+        gen = np.random.default_rng(9)
+        g = random_graph(gen, 9)
+        c = random_clustering(gen, 9, 5)
+        d = bernoulli_gcr(c, 0.3)
+        self.check(
+            g,
+            d,
+            "gcr_explicit",
+            3,
+            lambda g, Y, dr: gcr_explicit_estimate(g, Y, dr, c, 0.3, 3),
+            3,
+        )
+
+    def test_crd1_batch_matches_per_draw(self, rng):
+        g = cycle_power(10, 2)
+        c = Clustering.from_labels([i // 2 for i in range(10)])
+        d = complete_gcr(c, 2)
+        self.check(
+            g, d, "crd1", None, lambda g, Y, dr: crd_beta1_estimate(g, Y, dr, c, 2), 4
+        )
 
     def test_batch_positivity_guard(self):
         g = cycle_power(4, 1)
         c = Clustering.from_labels([0, 1, 0, 1])
         d = complete_gcr(c, 1)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
-        with pytest.raises(PositivityError):
-            batch_ht_weights(g, d, W)
+        with pytest.raises(PositivityError, match="unit 0"):
+            batch_estimates(g, d, "ht", None, W, np.ones((3, 4)))
+
+    def test_batch_kind_checks(self):
+        g = cycle_power(4, 1)
+        gcr = bernoulli_gcr(singleton_clustering(4), 0.5)
+        crd = complete_gcr(singleton_clustering(4), 2)
+        W = np.zeros((2, 4), dtype=np.int8)
+        with pytest.raises(InputError, match="gcr_explicit needs a Bernoulli"):
+            batch_estimates(g, crd, "gcr_explicit", 1, W, np.ones((2, 4)))
+        with pytest.raises(InputError, match="crd1 needs a complete"):
+            batch_estimates(g, gcr, "crd1", None, W, np.ones((2, 4)))
+        with pytest.raises(InputError, match="0/1"):
+            batch_estimates(g, gcr, "pinv", 1, W + 2, np.ones((2, 4)))
+
+
+class TestLargeNeighborhoods:
+    def star(self, n):
+        # unit 0 watches every other unit: a cluster neighborhood of n units
+        return from_edge_list([(j, 0) for j in range(1, n)], n)
+
+    def test_pinv_at_c150_beta4_matches_product_form(self):
+        # the dense subset system here would hold C(150, <=4) = 20.8M rows
+        g = self.star(150)
+        d = bernoulli_unit(150, 0.5)
+        Y = np.ones(150)
+        for r in range(3):
+            draw = sample(d, 0, r)
+            a = pinv_estimate(g, Y, draw, d, 4).weights
+            b = gcr_explicit_estimate(g, Y, draw, d.clustering, 0.5, 4).weights
+            assert np.all(np.isfinite(a))
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_ht_underflow_is_not_a_positivity_failure(self):
+        # 0.25**600 underflows to 0.0, but every neighborhood can be fully
+        # treated under a Bernoulli design
+        g = self.star(600)
+        d = bernoulli_unit(600, 0.25)
+        with pytest.raises(CapacityError, match=r"unit 0\b.*c=600.*underflows"):
+            ht_estimate(g, np.ones(600), sample(d, 0, 0), d)
+
+    def test_pinv_table_matches_product_form_at_p09(self):
+        # a numeric solve of the size-class system misses here by ~1e-6
+        d = bernoulli_unit(2, 0.9)
+        for c in range(61):
+            a = _pinv_row(d, 3, c, 0)
+            b = _gcr_row(d, 3, c, 0)
+            assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), c
 
 
 class TestContracts:

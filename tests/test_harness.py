@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -396,6 +397,14 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv([{"a": 1}], ["a", "b"], str(path))
         assert path.read_text().splitlines()[1] == "1,"
+
+    def test_fields_with_commas_and_quotes_round_trip(self, tmp_path):
+        path = tmp_path / "out.csv"
+        tag = 'a,"b"'
+        write_csv([{"tag": tag, "value": 1}], ["tag", "value"], str(path), seed=3)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert rows == [["tag", "value"], [tag, "1"]]
 
     def test_report_rows_round_trip_bytes(self, tmp_path):
         rep = run_experiment(small_cfg())

@@ -17,8 +17,6 @@ from pinvtte import (
     bern_cluster_moments,
     bernoulli_gcr,
     block_lift,
-    cached_cluster_system,
-    cached_index,
     complete_gcr,
     crd_cluster_moments,
     crd_determinant,
@@ -31,6 +29,7 @@ from pinvtte import (
     monte_carlo_moments,
     numeric_pinv,
     singleton_clustering,
+    size_class_pinv,
     support_moments,
     theta_vector,
 )
@@ -282,31 +281,22 @@ def bernoulli_unit_design():
     return bernoulli_unit(4, 0.5)
 
 
-class TestCaches:
-    def test_cached_index_identity(self):
-        assert cached_index(3, 2) is cached_index(3, 2)
-        assert cached_index(3, 2).subsets == enumerate_subsets((0, 1, 2), 2).subsets
-
-    def test_cached_system_matches_analytic(self):
-        d = bernoulli_gcr(singleton_clustering(5), 0.25)
-        M, P, v = cached_cluster_system(d, 3, 2)
-        ana = analytic_cluster_moments(d, (0, 1, 2), 2)
-        assert np.allclose(M, ana.M)
-        assert np.allclose(P, ana.M_pinv)
-        assert np.allclose(v, ana.M_pinv @ theta_vector(len(ana.index)))
-
-    def test_cached_system_reused(self):
-        d = complete_gcr(singleton_clustering(6), 2)
-        first = cached_cluster_system(d, 2, 1)
-        second = cached_cluster_system(d, 2, 1)
-        assert first[0] is second[0]
-
-    def test_distinct_designs_do_not_collide(self):
-        a = bernoulli_gcr(singleton_clustering(4), 0.25)
-        b = bernoulli_gcr(singleton_clustering(4), 0.75)
-        Ma, _, _ = cached_cluster_system(a, 2, 1)
-        Mb, _, _ = cached_cluster_system(b, 2, 1)
-        assert not np.allclose(Ma, Mb)
+class TestSizeClass:
+    def test_matches_dense(self):
+        # M^+ theta from the dense subset system is a_{|U|} on every row
+        for m in range(2, 9):
+            clus = singleton_clustering(m)
+            designs = [bernoulli_gcr(clus, p) for p in (0.1, 0.25, 0.5, 0.75, 0.9)]
+            designs += [complete_gcr(clus, k) for k in sorted({1, m // 2, m - 1})]
+            for d in designs:
+                for c in range(m + 1):
+                    for beta in (1, 2, 3):
+                        dense = analytic_cluster_moments(d, tuple(range(c)), beta)
+                        v = dense.M_pinv @ theta_vector(len(dense.index))
+                        a = size_class_pinv(d, c, beta)
+                        assert a.size == min(beta, c) + 1
+                        err = np.max(np.abs(a[dense.index.sizes] - v))
+                        assert err <= 1e-10 * max(1.0, np.max(np.abs(v))), (d, c, beta)
 
 
 class TestBlockLift:
