@@ -24,12 +24,14 @@ from pinvtte import (
     enumerate_subsets,
     enumerate_support,
     from_edge_list,
+    joint_treat_prob,
     lifted_moments,
     lifted_pinv,
     monte_carlo_moments,
     numeric_pinv,
     singleton_clustering,
     size_class_pinv,
+    size_class_sums,
     support_moments,
     theta_vector,
 )
@@ -297,6 +299,30 @@ class TestSizeClass:
                         assert a.size == min(beta, c) + 1
                         err = np.max(np.abs(a[dense.index.sizes] - v))
                         assert err <= 1e-10 * max(1.0, np.max(np.abs(v))), (d, c, beta)
+
+
+class TestCaches:
+    # the per-size tables that replaced the cached dense (M, M^+, M^+ theta)
+    def test_cached_system_matches_analytic(self):
+        d = bernoulli_gcr(singleton_clustering(5), 0.25)
+        ana = analytic_cluster_moments(d, (0, 1, 2), 2)
+        sizes = ana.index.sizes
+        # summing row U of M over the size-t columns gives K[|U|, t]
+        probs = [joint_treat_prob(d, u) for u in range(4)]
+        K = size_class_sums(probs, 3, 2, 2)
+        for t in range(3):
+            assert np.allclose(ana.M[:, sizes == t].sum(axis=1), K[sizes, t])
+        a = size_class_pinv(d, 3, 2)
+        assert np.allclose(a[sizes], ana.M_pinv @ theta_vector(len(ana.index)))
+
+    def test_distinct_designs_do_not_collide(self):
+        a = bernoulli_gcr(singleton_clustering(4), 0.25)
+        b = bernoulli_gcr(singleton_clustering(4), 0.75)
+        assert not np.allclose(size_class_pinv(a, 2, 1), size_class_pinv(b, 2, 1))
+        for d in (a, b):
+            ana = analytic_cluster_moments(d, (0, 1), 1)
+            v = ana.M_pinv @ theta_vector(len(ana.index))
+            assert np.allclose(size_class_pinv(d, 2, 1)[ana.index.sizes], v)
 
 
 class TestBlockLift:
