@@ -44,7 +44,7 @@ from .harness import (
     exhaustive_expectation,
     mc_convergence_report,
     report_rows,
-    run_experiment,
+    run_experiments,
     select_clustering,
     write_csv,
 )
@@ -266,8 +266,8 @@ def _cmd_simulate(o: _Opts) -> None:
     rows = []
     for tag, c in cells:
         d = _build_design(o, g, c)
-        for spec in specs:
-            cfg = ExperimentConfig(
+        cfgs = [
+            ExperimentConfig(
                 graph=g,
                 model=model,
                 design=d,
@@ -277,7 +277,10 @@ def _cmd_simulate(o: _Opts) -> None:
                 gamma_source=gamma,
                 tag=tag,
             )
-            rows.extend(report_rows(run_experiment(cfg)))
+            for spec in specs
+        ]
+        for report in run_experiments(cfgs):
+            rows.extend(report_rows(report))
     names = ["estimator", "beta", "tag", "replications", "true_tte", "metric", "value"]
     write_csv(rows, names, o.get("out", _str), seed=seed)
 

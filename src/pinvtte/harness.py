@@ -4,6 +4,12 @@ Everything here is deterministic for a fixed configuration: replicate r of
 an experiment seeded with s draws its assignment from the stream (s, r), and
 all reductions into summary statistics use ``math.fsum`` in a fixed order,
 so parallel or repeated runs produce identical numbers.
+
+A replicated cell draws its (R, m) cluster assignments once, evaluates the
+outcomes of all R draws in one batched call (outcomes.evaluate_draws), and
+applies each estimator's weight table to the same draws and outcomes
+(estimator.batch_estimates). run_experiments shares that work between
+configurations that differ only in their estimator.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -26,7 +32,7 @@ from .errors import InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
 from .moments import analytic_cluster_moments, monte_carlo_moments
-from .outcomes import LowOrderModel, evaluate, outcome_bound, true_tte
+from .outcomes import LowOrderModel, evaluate_draws, outcome_bound, true_tte
 
 __all__ = [
     "EstimatorSpec",
@@ -34,6 +40,7 @@ __all__ = [
     "ExperimentReport",
     "replicate_estimates",
     "run_experiment",
+    "run_experiments",
     "report_rows",
     "exhaustive_expectation",
     "select_clustering",
@@ -121,6 +128,10 @@ class ExperimentReport:
     variance, matching mean((estimate - tte)^2) up to float rounding).
     analytic_bias is None when no closed form applies (Horvitz-Thompson
     under a complete design); var_bound is None for Horvitz-Thompson.
+    wall_time_s times the whole shared cell: sampling the draws, evaluating
+    their outcomes and every estimator's weights. Every report of a cell run
+    together (run_experiments) carries the same value; the analytic bias and
+    the variance bound are not included.
     """
 
     kind: str
@@ -148,18 +159,11 @@ def replicate_estimates(
 ) -> np.ndarray:
     """Estimates for a batch of cluster assignments, one per row of W.
 
-    Outcomes are realized per draw from the model; every estimator kind then
-    applies one weight table to all draws (estimator.batch_estimates).
+    Outcomes of all draws are evaluated in one batched call
+    (outcomes.evaluate_draws); the estimator then applies one weight table
+    to all draws (estimator.batch_estimates).
     """
-    W = np.asarray(W, dtype=np.int8)
-    if W.ndim != 2 or W.shape[1] != d.m:
-        raise InputError(f"W has shape {W.shape}, expected (R, {d.m})")
-    R = W.shape[0]
-    assignment = np.asarray(d.clustering.assignment)
-    Z = W[:, assignment]
-    Y = np.empty((R, g.n))
-    for r in range(R):
-        Y[r] = evaluate(model, g, Z[r])
+    Y = evaluate_draws(model, g, d.clustering, W)
     return batch_estimates(g, d, spec.kind, spec.beta, W, Y)
 
 
@@ -190,42 +194,72 @@ def _var_bound(cfg: ExperimentConfig) -> float | None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run one experiment cell: R replicated draws, summary statistics.
+    """Run one experiment cell: R replicated draws, summary statistics."""
+    return run_experiments([cfg])[0]
 
-    Replicate r draws its assignment from the stream (cfg.seed, r), so the
-    report is identical no matter how replicates are scheduled. Empirical
+
+def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
+    """Run one experiment cell for several estimators, one report each.
+
+    The configurations must agree in everything but their estimator. The
+    cell's draws are sampled and their outcomes evaluated once, then every
+    estimator is applied to the same draws. Replicate r draws its assignment
+    from the stream (seed, r), so each report is identical to a run of its
+    configuration alone, no matter how replicates are scheduled. Empirical
     variance uses the population convention (divide by R).
+
+    Raises
+    ------
+    InputError
+        If cfgs is empty or its configurations differ in anything but the
+        estimator.
     """
-    d = cfg.design
-    tte = true_tte(cfg.model)
-    R = cfg.replications
+    if not cfgs:
+        raise InputError("no experiment configurations")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for f in fields(ExperimentConfig):
+            if f.name != "estimator" and getattr(cfg, f.name) != getattr(first, f.name):
+                raise InputError(
+                    f"configurations of one cell differ in {f.name}, not only in estimator"
+                )
+    g, d, R = first.graph, first.design, first.replications
+    t0 = time.perf_counter()
     W = np.empty((R, d.m), dtype=np.int8)
     for r in range(R):
-        W[r] = sample(d, cfg.seed, r).w
-    t0 = time.perf_counter()
-    estimates = replicate_estimates(cfg.graph, cfg.model, d, cfg.estimator, W)
+        W[r] = sample(d, first.seed, r).w
+    Y = evaluate_draws(first.model, g, d.clustering, W)
+    estimates = [
+        batch_estimates(g, d, cfg.estimator.kind, cfg.estimator.beta, W, Y) for cfg in cfgs
+    ]
     wall = time.perf_counter() - t0
-    vals = estimates.tolist()
-    mean_est = math.fsum(vals) / R
-    bias = mean_est - tte
-    var = math.fsum((e - mean_est) ** 2 for e in vals) / R
-    mse = bias * bias + var
-    return ExperimentReport(
-        kind=cfg.estimator.kind,
-        beta=cfg.estimator.beta,
-        tag=cfg.tag,
-        replications=R,
-        seed=cfg.seed,
-        true_tte=tte,
-        mean_estimate=mean_est,
-        empirical_bias=bias,
-        empirical_variance=var,
-        empirical_mse=mse,
-        empirical_rmse=math.sqrt(mse),
-        analytic_bias=_analytic_bias(cfg),
-        var_bound=_var_bound(cfg),
-        wall_time_s=wall,
-    )
+    tte = true_tte(first.model)
+    reports = []
+    for cfg, est in zip(cfgs, estimates):
+        vals = est.tolist()
+        mean_est = math.fsum(vals) / R
+        bias = mean_est - tte
+        var = math.fsum((e - mean_est) ** 2 for e in vals) / R
+        mse = bias * bias + var
+        reports.append(
+            ExperimentReport(
+                kind=cfg.estimator.kind,
+                beta=cfg.estimator.beta,
+                tag=cfg.tag,
+                replications=R,
+                seed=cfg.seed,
+                true_tte=tte,
+                mean_estimate=mean_est,
+                empirical_bias=bias,
+                empirical_variance=var,
+                empirical_mse=mse,
+                empirical_rmse=math.sqrt(mse),
+                analytic_bias=_analytic_bias(cfg),
+                var_bound=_var_bound(cfg),
+                wall_time_s=wall,
+            )
+        )
+    return reports
 
 
 _METRICS = (

@@ -64,9 +64,7 @@ class SubsetIndex:
     """Canonically ordered subsets of a ground set, capped at size beta.
 
     Rows are the subsets themselves (tuples of ground elements); `position`
-    inverts them. `parent` and `last_pos` link each non-empty subset to the
-    row for the subset with its largest element removed, which lets callers
-    build all subset products of a vector in one linear sweep.
+    inverts them.
     """
 
     def __init__(self, ground: tuple[int, ...], beta: int):
@@ -91,12 +89,6 @@ class SubsetIndex:
         self.sizes = np.array([len(s) for s in subsets], dtype=np.int64)
         pos_of = {g: idx for idx, g in enumerate(ground)}
         q = len(subsets)
-        self.parent = np.zeros(q, dtype=np.int64)
-        self.last_pos = np.zeros(q, dtype=np.int64)
-        for r, s in enumerate(subsets):
-            if s:
-                self.parent[r] = self.position[s[:-1]]
-                self.last_pos[r] = pos_of[s[-1]]
         # 0/1 membership over ground positions, used for union-size algebra
         self.membership = np.zeros((q, c), dtype=np.int64)
         for r, s in enumerate(subsets):

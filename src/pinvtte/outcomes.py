@@ -9,6 +9,7 @@ with subset order capped at beta_star. The empty subset carries the baseline
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ __all__ = [
     "LowOrderModel",
     "ClusterAggregatedModel",
     "evaluate",
-    "evaluate_clustered",
+    "evaluate_draws",
     "true_tte",
     "gen_cycle_model",
     "gen_named_model",
@@ -35,10 +36,14 @@ __all__ = [
 # One flat-array cache per model holds at most this many subset keys.
 _MAX_KEYS = 2_000_000
 
+# draws times keys gathered at once; bounds evaluate_draws' temporary arrays
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True, eq=True)
 class _FlatModel:
-    """Vectorized view of a sparse model: one row per non-empty subset."""
+    """Vectorized view of a sparse model: one row per non-empty subset of
+    units, or of clusters once re-keyed by _cluster_keys."""
 
     owner: np.ndarray  # unit owning each subset
     members: np.ndarray  # padded member matrix; pad index means "always 1"
@@ -79,10 +84,13 @@ class LowOrderModel:
         return len(self.coeffs)
 
     def _flat(self, g: InterferenceGraph) -> _FlatModel:
-        """Build (once) the flat arrays used by vectorized evaluation, and
-        validate subset membership against the graph while doing so."""
-        if "flat" in self._cache:
-            return self._cache["flat"]
+        """Build (once per graph) the flat arrays used by vectorized
+        evaluation, and validate subset membership against the graph while
+        doing so. The cache holds the graph it was validated against, so a
+        different graph is validated afresh."""
+        cached = self._cache.get("flat")
+        if cached is not None and cached[0] == g:
+            return cached[1]
         if self.n != g.n:
             raise InputError(f"model has {self.n} units but graph has {g.n}")
         owners: list[int] = []
@@ -113,7 +121,7 @@ class LowOrderModel:
             baseline=baseline,
             pad=g.n,
         )
-        self._cache["flat"] = flat
+        self._cache["flat"] = (g, flat)
         return flat
 
 
@@ -150,21 +158,69 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     return y
 
 
-def evaluate_clustered(agg: ClusterAggregatedModel, w) -> np.ndarray:
-    """Outcome vector from cluster-aggregated coefficients under a
-    cluster-level assignment w. Only valid when every unit's treatment is
-    cluster-constant, where Y_i = sum_U x_{i,U} prod_{C in U} w_C."""
-    w = np.asarray(w, dtype=np.float64)
-    out = np.zeros(agg.n)
-    for i, xmap in enumerate(agg.x):
-        acc = 0.0
-        for u, val in xmap.items():
-            term = val
-            for cid in u:
-                term *= w[cid]
-            acc += term
-        out[i] = acc
-    return out
+def _cluster_keys(flat: _FlatModel, assignment: np.ndarray, m: int) -> _FlatModel:
+    """Re-key the flat subsets by the clusters their members fall in.
+
+    Under a cluster-constant assignment prod_{j in S} z_j = prod_{C in U} w_C
+    with U the set of clusters of S, so coefficients sharing an
+    (owner, U) pair add up. Repeated clusters collapse (w^2 = w) and U is
+    padded with the index m ("always 1"), which sorts last. Rows come back
+    sorted by owner, trailing all-pad columns dropped.
+    """
+    cmap = np.append(assignment, m)[flat.members]
+    cmap.sort(axis=1)
+    cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = m
+    cmap.sort(axis=1)
+    width = int((cmap < m).sum(axis=1).max())
+    rows = np.column_stack([flat.owner, cmap[:, :width]])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    values = np.bincount(np.cumsum(first) - 1, weights=flat.values[order])
+    keys = rows[first]
+    return _FlatModel(
+        owner=keys[:, 0], members=keys[:, 1:], values=values, baseline=flat.baseline, pad=m
+    )
+
+
+def evaluate_draws(
+    model: LowOrderModel, g: InterferenceGraph, clustering: Clustering, W
+) -> np.ndarray:
+    """Outcome matrix (R, n) for the (R, m) matrix W of 0/1 cluster draws,
+    each lifted to units by the clustering.
+
+    The model is re-keyed once to cluster subsets, where
+    Y_i = sum_U x_{i,U} prod_{C in U} w_C, and blocks of draws are gathered
+    over those keys under a fixed element budget. Row r depends only on
+    draw r, whatever R or the block size.
+    """
+    if clustering.n != g.n:
+        raise InputError(f"clustering covers {clustering.n} units but graph has {g.n}")
+    W = np.asarray(W)
+    if W.ndim != 2 or W.shape[1] != clustering.m:
+        raise InputError(f"W has shape {W.shape}, expected (R, {clustering.m})")
+    if not np.all((W == 0) | (W == 1)):
+        raise InputError("cluster draws must be 0 or 1")
+    flat = model._flat(g)
+    R = W.shape[0]
+    if not flat.values.size:
+        return np.tile(flat.baseline, (R, 1))
+    # re-keyed before Y is allocated, so the re-keying temporaries are freed
+    # by the time Y is held
+    keys = _cluster_keys(flat, np.asarray(clustering.assignment), clustering.m)
+    units, starts = np.unique(keys.owner, return_index=True)
+    Y = np.tile(flat.baseline, (R, 1))
+    Wpad = np.ones((R, clustering.m + 1), dtype=np.int8)
+    Wpad[:, :-1] = W
+    step = max(1, _BLOCK // keys.values.size)
+    for start in range(0, R, step):
+        block = Wpad[start : start + step]
+        hit = block[:, keys.members[:, 0]]
+        for col in keys.members.T[1:]:
+            hit &= block[:, col]
+        Y[start : start + step, units] += np.add.reduceat(hit * keys.values, starts, axis=1)
+    return Y
 
 
 def true_tte(model: LowOrderModel) -> float:
@@ -191,7 +247,7 @@ def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
         d = len(g.in_neighbors[i])
         cmap: dict[tuple[int, ...], float] = {(): 1.0}
         for k in range(1, beta_star + 1):
-            coef = (0.5**k) / _binom(d, k)
+            coef = (0.5**k) / math.comb(d, k)
             for s in itertools.combinations(g.in_neighbors[i], k):
                 cmap[s] = coef
         total_keys += len(cmap)
@@ -201,12 +257,6 @@ def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
             )
         coeffs.append(cmap)
     return LowOrderModel(beta_star=beta_star, coeffs=tuple(coeffs))
-
-
-def _binom(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
 
 
 def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel:

@@ -29,6 +29,7 @@ from pinvtte import (
     report_rows,
     rmse_ratio,
     run_experiment,
+    run_experiments,
     sample,
     sbm_sample,
     select_clustering,
@@ -139,6 +140,28 @@ class TestRunExperiment:
         assert report_rows(a, include_timing=False) == report_rows(
             b, include_timing=False
         )
+
+    def test_shared_cell_matches_separate_runs(self):
+        g = cycle_power(12, 2)
+        base = dict(model=gen_cycle_model(g, 2), graph=g, replications=40, tag="w=2")
+        cfgs = [small_cfg(estimator=EstimatorSpec.parse(s), **base) for s in ("pinv:2", "ht")]
+        shared = run_experiments(cfgs)
+        assert [rep.kind for rep in shared] == ["pinv", "ht"]
+        for cfg, rep in zip(cfgs, shared):
+            assert report_rows(rep, include_timing=False) == report_rows(
+                run_experiment(cfg), include_timing=False
+            )
+        assert shared[0].wall_time_s == shared[1].wall_time_s
+
+    def test_shared_cell_configs_must_agree(self):
+        with pytest.raises(InputError, match="no experiment"):
+            run_experiments([])
+        for field, value in [("seed", 8), ("replications", 65), ("tag", "w=4")]:
+            with pytest.raises(InputError, match=field):
+                run_experiments([small_cfg(), small_cfg(**{field: value})])
+        other = small_cfg(design=bernoulli_gcr(blocks(12, 3), 0.25))
+        with pytest.raises(InputError, match="design"):
+            run_experiments([small_cfg(estimator=EstimatorSpec("ht")), other])
 
     def test_seed_changes_estimates(self):
         a = run_experiment(small_cfg(seed=1))

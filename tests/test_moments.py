@@ -78,11 +78,12 @@ class TestSubsetIndex:
             enumerate_subsets(tuple(range(40)), 40)
 
     def test_parent_links_drop_largest_element(self):
+        # every non-empty subset minus its largest element is itself a row,
+        # and an earlier one
         idx = enumerate_subsets((2, 5, 9), 3)
         for r, s in enumerate(idx.subsets):
             if s:
-                assert idx.subsets[idx.parent[r]] == s[:-1]
-                assert idx.ground[idx.last_pos[r]] == s[-1]
+                assert idx.position[s[:-1]] < r
 
     def test_union_sizes_hand_values(self):
         idx = enumerate_subsets((0, 1), 2)

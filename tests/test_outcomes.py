@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pinvtte import (
     cluster_aggregate,
     cycle_power,
     evaluate,
-    evaluate_clustered,
+    evaluate_draws,
     from_edge_list,
     gen_cycle_model,
     gen_named_model,
@@ -61,6 +62,12 @@ class TestLowOrderModel:
         with pytest.raises(InputError, match="neighborhood"):
             evaluate(model, g, [0, 0])
 
+    def test_validation_repeated_for_another_graph(self):
+        model = LowOrderModel(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
+        assert evaluate(model, from_edge_list([(1, 0)], 2), [0, 1])[0] == 1.0
+        with pytest.raises(InputError, match="neighborhood"):
+            evaluate(model, from_edge_list([], 2), [0, 0])
+
 
 class TestEvaluate:
     def test_all_control_returns_baselines(self, rng):
@@ -100,6 +107,56 @@ class TestEvaluate:
             evaluate(model, g, [0, 1])
         with pytest.raises(InputError):
             evaluate(model, g, [0, 2, 0])
+
+
+class TestEvaluateDraws:
+    def test_matches_per_draw_evaluate(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(1, 13))
+            g = random_graph(rng, n)
+            # m = n is the singleton clustering; small m puts several
+            # members of one subset into one cluster
+            m = min(n, int(rng.choice([1, 2, max(1, n // 2), n])))
+            c = random_clustering(rng, n, m)
+            beta_star = 1 + trial % 3
+            model = random_model(rng, g, beta_star, keep=0.0 if trial % 10 == 0 else 0.6)
+            W = rng.integers(0, 2, size=(7, m)).astype(np.int8)
+            Y = evaluate_draws(model, g, c, W)
+            assert Y.shape == (7, n)
+            for w, y in zip(W, Y):
+                expect = evaluate(model, g, w[np.asarray(c.assignment)])
+                assert np.allclose(y, expect, rtol=0.0, atol=1e-12)
+
+    def test_baseline_only_model(self):
+        g = cycle_power(6, 1)
+        model = LowOrderModel(beta_star=1, coeffs=tuple({(): float(i)} for i in range(6)))
+        W = np.array([[0, 1, 0], [1, 1, 1]], dtype=np.int8)
+        Y = evaluate_draws(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]), W)
+        assert np.array_equal(Y, np.tile(np.arange(6.0), (2, 1)))
+
+    def test_rows_independent_of_batch(self, rng, monkeypatch):
+        g = random_graph(rng, 12)
+        c = random_clustering(rng, 12, 5)
+        model = random_model(rng, g, 3)
+        W = rng.integers(0, 2, size=(9, 5)).astype(np.int8)
+        Y = evaluate_draws(model, g, c, W)
+        for r in range(9):
+            assert np.array_equal(evaluate_draws(model, g, c, W[r : r + 1])[0], Y[r])
+        monkeypatch.setattr("pinvtte.outcomes._BLOCK", 1)  # one draw per block
+        assert np.array_equal(evaluate_draws(model, g, c, W), Y)
+
+    def test_draw_validation(self):
+        g, model = pair_unit_model()
+        c = Clustering.from_labels([0, 1, 1])
+        with pytest.raises(InputError, match="W has shape"):
+            evaluate_draws(model, g, c, np.zeros((2, 3), dtype=np.int8))
+        with pytest.raises(InputError, match="W has shape"):
+            evaluate_draws(model, g, c, np.zeros(2, dtype=np.int8))
+        for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 0]], [[256, 0]]):
+            with pytest.raises(InputError, match="0 or 1"):
+                evaluate_draws(model, g, c, np.array(bad))
+        with pytest.raises(InputError, match="clustering"):
+            evaluate_draws(model, g, Clustering.from_labels([0, 1]), np.zeros((1, 2)))
 
 
 class TestTrueTte:
@@ -225,16 +282,19 @@ class TestClusterAggregate:
         assert agg.x[0][(0, 1)] == pytest.approx(16.0 + 32.0)
 
     def test_preserves_cluster_constant_outcomes(self, rng):
+        # the dict route, Y_i = sum_U x_{i,U} prod_{C in U} w_C, against the
+        # batched cluster-level evaluation
         g = random_graph(rng, 11)
         c = random_clustering(rng, 11, 4)
         model = random_model(rng, g, 2)
         agg = cluster_aggregate(model, g, c)
-        for _ in range(8):
-            w = rng.integers(0, 2, size=4)
-            z = w[np.asarray(c.assignment)]
-            assert np.allclose(
-                evaluate_clustered(agg, w), evaluate(model, g, z), atol=1e-12
-            )
+        W = rng.integers(0, 2, size=(8, 4))
+        for w, y in zip(W, evaluate_draws(model, g, c, W)):
+            expect = [
+                sum(val * math.prod(w[cid] for cid in u) for u, val in xmap.items())
+                for xmap in agg.x
+            ]
+            assert np.allclose(y, expect, rtol=0.0, atol=1e-12)
 
 
 class TestOutcomeBound:
