@@ -18,9 +18,16 @@ between tail subsets and indexed subsets,
 This is algebraically identical to the unit-level identity because a unit
 subset is fully treated exactly when its cluster image is, and it keeps the
 computation polynomial when neighborhoods are large but touch few clusters.
-Both vectors on the right depend on a cluster subset only through its size
-(moments.size_class_pinv), so each unit's coefficients are grouped by the
-size of their cluster image and dotted with two per-size vectors.
+Both vectors on the right depend on a cluster subset U only through its size
+k (moments.size_class_pinv), and both equal (M v)_k - 1 for k >= 1, with
+v = M_w^+ psi; they differ only at U = (), which only the baseline reaches.
+So the split by order drops out: bias_exact builds one row per neighborhood
+size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c, and gathers it at
+(c of the owner, |U|) over the model re-keyed to (unit, cluster subset)
+pairs by outcomes._cluster_keys, the re-keying evaluate_draws uses, with the
+baseline at |U| = 0. bias_bound_gcr reduces the same keys with |U| > beta,
+which only subsets of order > beta reach: their |x_{i,U}|, and one bincount
+by (owner, |U|).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats, cluster_neighborhoods
+from .clustering import Clustering, ClusterStats, _size_rows, cluster_neighborhoods
 from .design import Design, joint_treat_prob
 from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph, degree_stats
@@ -42,7 +49,13 @@ from .moments import (
     size_class_sums,
     theta_vector,
 )
-from .outcomes import ClusterAggregatedModel, LowOrderModel, cluster_aggregate, mixed_signs
+from .outcomes import (
+    ClusterAggregatedModel,
+    LowOrderModel,
+    _cluster_keys,
+    cluster_aggregate,
+    mixed_signs,
+)
 
 __all__ = [
     "GammaProfile",
@@ -135,9 +148,8 @@ def gamma_crd(c_size: int, m: int, k: int) -> tuple[float, float]:
 def _by_size(stats: ClusterStats, f) -> np.ndarray:
     """f(c) for every unit's cluster-neighborhood size c, one call per
     distinct c."""
-    sizes = [len(nb) for nb in stats.cluster_nbhd]
-    cs, inverse = np.unique(sizes, return_inverse=True)
-    return np.array([f(int(c)) for c in cs], dtype=np.float64)[inverse]
+    values, base = _size_rows([len(nb) for nb in stats.cluster_nbhd], lambda c, _: [f(c)])
+    return values[base]
 
 
 def gamma_profile(
@@ -200,39 +212,27 @@ def bias_exact(
 ) -> float:
     """Exact bias of the order-beta pseudoinverse estimator under design d.
 
-    Evaluated per unit at the cluster level (see module docstring). The
-    moment and cross matrices are analytic for both supported designs, so
-    this never enumerates the assignment support.
+    Evaluated at the cluster level by one gather (see module docstring).
+    The moment and cross matrices are analytic for both supported designs,
+    so this never enumerates the assignment support.
     """
     if beta < 1:
         raise InputError(f"estimator order must be at least 1, got beta={beta}")
     if model.n != g.n or d.n != g.n:
         raise InputError("model, graph, and design must agree on n")
-    assign = d.clustering.assignment
-    sizes = np.diff(cluster_neighborhoods(g, d.clustering)[0])
-    per_size: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    total = 0.0
-    for i in range(g.n):
-        c = int(sizes[i])
-        if c not in per_size:
-            # (M v)_k on a size-k cluster subset, k = 0..c: the first
-            # min(beta, c) + 1 entries give M v - theta, all of them Cross v
-            a = size_class_pinv(d, c, beta)
-            probs = [joint_treat_prob(d, u) for u in range(c + 1)]
-            Mv = size_class_sums(probs, c, c, a.size - 1) @ a
-            proj = Mv[: a.size] - (np.arange(a.size) > 0)
-            per_size[c] = (proj, Mv - 1.0)
-        proj, cross = per_size[c]
-        x_lo = np.zeros(proj.size)
-        x_tail = np.zeros(cross.size)
-        for s, val in model.coeffs[i].items():
-            image = len({assign[j] for j in s})
-            if len(s) <= beta:
-                x_lo[image] += val
-            else:
-                x_tail[image] += val
-        total += float(x_lo @ proj) + float(x_tail @ cross)
-    return total / g.n
+
+    def row(c: int, unit: int) -> np.ndarray:
+        # (M v)_k on a size-k cluster subset, k = 0..c, minus theta_k
+        a = size_class_pinv(d, c, beta)
+        probs = [joint_treat_prob(d, u) for u in range(c + 1)]
+        Mv = size_class_sums(probs, c, c, a.size - 1) @ a
+        return Mv - (np.arange(c + 1) > 0)
+
+    table, base = _size_rows(np.diff(cluster_neighborhoods(g, d.clustering)[0]), row)
+    flat = model._flat(g)
+    keys = _cluster_keys(flat, np.asarray(d.clustering.assignment), d.clustering.m)
+    total = flat.baseline @ table[base] + keys.values @ table[base[keys.owner] + keys.order]
+    return float(total) / g.n
 
 
 class BiasBoundGCR(NamedTuple):
@@ -256,23 +256,19 @@ def bias_bound_gcr(
     Bernoulli cluster design on this clustering."""
     if clustering.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")
-    assign = clustering.assignment
-    x_total = c_total = refined_total = 0.0
-    for i in range(g.n):
-        tail: dict[tuple[int, ...], float] = {}
-        for s, val in model.coeffs[i].items():
-            if len(s) > beta:
-                u = tuple(sorted({assign[j] for j in s}))
-                tail[u] = tail.get(u, 0.0) + val
-                c_total += abs(val)
-        by_card: dict[int, float] = {}
-        for u, val in tail.items():
-            if len(u) > beta:
-                x_total += abs(val)
-                by_card[len(u)] = by_card.get(len(u), 0.0) + val
-        refined_total += sum(abs(v) for v in by_card.values())
+    flat = model._flat(g)
+    keys = _cluster_keys(flat, np.asarray(clustering.assignment), clustering.m)
+    size = keys.order
+    # an image of more than beta clusters has only subsets of order > beta
+    wide = size > beta
+    x = keys.values[wide]
+    by_card = np.bincount(keys.owner[wide] * (model.beta_star + 1) + size[wide], weights=x)
     n = g.n
-    return BiasBoundGCR(x_total / n, c_total / n, refined_total / n)
+    return BiasBoundGCR(
+        float(np.abs(x).sum()) / n,
+        float(np.abs(flat.values[flat.order > beta]).sum()) / n,
+        float(np.abs(by_card).sum()) / n,
+    )
 
 
 def bias_crd(

@@ -237,14 +237,6 @@ def _resolve_B(o: _Opts, g: InterferenceGraph, model: LowOrderModel | None) -> f
     return outcome_bound(model, g)
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # report subcommands
 # ---------------------------------------------------------------------------
@@ -459,13 +451,7 @@ def _cmd_cluster(o: _Opts) -> None:
         c = load_clustering(o.get("in", _str, required=True), g.n)
     else:
         raise InputError(f"unknown clustering method {method!r}")
-    out = o.get("out", _str)
-    if out is None:
-        _write_text(
-            "".join(f"{i}\t{c.assignment[i]}\n" for i in range(c.n)), None
-        )
-    else:
-        save_clustering(c, out)
+    save_clustering(c, o.get("out", _str) or sys.stdout)
 
 
 def _cmd_model(o: _Opts) -> None:
@@ -480,16 +466,7 @@ def _cmd_model(o: _Opts) -> None:
         model = gen_named_model(g, kind, o.get("seed", _int, default=0))
     else:
         raise InputError(f"unknown model kind {kind!r}")
-    out = o.get("out", _str)
-    if out is None:
-        lines = []
-        for i, cmap in enumerate(model.coeffs):
-            for s, val in sorted(cmap.items(), key=lambda kv: (len(kv[0]), kv[0])):
-                key = ",".join(str(j) for j in s) if s else "-"
-                lines.append(f"{i}\t{key}\t{val!r}\n")
-        _write_text("".join(lines), None)
-    else:
-        save_model(model, out)
+    save_model(model, o.get("out", _str) or sys.stdout)
 
 
 def _cmd_estimate(o: _Opts) -> None:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graph import InterferenceGraph
+from .graph import InterferenceGraph, _write_lines
 
 __all__ = [
     "Clustering",
@@ -133,6 +134,20 @@ def cluster_neighborhoods(
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // c.m, minlength=g.n), out=indptr[1:])
     return indptr, keys % c.m
+
+
+def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
+    """The rows row(c, unit), one per distinct size c in sizes, concatenated
+    into values, and each unit's offset base into them: unit i's row starts
+    at values[base[i]]. Rows are built in order of first appearance, each
+    with the lowest unit of its size, so an error raised while building one
+    names that unit."""
+    cs, first, inverse = np.unique(sizes, return_index=True, return_inverse=True)
+    rows = [np.empty(0)] * cs.size
+    for j in np.argsort(first):
+        rows[j] = np.asarray(row(int(cs[j]), int(first[j])), dtype=np.float64)
+    starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    return np.concatenate(rows), starts[inverse]
 
 
 def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
@@ -280,10 +295,9 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
 # ---------------------------------------------------------------------------
 
 
-def save_clustering(c: Clustering, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for unit, lab in enumerate(c.assignment):
-            fh.write(f"{unit}\t{lab}\n")
+def save_clustering(c: Clustering, out: str | TextIO) -> None:
+    """Write the clustering to a path, or to an open text stream."""
+    _write_lines((f"{unit}\t{lab}\n" for unit, lab in enumerate(c.assignment)), out)
 
 
 def load_clustering(path: str, n: int | None = None) -> Clustering:

@@ -114,15 +114,20 @@ def sample(d: Design, seed: int, replicate: int) -> AssignmentDraw:
     The stream for (seed, replicate) is independent of how many other
     replicates are drawn, so parallel workers and re-runs agree.
     """
+    return draw_from_w(d, _sample_w(d, seed, replicate))
+
+
+def _sample_w(d: Design, seed: int, replicate: int) -> np.ndarray:
+    """The cluster treatments w of sample(d, seed, replicate), not lifted
+    to units."""
     if seed < 0 or replicate < 0:
         raise InputError("seed and replicate must be nonnegative")
     rng = np.random.default_rng([seed, replicate])
     if d.is_bernoulli:
-        w = (rng.random(d.m) < d.p).astype(np.int8)
-    else:
-        w = np.zeros(d.m, dtype=np.int8)
-        w[rng.choice(d.m, size=d.k, replace=False)] = 1
-    return draw_from_w(d, w)
+        return (rng.random(d.m) < d.p).astype(np.int8)
+    w = np.zeros(d.m, dtype=np.int8)
+    w[rng.choice(d.m, size=d.k, replace=False)] = 1
+    return w
 
 
 def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:

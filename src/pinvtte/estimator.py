@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, cluster_neighborhoods
+from .clustering import Clustering, _size_rows, cluster_neighborhoods
 from .design import (
     AssignmentDraw,
     Design,
@@ -149,14 +149,8 @@ def _table(g: InterferenceGraph, d: Design, kind: str, beta: int | None):
     if kind == "crd1" and d.variant != "complete_gcr":
         raise InputError("crd1 needs a complete cluster design")
     indptr, ids = cluster_neighborhoods(g, d.clustering)
-    sizes = np.diff(indptr)
-    cs, first, inverse = np.unique(sizes, return_index=True, return_inverse=True)
-    rows = [np.empty(0)] * cs.size
-    # built in order of first appearance, so an error names the lowest unit
-    for j in np.argsort(first):
-        rows[j] = _ROWS[kind](d, beta, int(cs[j]), int(first[j]))
-    starts = np.concatenate(([0], np.cumsum(cs + 1)[:-1]))
-    return np.concatenate(rows), starts[inverse].astype(np.int32), (indptr, ids)
+    values, base = _size_rows(np.diff(indptr), lambda c, unit: _ROWS[kind](d, beta, c, unit))
+    return values, base.astype(np.int32), (indptr, ids)
 
 
 def _gather(values: np.ndarray, base: np.ndarray, nbhd, W: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ self-loop so callers never have to remember it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -179,6 +180,15 @@ def degree_stats(g: InterferenceGraph) -> DegreeStats:
 # ---------------------------------------------------------------------------
 
 
+def _write_lines(lines: Iterable[str], out: str | TextIO) -> None:
+    """Write text lines to a path, or to an open text stream."""
+    if hasattr(out, "write"):
+        out.writelines(lines)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
 def save_edge_list(g: InterferenceGraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n={g.n}\n")
@@ -190,12 +200,11 @@ def load_edge_list(path: str) -> InterferenceGraph:
     """Read a graph saved by save_edge_list.
 
     Lines starting with '#' and blank lines are skipped. The first payload
-    line must be the "n=<count>" header. Malformed lines raise InputError
-    with their 1-based line number.
+    line must be the "n=<count>" header. Malformed lines, and endpoints
+    outside [0, n), raise InputError with their 1-based line number.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -213,18 +222,14 @@ def load_edge_list(path: str) -> InterferenceGraph:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected 'src<TAB>dst'")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                src, dst = int(parts[0]), int(parts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: non-integer endpoint")
-            edge_lines.append(lineno)
+            if not (0 <= src < n) or not (0 <= dst < n):
+                raise InputError(
+                    f"line {lineno}: endpoint ({src}, {dst}) out of range for n={n}"
+                )
+            edges.append((src, dst))
     if n is None:
         raise InputError("missing 'n=<count>' header")
-    try:
-        return from_edge_list(edges, n)
-    except InputError as exc:
-        # Re-map the edge index in the message to the file's line number.
-        msg = str(exc)
-        if msg.startswith("edge "):
-            idx = int(msg.split()[1].rstrip(":"))
-            raise InputError(f"line {edge_lines[idx]}: {msg.split(': ', 1)[1]}")
-        raise
+    return from_edge_list(edges, n)

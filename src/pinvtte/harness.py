@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import Clustering, cluster_neighborhoods, cluster_stats
-from .design import Design, enumerate_support, sample
+from .design import Design, _sample_w, enumerate_support
 from .errors import InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
@@ -227,12 +227,15 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
     t0 = time.perf_counter()
     W = np.empty((R, d.m), dtype=np.int8)
     for r in range(R):
-        W[r] = sample(d, first.seed, r).w
+        W[r] = _sample_w(d, first.seed, r)
     Y = evaluate_draws(first.model, g, d.clustering, W)
     estimates = [
         batch_estimates(g, d, cfg.estimator.kind, cfg.estimator.beta, W, Y) for cfg in cfgs
     ]
     wall = time.perf_counter() - t0
+    # free the (R, n) outcomes before the bias and the variance bound
+    # allocate their own arrays, so the cell's peak memory is not raised
+    del W, Y
     tte = true_tte(first.model)
     reports = []
     for cfg, est in zip(cfgs, estimates):

@@ -32,15 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, cluster_neighborhoods
-from .design import Design, _falling_ratio, enumerate_support, joint_treat_prob, sample
+from .clustering import cluster_neighborhoods
+from .design import Design, _falling_ratio, _sample_w, enumerate_support, joint_treat_prob
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
 
 __all__ = [
     "SubsetIndex",
     "DesignMoments",
-    "BlockLift",
     "enumerate_subsets",
     "theta_vector",
     "bern_cluster_moments",
@@ -52,9 +51,6 @@ __all__ = [
     "analytic_cluster_moments",
     "size_class_sums",
     "size_class_pinv",
-    "block_lift",
-    "lifted_moments",
-    "lifted_pinv",
 ]
 
 _MAX_INDEX = 1_000_000  # total subsets one index may hold
@@ -252,10 +248,7 @@ def monte_carlo_moments(
     """Estimate unit i's cluster moment matrix from R design draws.
 
     Replicate r uses the (seed, r) stream, so estimates are reproducible and
-    draw-parallel. The estimate is symmetrized by averaging with its
-    transpose; with this accumulation scheme that is already a no-op, but it
-    guards any future estimator that breaks exchangeability. The
-    pseudoinverse is numeric.
+    draw-parallel. The pseudoinverse is numeric.
     """
     if R < 1:
         raise InputError(f"need at least one draw, got R={R}")
@@ -264,11 +257,10 @@ def monte_carlo_moments(
     cols = np.array(ground, dtype=np.int64)
     W = np.empty((R, len(ground)), dtype=np.float64)
     for r in range(R):
-        W[r] = sample(d, seed, r).w[cols]
+        W[r] = _sample_w(d, seed, r)[cols]
     counts = W @ index.membership.T.astype(np.float64)
     ind = (counts == index.sizes[None, :]).astype(np.float64)
     M = (ind.T @ ind) / R
-    M = (M + M.T) / 2.0
     return DesignMoments(
         index=index, M=M, M_pinv=numeric_pinv(M), provenance=f"monte_carlo({R})"
     )
@@ -354,85 +346,3 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     reduced = size_class_sums(probs, c, top, top) * root[:, None] / root[None, :]
     return (numeric_pinv(reduced)[:, 1:] @ root[1:]) / root
 
-
-# ---------------------------------------------------------------------------
-# unit-level lift
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockLift:
-    """Bookkeeping tying a unit's subset index over N_i to the index over its
-    cluster neighborhood.
-
-    row_map[s] is the row of the cluster subset C(S) for unit subset row s.
-    heights[u] counts how many unit subsets map to cluster subset row u; the
-    empty set maps only to itself, so heights[0] = 1.
-    """
-
-    unit_index: SubsetIndex
-    cluster_index: SubsetIndex
-    row_map: np.ndarray
-    heights: np.ndarray
-
-
-def block_lift(
-    g: InterferenceGraph, c: Clustering, i: int, beta: int
-) -> BlockLift:
-    """Materialize the unit-to-cluster subset correspondence for unit i.
-
-    Heights are computed from the composition formula: for a cluster subset
-    U, the count of unit subsets with image U is the number of ways to pick
-    at least one neighbor from each cluster of U with at most beta picks in
-    total, a truncated product of binomial generating polynomials.
-    """
-    if c.n != g.n:
-        raise InputError(f"clustering over {c.n} units but graph has {g.n}")
-    assign = c.assignment
-    nbrs = g.in_neighbors[i]
-    ground = tuple(sorted({assign[j] for j in nbrs}))
-    unit_index = enumerate_subsets(nbrs, beta)
-    cluster_index = enumerate_subsets(ground, beta)
-    row_map = np.array(
-        [
-            cluster_index.position[tuple(sorted({assign[j] for j in s}))]
-            for s in unit_index.subsets
-        ],
-        dtype=np.int64,
-    )
-    # members of each neighborhood cluster, counted once
-    overlap = {cid: 0 for cid in ground}
-    for j in nbrs:
-        overlap[assign[j]] += 1
-    heights = np.zeros(len(cluster_index), dtype=np.int64)
-    for u_row, u in enumerate(cluster_index.subsets):
-        poly = np.zeros(beta + 1, dtype=np.int64)
-        poly[0] = 1
-        for cid in u:
-            nt = overlap[cid]
-            factor = np.zeros(beta + 1, dtype=np.int64)
-            for a in range(1, min(nt, beta) + 1):
-                factor[a] = math.comb(nt, a)
-            poly = np.convolve(poly, factor)[: beta + 1]
-        heights[u_row] = int(poly.sum())
-    return BlockLift(
-        unit_index=unit_index,
-        cluster_index=cluster_index,
-        row_map=row_map,
-        heights=heights,
-    )
-
-
-def lifted_moments(lift: BlockLift, cluster_M: np.ndarray) -> np.ndarray:
-    """Unit-level moment matrix implied by a cluster-level one: entry (S, T)
-    is the cluster entry at (C(S), C(T)), since a unit subset is fully
-    treated exactly when its image clusters are."""
-    return cluster_M[np.ix_(lift.row_map, lift.row_map)]
-
-
-def lifted_pinv(lift: BlockLift, cluster_pinv: np.ndarray) -> np.ndarray:
-    """Unit-level pseudoinverse from the cluster-level one: the cluster entry
-    at (C(S), C(T)) divided by the block heights of C(S) and C(T)."""
-    h = lift.heights.astype(np.float64)
-    scaled = cluster_pinv / np.outer(h, h)
-    return scaled[np.ix_(lift.row_map, lift.row_map)]

@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
 from .clustering import Clustering
 from .errors import CapacityError, InputError
-from .graph import InterferenceGraph
+from .graph import InterferenceGraph, _write_lines
 
 __all__ = [
     "LowOrderModel",
@@ -50,6 +51,11 @@ class _FlatModel:
     values: np.ndarray
     baseline: np.ndarray
     pad: int
+
+    @property
+    def order(self) -> np.ndarray:
+        """Members (or clusters, once re-keyed) in each row."""
+        return (self.members < self.pad).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,19 +165,21 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
 
 
 def _cluster_keys(flat: _FlatModel, assignment: np.ndarray, m: int) -> _FlatModel:
-    """Re-key the flat subsets by the clusters their members fall in.
+    """Re-key the flat subsets by the clusters their members fall in. This
+    is the one map from unit subsets S to their cluster images U.
 
     Under a cluster-constant assignment prod_{j in S} z_j = prod_{C in U} w_C
     with U the set of clusters of S, so coefficients sharing an
-    (owner, U) pair add up. Repeated clusters collapse (w^2 = w) and U is
-    padded with the index m ("always 1"), which sorts last. Rows come back
-    sorted by owner, trailing all-pad columns dropped.
+    (owner, U) pair add up, in their original order. Repeated clusters
+    collapse (w^2 = w) and U is padded with the index m ("always 1"), which
+    sorts last. Rows come back sorted by (owner, U), trailing all-pad
+    columns dropped.
     """
     cmap = np.append(assignment, m)[flat.members]
     cmap.sort(axis=1)
     cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = m
     cmap.sort(axis=1)
-    width = int((cmap < m).sum(axis=1).max())
+    width = int((cmap < m).sum(axis=1).max(initial=0))
     rows = np.column_stack([flat.owner, cmap[:, :width]])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
@@ -303,21 +311,18 @@ def cluster_aggregate(
     """Sum coefficients over subsets with the same cluster image.
 
     x_{i,U} collects every keyed c_{i,S} whose members' clusters are exactly
-    the set U, including the baseline at U = ().
+    the set U, including the baseline at U = (): a dict view of the
+    re-keying that evaluate_draws evaluates.
     """
     if c.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")
-    assign = c.assignment
-    rows = []
-    for i in range(g.n):
-        nbrs = set(g.in_neighbors[i])
-        xmap: dict[tuple[int, ...], float] = {}
-        for s, val in model.coeffs[i].items():
-            if not set(s) <= nbrs:
-                raise InputError(f"unit {i}: subset {s} not within its neighborhood")
-            u = tuple(sorted({assign[j] for j in s}))
-            xmap[u] = xmap.get(u, 0.0) + val
-        rows.append(xmap)
+    flat = model._flat(g)
+    rows = [{(): b} for b in flat.baseline.tolist()]
+    keys = _cluster_keys(flat, np.asarray(c.assignment), c.m)
+    for i, u, size, val in zip(
+        keys.owner.tolist(), keys.members.tolist(), keys.order.tolist(), keys.values.tolist()
+    ):
+        rows[i][tuple(u[:size])] = val
     return ClusterAggregatedModel(beta_star=model.beta_star, x=tuple(rows))
 
 
@@ -361,12 +366,16 @@ def mixed_signs(agg: ClusterAggregatedModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def save_model(model: LowOrderModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, cmap in enumerate(model.coeffs):
-            for s in sorted(cmap, key=lambda t: (len(t), t)):
-                key = ",".join(str(j) for j in s) if s else "-"
-                fh.write(f"{i}\t{key}\t{cmap[s]!r}\n")
+def save_model(model: LowOrderModel, out: str | TextIO) -> None:
+    """Write the model to a path, or to an open text stream."""
+    _write_lines(
+        (
+            f"{i}\t{','.join(str(j) for j in s) if s else '-'}\t{cmap[s]!r}\n"
+            for i, cmap in enumerate(model.coeffs)
+            for s in sorted(cmap, key=lambda t: (len(t), t))
+        ),
+        out,
+    )
 
 
 def load_model(path: str, n: int) -> LowOrderModel:

@@ -40,7 +40,15 @@ from pinvtte import (
     true_tte,
     variance_bound,
 )
-from conftest import ensure_tail, random_clustering, random_graph, random_model
+from conftest import (
+    ensure_tail,
+    oracle_bias_bound_gcr,
+    oracle_bias_exact,
+    oracle_cluster_aggregate,
+    random_clustering,
+    random_graph,
+    random_model,
+)
 
 
 def exhaustive_moments(g, model, d, beta):
@@ -292,6 +300,58 @@ class TestBiasBoundGcr:
         bb = bias_bound_gcr(model, g, singleton_clustering(3), 1)
         assert bb.x_norm == pytest.approx(2.0 / 3.0)
         assert bb.refined == 0.0
+
+
+def close(got: float, want: float) -> bool:
+    # 1e-12 relative, with unit scale near zero
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestPerKeyOracles:
+    """cluster_aggregate, bias_exact and bias_bound_gcr share one vectorized
+    re-keying of unit subsets to cluster subsets; here each is checked
+    against the per-key loop it replaced."""
+
+    def test_random_triples(self):
+        seen = set()
+        for trial in range(60):
+            gen = np.random.default_rng(900 + trial)
+            n = int(gen.integers(4, 10))
+            g = random_graph(gen, n)
+            # few clusters merge distinct subsets into one image; every fifth
+            # trial is a clustering of singletons, which merges nothing
+            m = n if trial % 5 == 0 else int(gen.integers(1, n // 2 + 1))
+            c = random_clustering(gen, n, m)
+            beta_star, beta = 1 + trial % 3, 1 + (trial // 3) % 3
+            keep = 0.0 if trial % 7 == 6 else 0.6
+            model = random_model(gen, g, beta_star, keep=keep)
+            if m >= 2 and trial % 2:
+                d = complete_gcr(c, int(gen.integers(1, m)))
+            else:
+                d = bernoulli_gcr(c, float(gen.uniform(0.1, 0.9)))
+            keys = [s for cmap in model.coeffs for s in cmap if s]
+            seen.add(("design", d.variant))
+            seen.add(("low", any(len(s) <= beta for s in keys)))
+            seen.add(("tail", any(len(s) > beta for s in keys)))
+
+            want = oracle_cluster_aggregate(model, g, c)
+            seen.add(("merged", any(len(x) < len(cm) for x, cm in zip(want, model.coeffs))))
+            for got_i, want_i in zip(cluster_aggregate(model, g, c).x, want):
+                assert got_i.keys() == want_i.keys()
+                assert all(close(got_i[u], val) for u, val in want_i.items())
+            assert close(bias_exact(model, g, d, beta), oracle_bias_exact(model, g, d, beta))
+            bb = bias_bound_gcr(model, g, c, beta)
+            assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, beta)))
+        assert seen == {
+            ("design", "bernoulli_gcr"),
+            ("design", "complete_gcr"),
+            ("low", True),
+            ("low", False),
+            ("tail", True),
+            ("tail", False),
+            ("merged", True),
+            ("merged", False),
+        }
 
 
 class TestBiasCrd:

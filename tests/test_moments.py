@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from pinvtte import (
     Clustering,
     InputError,
     InterferenceGraph,
+    SubsetIndex,
     analytic_cluster_moments,
     bern_cluster_moments,
     bernoulli_gcr,
-    block_lift,
     complete_gcr,
     crd_cluster_moments,
     crd_determinant,
@@ -25,8 +26,6 @@ from pinvtte import (
     enumerate_support,
     from_edge_list,
     joint_treat_prob,
-    lifted_moments,
-    lifted_pinv,
     monte_carlo_moments,
     numeric_pinv,
     singleton_clustering,
@@ -324,6 +323,90 @@ class TestCaches:
             ana = analytic_cluster_moments(d, (0, 1), 1)
             v = ana.M_pinv @ theta_vector(len(ana.index))
             assert np.allclose(size_class_pinv(d, 2, 1)[ana.index.sizes], v)
+
+
+# ---------------------------------------------------------------------------
+# unit-level lift: the unit-to-cluster subset correspondence, kept here as an
+# oracle for the cluster-level moment systems
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockLift:
+    """Bookkeeping tying a unit's subset index over N_i to the index over its
+    cluster neighborhood.
+
+    row_map[s] is the row of the cluster subset C(S) for unit subset row s.
+    heights[u] counts how many unit subsets map to cluster subset row u; the
+    empty set maps only to itself, so heights[0] = 1.
+    """
+
+    unit_index: SubsetIndex
+    cluster_index: SubsetIndex
+    row_map: np.ndarray
+    heights: np.ndarray
+
+
+def block_lift(
+    g: InterferenceGraph, c: Clustering, i: int, beta: int
+) -> BlockLift:
+    """Materialize the unit-to-cluster subset correspondence for unit i.
+
+    Heights are computed from the composition formula: for a cluster subset
+    U, the count of unit subsets with image U is the number of ways to pick
+    at least one neighbor from each cluster of U with at most beta picks in
+    total, a truncated product of binomial generating polynomials.
+    """
+    if c.n != g.n:
+        raise InputError(f"clustering over {c.n} units but graph has {g.n}")
+    assign = c.assignment
+    nbrs = g.in_neighbors[i]
+    ground = tuple(sorted({assign[j] for j in nbrs}))
+    unit_index = enumerate_subsets(nbrs, beta)
+    cluster_index = enumerate_subsets(ground, beta)
+    row_map = np.array(
+        [
+            cluster_index.position[tuple(sorted({assign[j] for j in s}))]
+            for s in unit_index.subsets
+        ],
+        dtype=np.int64,
+    )
+    # members of each neighborhood cluster, counted once
+    overlap = {cid: 0 for cid in ground}
+    for j in nbrs:
+        overlap[assign[j]] += 1
+    heights = np.zeros(len(cluster_index), dtype=np.int64)
+    for u_row, u in enumerate(cluster_index.subsets):
+        poly = np.zeros(beta + 1, dtype=np.int64)
+        poly[0] = 1
+        for cid in u:
+            nt = overlap[cid]
+            factor = np.zeros(beta + 1, dtype=np.int64)
+            for a in range(1, min(nt, beta) + 1):
+                factor[a] = math.comb(nt, a)
+            poly = np.convolve(poly, factor)[: beta + 1]
+        heights[u_row] = int(poly.sum())
+    return BlockLift(
+        unit_index=unit_index,
+        cluster_index=cluster_index,
+        row_map=row_map,
+        heights=heights,
+    )
+
+
+def lifted_moments(lift: BlockLift, cluster_M: np.ndarray) -> np.ndarray:
+    """Unit-level moment matrix implied by a cluster-level one: entry (S, T)
+    is the cluster entry at (C(S), C(T)), since a unit subset is fully
+    treated exactly when its image clusters are."""
+    return cluster_M[np.ix_(lift.row_map, lift.row_map)]
+
+
+def lifted_pinv(lift: BlockLift, cluster_pinv: np.ndarray) -> np.ndarray:
+    """Unit-level pseudoinverse from the cluster-level one: the cluster entry
+    at (C(S), C(T)) divided by the block heights of C(S) and C(T)."""
+    h = lift.heights.astype(np.float64)
+    scaled = cluster_pinv / np.outer(h, h)
+    return scaled[np.ix_(lift.row_map, lift.row_map)]
 
 
 class TestBlockLift:

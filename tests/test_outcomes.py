@@ -26,7 +26,7 @@ from pinvtte import (
     singleton_clustering,
     true_tte,
 )
-from conftest import random_clustering, random_graph, random_model
+from conftest import oracle_cluster_aggregate, random_clustering, random_graph, random_model
 
 
 def pair_unit_model():
@@ -282,17 +282,19 @@ class TestClusterAggregate:
         assert agg.x[0][(0, 1)] == pytest.approx(16.0 + 32.0)
 
     def test_preserves_cluster_constant_outcomes(self, rng):
-        # the dict route, Y_i = sum_U x_{i,U} prod_{C in U} w_C, against the
-        # batched cluster-level evaluation
+        # the per-key aggregate, Y_i = sum_U x_{i,U} prod_{C in U} w_C,
+        # against the batched cluster-level evaluation; cluster_aggregate
+        # itself shares evaluate_draws' re-keying, so it would only check
+        # that against itself
         g = random_graph(rng, 11)
         c = random_clustering(rng, 11, 4)
         model = random_model(rng, g, 2)
-        agg = cluster_aggregate(model, g, c)
+        agg = oracle_cluster_aggregate(model, g, c)
         W = rng.integers(0, 2, size=(8, 4))
         for w, y in zip(W, evaluate_draws(model, g, c, W)):
             expect = [
                 sum(val * math.prod(w[cid] for cid in u) for u, val in xmap.items())
-                for xmap in agg.x
+                for xmap in agg
             ]
             assert np.allclose(y, expect, rtol=0.0, atol=1e-12)
 
