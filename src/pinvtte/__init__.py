@@ -47,7 +47,6 @@ from .design import (
     enumerate_support,
     joint_control_prob,
     joint_treat_prob,
-    pair_dependence,
     sample,
 )
 from .errors import (
@@ -175,7 +174,6 @@ __all__ = [
     "sample",
     "draw_from_w",
     "enumerate_support",
-    "pair_dependence",
     "joint_treat_prob",
     "joint_control_prob",
     # moments

@@ -32,6 +32,7 @@ by (owner, |U|).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,7 +45,8 @@ from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph, degree_stats
 from .moments import (
     DesignMoments,
-    monte_carlo_moments,
+    _mc_draws,
+    _mc_moments,
     size_class_pinv,
     size_class_sums,
     theta_vector,
@@ -71,6 +73,10 @@ __all__ = [
     "bias_crd",
     "variance_bound",
 ]
+
+# block rows times dependents (and dependents times block clusters) held at
+# once; bounds _dependent_sums' incidence blocks
+_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +198,16 @@ def gamma_profile(
     elif gamma_source == "monte_carlo":
         if g is None:
             raise InputError("monte_carlo gamma needs the interference graph")
-        gamma_sq = np.empty(stats.n)
-        for i in range(stats.n):
-            dm = monte_carlo_moments(d, g, i, beta, mc_samples, mc_seed)
-            gamma_sq[i] = gamma_quadform(dm)
+        # monte_carlo_moments per unit, with the neighborhoods and draws
+        # built once
+        indptr, ids = cluster_neighborhoods(g, d.clustering)
+        W = _mc_draws(d, mc_samples, mc_seed)
+        gamma_sq = np.array(
+            [
+                gamma_quadform(_mc_moments(W, tuple(ids[a:b].tolist()), beta))
+                for a, b in zip(indptr[:-1], indptr[1:])
+            ]
+        )
         provenance = "quadform"
     else:
         raise InputError(f"unknown gamma_source {gamma_source!r}")
@@ -306,6 +318,53 @@ def bias_crd(
 # ---------------------------------------------------------------------------
 
 
+def _dependent_sums(stats: ClusterStats, gam: np.ndarray) -> np.ndarray:
+    """gam_i times the sum of gam_j over the units j whose cluster
+    neighborhood shares a cluster with unit i's (i itself included).
+
+    Works on blocks of consecutive units: cb holds the clusters the block
+    touches and jb the units touching any of them; with 0/1 incidences
+    H_b (block x cb) and H_j (jb x cb), unit i of the block depends on
+    unit j of jb exactly when (H_b H_j')_{ij} > 0. Blocks start at
+    _BLOCK // n units, so the product holds at most _BLOCK entries; while
+    H_j would hold more, the block size is halved for this block and the
+    rest, down to a single unit.
+    """
+    n = stats.n
+    sizes = np.fromiter(map(len, stats.cluster_nbhd), dtype=np.int64, count=n)
+    ids = np.fromiter(
+        itertools.chain.from_iterable(stats.cluster_nbhd),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    owner = np.repeat(np.arange(n), sizes)
+    # inverted CSR: the units touching cluster c, ascending, are
+    # touching[cptr[c]:cptr[c + 1]]
+    touching = owner[np.argsort(ids, kind="stable")]
+    cptr = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=stats.m))))
+
+    per_unit = np.empty(n)
+    step = max(1, _BLOCK // n)
+    a = 0
+    while a < n:
+        b = min(n, a + step)
+        cb, col = np.unique(ids[indptr[a] : indptr[b]], return_inverse=True)
+        counts = cptr[cb + 1] - cptr[cb]
+        starts = np.repeat(cptr[cb] - np.cumsum(counts) + counts, counts)
+        jb, row = np.unique(touching[starts + np.arange(starts.size)], return_inverse=True)
+        if b - a > 1 and jb.size * cb.size > _BLOCK:
+            step = (b - a) // 2
+            continue
+        H_b = np.zeros((b - a, cb.size))
+        H_b[owner[indptr[a] : indptr[b]] - a, col] = 1.0
+        H_j = np.zeros((jb.size, cb.size))
+        H_j[row, np.repeat(np.arange(cb.size), counts)] = 1.0
+        per_unit[a:b] = gam[a:b] * (((H_b @ H_j.T) > 0) @ gam[jb])
+        a = b
+    return per_unit
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the variance bound knows about one configuration.
@@ -350,14 +409,16 @@ def variance_bound(
     """Worst-case variance bound for outcomes bounded by B.
 
     The pairwise term is (B^2/n^2) sum over dependent ordered pairs (i, j) of
-    gamma_i gamma_j. Dependence is resolved through a cluster-to-units
-    inverted index for Bernoulli designs; the complete design couples all
-    pairs unless the caller asserts monotone effects, which enables the
-    negative-covariance screen on disjoint cluster neighborhoods. Per-pair
-    gamma values follow gamma_source: the closed source uses the dominating
-    closed forms (Bernoulli: the min envelope; complete: the (c+1)-scaled
-    first-order form), while quadform and monte_carlo use theta' M^+ theta
-    directly.
+    gamma_i gamma_j. Under Bernoulli designs i and j are dependent when
+    their cluster neighborhoods share a cluster; the complete design couples
+    all pairs unless the caller asserts monotone effects, which enables the
+    negative-covariance screen on disjoint cluster neighborhoods. Screened
+    sums come from one blocked product of 0/1 cluster-incidence matrices over
+    stats' neighborhoods (units by clusters against the units touching those
+    clusters), with no per-unit loop. Per-pair gamma values follow
+    gamma_source: the closed source uses the dominating closed forms
+    (Bernoulli: the min envelope; complete: the (c+1)-scaled first-order
+    form), while quadform and monte_carlo use theta' M^+ theta directly.
 
     Raises
     ------
@@ -390,17 +451,8 @@ def variance_bound(
         eff = profile.gamma_sq
     gam = np.sqrt(eff)
 
-    screened = d.is_bernoulli or monotone
-    if screened:
-        members: list[list[int]] = [[] for _ in range(d.m)]
-        for i, nb in enumerate(stats.cluster_nbhd):
-            for cid in nb:
-                members[cid].append(i)
-        member_arrays = [np.array(lst, dtype=np.int64) for lst in members]
-        per_unit = np.empty(n)
-        for i, nb in enumerate(stats.cluster_nbhd):
-            dependents = np.unique(np.concatenate([member_arrays[c] for c in nb]))
-            per_unit[i] = gam[i] * gam[dependents].sum()
+    if d.is_bernoulli or monotone:
+        per_unit = _dependent_sums(stats, gam)
     else:
         per_unit = gam * gam.sum()
     pairwise = float(B) * float(B) / (n * n) * float(np.add.reduce(per_unit))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats, singleton_clustering
+from .clustering import Clustering, singleton_clustering
 from .errors import CapacityError, InputError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "sample",
     "draw_from_w",
     "enumerate_support",
-    "pair_dependence",
     "joint_treat_prob",
     "joint_control_prob",
 ]
@@ -165,18 +164,6 @@ def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
         w[list(chosen)] = 1
         out.append((prob, w))
     return out
-
-
-def pair_dependence(d: Design, stats: ClusterStats, i: int, j: int) -> bool:
-    """Whether the treatment vectors restricted to N_i and N_j can be
-    statistically dependent under the design.
-
-    Bernoulli designs make disjoint cluster neighborhoods independent; the
-    complete design couples every pair through the fixed treatment count.
-    """
-    if d.is_bernoulli:
-        return bool(set(stats.cluster_nbhd[i]) & set(stats.cluster_nbhd[j]))
-    return True
 
 
 def joint_treat_prob(d: Design, t: int) -> float:

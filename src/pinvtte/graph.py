@@ -27,6 +27,9 @@ __all__ = [
     "save_edge_list",
 ]
 
+# unit pairs drawn at once by sbm_sample; bounds its per-block arrays
+_PAIRS = 1 << 18
+
 
 @dataclass(frozen=True)
 class InterferenceGraph:
@@ -68,7 +71,6 @@ class InterferenceGraph:
 @dataclass(frozen=True)
 class DegreeStats:
     d_max: int
-    d_mean: float
 
 
 def _finish(n: int, nbr_sets: list[set[int]]) -> InterferenceGraph:
@@ -160,19 +162,31 @@ def sbm_sample(
     size = n // num_blocks
     block = np.repeat(np.arange(num_blocks), size)
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(block[iu] == block[ju], pi_in, pi_out)
-    keep = rng.random(iu.size) < prob
+    # pairs (i, j > i) in row-major order, a block of whole rows at a time;
+    # drawing rng.random chunk by chunk gives the same stream as one draw
+    lengths = np.arange(n - 1, -1, -1, dtype=np.int64)
+    ends = np.cumsum(lengths)
     nbr_sets: list[set[int]] = [set() for _ in range(n)]
-    for i, j in zip(iu[keep], ju[keep]):
-        nbr_sets[int(i)].add(int(j))
-        nbr_sets[int(j)].add(int(i))
+    a = 0
+    while a < n:
+        done = int(ends[a] - lengths[a])
+        b = max(a + 1, int(np.searchsorted(ends, done + _PAIRS, side="right")))
+        iu = np.repeat(np.arange(a, b), lengths[a:b])
+        # pair number k of row i is (i, i + 1 + k - first pair number of row i)
+        first = np.repeat(ends[a:b] - lengths[a:b], lengths[a:b])
+        ju = np.arange(done, int(ends[b - 1])) - first + iu + 1
+        prob = np.where(block[iu] == block[ju], pi_in, pi_out)
+        keep = rng.random(iu.size) < prob
+        for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
+            nbr_sets[i].add(j)
+            nbr_sets[j].add(i)
+        a = b
     return _finish(n, nbr_sets)
 
 
 def degree_stats(g: InterferenceGraph) -> DegreeStats:
     deg = g.degrees
-    return DegreeStats(d_max=int(deg.max()), d_mean=float(deg.mean()))
+    return DegreeStats(d_max=int(deg.max()))
 
 
 # ---------------------------------------------------------------------------

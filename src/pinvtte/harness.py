@@ -31,7 +31,7 @@ from .design import Design, _sample_w, enumerate_support
 from .errors import InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
-from .moments import analytic_cluster_moments, monte_carlo_moments
+from .moments import _mc_draws, _mc_moments, analytic_cluster_moments
 from .outcomes import LowOrderModel, evaluate_draws, outcome_bound, true_tte
 
 __all__ = [
@@ -403,16 +403,16 @@ def mc_convergence_report(
     log-log plotting.
     """
     indptr, ids = cluster_neighborhoods(g, d.clustering)
-    targets = {}
-    for i in units:
-        ground = tuple(ids[indptr[i] : indptr[i + 1]].tolist())
-        targets[i] = analytic_cluster_moments(d, ground, beta).M_pinv
+    grounds = {i: tuple(ids[indptr[i] : indptr[i + 1]].tolist()) for i in units}
+    targets = {i: analytic_cluster_moments(d, grounds[i], beta).M_pinv for i in units}
     detail = []
     per_R: dict[int, list[float]] = {R: [] for R in R_grid}
     for R in R_grid:
         for seed in seeds:
+            # monte_carlo_moments of each unit, sharing one set of draws
+            W = _mc_draws(d, R, seed)
             for i in units:
-                mc = monte_carlo_moments(d, g, i, beta, R, seed)
+                mc = _mc_moments(W, grounds[i], beta)
                 err = float(np.linalg.norm(mc.M_pinv - targets[i]))
                 detail.append({"R": R, "seed": seed, "unit": i, "fro_error": err})
                 per_R[R].append(err)

@@ -250,15 +250,24 @@ def monte_carlo_moments(
     Replicate r uses the (seed, r) stream, so estimates are reproducible and
     draw-parallel. The pseudoinverse is numeric.
     """
+    W = _mc_draws(d, R, seed)
+    return _mc_moments(W, _cluster_ground(d, g, i), beta)
+
+
+def _mc_draws(d: Design, R: int, seed: int) -> np.ndarray:
+    """The (R, m) cluster treatments of the streams (seed, 0..R-1)."""
     if R < 1:
         raise InputError(f"need at least one draw, got R={R}")
-    ground = _cluster_ground(d, g, i)
+    return np.stack([_sample_w(d, seed, r) for r in range(R)])
+
+
+def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMoments:
+    """Moment estimate over a cluster ground set from the draws W of
+    _mc_draws."""
+    R = W.shape[0]
     index = enumerate_subsets(ground, beta)
     cols = np.array(ground, dtype=np.int64)
-    W = np.empty((R, len(ground)), dtype=np.float64)
-    for r in range(R):
-        W[r] = _sample_w(d, seed, r)[cols]
-    counts = W @ index.membership.T.astype(np.float64)
+    counts = W[:, cols].astype(np.float64) @ index.membership.T.astype(np.float64)
     ind = (counts == index.sizes[None, :]).astype(np.float64)
     M = (ind.T @ ind) / R
     return DesignMoments(

@@ -13,6 +13,7 @@ import pytest
 
 from pinvtte import (
     Clustering,
+    ClusterStats,
     Design,
     InterferenceGraph,
     LowOrderModel,
@@ -164,6 +165,22 @@ def oracle_bias_bound_gcr(
         refined_total += sum(abs(v) for v in by_card.values())
     n = g.n
     return x_total / n, c_total / n, refined_total / n
+
+
+def pair_dependence(
+    d: Design, stats: ClusterStats, i: int, j: int, monotone: bool = False
+) -> bool:
+    """Whether the treatment vectors restricted to N_i and N_j can be
+    statistically dependent under the design.
+
+    Bernoulli designs make disjoint cluster neighborhoods independent; the
+    complete design couples every pair through the fixed treatment count,
+    unless monotone effects are asserted, which screens out disjoint
+    neighborhoods there too (variance_bound's negative-covariance screen).
+    """
+    if d.is_bernoulli or monotone:
+        return bool(set(stats.cluster_nbhd[i]) & set(stats.cluster_nbhd[j]))
+    return True
 
 
 @pytest.fixture

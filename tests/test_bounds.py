@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pinvtte import (
     Clustering,
     InputError,
+    InterferenceGraph,
     LowOrderModel,
     PreconditionError,
     bernoulli_gcr,
@@ -34,6 +35,7 @@ from pinvtte import (
     gamma_quadform,
     gen_cycle_model,
     bern_cluster_moments,
+    monte_carlo_moments,
     outcome_bound,
     pinv_estimate,
     singleton_clustering,
@@ -45,6 +47,7 @@ from conftest import (
     oracle_bias_bound_gcr,
     oracle_bias_exact,
     oracle_cluster_aggregate,
+    pair_dependence,
     random_clustering,
     random_graph,
     random_model,
@@ -188,6 +191,25 @@ class TestGammaProfile:
         )
         closed = gamma_profile(cluster_stats(g, c), d, 1, "closed")
         assert np.allclose(prof.gamma_sq, closed.gamma_sq, rtol=0.2)
+
+    def test_monte_carlo_matches_per_unit_moments(self):
+        # one set of neighborhoods and draws per call gives, bit for bit,
+        # the quadform of each unit's own monte_carlo_moments
+        for trial in range(4):
+            gen = np.random.default_rng(300 + trial)
+            n = int(gen.integers(4, 9))
+            g = random_graph(gen, n)
+            m = int(gen.integers(2, n + 1))
+            c = random_clustering(gen, n, m)
+            d = bernoulli_gcr(c, 0.3) if trial % 2 else complete_gcr(c, m // 2)
+            beta = 1 + trial // 2
+            prof = gamma_profile(
+                cluster_stats(g, c), d, beta, "monte_carlo", g=g, mc_samples=300, mc_seed=trial
+            )
+            per_unit = [
+                gamma_quadform(monte_carlo_moments(d, g, i, beta, 300, trial)) for i in range(n)
+            ]
+            assert prof.gamma_sq.tolist() == per_unit
 
     def test_unknown_source(self):
         g = cycle_power(4, 1)
@@ -550,6 +572,97 @@ class TestVarianceBound:
         assert rep.bias_exact is not None and rep.bias_bound is not None
         assert abs(rep.bias_exact) <= rep.bias_bound + 1e-12
         assert rep.gamma_provenance == "closed_form"
+
+
+def _pair_oracle(g, stats, d, beta, B, source, monotone):
+    """var_bound_pairwise by a double loop over all ordered pairs, with the
+    per-pair gamma each source uses."""
+    sizes = [len(nb) for nb in stats.cluster_nbhd]
+    if source == "quadform":
+        eff = gamma_profile(stats, d, beta, "quadform").gamma_sq
+    elif d.is_bernoulli:
+        eff = [gamma_gcr_envelope(c, beta, d.p) for c in sizes]
+    else:
+        eff = [gamma_crd(c, d.m, d.k)[1] for c in sizes]
+    gam = np.sqrt(eff)
+    n = g.n
+    total = math.fsum(
+        gam[i] * gam[j]
+        for i in range(n)
+        for j in range(n)
+        if pair_dependence(d, stats, i, j, monotone)
+    )
+    return B * B / (n * n) * total
+
+
+def _hub_graph(gen, n):
+    """A random graph plus one unit that every unit reaches, so its cluster
+    neighborhood is every cluster."""
+    nbrs = list(random_graph(gen, n).in_neighbors)
+    nbrs[int(gen.integers(0, n))] = tuple(range(n))
+    return InterferenceGraph(n, tuple(nbrs))
+
+
+class TestDependentSums:
+    """The screened pairwise sum against the O(n^2) pair_dependence loop."""
+
+    # None keeps the library's budget; 1 gives single-unit blocks; 40
+    # starts blocks of two or more units that end mid-graph and are halved
+    # to single units where the dependents outgrow the budget
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_matches_pair_loop(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr("pinvtte.bounds._BLOCK", budget)
+        kinds = ("random", "singleton", "one", "hub")
+        for trial in range(56):
+            gen = np.random.default_rng(4000 + trial)
+            n = int(gen.integers(1, 26))
+            kind = kinds[trial % 4]
+            if kind == "hub":
+                g = _hub_graph(gen, n)
+            else:
+                g = random_graph(gen, n, extra_max=int(gen.integers(1, 7)))
+            if kind == "singleton":
+                c = singleton_clustering(n)
+            elif kind == "one":
+                c = Clustering((0,) * n, 1)
+            else:
+                c = random_clustering(gen, n, int(gen.integers(1, n + 1)))
+            stats = cluster_stats(g, c)
+            if kind == "hub":
+                assert stats.full_contact_count >= 1
+            beta = int(gen.integers(1, 3))
+            source = "quadform" if trial % 3 else "closed"
+            if c.m >= 2 and gen.integers(0, 2):
+                d = complete_gcr(c, int(gen.integers(1, c.m)))
+                monotone = True
+                if source == "closed":
+                    beta = 1
+            else:
+                d = bernoulli_gcr(c, float(gen.choice([0.2, 0.5, 0.7])))
+                monotone = bool(gen.integers(0, 2))
+            B = float(gen.uniform(0.5, 3.0))
+            rep = variance_bound(g, stats, d, beta, B, source, monotone=monotone)
+            want = _pair_oracle(g, stats, d, beta, B, source, monotone)
+            assert rep.var_bound_pairwise == pytest.approx(want, rel=1e-12)
+
+    def test_unscreened_complete_branch(self):
+        # the complete design without the monotone screen couples every
+        # pair: gamma_i times the sum of all gamma, as before the kernel
+        for trial in range(6):
+            gen = np.random.default_rng(4100 + trial)
+            n = int(gen.integers(2, 20))
+            g = random_graph(gen, n)
+            c = random_clustering(gen, n, int(gen.integers(2, n + 1)))
+            d = complete_gcr(c, int(gen.integers(1, c.m)))
+            stats = cluster_stats(g, c)
+            rep = variance_bound(g, stats, d, 1, 1.5, "quadform")
+            gam = np.sqrt(gamma_profile(stats, d, 1, "quadform").gamma_sq)
+            assert rep.var_bound_pairwise == 1.5 * 1.5 / (n * n) * float(
+                np.add.reduce(gam * gam.sum())
+            )
+            want = _pair_oracle(g, stats, d, 1, 1.5, "quadform", False)
+            assert rep.var_bound_pairwise == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

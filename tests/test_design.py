@@ -20,10 +20,10 @@ from pinvtte import (
     enumerate_support,
     joint_control_prob,
     joint_treat_prob,
-    pair_dependence,
     sample,
     singleton_clustering,
 )
+from conftest import pair_dependence
 
 
 def blocks(n, width):

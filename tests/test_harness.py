@@ -11,6 +11,7 @@ from pinvtte import (
     EstimatorSpec,
     ExperimentConfig,
     InputError,
+    analytic_cluster_moments,
     bernoulli_gcr,
     bernoulli_unit,
     cluster_stats,
@@ -23,6 +24,7 @@ from pinvtte import (
     gen_cycle_model,
     gen_named_model,
     mc_convergence_report,
+    monte_carlo_moments,
     outcome_bound,
     pinv_estimate,
     replicate_estimates,
@@ -394,6 +396,18 @@ class TestMcConvergenceReport:
         assert small["log10_R"] == pytest.approx(2.0)
         for row in out["detail"]:
             assert row["fro_error"] >= 0.0
+
+    def test_rows_match_per_unit_moments(self):
+        # draws shared across units give each unit's own estimate bit for bit
+        g = cycle_power(12, 1)
+        d = complete_gcr(blocks(12, 3), 2)
+        out = mc_convergence_report(d, g, units=[0, 7, 11], beta=2, R_grid=[50], seeds=[4])
+        for row in out["detail"]:
+            i = row["unit"]
+            mc = monte_carlo_moments(d, g, i, 2, 50, 4)
+            ground = cluster_stats(g, d.clustering).cluster_nbhd[i]
+            target = analytic_cluster_moments(d, ground, 2).M_pinv
+            assert row["fro_error"] == float(np.linalg.norm(mc.M_pinv - target))
 
 
 class TestWriteCsv:
