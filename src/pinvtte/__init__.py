@@ -66,10 +66,8 @@ from .estimator import (
     pinv_estimate,
 )
 from .graph import (
-    DegreeStats,
     InterferenceGraph,
     cycle_power,
-    degree_stats,
     from_edge_list,
     load_edge_list,
     save_edge_list,
@@ -133,12 +131,10 @@ __all__ = [
     "PreconditionError",
     # graph
     "InterferenceGraph",
-    "DegreeStats",
     "from_edge_list",
     "to_edge_list",
     "cycle_power",
     "sbm_sample",
-    "degree_stats",
     "load_edge_list",
     "save_edge_list",
     # clustering

@@ -32,7 +32,6 @@ by (owner, |U|).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,7 +41,7 @@ import numpy as np
 from .clustering import Clustering, ClusterStats, _size_rows, cluster_neighborhoods
 from .design import Design, joint_treat_prob
 from .errors import InputError, PreconditionError
-from .graph import InterferenceGraph, degree_stats
+from .graph import InterferenceGraph
 from .moments import (
     DesignMoments,
     _mc_draws,
@@ -55,6 +54,7 @@ from .outcomes import (
     ClusterAggregatedModel,
     LowOrderModel,
     _cluster_keys,
+    _sequential_sum,
     cluster_aggregate,
     mixed_signs,
 )
@@ -154,7 +154,7 @@ def gamma_crd(c_size: int, m: int, k: int) -> tuple[float, float]:
 def _by_size(stats: ClusterStats, f) -> np.ndarray:
     """f(c) for every unit's cluster-neighborhood size c, one call per
     distinct c."""
-    values, base = _size_rows([len(nb) for nb in stats.cluster_nbhd], lambda c, _: [f(c)])
+    values, base = _size_rows(np.diff(stats.indptr), lambda c, _: [f(c)])
     return values[base]
 
 
@@ -241,9 +241,9 @@ def bias_exact(
         return Mv - (np.arange(c + 1) > 0)
 
     table, base = _size_rows(np.diff(cluster_neighborhoods(g, d.clustering)[0]), row)
-    flat = model._flat(g)
-    keys = _cluster_keys(flat, np.asarray(d.clustering.assignment), d.clustering.m)
-    total = flat.baseline @ table[base] + keys.values @ table[base[keys.owner] + keys.order]
+    model._validate(g)
+    keys = _cluster_keys(model, np.asarray(d.clustering.assignment), d.clustering.m)
+    total = model.baseline @ table[base] + keys.values @ table[base[keys.owner] + keys.order]
     return float(total) / g.n
 
 
@@ -266,10 +266,7 @@ def bias_bound_gcr(
 ) -> BiasBoundGCR:
     """Worst-case bias magnitude of the order-beta estimator under any
     Bernoulli cluster design on this clustering."""
-    if clustering.n != g.n or model.n != g.n:
-        raise InputError("model, graph, and clustering must agree on n")
-    flat = model._flat(g)
-    keys = _cluster_keys(flat, np.asarray(clustering.assignment), clustering.m)
+    keys = cluster_aggregate(model, g, clustering)
     size = keys.order
     # an image of more than beta clusters has only subsets of order > beta
     wide = size > beta
@@ -278,7 +275,7 @@ def bias_bound_gcr(
     n = g.n
     return BiasBoundGCR(
         float(np.abs(x).sum()) / n,
-        float(np.abs(flat.values[flat.order > beta]).sum()) / n,
+        float(np.abs(model.values[model.order > beta]).sum()) / n,
         float(np.abs(by_card).sum()) / n,
     )
 
@@ -297,18 +294,13 @@ def bias_crd(
         raise InputError("complete-design bias formula needs a first-order model")
     if not (1 <= k <= m - 1):
         raise InputError(f"k={k} outside [1, m-1] for m={m}")
-    if agg.n != stats.n:
+    if agg.baseline.size != stats.n:
         raise InputError("aggregated model and stats must agree on n")
     n = stats.n
-    acc = 0.0
-    for i, nb in enumerate(stats.cluster_nbhd):
-        if len(nb) != m:
-            continue
-        xmap = agg.x[i]
-        acc += k * xmap.get((), 0.0) - sum(
-            val for u, val in xmap.items() if len(u) == 1
-        )
-    exact = m * acc / ((k**2 + m) * n)
+    full = np.diff(stats.indptr) == m
+    single = (agg.order == 1) & full[agg.owner]
+    x1 = np.bincount(agg.owner[single], agg.values[single], n)
+    exact = m * _sequential_sum(k * agg.baseline[full] - x1[full]) / ((k**2 + m) * n)
     bound = (stats.full_contact_count / n) * (m * (k + 2) * B / (k**2 + m))
     return exact, bound
 
@@ -330,15 +322,8 @@ def _dependent_sums(stats: ClusterStats, gam: np.ndarray) -> np.ndarray:
     H_j would hold more, the block size is halved for this block and the
     rest, down to a single unit.
     """
-    n = stats.n
-    sizes = np.fromiter(map(len, stats.cluster_nbhd), dtype=np.int64, count=n)
-    ids = np.fromiter(
-        itertools.chain.from_iterable(stats.cluster_nbhd),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    owner = np.repeat(np.arange(n), sizes)
+    n, indptr, ids = stats.n, stats.indptr, stats.cluster_ids
+    owner = np.repeat(np.arange(n), np.diff(indptr))
     # inverted CSR: the units touching cluster c, ascending, are
     # touching[cptr[c]:cptr[c + 1]]
     touching = owner[np.argsort(ids, kind="stable")]
@@ -431,9 +416,7 @@ def variance_bound(
     if stats.n != g.n or d.n != g.n:
         raise InputError("graph, stats, and design must agree on n")
     n = g.n
-    agg: ClusterAggregatedModel | None = None
-    if model is not None:
-        agg = cluster_aggregate(model, g, d.clustering)
+    agg = None if model is None else cluster_aggregate(model, g, d.clustering)
     if monotone and agg is not None and mixed_signs(agg):
         raise PreconditionError(
             "monotone effects asserted but aggregated coefficients have mixed signs"
@@ -458,7 +441,7 @@ def variance_bound(
     pairwise = float(B) * float(B) / (n * n) * float(np.add.reduce(per_unit))
 
     C, N = stats.C_max, stats.N_max
-    d_max = degree_stats(g).d_max
+    d_max = int(g.degrees.max())
     if d.is_bernoulli:
         # evaluated at min(p, 1-p) for the same symmetry reason as the
         # per-unit envelope
@@ -481,7 +464,7 @@ def variance_bound(
         bias_val = bias_exact(model, g, d, beta)
         if d.is_bernoulli:
             bias_bound_val = bias_bound_gcr(model, g, d.clustering, beta).x_norm
-        elif beta == 1 and model.beta_star == 1 and agg is not None:
+        elif beta == 1 and model.beta_star == 1:
             bias_bound_val = bias_crd(agg, stats, d.m, d.k, B)[1]
 
     return BoundReport(

@@ -8,7 +8,6 @@ constructor only validates, so tests can build explicit labelings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -73,27 +72,29 @@ class Clustering:
         return np.bincount(np.asarray(self.assignment), minlength=self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterStats:
     """Per-unit cluster neighborhoods and the graph-level summaries that the
     variance and bias bounds consume.
 
-    cluster_nbhd[i] is the sorted tuple of distinct cluster ids touching
-    N_i. C_max is the largest such neighborhood, N_max the largest cluster,
-    and full_contact_count the number of units whose cluster neighborhood is
-    every cluster (the units that make a completely randomized design
-    singular).
+    The cluster neighborhood of unit i, the sorted distinct ids of the
+    clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]] (the CSR
+    arrays of cluster_neighborhoods). C_max is the largest such
+    neighborhood, N_max the largest cluster, and full_contact_count the
+    number of units whose cluster neighborhood is every cluster (the units
+    that make a completely randomized design singular).
     """
 
     m: int
-    cluster_nbhd: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    cluster_ids: np.ndarray
     C_max: int
     N_max: int
     full_contact_count: int
 
     @property
     def n(self) -> int:
-        return len(self.cluster_nbhd)
+        return self.indptr.size - 1
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -123,14 +124,8 @@ def cluster_neighborhoods(
     cluster_ids[indptr[i]:indptr[i + 1]], never empty since i is in N_i."""
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
-    degrees = g.degrees
-    members = np.fromiter(
-        itertools.chain.from_iterable(g.in_neighbors),
-        dtype=np.int64,
-        count=int(degrees.sum()),
-    )
-    units = np.repeat(np.arange(g.n, dtype=np.int64), degrees)
-    keys = np.unique(units * c.m + np.asarray(c.assignment, dtype=np.int64)[members])
+    units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    keys = np.unique(units * c.m + np.asarray(c.assignment, dtype=np.int64)[g.indices])
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // c.m, minlength=g.n), out=indptr[1:])
     return indptr, keys % c.m
@@ -152,12 +147,11 @@ def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
 
 def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
     indptr, ids = cluster_neighborhoods(g, c)
-    flat, bounds = ids.tolist(), indptr.tolist()
-    nbhds = tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
     sizes = np.diff(indptr)
     return ClusterStats(
         m=c.m,
-        cluster_nbhd=nbhds,
+        indptr=indptr,
+        cluster_ids=ids,
         C_max=int(sizes.max()),
         N_max=int(c.sizes().max()),
         full_contact_count=int(np.count_nonzero(sizes == c.m)),
@@ -176,9 +170,12 @@ def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
 
 def _symmetric_adjacency(g: InterferenceGraph) -> list[dict[int, float]]:
     # Interference self-loops carry no community information; drop them.
+    # Row by row, so the key i stored by every entry of row i is one int
+    # object; fewer distinct key objects make Louvain's visits faster.
     adj: list[dict[int, float]] = [dict() for _ in range(g.n)]
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
     for i in range(g.n):
-        for j in g.in_neighbors[i]:
+        for j in flat[bounds[i] : bounds[i + 1]]:
             if j != i:
                 adj[i][j] = 1.0
                 adj[j][i] = 1.0

@@ -145,25 +145,27 @@ def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
             raise CapacityError(
                 f"bernoulli support needs 2^{m} points, over the 2^{_MAX_BERN_CLUSTERS} guard"
             )
-        p = d.p
-        out = []
-        for bits in range(2**m):
-            w = np.array([(bits >> c) & 1 for c in range(m)], dtype=np.int8)
-            t = int(w.sum())
-            out.append((p**t * (1.0 - p) ** (m - t), w))
-        return out
+        # point b treats the clusters of b's set bits
+        bits = np.arange(2**m)
+        W = np.empty((bits.size, m), dtype=np.int8)
+        for c in range(m):
+            W[:, c] = (bits >> c) & 1
+        probs = [d.p**t * (1.0 - d.p) ** (m - t) for t in range(m + 1)]
+        return [(probs[t], w) for t, w in zip(W.sum(axis=1).tolist(), W)]
     count = math.comb(m, d.k)
     if count > _MAX_CRD_SUPPORT:
         raise CapacityError(
             f"complete design support has {count} points, over the {_MAX_CRD_SUPPORT} guard"
         )
+    chosen = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), d.k)),
+        dtype=np.int64,
+        count=count * d.k,
+    )
+    W = np.zeros((count, m), dtype=np.int8)
+    W[np.repeat(np.arange(count), d.k), chosen] = 1
     prob = 1.0 / count
-    out = []
-    for chosen in itertools.combinations(range(m), d.k):
-        w = np.zeros(m, dtype=np.int8)
-        w[list(chosen)] = 1
-        out.append((prob, w))
-    return out
+    return [(prob, w) for w in W]
 
 
 def joint_treat_prob(d: Design, t: int) -> float:

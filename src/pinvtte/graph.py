@@ -17,12 +17,10 @@ from .errors import GeometryError, InputError
 
 __all__ = [
     "InterferenceGraph",
-    "DegreeStats",
     "from_edge_list",
     "to_edge_list",
     "cycle_power",
     "sbm_sample",
-    "degree_stats",
     "load_edge_list",
     "save_edge_list",
 ]
@@ -31,53 +29,82 @@ __all__ = [
 _PAIRS = 1 << 18
 
 
-@dataclass(frozen=True)
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of a as an array of dtype."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class InterferenceGraph:
-    """Immutable in-neighborhood view of an interference network.
+    """Immutable CSR in-neighborhood view of an interference network.
 
     Attributes
     ----------
-    n : int
-        Number of units, labeled 0..n-1.
-    in_neighbors : tuple of tuple of int
-        in_neighbors[i] lists every unit whose treatment can affect unit i,
-        sorted ascending, always including i itself.
+    indptr, indices : read-only int64 arrays
+        Unit i's in-neighborhood N_i, every unit whose treatment can affect
+        unit i, is indices[indptr[i]:indptr[i + 1]]: sorted ascending and
+        always including i itself. Units are labeled 0..n-1, n = len(indptr) - 1.
+
+    Two graphs are equal when their arrays are.
     """
 
-    n: int
-    in_neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise InputError(f"graph needs at least one unit, got n={self.n}")
-        if len(self.in_neighbors) != self.n:
+        indptr, indices = _frozen(self.indptr, np.int64), _frozen(self.indices, np.int64)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        n = indptr.size - 1
+        if n <= 0:
+            raise InputError(f"graph needs at least one unit, got n={n}")
+        sizes = np.diff(indptr)
+        if indptr[0] != 0 or np.any(sizes < 0) or indptr[-1] != indices.size:
+            raise InputError(f"indptr does not delimit {indices.size} neighbors in {n} rows")
+        owner = np.repeat(np.arange(n), sizes)
+        # per unit, in the order checked: self loop, range, sorted and unique
+        bad = np.zeros((3, n), dtype=bool)
+        bad[0] = np.bincount(owner[indices == owner], minlength=n) == 0
+        bad[1, owner[(indices < 0) | (indices >= n)]] = True
+        bad[2, owner[1:][(owner[1:] == owner[:-1]) & (indices[1:] <= indices[:-1])]] = True
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
             raise InputError(
-                f"in_neighbors has {len(self.in_neighbors)} rows for n={self.n}"
+                [
+                    f"unit {i} missing from its own neighborhood",
+                    f"unit {i} has a neighbor outside [0, {n})",
+                    f"neighborhood of unit {i} is not sorted and unique",
+                ][int(np.argmax(bad[:, i]))]
             )
-        for i, nbrs in enumerate(self.in_neighbors):
-            if i not in nbrs:
-                raise InputError(f"unit {i} missing from its own neighborhood")
-            if any(j < 0 or j >= self.n for j in nbrs):
-                raise InputError(f"unit {i} has a neighbor outside [0, {self.n})")
-            if tuple(sorted(set(nbrs))) != nbrs:
-                raise InputError(f"neighborhood of unit {i} is not sorted and unique")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InterferenceGraph):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def degrees(self) -> np.ndarray:
         """Neighborhood sizes |N_i| (self included), as an int array."""
-        return np.array([len(nbrs) for nbrs in self.in_neighbors], dtype=np.int64)
+        return np.diff(self.indptr)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    d_max: int
-
-
-def _finish(n: int, nbr_sets: list[set[int]]) -> InterferenceGraph:
-    # Self-loops are implicit in the model; force them here.
-    for i in range(n):
-        nbr_sets[i].add(i)
-    return InterferenceGraph(n, tuple(tuple(sorted(s)) for s in nbr_sets))
+def _from_pairs(n: int, dst: np.ndarray, src: np.ndarray) -> InterferenceGraph:
+    """The graph with src in N_dst for every pair, plus the implicit self
+    loops (forced here, so callers never have to remember them); repeated
+    pairs collapse."""
+    keys = np.unique(np.concatenate([dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return InterferenceGraph(indptr, keys % n)
 
 
 def from_edge_list(edges: list[tuple[int, int]], n: int) -> InterferenceGraph:
@@ -94,19 +121,19 @@ def from_edge_list(edges: list[tuple[int, int]], n: int) -> InterferenceGraph:
     """
     if n <= 0:
         raise InputError(f"graph needs at least one unit, got n={n}")
-    nbr_sets: list[set[int]] = [set() for _ in range(n)]
-    for idx, (src, dst) in enumerate(edges):
-        if not (0 <= src < n) or not (0 <= dst < n):
-            raise InputError(
-                f"edge {idx}: endpoint ({src}, {dst}) out of range for n={n}"
-            )
-        nbr_sets[dst].add(src)
-    return _finish(n, nbr_sets)
+    pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    out = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if out.size:
+        src, dst = pairs[out[0]].tolist()
+        raise InputError(f"edge {out[0]}: endpoint ({src}, {dst}) out of range for n={n}")
+    return _from_pairs(n, pairs[:, 1], pairs[:, 0])
 
 
 def to_edge_list(g: InterferenceGraph) -> list[tuple[int, int]]:
     """All directed (src, dst) pairs except the implicit self-loops."""
-    return [(j, i) for i in range(g.n) for j in g.in_neighbors[i] if j != i]
+    dst = np.repeat(np.arange(g.n), g.degrees)
+    keep = g.indices != dst
+    return list(zip(g.indices[keep].tolist(), dst[keep].tolist()))
 
 
 def cycle_power(n: int, r: int) -> InterferenceGraph:
@@ -123,11 +150,9 @@ def cycle_power(n: int, r: int) -> InterferenceGraph:
         raise GeometryError(f"cycle power radius must be nonnegative, got r={r}")
     if n <= 2 * r:
         raise GeometryError(f"cycle power needs n > 2r, got n={n}, r={r}")
-    nbrs = []
-    for i in range(n):
-        window = sorted((i + off) % n for off in range(-r, r + 1))
-        nbrs.append(tuple(window))
-    return InterferenceGraph(n, tuple(nbrs))
+    rows = (np.arange(n)[:, None] + np.arange(-r, r + 1)) % n
+    rows.sort(axis=1)
+    return InterferenceGraph(np.arange(n + 1) * (2 * r + 1), rows.ravel())
 
 
 def sbm_sample(
@@ -166,7 +191,7 @@ def sbm_sample(
     # drawing rng.random chunk by chunk gives the same stream as one draw
     lengths = np.arange(n - 1, -1, -1, dtype=np.int64)
     ends = np.cumsum(lengths)
-    nbr_sets: list[set[int]] = [set() for _ in range(n)]
+    kept: list[np.ndarray] = [np.empty((2, 0), dtype=np.int64)]
     a = 0
     while a < n:
         done = int(ends[a] - lengths[a])
@@ -177,16 +202,10 @@ def sbm_sample(
         ju = np.arange(done, int(ends[b - 1])) - first + iu + 1
         prob = np.where(block[iu] == block[ju], pi_in, pi_out)
         keep = rng.random(iu.size) < prob
-        for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
-            nbr_sets[i].add(j)
-            nbr_sets[j].add(i)
+        kept.append(np.stack([iu[keep], ju[keep]]))
         a = b
-    return _finish(n, nbr_sets)
-
-
-def degree_stats(g: InterferenceGraph) -> DegreeStats:
-    deg = g.degrees
-    return DegreeStats(d_max=int(deg.max()))
+    iu, ju = np.concatenate(kept, axis=1)
+    return _from_pairs(n, np.concatenate([iu, ju]), np.concatenate([ju, iu]))
 
 
 # ---------------------------------------------------------------------------

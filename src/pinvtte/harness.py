@@ -193,6 +193,27 @@ def _var_bound(cfg: ExperimentConfig) -> float | None:
     return rep.var_bound_pairwise
 
 
+def _cell_estimates(cfg: ExperimentConfig, specs: Sequence[EstimatorSpec]) -> list[np.ndarray]:
+    """Each estimator's R estimates on the cell's draws (seed, 0..R-1),
+    sampled and their outcomes evaluated once. The (R, n) outcomes are freed
+    on return, before a caller's bias and variance bound allocate theirs."""
+    g, d = cfg.graph, cfg.design
+    W = np.empty((cfg.replications, d.m), dtype=np.int8)
+    for r in range(cfg.replications):
+        W[r] = _sample_w(d, cfg.seed, r)
+    Y = evaluate_draws(cfg.model, g, d.clustering, W)
+    return [batch_estimates(g, d, spec.kind, spec.beta, W, Y) for spec in specs]
+
+
+def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
+    """(mean, bias, population variance, mse) of the estimates, by fsum."""
+    vals = est.tolist()
+    mean_est = math.fsum(vals) / len(vals)
+    bias = mean_est - tte
+    var = math.fsum((e - mean_est) ** 2 for e in vals) / len(vals)
+    return mean_est, bias, var, bias * bias + var
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment cell: R replicated draws, summary statistics."""
     return run_experiments([cfg])[0]
@@ -223,27 +244,14 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 raise InputError(
                     f"configurations of one cell differ in {f.name}, not only in estimator"
                 )
-    g, d, R = first.graph, first.design, first.replications
+    R = first.replications
     t0 = time.perf_counter()
-    W = np.empty((R, d.m), dtype=np.int8)
-    for r in range(R):
-        W[r] = _sample_w(d, first.seed, r)
-    Y = evaluate_draws(first.model, g, d.clustering, W)
-    estimates = [
-        batch_estimates(g, d, cfg.estimator.kind, cfg.estimator.beta, W, Y) for cfg in cfgs
-    ]
+    estimates = _cell_estimates(first, [cfg.estimator for cfg in cfgs])
     wall = time.perf_counter() - t0
-    # free the (R, n) outcomes before the bias and the variance bound
-    # allocate their own arrays, so the cell's peak memory is not raised
-    del W, Y
     tte = true_tte(first.model)
     reports = []
     for cfg, est in zip(cfgs, estimates):
-        vals = est.tolist()
-        mean_est = math.fsum(vals) / R
-        bias = mean_est - tte
-        var = math.fsum((e - mean_est) ** 2 for e in vals) / R
-        mse = bias * bias + var
+        mean_est, bias, var, mse = _summary(est, tte)
         reports.append(
             ExperimentReport(
                 kind=cfg.estimator.kind,
@@ -369,19 +377,14 @@ def rmse_ratio(
     """Simulated RMSE of the chosen candidate relative to the best candidate.
 
     Brute-forces every candidate with the same replication stream; a ratio
-    of 1.0 means the bound-driven choice matched the oracle choice.
+    of 1.0 means the bound-driven choice matched the oracle choice. Only the
+    empirical RMSE of run_experiment is computed, not its bias or bound.
     """
+    tte = true_tte(model)
     rmses = []
     for c in candidates:
-        cfg = ExperimentConfig(
-            graph=g,
-            model=model,
-            design=design_for(c),
-            estimator=spec,
-            replications=replications,
-            seed=seed,
-        )
-        rmses.append(run_experiment(cfg).empirical_rmse)
+        cfg = ExperimentConfig(g, model, design_for(c), spec, replications, seed)
+        rmses.append(math.sqrt(_summary(_cell_estimates(cfg, [spec])[0], tte)[3]))
     return rmses[chosen] / min(rmses), rmses
 
 
@@ -405,20 +408,25 @@ def mc_convergence_report(
     indptr, ids = cluster_neighborhoods(g, d.clustering)
     grounds = {i: tuple(ids[indptr[i] : indptr[i + 1]].tolist()) for i in units}
     targets = {i: analytic_cluster_moments(d, grounds[i], beta).M_pinv for i in units}
-    detail = []
-    per_R: dict[int, list[float]] = {R: [] for R in R_grid}
-    for R in R_grid:
-        for seed in seeds:
-            # monte_carlo_moments of each unit, sharing one set of draws
-            W = _mc_draws(d, R, seed)
+    if min(R_grid, default=1) < 1:
+        raise InputError(f"need at least one draw, got R={min(R_grid)}")
+    fro: dict[tuple[int, int, int], float] = {}
+    for seed in seeds:
+        # monte_carlo_moments of each unit, sharing one set of draws per
+        # seed: the streams (seed, r) are prefix-stable, so the first R
+        # draws at the largest R are the draws at R
+        W = _mc_draws(d, max(R_grid, default=1), seed)
+        for R in R_grid:
             for i in units:
-                mc = _mc_moments(W, grounds[i], beta)
-                err = float(np.linalg.norm(mc.M_pinv - targets[i]))
-                detail.append({"R": R, "seed": seed, "unit": i, "fro_error": err})
-                per_R[R].append(err)
+                mc = _mc_moments(W[:R], grounds[i], beta)
+                fro[R, seed, i] = float(np.linalg.norm(mc.M_pinv - targets[i]))
+    detail = [
+        {"R": R, "seed": seed, "unit": i, "fro_error": fro[R, seed, i]}
+        for R in R_grid for seed in seeds for i in units
+    ]
     summary = []
     for R in R_grid:
-        errs = per_R[R]
+        errs = [fro[R, seed, i] for seed in seeds for i in units]
         med = float(np.median(errs))
         summary.append(
             {

@@ -4,6 +4,9 @@ Outcomes are multilinear in the treatment vector: unit i's response is a
 sparse combination of products of treatments over subsets of its neighborhood,
 with subset order capped at beta_star. The empty subset carries the baseline
 (the outcome under global control) and is always present.
+
+A model is stored flat, one row per non-empty subset, so evaluation,
+re-keying by clusters and every reduction run as array operations.
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .clustering import Clustering
 from .errors import CapacityError, InputError
-from .graph import InterferenceGraph, _write_lines
+from .graph import InterferenceGraph, _frozen, _write_lines
 
 __all__ = [
     "LowOrderModel",
@@ -34,117 +37,157 @@ __all__ = [
     "save_model",
 ]
 
-# One flat-array cache per model holds at most this many subset keys.
+# A model built from dicts holds at most this many subset keys.
 _MAX_KEYS = 2_000_000
 
 # draws times keys gathered at once; bounds evaluate_draws' temporary arrays
 _BLOCK = 1 << 18
 
 
-@dataclass(frozen=True, eq=True)
-class _FlatModel:
-    """Vectorized view of a sparse model: one row per non-empty subset of
-    units, or of clusters once re-keyed by _cluster_keys."""
-
-    owner: np.ndarray  # unit owning each subset
-    members: np.ndarray  # padded member matrix; pad index means "always 1"
-    values: np.ndarray
-    baseline: np.ndarray
-    pad: int
-
-    @property
-    def order(self) -> np.ndarray:
-        """Members (or clusters, once re-keyed) in each row."""
-        return (self.members < self.pad).sum(axis=1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowOrderModel:
-    """Sparse potential-outcome model of order beta_star.
+    """Sparse potential-outcome model of order beta_star, stored flat.
 
-    coeffs[i] maps sorted member tuples S (subsets of N_i, here only checked
-    for order and size) to the real coefficient multiplying prod_{j in S} z_j
-    in unit i's outcome. The empty tuple key holds the baseline Y_i(0).
+    Row r is the coefficient values[r] of prod_{j in S} z_j in unit
+    owner[r]'s outcome, with S the entries of members[r] other than the
+    pad index n ("always 1"), sorted ascending and padded on the right.
+    baseline[i] is the empty-subset coefficient Y_i(0). Every S must lie in
+    N_i; that is checked against a graph when the model is first used with
+    it. Build a model from one dict per unit with from_dicts; coeffs is the
+    same dict view. Two models are equal when their arrays are.
     """
 
     beta_star: int
-    coeffs: tuple[dict[tuple[int, ...], float], ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    owner: np.ndarray
+    members: np.ndarray
+    values: np.ndarray
+    baseline: np.ndarray
+    _graph: InterferenceGraph | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.beta_star < 0:
             raise InputError(f"beta_star must be nonnegative, got {self.beta_star}")
-        for i, cmap in enumerate(self.coeffs):
-            if () not in cmap:
-                raise InputError(f"unit {i} has no baseline (empty subset) entry")
-            for s in cmap:
-                if len(s) > self.beta_star:
-                    raise InputError(
-                        f"unit {i}: subset {s} exceeds beta_star={self.beta_star}"
-                    )
-                if tuple(sorted(set(s))) != s:
-                    raise InputError(f"unit {i}: subset key {s} not sorted unique")
+        for name in ("owner", "members", "values", "baseline"):
+            dtype = np.int64 if name in ("owner", "members") else np.float64
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        n, rows, members = self.n, self.owner.size, self.members
+        if members.ndim != 2 or members.shape[0] != rows or self.values.shape != (rows,):
+            raise InputError("owner, members and values disagree in shape")
+        if np.any((self.owner < 0) | (self.owner >= n)):
+            raise InputError(f"row owner outside [0, {n})")
+        # per row, in the order checked: order, then sorted and unique
+        unsorted = np.any((members[:, :-1] >= members[:, 1:]) & (members[:, 1:] != n), axis=1)
+        bad = np.stack([self.order > self.beta_star, (self.order == 0) | unsorted])
+        if bad.any():
+            r = int(np.flatnonzero(bad.any(axis=0))[0])
+            i, s = int(self.owner[r]), self._key(r)
+            if bad[0, r]:
+                raise InputError(f"unit {i}: subset {s} exceeds beta_star={self.beta_star}")
+            raise InputError(f"unit {i}: subset key {s} not sorted unique")
+
+    @classmethod
+    def from_dicts(
+        cls, beta_star: int, coeffs: Sequence[dict[tuple[int, ...], float]]
+    ) -> "LowOrderModel":
+        """Build from coeffs[i], a dict mapping sorted member tuples S (subsets
+        of N_i) to the coefficient of prod_{j in S} z_j in unit i's outcome;
+        the empty tuple key holds the baseline Y_i(0) and must be present.
+        Rows keep each dict's insertion order."""
+        n = len(coeffs)
+        keys = list(itertools.chain.from_iterable(coeffs))
+        if len(keys) > _MAX_KEYS:
+            raise CapacityError(
+                f"model holds {len(keys)} subset keys, over the {_MAX_KEYS} guard"
+            )
+        values = np.fromiter(itertools.chain.from_iterable(map(dict.values, coeffs)), float)
+        owner = np.repeat(np.arange(n), np.fromiter(map(len, coeffs), np.int64, n))
+        lens = np.fromiter(map(len, keys), np.int64, len(keys))
+        base = lens == 0
+        missing = np.flatnonzero(np.bincount(owner[base], minlength=n) == 0)
+        if missing.size:
+            raise InputError(f"unit {missing[0]} has no baseline (empty subset) entry")
+        flat = np.fromiter(itertools.chain.from_iterable(keys), np.int64, int(lens.sum()))
+        rows = np.repeat(np.arange(len(keys)), lens)
+        outside = rows[(flat < 0) | (flat >= n)]
+        if outside.size:
+            r = outside[0]
+            raise InputError(f"unit {owner[r]}: subset {keys[r]} not within its neighborhood")
+        members = np.full((len(keys), max(beta_star, 1, int(lens.max(initial=0)))), n)
+        members[rows, np.arange(flat.size) - (np.cumsum(lens) - lens)[rows]] = flat
+        baseline = np.zeros(n)
+        baseline[owner[base]] = values[base]
+        return cls(beta_star, owner[~base], members[~base], values[~base], baseline)
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return self.baseline.size
 
-    def _flat(self, g: InterferenceGraph) -> _FlatModel:
-        """Build (once per graph) the flat arrays used by vectorized
-        evaluation, and validate subset membership against the graph while
-        doing so. The cache holds the graph it was validated against, so a
-        different graph is validated afresh."""
-        cached = self._cache.get("flat")
-        if cached is not None and cached[0] == g:
-            return cached[1]
+    @property
+    def order(self) -> np.ndarray:
+        """Members in each row."""
+        return (self.members != self.n).sum(axis=1)
+
+    @property
+    def coeffs(self) -> tuple[dict[tuple[int, ...], float], ...]:
+        """The from_dicts view: per unit, the baseline, then its rows in order."""
+        out, pad = [{(): b} for b in self.baseline.tolist()], self.n
+        for i, row, v in zip(self.owner.tolist(), self.members.tolist(), self.values.tolist()):
+            out[i][tuple(j for j in row if j != pad)] = v
+        return tuple(out)
+
+    def _key(self, r: int) -> tuple[int, ...]:
+        return tuple(j for j in self.members[r].tolist() if j != self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LowOrderModel):
+            return NotImplemented
+        return self is other or self.beta_star == other.beta_star and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("owner", "members", "values", "baseline")
+        )
+
+    def _validate(self, g: InterferenceGraph) -> None:
+        """Check each subset against N_i, once per graph (kept by identity)."""
+        if self._graph is g:
+            return
         if self.n != g.n:
             raise InputError(f"model has {self.n} units but graph has {g.n}")
-        owners: list[int] = []
-        rows: list[tuple[int, ...]] = []
-        vals: list[float] = []
-        baseline = np.zeros(self.n)
-        width = max(self.beta_star, 1)
-        total = sum(len(cmap) for cmap in self.coeffs)
-        if total > _MAX_KEYS:
-            raise CapacityError(
-                f"model holds {total} subset keys, over the {_MAX_KEYS} flat-cache guard"
+        rows, cols = np.nonzero(self.members != g.n)
+        member = self.members[rows, cols]
+        # CSR rows are sorted, so (unit, neighbor) keys are too
+        keys = np.repeat(np.arange(g.n), g.degrees) * g.n + g.indices
+        want = self.owner[rows] * g.n + member
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        missing = rows[(keys[at] != want) | (member < 0) | (member > g.n)]
+        if missing.size:
+            r = int(missing[0])
+            raise InputError(
+                f"unit {self.owner[r]}: subset {self._key(r)} not within its neighborhood"
             )
-        for i, cmap in enumerate(self.coeffs):
-            nbrs = set(g.in_neighbors[i])
-            for s, val in cmap.items():
-                if not set(s) <= nbrs:
-                    raise InputError(f"unit {i}: subset {s} not within its neighborhood")
-                if s == ():
-                    baseline[i] = val
-                else:
-                    owners.append(i)
-                    rows.append(s + (g.n,) * (width - len(s)))
-                    vals.append(val)
-        flat = _FlatModel(
-            owner=np.array(owners, dtype=np.int64),
-            members=np.array(rows, dtype=np.int64).reshape(len(rows), width),
-            values=np.array(vals, dtype=np.float64),
-            baseline=baseline,
-            pad=g.n,
-        )
-        self._cache["flat"] = (g, flat)
-        return flat
+        object.__setattr__(self, "_graph", g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAggregatedModel:
     """Coefficients re-keyed by the clusters their subsets touch.
 
-    x[i] maps sorted cluster-id tuples U to x_{i,U}, the sum of c_{i,S} over
-    keyed subsets S whose members' clusters are exactly U.
+    Row r holds x_{i,U} = values[r] for i = owner[r] and U the entries of
+    members[r] other than the pad index m: the sum of c_{i,S} over keyed
+    non-empty subsets S whose members' clusters are exactly U. Rows are
+    sorted by (owner, U); x_{i,()} is baseline[i].
     """
 
     beta_star: int
-    x: tuple[dict[tuple[int, ...], float], ...]
+    owner: np.ndarray
+    members: np.ndarray
+    values: np.ndarray
+    baseline: np.ndarray
+    m: int
 
     @property
-    def n(self) -> int:
-        return len(self.x)
+    def order(self) -> np.ndarray:
+        """Clusters in each row."""
+        return (self.members < self.m).sum(axis=1)
 
 
 def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
@@ -155,18 +198,20 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     zf = z.astype(np.float64)
     if not np.all((zf == 0.0) | (zf == 1.0)):
         raise InputError("z entries must be 0 or 1")
-    flat = model._flat(g)
-    y = flat.baseline.copy()
-    if flat.values.size:
+    model._validate(g)
+    y = model.baseline.copy()
+    if model.values.size:
         zpad = np.append(zf, 1.0)
-        prods = zpad[flat.members].prod(axis=1)
-        y += np.bincount(flat.owner, weights=flat.values * prods, minlength=g.n)
+        prods = zpad[model.members].prod(axis=1)
+        y += np.bincount(model.owner, weights=model.values * prods, minlength=g.n)
     return y
 
 
-def _cluster_keys(flat: _FlatModel, assignment: np.ndarray, m: int) -> _FlatModel:
-    """Re-key the flat subsets by the clusters their members fall in. This
-    is the one map from unit subsets S to their cluster images U.
+def _cluster_keys(
+    model: LowOrderModel, assignment: np.ndarray, m: int
+) -> ClusterAggregatedModel:
+    """Re-key the model's subsets by the clusters their members fall in.
+    This is the one map from unit subsets S to their cluster images U.
 
     Under a cluster-constant assignment prod_{j in S} z_j = prod_{C in U} w_C
     with U the set of clusters of S, so coefficients sharing an
@@ -175,20 +220,20 @@ def _cluster_keys(flat: _FlatModel, assignment: np.ndarray, m: int) -> _FlatMode
     sorts last. Rows come back sorted by (owner, U), trailing all-pad
     columns dropped.
     """
-    cmap = np.append(assignment, m)[flat.members]
+    cmap = np.append(assignment, m)[model.members]
     cmap.sort(axis=1)
     cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = m
     cmap.sort(axis=1)
     width = int((cmap < m).sum(axis=1).max(initial=0))
-    rows = np.column_stack([flat.owner, cmap[:, :width]])
+    rows = np.column_stack([model.owner, cmap[:, :width]])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    values = np.bincount(np.cumsum(first) - 1, weights=flat.values[order])
+    values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
     keys = rows[first]
-    return _FlatModel(
-        owner=keys[:, 0], members=keys[:, 1:], values=values, baseline=flat.baseline, pad=m
+    return ClusterAggregatedModel(
+        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, m
     )
 
 
@@ -210,15 +255,15 @@ def evaluate_draws(
         raise InputError(f"W has shape {W.shape}, expected (R, {clustering.m})")
     if not np.all((W == 0) | (W == 1)):
         raise InputError("cluster draws must be 0 or 1")
-    flat = model._flat(g)
+    model._validate(g)
     R = W.shape[0]
-    if not flat.values.size:
-        return np.tile(flat.baseline, (R, 1))
+    if not model.values.size:
+        return np.tile(model.baseline, (R, 1))
     # re-keyed before Y is allocated, so the re-keying temporaries are freed
     # by the time Y is held
-    keys = _cluster_keys(flat, np.asarray(clustering.assignment), clustering.m)
+    keys = _cluster_keys(model, np.asarray(clustering.assignment), clustering.m)
     units, starts = np.unique(keys.owner, return_index=True)
-    Y = np.tile(flat.baseline, (R, 1))
+    Y = np.tile(model.baseline, (R, 1))
     Wpad = np.ones((R, clustering.m + 1), dtype=np.int8)
     Wpad[:, :-1] = W
     step = max(1, _BLOCK // keys.values.size)
@@ -231,40 +276,51 @@ def evaluate_draws(
     return Y
 
 
+def _sequential_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ..., left to right: a Python accumulation loop."""
+    return float(np.cumsum(np.append(0.0, x))[-1])
+
+
 def true_tte(model: LowOrderModel) -> float:
     """Exact total treatment effect: the average over units of the sum of
     non-empty coefficients."""
-    total = 0.0
-    for cmap in model.coeffs:
-        total += sum(val for s, val in cmap.items() if s)
-    return total / model.n
+    return _sequential_sum(np.bincount(model.owner, model.values, model.n)) / model.n
 
 
 def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
     """Ring response model: every k-subset of N_i gets coefficient
     binom(d_i, k)^{-1} 2^{-k}, so each order k contributes exactly 2^{-k}
-    to every unit's treatment effect, and the baseline is 1."""
+    to every unit's treatment effect, and the baseline is 1.
+
+    Rows run unit by unit, each in itertools.combinations order by k; one
+    template of neighborhood positions per distinct degree is applied to
+    all the units of that degree.
+    """
     deg = g.degrees
     if beta_star < 1 or beta_star > int(deg.min()):
         raise InputError(
             f"beta_star={beta_star} must lie in [1, min degree={int(deg.min())}]"
         )
-    total_keys = 0
-    coeffs = []
-    for i in range(g.n):
-        d = len(g.in_neighbors[i])
-        cmap: dict[tuple[int, ...], float] = {(): 1.0}
-        for k in range(1, beta_star + 1):
-            coef = (0.5**k) / math.comb(d, k)
-            for s in itertools.combinations(g.in_neighbors[i], k):
-                cmap[s] = coef
-        total_keys += len(cmap)
-        if total_keys > _MAX_KEYS:
-            raise CapacityError(
-                f"cycle model would exceed the {_MAX_KEYS} subset-key guard"
-            )
-        coeffs.append(cmap)
-    return LowOrderModel(beta_star=beta_star, coeffs=tuple(coeffs))
+    ds, inv = np.unique(deg, return_inverse=True)
+    orders = range(1, beta_star + 1)
+    counts = np.array([sum(math.comb(d, k) for k in orders) for d in ds.tolist()])[inv]
+    if int(counts.sum()) + g.n > _MAX_KEYS:
+        raise CapacityError(f"cycle model would exceed the {_MAX_KEYS} subset-key guard")
+    owner = np.repeat(np.arange(g.n), counts)
+    row_degree = inv[owner]
+    members = np.empty((owner.size, beta_star), dtype=np.int64)
+    values = np.empty(owner.size)
+    gather = np.append(g.indices, g.n)  # its last entry is the pad index
+    for j, d in enumerate(ds.tolist()):
+        combos = [c for k in orders for c in itertools.combinations(range(d), k)]
+        template = np.array([c + (-1,) * (beta_star - len(c)) for c in combos])
+        units = np.flatnonzero(inv == j)
+        at = np.where(template >= 0, g.indptr[units][:, None, None] + template, -1)
+        rows = np.flatnonzero(row_degree == j)
+        members[rows] = gather[at].reshape(-1, beta_star)
+        coef = [0.5 ** len(c) / math.comb(d, len(c)) for c in combos]
+        values[rows] = np.tile(coef, units.size)
+    return LowOrderModel(beta_star, owner, members, values, np.ones(g.n))
 
 
 def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel:
@@ -278,31 +334,24 @@ def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel
       weak    c_{i,{i}} = 1/2 and c_{i,{j}} = 1/(2(d_i - 1)); TTE_i = 1
               whenever d_i >= 2
       strong  c_{i,{i}} = d_i/2 and c_{i,{j}} = 1/2; TTE_i grows with degree
+
+    Each unit's rows hold {i} first, then its other in-neighbors ascending.
     """
     if kind not in ("null", "weak", "strong"):
         raise InputError(f"unknown model kind {kind!r}")
     deg = g.degrees
-    d_max = int(deg.max())
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(g.n)
-    coeffs = []
-    for i in range(g.n):
-        d = int(deg[i])
-        cmap: dict[tuple[int, ...], float] = {
-            (): float((0.5 + 0.1 * noise[i]) * d / d_max)
-        }
-        if kind == "weak":
-            cmap[(i,)] = 0.5
-            for j in g.in_neighbors[i]:
-                if j != i:
-                    cmap[(j,)] = 1.0 / (2.0 * (d - 1))
-        elif kind == "strong":
-            cmap[(i,)] = d / 2.0
-            for j in g.in_neighbors[i]:
-                if j != i:
-                    cmap[(j,)] = 0.5
-        coeffs.append(cmap)
-    return LowOrderModel(beta_star=1, coeffs=tuple(coeffs))
+    noise = np.random.default_rng(seed).standard_normal(g.n)
+    baseline = (0.5 + 0.1 * noise) * deg / int(deg.max())
+    owner = np.repeat(np.arange(g.n), deg)
+    order = np.argsort(2 * owner + (g.indices != owner), kind="stable")
+    owner, members = owner[order], g.indices[order]
+    own, d = members == owner, deg[owner]
+    if kind == "weak":
+        values = np.where(own, 0.5, 1.0 / (2.0 * np.maximum(d - 1, 1)))
+    else:
+        values = np.where(own, d / 2.0, 0.5)
+    keep = slice(0 if kind == "null" else None)
+    return LowOrderModel(1, owner[keep], members[keep, None], values[keep], baseline)
 
 
 def cluster_aggregate(
@@ -311,19 +360,12 @@ def cluster_aggregate(
     """Sum coefficients over subsets with the same cluster image.
 
     x_{i,U} collects every keyed c_{i,S} whose members' clusters are exactly
-    the set U, including the baseline at U = (): a dict view of the
-    re-keying that evaluate_draws evaluates.
+    the set U: the re-keying that evaluate_draws evaluates.
     """
     if c.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")
-    flat = model._flat(g)
-    rows = [{(): b} for b in flat.baseline.tolist()]
-    keys = _cluster_keys(flat, np.asarray(c.assignment), c.m)
-    for i, u, size, val in zip(
-        keys.owner.tolist(), keys.members.tolist(), keys.order.tolist(), keys.values.tolist()
-    ):
-        rows[i][tuple(u[:size])] = val
-    return ClusterAggregatedModel(beta_star=model.beta_star, x=tuple(rows))
+    model._validate(g)
+    return _cluster_keys(model, np.asarray(c.assignment), c.m)
 
 
 def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:
@@ -336,28 +378,20 @@ def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:
     non-empty coefficients share a sign (in particular for any first-order
     model).
     """
-    model._flat(g)  # validates subsets against the graph
-    best = 0.0
-    for cmap in model.coeffs:
-        pos = sum(v for v in cmap.values() if v > 0)
-        low = cmap[()] + sum(v for s, v in cmap.items() if s and v < 0)
-        best = max(best, pos, abs(low))
-    return float(best)
+    model._validate(g)
+    n = model.n
+    # per unit, summed in row order after the baseline
+    every = np.concatenate([model.baseline, model.values])
+    owners = np.concatenate([np.arange(n), model.owner])
+    pos = np.bincount(owners, np.where(every > 0, every, 0.0), n)
+    neg = np.bincount(model.owner, np.where(model.values < 0, model.values, 0.0), n)
+    return float(max(0.0, pos.max(), np.abs(model.baseline + neg).max()))
 
 
 def mixed_signs(agg: ClusterAggregatedModel) -> bool:
     """True when the non-empty aggregated coefficients contain both strictly
     positive and strictly negative entries."""
-    has_pos = has_neg = False
-    for xmap in agg.x:
-        for u, val in xmap.items():
-            if not u:
-                continue
-            if val > 0:
-                has_pos = True
-            elif val < 0:
-                has_neg = True
-    return has_pos and has_neg
+    return bool(np.any(agg.values > 0) and np.any(agg.values < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -409,4 +443,4 @@ def load_model(path: str, n: int) -> LowOrderModel:
             beta_star = max(beta_star, len(subset))
     for cmap in coeffs:
         cmap.setdefault((), 0.0)
-    return LowOrderModel(beta_star=beta_star, coeffs=tuple(coeffs))
+    return LowOrderModel.from_dicts(beta_star, coeffs)

@@ -7,14 +7,17 @@ numpy generators, so every test is reproducible from its own seed.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from pinvtte import (
+    ClusterAggregatedModel,
     Clustering,
     ClusterStats,
     Design,
+    InputError,
     InterferenceGraph,
     LowOrderModel,
     cluster_neighborhoods,
@@ -22,6 +25,29 @@ from pinvtte import (
     size_class_pinv,
     size_class_sums,
 )
+
+
+def csr_graph(rows) -> InterferenceGraph:
+    """The graph whose in-neighborhood N_i is the tuple rows[i]."""
+    sizes = [len(row) for row in rows]
+    indices = [j for row in rows for j in row]
+    return InterferenceGraph(np.cumsum([0] + sizes), np.array(indices, dtype=np.int64))
+
+
+def csr_rows(indptr: np.ndarray, values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of CSR arrays as one tuple per row."""
+    bounds, flat = indptr.tolist(), values.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def neighbors(g: InterferenceGraph) -> tuple[tuple[int, ...], ...]:
+    """The in-neighborhoods of g as one sorted tuple per unit."""
+    return csr_rows(g.indptr, g.indices)
+
+
+def cluster_rows(stats: ClusterStats) -> tuple[tuple[int, ...], ...]:
+    """The cluster neighborhoods of stats as one sorted tuple per unit."""
+    return csr_rows(stats.indptr, stats.cluster_ids)
 
 
 def random_graph(rng: np.random.Generator, n: int, extra_max: int = 3) -> InterferenceGraph:
@@ -33,7 +59,7 @@ def random_graph(rng: np.random.Generator, n: int, extra_max: int = 3) -> Interf
         others = [j for j in range(n) if j != i]
         extra = rng.choice(others, size=count, replace=False) if count else []
         nbrs.append(tuple(sorted({i, *map(int, extra)})))
-    return InterferenceGraph(n=n, in_neighbors=tuple(nbrs))
+    return csr_graph(nbrs)
 
 
 def random_clustering(rng: np.random.Generator, n: int, m: int) -> Clustering:
@@ -43,32 +69,39 @@ def random_clustering(rng: np.random.Generator, n: int, m: int) -> Clustering:
     return Clustering.from_labels(labels)
 
 
-def random_model(
+def random_coeffs(
     rng: np.random.Generator,
     g: InterferenceGraph,
     beta_star: int,
     keep: float = 0.6,
     nonnegative: bool = False,
     scale: float = 1.0,
-) -> LowOrderModel:
-    """Sparse coefficients on random neighborhood subsets up to beta_star.
+) -> list[dict[tuple[int, ...], float]]:
+    """Sparse coefficients on random neighborhood subsets up to beta_star,
+    one dict per unit, the baseline first.
 
     Every unit keeps a baseline; each candidate subset survives with
     probability keep. nonnegative=True yields a monotone instance (all
     coefficients, baseline included, are >= 0).
     """
     coeffs = []
-    for i in range(g.n):
+    for nbrs in neighbors(g):
         base = float(rng.normal(0.0, 0.4)) * scale
         cmap = {(): abs(base) if nonnegative else base}
-        nbrs = g.in_neighbors[i]
         for size in range(1, beta_star + 1):
             for S in itertools.combinations(nbrs, size):
                 if rng.random() < keep:
                     val = float(rng.normal(0.0, 1.0)) * scale
                     cmap[S] = abs(val) if nonnegative else val
         coeffs.append(cmap)
-    return LowOrderModel(beta_star=beta_star, coeffs=tuple(coeffs))
+    return coeffs
+
+
+def random_model(
+    rng: np.random.Generator, g: InterferenceGraph, beta_star: int, **kwargs
+) -> LowOrderModel:
+    """The model of random_coeffs(rng, g, beta_star, **kwargs)."""
+    return LowOrderModel.from_dicts(beta_star, random_coeffs(rng, g, beta_star, **kwargs))
 
 
 def ensure_tail(
@@ -78,17 +111,155 @@ def ensure_tail(
     misspecified instance); adds one if the random draw left none."""
     if any(len(s) > beta for cmap in model.coeffs for s in cmap):
         return model
-    for i in range(g.n):
-        nbrs = g.in_neighbors[i]
+    for nbrs, i in zip(neighbors(g), range(g.n)):
         if len(nbrs) > beta:
             cmap = dict(model.coeffs[i])
             cmap[tuple(nbrs[: beta + 1])] = float(rng.normal(0.0, 1.0))
             coeffs = list(model.coeffs)
             coeffs[i] = cmap
-            return LowOrderModel(
+            return LowOrderModel.from_dicts(
                 beta_star=max(model.beta_star, beta + 1), coeffs=tuple(coeffs)
             )
     raise AssertionError("no unit has a neighborhood larger than beta")
+
+
+# ---------------------------------------------------------------------------
+# per-unit oracles: the graph, model and cluster-neighborhood routes as the
+# library ran them on tuples and dicts, one unit and one key at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_graph_check(n: int, rows) -> None:
+    """The InterferenceGraph checks, unit by unit: raises InputError with
+    the message of the first failing check of the first failing unit."""
+    if n <= 0:
+        raise InputError(f"graph needs at least one unit, got n={n}")
+    for i, nbrs in enumerate(rows):
+        if i not in nbrs:
+            raise InputError(f"unit {i} missing from its own neighborhood")
+        if any(j < 0 or j >= n for j in nbrs):
+            raise InputError(f"unit {i} has a neighbor outside [0, {n})")
+        if tuple(sorted(set(nbrs))) != tuple(nbrs):
+            raise InputError(f"neighborhood of unit {i} is not sorted and unique")
+
+
+def oracle_flat(beta_star: int, coeffs, g: InterferenceGraph):
+    """(owner, members, values, baseline) of a dict model, validated key by
+    key against g: per unit in order, every key in insertion order, members
+    padded with g.n to width max(beta_star, 1). Raises InputError as the
+    dict-backed model did, construction checks first."""
+    if beta_star < 0:
+        raise InputError(f"beta_star must be nonnegative, got {beta_star}")
+    for i, cmap in enumerate(coeffs):
+        if () not in cmap:
+            raise InputError(f"unit {i} has no baseline (empty subset) entry")
+        for s in cmap:
+            if len(s) > beta_star:
+                raise InputError(f"unit {i}: subset {s} exceeds beta_star={beta_star}")
+            if tuple(sorted(set(s))) != s:
+                raise InputError(f"unit {i}: subset key {s} not sorted unique")
+    if len(coeffs) != g.n:
+        raise InputError(f"model has {len(coeffs)} units but graph has {g.n}")
+    owners, rows, vals = [], [], []
+    baseline = np.zeros(g.n)
+    width = max(beta_star, 1)
+    for i, cmap in enumerate(coeffs):
+        nbrs = set(neighbors(g)[i])
+        for s, val in cmap.items():
+            if not set(s) <= nbrs:
+                raise InputError(f"unit {i}: subset {s} not within its neighborhood")
+            if s == ():
+                baseline[i] = val
+            else:
+                owners.append(i)
+                rows.append(s + (g.n,) * (width - len(s)))
+                vals.append(val)
+    members = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    return np.array(owners, dtype=np.int64), members, np.array(vals), baseline
+
+
+def oracle_true_tte(coeffs) -> float:
+    total = 0.0
+    for cmap in coeffs:
+        total += sum(val for s, val in cmap.items() if s)
+    return total / len(coeffs)
+
+
+def oracle_outcome_bound(coeffs) -> float:
+    best = 0.0
+    for cmap in coeffs:
+        pos = sum(v for v in cmap.values() if v > 0)
+        low = cmap[()] + sum(v for s, v in cmap.items() if s and v < 0)
+        best = max(best, pos, abs(low))
+    return float(best)
+
+
+def oracle_mixed_signs(x) -> bool:
+    """mixed_signs over per-unit aggregate dicts x[i][U]."""
+    has_pos = has_neg = False
+    for xmap in x:
+        for u, val in xmap.items():
+            if not u:
+                continue
+            if val > 0:
+                has_pos = True
+            elif val < 0:
+                has_neg = True
+    return has_pos and has_neg
+
+
+def oracle_bias_crd(x, nbhds, m: int, k: int, B: float) -> tuple[float, float]:
+    """bias_crd over per-unit aggregate dicts x[i][U] and per-unit cluster
+    neighborhood tuples."""
+    n = len(nbhds)
+    acc = 0.0
+    full = 0
+    for i, nb in enumerate(nbhds):
+        if len(nb) != m:
+            continue
+        full += 1
+        xmap = x[i]
+        acc += k * xmap.get((), 0.0) - sum(val for u, val in xmap.items() if len(u) == 1)
+    exact = m * acc / ((k**2 + m) * n)
+    return exact, (full / n) * (m * (k + 2) * B / (k**2 + m))
+
+
+def oracle_cluster_nbhd(g: InterferenceGraph, c: Clustering) -> tuple[tuple[int, ...], ...]:
+    """Per unit, the sorted distinct cluster ids touching N_i."""
+    return tuple(tuple(sorted({c.assignment[j] for j in nbrs})) for nbrs in neighbors(g))
+
+
+def oracle_cycle_coeffs(g: InterferenceGraph, beta_star: int) -> list[dict]:
+    """gen_cycle_model's dicts: per unit the baseline 1, then every k-subset
+    of N_i by itertools.combinations, k = 1..beta_star."""
+    coeffs = []
+    for nbrs in neighbors(g):
+        cmap = {(): 1.0}
+        for k in range(1, beta_star + 1):
+            coef = (0.5**k) / math.comb(len(nbrs), k)
+            for s in itertools.combinations(nbrs, k):
+                cmap[s] = coef
+        coeffs.append(cmap)
+    return coeffs
+
+
+def oracle_named_coeffs(g: InterferenceGraph, kind: str, seed: int) -> list[dict]:
+    """gen_named_model's dicts: the baseline, then {i}, then the other
+    in-neighbors ascending."""
+    deg = g.degrees
+    d_max = int(deg.max())
+    noise = np.random.default_rng(seed).standard_normal(g.n)
+    coeffs = []
+    for i, nbrs in enumerate(neighbors(g)):
+        d = int(deg[i])
+        cmap = {(): float((0.5 + 0.1 * noise[i]) * d / d_max)}
+        if kind != "null":
+            cmap[(i,)] = 0.5 if kind == "weak" else d / 2.0
+            for j in nbrs:
+                if j != i:
+                    cmap[(j,)] = 1.0 / (2.0 * (d - 1)) if kind == "weak" else 0.5
+        coeffs.append(cmap)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +281,17 @@ def oracle_cluster_aggregate(
             u = tuple(sorted({assign[j] for j in s}))
             xmap[u] = xmap.get(u, 0.0) + val
         rows.append(xmap)
+    return rows
+
+
+def agg_dicts(agg: ClusterAggregatedModel) -> list[dict[tuple[int, ...], float]]:
+    """The rows of a cluster-aggregated model as one dict per unit,
+    x[i][U], the baseline at U = ()."""
+    rows = [{(): b} for b in agg.baseline.tolist()]
+    for i, u, size, val in zip(
+        agg.owner.tolist(), agg.members.tolist(), agg.order.tolist(), agg.values.tolist()
+    ):
+        rows[i][tuple(u[:size])] = val
     return rows
 
 
@@ -179,7 +361,7 @@ def pair_dependence(
     neighborhoods there too (variance_bound's negative-covariance screen).
     """
     if d.is_bernoulli or monotone:
-        return bool(set(stats.cluster_nbhd[i]) & set(stats.cluster_nbhd[j]))
+        return bool(set(cluster_rows(stats)[i]) & set(cluster_rows(stats)[j]))
     return True
 
 

@@ -62,6 +62,8 @@ from pinvtte import (
     variance_bound,
 )
 
+from conftest import neighbors, cluster_rows
+
 
 @pytest.fixture
 def announce(request):
@@ -110,7 +112,7 @@ def _random_model(
     pair_rate: float = 0.6,
 ) -> LowOrderModel:
     coeffs = []
-    for nb in g.in_neighbors:
+    for nb in neighbors(g):
         d: dict[tuple[int, ...], float] = {(): float(rng.normal())}
         for j in nb:
             if rng.random() < 0.8:
@@ -122,7 +124,7 @@ def _random_model(
         if nonneg:
             d = {key: abs(val) for key, val in d.items()}
         coeffs.append(d)
-    return LowOrderModel(beta_star=beta_star, coeffs=tuple(coeffs))
+    return LowOrderModel.from_dicts(beta_star=beta_star, coeffs=tuple(coeffs))
 
 
 def test_acceptance_01_exhaustive_unbiasedness(announce):
@@ -176,7 +178,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         if gap >= 1e-9:
             failures.append(f"crd trial {trial}: gap {gap:.2e}")
     pair_graph = from_edge_list([(1, 0), (0, 1)], 2)
-    pair_model = LowOrderModel(
+    pair_model = LowOrderModel.from_dicts(
         beta_star=2,
         coeffs=({(): 0.0, (0, 1): 1.0}, {(): 0.0, (0, 1): 1.0}),
     )
@@ -263,7 +265,7 @@ def test_acceptance_05_variance_bound_soundness(announce):
     report = variance_bound(lone, cluster_stats(lone, singleton_clustering(1)), d, 1, 1.0)
     if report.var_bound_pairwise != pytest.approx(4.0, abs=1e-12):
         failures.append(f"single-unit bound {report.var_bound_pairwise}")
-    flat = LowOrderModel(beta_star=1, coeffs=({(): 1.0},))
+    flat = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 1.0},))
     _, var = exhaustive_expectation(lone, flat, d, EstimatorSpec("pinv", 1))
     if var > 4.0 + 1e-12:
         failures.append(f"single-unit variance {var}")
@@ -290,7 +292,7 @@ def test_acceptance_06_crd_structure(announce):
     for i in range(4):
         left, right = (i - 1) % 4, (i + 1) % 4
         coeffs.append({(): 0.0, (i,): 0.5, tuple(sorted((left,))): 0.25, (right,): 0.25})
-    model = LowOrderModel(beta_star=1, coeffs=tuple(coeffs))
+    model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple(coeffs))
     agg = cluster_aggregate(model, g, c)
     stats = cluster_stats(g, c)
     exact, _ = bias_crd(agg, stats, 2, 1, outcome_bound(model, g))
@@ -431,7 +433,7 @@ def test_acceptance_10_monte_carlo_moments(announce):
         failures.append(f"median error {by_r[40000]:.3e} !< {by_r[400]:.3e}")
     stats = cluster_stats(g, c)
     for unit in (0, 5):
-        exact = analytic_cluster_moments(d, stats.cluster_nbhd[unit], 1)
+        exact = analytic_cluster_moments(d, cluster_rows(stats)[unit], 1)
         limit = support_moments(d, g, unit, 1)
         err = float(np.linalg.norm(limit.M_pinv - exact.M_pinv))
         if err >= 1e-12:

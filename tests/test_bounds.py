@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pinvtte import (
     Clustering,
     InputError,
-    InterferenceGraph,
     LowOrderModel,
     PreconditionError,
     bernoulli_gcr,
@@ -43,7 +42,11 @@ from pinvtte import (
     variance_bound,
 )
 from conftest import (
+    agg_dicts,
+    cluster_rows,
+    csr_graph,
     ensure_tail,
+    neighbors,
     oracle_bias_bound_gcr,
     oracle_bias_exact,
     oracle_cluster_aggregate,
@@ -70,7 +73,7 @@ def delta_pair_instance():
     # two mutual neighbors, each outcome a pure pair interaction; the
     # first-order estimator misses it with bias exactly 2p - 1
     g = from_edge_list([(1, 0), (0, 1)], 2)
-    model = LowOrderModel(
+    model = LowOrderModel.from_dicts(
         beta_star=2,
         coeffs=({(): 0.0, (0, 1): 1.0}, {(): 0.0, (0, 1): 1.0}),
     )
@@ -294,7 +297,7 @@ class TestBiasBoundGcr:
     def test_cluster_aggregation_cancels_x_norm(self):
         # the two pair terms share a cluster image and cancel there
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=2,
             coeffs=(
                 {(): 0.0, (0, 1): 1.0, (0, 2): -1.0},
@@ -311,7 +314,7 @@ class TestBiasBoundGcr:
         # distinct cluster images of equal size with opposite signs cancel
         # in refined but not in x_norm
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=2,
             coeffs=(
                 {(): 0.0, (0, 1): 1.0, (0, 2): -1.0},
@@ -358,7 +361,7 @@ class TestPerKeyOracles:
 
             want = oracle_cluster_aggregate(model, g, c)
             seen.add(("merged", any(len(x) < len(cm) for x, cm in zip(want, model.coeffs))))
-            for got_i, want_i in zip(cluster_aggregate(model, g, c).x, want):
+            for got_i, want_i in zip(agg_dicts(cluster_aggregate(model, g, c)), want):
                 assert got_i.keys() == want_i.keys()
                 assert all(close(got_i[u], val) for u, val in want_i.items())
             assert close(bias_exact(model, g, d, beta), oracle_bias_exact(model, g, d, beta))
@@ -385,11 +388,11 @@ class TestBiasCrd:
         coeffs = []
         for i in range(4):
             cmap = {(): 0.0, (i,): 0.5}
-            for j in g.in_neighbors[i]:
+            for j in neighbors(g)[i]:
                 if j != i:
                     cmap[(j,)] = 0.25
             coeffs.append(dict(sorted(cmap.items(), key=lambda kv: (len(kv[0]), kv[0]))))
-        model = LowOrderModel(beta_star=1, coeffs=tuple(coeffs))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple(coeffs))
         return g, c, model
 
     def test_frozen_full_contact_values(self):
@@ -442,7 +445,7 @@ class TestBiasCrd:
         agg = cluster_aggregate(model, g, c)
         stats = cluster_stats(g, c)
         with pytest.raises(InputError, match="first-order"):
-            two = LowOrderModel(
+            two = LowOrderModel.from_dicts(
                 beta_star=2, coeffs=tuple({(): 0.0} for _ in range(4))
             )
             bias_crd(cluster_aggregate(two, g, c), stats, 2, 1, 1.0)
@@ -462,7 +465,7 @@ class TestVarianceBound:
         # constant Y = 1 makes the estimate the raw weight, -2 or 2, whose
         # variance meets the bound exactly
         g = from_edge_list([], 1)
-        model = LowOrderModel(beta_star=1, coeffs=({(): 1.0},))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 1.0},))
         d = bernoulli_unit(1, 0.5)
         mean, var = exhaustive_moments(g, model, d, 1)
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -531,7 +534,7 @@ class TestVarianceBound:
         g = from_edge_list([(1, 0)], 2)
         c = singleton_clustering(2)
         d = complete_gcr(c, 1)
-        mixed = LowOrderModel(
+        mixed = LowOrderModel.from_dicts(
             beta_star=1, coeffs=({(): 0.0, (0,): -1.0, (1,): 1.0}, {(): 0.0})
         )
         with pytest.raises(PreconditionError, match="mixed signs"):
@@ -577,7 +580,7 @@ class TestVarianceBound:
 def _pair_oracle(g, stats, d, beta, B, source, monotone):
     """var_bound_pairwise by a double loop over all ordered pairs, with the
     per-pair gamma each source uses."""
-    sizes = [len(nb) for nb in stats.cluster_nbhd]
+    sizes = [len(nb) for nb in cluster_rows(stats)]
     if source == "quadform":
         eff = gamma_profile(stats, d, beta, "quadform").gamma_sq
     elif d.is_bernoulli:
@@ -598,9 +601,9 @@ def _pair_oracle(g, stats, d, beta, B, source, monotone):
 def _hub_graph(gen, n):
     """A random graph plus one unit that every unit reaches, so its cluster
     neighborhood is every cluster."""
-    nbrs = list(random_graph(gen, n).in_neighbors)
+    nbrs = list(neighbors(random_graph(gen, n)))
     nbrs[int(gen.integers(0, n))] = tuple(range(n))
-    return InterferenceGraph(n, tuple(nbrs))
+    return csr_graph(nbrs)
 
 
 class TestDependentSums:

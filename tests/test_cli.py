@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +391,92 @@ class TestErrorSurface:
         ])
         assert rc == 2
         assert "--k" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# byte-identical goldens: each case's output file as recorded under
+# tests/data/golden/, apart from wall-clock rows and the git_describe line.
+# Re-record deliberately with `PYTHONPATH=src python tests/test_cli.py`.
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+GOLDEN_CASES = {
+    "simulate_cycle": [
+        "simulate", "--n", "240", "--radius", "3", "--model", "cycle",
+        "--beta-star", "2", "--clustering", "contiguous", "--width", "4,8",
+        "--design", "gcr", "--p", "0.25", "--estimator", "pinv:2,ht",
+        "--replications", "60", "--seed", "3",
+    ],
+    "simulate_crd": [
+        "simulate", "--n", "36", "--radius", "1", "--model", "weak",
+        "--clustering", "contiguous", "--width", "3", "--design", "crd", "--k", "4",
+        "--estimator", "pinv:1,crd1,ht", "--replications", "40",
+        "--seed", "5", "--gamma", "closed",
+    ],
+    "bounds_gcr_model": [
+        "bounds", "--n", "60", "--radius", "2", "--model", "cycle", "--beta-star", "2",
+        "--clustering", "contiguous", "--width", "3", "--design", "gcr", "--p", "0.3",
+        "--beta", "1",
+    ],
+    "bounds_crd_model": [
+        "bounds", "--n", "40", "--radius", "2", "--model", "strong", "--model-seed", "2",
+        "--clustering", "contiguous", "--width", "4", "--design", "crd", "--k", "3",
+        "--beta", "1", "--gamma", "closed", "--monotone", "true",
+    ],
+    "bounds_crd_full": [
+        "bounds", "--n", "8", "--radius", "2", "--model", "weak", "--clustering",
+        "contiguous", "--width", "4", "--design", "crd", "--k", "1", "--beta", "1",
+        "--gamma", "closed",
+    ],
+    "bounds_crd_singleton": [
+        "bounds", "--n", "14", "--radius", "2", "--clustering", "singleton",
+        "--design", "crd", "--k", "7", "--beta", "3", "--B-bound", "1",
+    ],
+    "select_sbm": [
+        "select", "--graph", "sbm", "--n", "200", "--blocks", "10", "--pi-in", "0.1",
+        "--pi-out", "0.005", "--graph-seed", "3", "--design", "gcr", "--p", "0.25",
+        "--beta", "2", "--B-bound", "1",
+    ],
+    "select_sbm_model": [
+        "select", "--graph", "sbm", "--n", "120", "--blocks", "6", "--pi-in", "0.2",
+        "--pi-out", "0.01", "--graph-seed", "8", "--model", "weak",
+        "--resolution-grid", "0.5,1.0", "--design", "crd", "--k", "2",
+    ],
+    "oracle_crd": [
+        "oracle", "--n", "16", "--radius", "1", "--model", "cycle", "--beta-star", "2",
+        "--clustering", "contiguous", "--width", "2", "--design", "crd", "--k", "4",
+        "--estimator", "pinv:2,crd1,ht",
+    ],
+    "mc_moments_grid": [
+        "mc-moments", "--n", "20", "--radius", "1", "--clustering", "contiguous",
+        "--width", "2", "--design", "gcr", "--p", "0.3", "--beta", "2",
+        "--units", "0,5", "--r-grid", "50,200", "--mc-seeds", "0,1",
+    ],
+    "model_gen_cycle": ["model", "gen", "--n", "9", "--radius", "2", "--kind", "cycle",
+                        "--beta-star", "2"],
+    "model_gen_weak": ["model", "gen", "--graph", "sbm", "--n", "30", "--blocks", "3",
+                       "--pi-in", "0.3", "--pi-out", "0.05", "--kind", "weak", "--seed", "4"],
+}
+
+
+def _stable_lines(text: str) -> list[str]:
+    return [
+        line
+        for line in text.splitlines()
+        if ",wall_time_s," not in line and not line.startswith("# git_describe=")
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(tmp_path, name):
+    path = tmp_path / "out.csv"
+    assert main(GOLDEN_CASES[name] + ["--out", str(path)]) == 0
+    golden = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+    assert _stable_lines(path.read_text(encoding="utf-8")) == _stable_lines(golden)
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, argv in GOLDEN_CASES.items():
+        assert main(argv + ["--out", str(GOLDEN_DIR / f"{name}.csv")]) == 0

@@ -20,7 +20,7 @@ from pinvtte import (
     sbm_sample,
     singleton_clustering,
 )
-from conftest import random_clustering, random_graph
+from conftest import cluster_rows, neighbors, random_clustering, random_graph
 
 
 def two_triangles():
@@ -71,8 +71,8 @@ class TestClusterStats:
     def test_cycle_width_two(self):
         g = cycle_power(6, 1)
         stats = cluster_stats(g, contiguous_cycle_clusters(6, 2))
-        assert stats.cluster_nbhd[0] == (0, 2)
-        assert stats.cluster_nbhd[1] == (0, 1)
+        assert cluster_rows(stats)[0] == (0, 2)
+        assert cluster_rows(stats)[1] == (0, 1)
         assert stats.C_max == 2
         assert stats.N_max == 2
         assert stats.full_contact_count == 0
@@ -183,5 +183,5 @@ def test_stats_invariants_property(seed, n):
     assert stats.N_max == max(len(mem) for mem in c.members())
     assert 0 <= stats.full_contact_count <= n
     for i in range(n):
-        seen = {c.assignment[j] for j in g.in_neighbors[i]}
-        assert stats.cluster_nbhd[i] == tuple(sorted(seen))
+        seen = {c.assignment[j] for j in neighbors(g)[i]}
+        assert cluster_rows(stats)[i] == tuple(sorted(seen))

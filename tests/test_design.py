@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,26 @@ from pinvtte import (
     singleton_clustering,
 )
 from conftest import pair_dependence
+
+
+def oracle_support(d):
+    """enumerate_support one point at a time: Bernoulli points by the bits
+    of 0..2^m - 1, complete-design points by itertools.combinations."""
+    m = d.m
+    if d.is_bernoulli:
+        out = []
+        for bits in range(2**m):
+            w = np.array([(bits >> c) & 1 for c in range(m)], dtype=np.int8)
+            t = int(w.sum())
+            out.append((d.p**t * (1.0 - d.p) ** (m - t), w))
+        return out
+    prob = 1.0 / math.comb(m, d.k)
+    out = []
+    for chosen in itertools.combinations(range(m), d.k):
+        w = np.zeros(m, dtype=np.int8)
+        w[list(chosen)] = 1
+        out.append((prob, w))
+    return out
 
 
 def blocks(n, width):
@@ -137,6 +158,25 @@ class TestEnumerateSupport:
         big = complete_gcr(singleton_clustering(40), 20)
         with pytest.raises(CapacityError, match="complete"):
             enumerate_support(big)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            lambda: bernoulli_gcr(blocks(16, 2), 0.3),
+            lambda: bernoulli_unit(5, 0.71),
+            lambda: bernoulli_gcr(blocks(2, 2), 0.5),
+            lambda: complete_gcr(blocks(14, 2), 3),
+            lambda: complete_gcr(singleton_clustering(9), 8),
+        ],
+    )
+    def test_matches_point_by_point_route(self, design):
+        d = design()
+        got = enumerate_support(d)
+        want = oracle_support(d)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert len(got) == len(want)
+        for (_, w), (_, v) in zip(got, want):
+            assert w.dtype == np.int8 and np.array_equal(w, v)
 
     def test_order_deterministic(self):
         d = bernoulli_gcr(blocks(6, 2), 0.5)

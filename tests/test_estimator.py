@@ -31,7 +31,7 @@ from pinvtte import (
     true_tte,
 )
 from pinvtte.estimator import _gcr_row, _pinv_row
-from conftest import random_clustering, random_graph, random_model
+from conftest import neighbors, random_clustering, random_graph, random_model
 
 
 def single_unit():
@@ -57,7 +57,7 @@ class TestFrozenWeights:
         w = draw.w
         assign = c.assignment
         for i in range(6):
-            ground = sorted({assign[j] for j in g.in_neighbors[i]})
+            ground = sorted({assign[j] for j in neighbors(g)[i]})
             expect = sum((w[cid] - p) / (p * (1 - p)) for cid in ground)
             assert br.weights[i] == pytest.approx(expect, abs=1e-12)
 

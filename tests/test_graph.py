@@ -10,33 +10,32 @@ from pinvtte import (
     InputError,
     InterferenceGraph,
     cycle_power,
-    degree_stats,
     from_edge_list,
     load_edge_list,
     save_edge_list,
     sbm_sample,
     to_edge_list,
 )
-from conftest import random_graph
+from conftest import csr_graph, neighbors, oracle_graph_check, random_graph
 
 
 class TestInterferenceGraph:
     def test_self_membership_required(self):
         with pytest.raises(InputError):
-            InterferenceGraph(n=2, in_neighbors=((0,), (0,)))
+            csr_graph(((0,), (0,)))
 
     def test_sorted_unique_required(self):
         with pytest.raises(InputError):
-            InterferenceGraph(n=2, in_neighbors=((0, 0), (1,)))
+            csr_graph(((0, 0), (1,)))
         with pytest.raises(InputError):
-            InterferenceGraph(n=2, in_neighbors=((1, 0), (1,)))
+            csr_graph(((1, 0), (1,)))
 
     def test_out_of_range_neighbor(self):
         with pytest.raises(InputError):
-            InterferenceGraph(n=2, in_neighbors=((0, 2), (1,)))
+            csr_graph(((0, 2), (1,)))
 
     def test_degrees(self):
-        g = InterferenceGraph(n=3, in_neighbors=((0, 1), (1,), (0, 1, 2)))
+        g = csr_graph(((0, 1), (1,), (0, 1, 2)))
         assert list(g.degrees) == [2, 1, 3]
 
 
@@ -45,12 +44,12 @@ class TestFromEdgeList:
         # (src, dst) means src's treatment can move dst's outcome,
         # so src lands in dst's in-neighborhood
         g = from_edge_list([(0, 1)], 2)
-        assert g.in_neighbors[1] == (0, 1)
-        assert g.in_neighbors[0] == (0,)
+        assert neighbors(g)[1] == (0, 1)
+        assert neighbors(g)[0] == (0,)
 
     def test_duplicate_edges_collapse(self):
         g = from_edge_list([(0, 1), (0, 1)], 2)
-        assert g.in_neighbors[1] == (0, 1)
+        assert neighbors(g)[1] == (0, 1)
 
     def test_endpoint_out_of_range_names_edge(self):
         with pytest.raises(InputError, match="edge 1"):
@@ -59,28 +58,27 @@ class TestFromEdgeList:
     def test_round_trip_with_to_edge_list(self):
         g = from_edge_list([(0, 1), (2, 0), (1, 2)], 3)
         again = from_edge_list(to_edge_list(g), 3)
-        assert again.in_neighbors == g.in_neighbors
+        assert neighbors(again) == neighbors(g)
 
 
 class TestCyclePower:
     def test_radius_one_neighbors(self):
         g = cycle_power(5, 1)
-        assert g.in_neighbors[0] == (0, 1, 4)
-        assert g.in_neighbors[2] == (1, 2, 3)
+        assert neighbors(g)[0] == (0, 1, 4)
+        assert neighbors(g)[2] == (1, 2, 3)
 
     def test_radius_two_wraps(self):
         g = cycle_power(7, 2)
-        assert g.in_neighbors[0] == (0, 1, 2, 5, 6)
+        assert neighbors(g)[0] == (0, 1, 2, 5, 6)
 
     def test_all_degrees_equal(self):
         g = cycle_power(120, 3)
-        stats = degree_stats(g)
-        assert stats.d_max == 7
+        assert g.degrees.max() == 7
         assert np.all(g.degrees == 7)
 
     def test_radius_zero_is_self_only(self):
         g = cycle_power(4, 0)
-        assert all(g.in_neighbors[i] == (i,) for i in range(4))
+        assert all(neighbors(g)[i] == (i,) for i in range(4))
 
     def test_too_large_radius_rejected(self):
         with pytest.raises(GeometryError):
@@ -122,32 +120,32 @@ class TestSbmSample:
         # two blocks at the library's budget
         if budget is not None:
             monkeypatch.setattr("pinvtte.graph._PAIRS", budget)
-        assert sbm_sample(*args).in_neighbors == dense_sbm_sample(*args).in_neighbors
+        assert neighbors(sbm_sample(*args)) == neighbors(dense_sbm_sample(*args))
 
     def test_no_cross_block_edges_when_pi_out_zero(self):
         g = sbm_sample(40, 4, 0.7, 0.0, seed=2)
         block = lambda i: i // 10
         for i in range(40):
-            assert all(block(j) == block(i) for j in g.in_neighbors[i])
+            assert all(block(j) == block(i) for j in neighbors(g)[i])
 
     def test_full_blocks_when_pi_in_one(self):
         g = sbm_sample(12, 3, 1.0, 0.0, seed=0)
         for i in range(12):
             lo = (i // 4) * 4
-            assert g.in_neighbors[i] == tuple(range(lo, lo + 4))
+            assert neighbors(g)[i] == tuple(range(lo, lo + 4))
 
     def test_symmetry(self):
         g = sbm_sample(30, 3, 0.5, 0.2, seed=5)
         for i in range(30):
-            for j in g.in_neighbors[i]:
-                assert i in g.in_neighbors[j]
+            for j in neighbors(g)[i]:
+                assert i in neighbors(g)[j]
 
     def test_seed_determinism(self):
         a = sbm_sample(30, 3, 0.5, 0.2, seed=9)
         b = sbm_sample(30, 3, 0.5, 0.2, seed=9)
-        assert a.in_neighbors == b.in_neighbors
+        assert neighbors(a) == neighbors(b)
         c = sbm_sample(30, 3, 0.5, 0.2, seed=10)
-        assert c.in_neighbors != a.in_neighbors
+        assert neighbors(c) != neighbors(a)
 
     def test_block_count_must_divide(self):
         with pytest.raises(GeometryError):
@@ -160,7 +158,7 @@ class TestEdgeListFiles:
         path = tmp_path / "g.tsv"
         save_edge_list(g, str(path))
         back = load_edge_list(str(path))
-        assert back.in_neighbors == g.in_neighbors
+        assert neighbors(back) == neighbors(g)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -184,7 +182,7 @@ class TestEdgeListFiles:
         path = tmp_path / "g.tsv"
         path.write_text("n=2\n# comment\n\n0\t1\n")
         g = load_edge_list(str(path))
-        assert g.in_neighbors[1] == (0, 1)
+        assert neighbors(g)[1] == (0, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,4 +191,54 @@ def test_edge_list_round_trip_property(tmp_path_factory, seed, n):
     g = random_graph(np.random.default_rng(seed), n)
     path = tmp_path_factory.mktemp("rt") / "g.tsv"
     save_edge_list(g, str(path))
-    assert load_edge_list(str(path)).in_neighbors == g.in_neighbors
+    assert neighbors(load_edge_list(str(path))) == neighbors(g)
+
+
+class TestCsrArrays:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0,), (0,)],
+            [(0, 0), (1,)],
+            [(1, 0), (1,)],
+            [(0, 2), (1,)],
+            [(0, -1), (1,)],
+            [(0,), (1,), (0, 1, 1, 2)],
+            [(0, 5), (0,)],
+            [(0,), (0, 1, 3), (0, 2)],
+            [(1,), (0, 1)],
+        ],
+    )
+    def test_bad_rows_raise_as_oracle(self, rows):
+        with pytest.raises(InputError) as want:
+            oracle_graph_check(len(rows), rows)
+        with pytest.raises(InputError) as got:
+            csr_graph(rows)
+        assert str(got.value) == str(want.value)
+
+    def test_indptr_must_delimit_indices(self):
+        with pytest.raises(InputError, match="at least one unit"):
+            InterferenceGraph(np.array([0]), np.array([], dtype=np.int64))
+        for indptr in ([0, 2, 1], [1, 1, 2], [0, 1, 3]):
+            with pytest.raises(InputError, match="indptr"):
+                InterferenceGraph(np.array(indptr), np.array([0, 1]))
+
+    def test_random_graphs_keep_their_rows(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 15))
+            g = random_graph(rng, n)
+            again = csr_graph(neighbors(g))
+            assert again == g and neighbors(again) == neighbors(g)
+            assert np.array_equal(g.degrees, [len(r) for r in neighbors(g)])
+            assert to_edge_list(g) == [
+                (j, i) for i, row in enumerate(neighbors(g)) for j in row if j != i
+            ]
+
+    def test_read_only_arrays_and_value_equality(self):
+        g = cycle_power(9, 2)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+        with pytest.raises(ValueError):
+            g.indices[0] = 3
+        assert g == cycle_power(9, 2) and g != cycle_power(9, 1) and g != "graph"
+        assert from_edge_list(to_edge_list(g), 9) == g

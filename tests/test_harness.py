@@ -40,7 +40,7 @@ from pinvtte import (
     variance_bound,
     write_csv,
 )
-from conftest import random_clustering, random_graph, random_model
+from conftest import cluster_rows, neighbors, random_clustering, random_graph, random_model
 
 
 def blocks(n, width):
@@ -209,7 +209,7 @@ class TestRunExperiment:
         coeffs = []
         for i in range(4):
             cmap = {(): 0.0, (i,): 0.5}
-            for j in g.in_neighbors[i]:
+            for j in neighbors(g)[i]:
                 if j != i:
                     cmap[(j,)] = 0.25
             coeffs.append(
@@ -217,7 +217,7 @@ class TestRunExperiment:
             )
         from pinvtte import LowOrderModel
 
-        model = LowOrderModel(beta_star=1, coeffs=tuple(coeffs))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple(coeffs))
         cfg = ExperimentConfig(
             graph=g,
             model=model,
@@ -381,7 +381,51 @@ class TestRmseRatio:
             assert ratio >= 1.0
 
 
+    def test_rmse_matches_run_experiment(self):
+        # the RMSE alone, bit for bit the empirical_rmse of a full run
+        g = cycle_power(24, 2)
+        model = gen_cycle_model(g, 2)
+        cands = [singleton_clustering(24), blocks(24, 3), blocks(24, 6)]
+        design_for = lambda c: complete_gcr(c, 2)
+        spec = EstimatorSpec("pinv", 2)
+        _, rmses = rmse_ratio(g, model, cands, design_for, spec, 60, 7, 0)
+        for c, rmse in zip(cands, rmses):
+            cfg = ExperimentConfig(g, model, design_for(c), spec, 60, 7)
+            assert rmse == run_experiment(cfg).empirical_rmse
+        with pytest.raises(InputError, match="replications"):
+            rmse_ratio(g, model, cands, design_for, spec, 0, 7, 0)
+
+
+def per_cell_mc_report(d, g, units, beta, R_grid, seeds):
+    """mc_convergence_report drawing afresh for every (R, seed) cell."""
+    detail, per_R = [], {R: [] for R in R_grid}
+    for R in R_grid:
+        for seed in seeds:
+            for i in units:
+                mc = monte_carlo_moments(d, g, i, beta, R, seed)
+                target = analytic_cluster_moments(d, mc.index.ground, beta).M_pinv
+                err = float(np.linalg.norm(mc.M_pinv - target))
+                detail.append({"R": R, "seed": seed, "unit": i, "fro_error": err})
+                per_R[R].append(err)
+    return detail, {R: (float(np.median(e)), float(np.std(e))) for R, e in per_R.items()}
+
+
 class TestMcConvergenceReport:
+    @pytest.mark.parametrize("design", ["gcr", "crd"])
+    def test_prefix_draws_match_per_cell_route(self, design):
+        g = cycle_power(16, 1)
+        c = blocks(16, 2)
+        d = bernoulli_gcr(c, 0.35) if design == "gcr" else complete_gcr(c, 3)
+        R_grid, seeds = [30, 7, 120], [2, 0, 5]
+        out = mc_convergence_report(d, g, [0, 9, 15], 2, R_grid, seeds)
+        detail, summary = per_cell_mc_report(d, g, [0, 9, 15], 2, R_grid, seeds)
+        assert out["detail"] == detail
+        assert [row["R"] for row in out["summary"]] == R_grid
+        for row in out["summary"]:
+            assert (row["median_fro_error"], row["std_fro_error"]) == summary[row["R"]]
+        with pytest.raises(InputError, match="at least one draw"):
+            mc_convergence_report(d, g, [0], 2, [10, 0], [1])
+
     def test_shapes_and_monotone_error(self):
         g = cycle_power(10, 1)
         d = bernoulli_gcr(blocks(10, 2), 0.4)
@@ -405,7 +449,7 @@ class TestMcConvergenceReport:
         for row in out["detail"]:
             i = row["unit"]
             mc = monte_carlo_moments(d, g, i, 2, 50, 4)
-            ground = cluster_stats(g, d.clustering).cluster_nbhd[i]
+            ground = cluster_rows(cluster_stats(g, d.clustering))[i]
             target = analytic_cluster_moments(d, ground, 2).M_pinv
             assert row["fro_error"] == float(np.linalg.norm(mc.M_pinv - target))
 

@@ -34,7 +34,7 @@ from pinvtte import (
     support_moments,
     theta_vector,
 )
-from conftest import random_clustering, random_graph
+from conftest import neighbors, random_clustering, random_graph
 
 
 def penrose_holds(M, P, atol=1e-10):
@@ -360,7 +360,7 @@ def block_lift(
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     assign = c.assignment
-    nbrs = g.in_neighbors[i]
+    nbrs = neighbors(g)[i]
     ground = tuple(sorted({assign[j] for j in nbrs}))
     unit_index = enumerate_subsets(nbrs, beta)
     cluster_index = enumerate_subsets(ground, beta)

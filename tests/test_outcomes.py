@@ -12,7 +12,12 @@ from pinvtte import (
     Clustering,
     InputError,
     LowOrderModel,
+    bernoulli_gcr,
+    bias_crd,
+    bias_exact,
     cluster_aggregate,
+    cluster_stats,
+    complete_gcr,
     cycle_power,
     evaluate,
     evaluate_draws,
@@ -23,16 +28,36 @@ from pinvtte import (
     mixed_signs,
     outcome_bound,
     save_model,
+    sbm_sample,
     singleton_clustering,
     true_tte,
 )
-from conftest import oracle_cluster_aggregate, random_clustering, random_graph, random_model
+from conftest import (
+    agg_dicts,
+    cluster_rows,
+    csr_graph,
+    neighbors,
+    oracle_bias_crd,
+    oracle_bias_exact,
+    oracle_cluster_aggregate,
+    oracle_cluster_nbhd,
+    oracle_cycle_coeffs,
+    oracle_flat,
+    oracle_mixed_signs,
+    oracle_named_coeffs,
+    oracle_outcome_bound,
+    oracle_true_tte,
+    random_clustering,
+    random_coeffs,
+    random_graph,
+    random_model,
+)
 
 
 def pair_unit_model():
     # one unit whose outcome is the pure interaction of its two neighbors
     g = from_edge_list([(1, 0), (2, 0)], 3)
-    model = LowOrderModel(
+    model = LowOrderModel.from_dicts(
         beta_star=2,
         coeffs=(
             {(): 0.0, (1, 2): 1.0},
@@ -46,24 +71,24 @@ def pair_unit_model():
 class TestLowOrderModel:
     def test_baseline_required(self):
         with pytest.raises(InputError, match="baseline"):
-            LowOrderModel(beta_star=1, coeffs=({(0,): 1.0},))
+            LowOrderModel.from_dicts(beta_star=1, coeffs=({(0,): 1.0},))
 
     def test_subset_size_capped(self):
         with pytest.raises(InputError):
-            LowOrderModel(beta_star=1, coeffs=({(): 0.0, (0, 1): 1.0},))
+            LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (0, 1): 1.0},))
 
     def test_unsorted_key_rejected(self):
         with pytest.raises(InputError):
-            LowOrderModel(beta_star=2, coeffs=({(): 0.0, (1, 0): 1.0},))
+            LowOrderModel.from_dicts(beta_star=2, coeffs=({(): 0.0, (1, 0): 1.0},))
 
     def test_subset_outside_neighborhood_rejected_on_use(self):
         g = from_edge_list([], 2)
-        model = LowOrderModel(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
         with pytest.raises(InputError, match="neighborhood"):
             evaluate(model, g, [0, 0])
 
     def test_validation_repeated_for_another_graph(self):
-        model = LowOrderModel(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
         assert evaluate(model, from_edge_list([(1, 0)], 2), [0, 1])[0] == 1.0
         with pytest.raises(InputError, match="neighborhood"):
             evaluate(model, from_edge_list([], 2), [0, 0])
@@ -96,7 +121,7 @@ class TestEvaluate:
         y = evaluate(model, g, z)
         for i in range(10):
             flipped = z.copy()
-            outside = [j for j in range(10) if j not in g.in_neighbors[i]]
+            outside = [j for j in range(10) if j not in neighbors(g)[i]]
             for j in outside:
                 flipped[j] = 1 - flipped[j]
             assert evaluate(model, g, flipped)[i] == pytest.approx(y[i], abs=1e-12)
@@ -129,7 +154,7 @@ class TestEvaluateDraws:
 
     def test_baseline_only_model(self):
         g = cycle_power(6, 1)
-        model = LowOrderModel(beta_star=1, coeffs=tuple({(): float(i)} for i in range(6)))
+        model = LowOrderModel.from_dicts(1, tuple({(): float(i)} for i in range(6)))
         W = np.array([[0, 1, 0], [1, 1, 1]], dtype=np.int8)
         Y = evaluate_draws(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]), W)
         assert np.array_equal(Y, np.tile(np.arange(6.0), (2, 1)))
@@ -218,7 +243,7 @@ class TestGenNamedModel:
         model = gen_named_model(g, "weak", seed=1)
         cmap = model.coeffs[3]
         assert cmap[(3,)] == 0.5
-        for j in g.in_neighbors[3]:
+        for j in neighbors(g)[3]:
             if j != 3:
                 assert cmap[(j,)] == pytest.approx(1 / 8)
 
@@ -250,23 +275,23 @@ class TestClusterAggregate:
         model = random_model(rng, g, 2)
         agg = cluster_aggregate(model, g, singleton_clustering(8))
         for i in range(8):
-            assert agg.x[i] == model.coeffs[i]
+            assert agg_dicts(agg)[i] == model.coeffs[i]
 
     def test_two_neighbors_one_cluster(self):
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=1,
             coeffs=({(): 0.0, (1,): 0.25, (2,): 0.25}, {(): 0.0}, {(): 0.0}),
         )
         c = Clustering.from_labels([0, 1, 1])
         agg = cluster_aggregate(model, g, c)
-        assert agg.x[0][(1,)] == pytest.approx(0.5)
+        assert agg_dicts(agg)[0][(1,)] == pytest.approx(0.5)
 
     def test_mixed_cluster_pair_subsets(self):
         # beta_star = 2 with two units in one cluster and one in another:
         # {i}, {i'}, {i,i'} all aggregate into the same single-cluster key
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=2,
             coeffs=(
                 {(): 1.0, (0,): 1.0, (1,): 2.0, (0, 1): 4.0, (2,): 8.0, (0, 2): 16.0, (1, 2): 32.0},
@@ -276,10 +301,10 @@ class TestClusterAggregate:
         )
         c = Clustering.from_labels([0, 0, 1])
         agg = cluster_aggregate(model, g, c)
-        assert agg.x[0][()] == 1.0
-        assert agg.x[0][(0,)] == pytest.approx(1.0 + 2.0 + 4.0)
-        assert agg.x[0][(1,)] == pytest.approx(8.0)
-        assert agg.x[0][(0, 1)] == pytest.approx(16.0 + 32.0)
+        assert agg_dicts(agg)[0][()] == 1.0
+        assert agg_dicts(agg)[0][(0,)] == pytest.approx(1.0 + 2.0 + 4.0)
+        assert agg_dicts(agg)[0][(1,)] == pytest.approx(8.0)
+        assert agg_dicts(agg)[0][(0, 1)] == pytest.approx(16.0 + 32.0)
 
     def test_preserves_cluster_constant_outcomes(self, rng):
         # the per-key aggregate, Y_i = sum_U x_{i,U} prod_{C in U} w_C,
@@ -302,7 +327,7 @@ class TestClusterAggregate:
 class TestOutcomeBound:
     def test_flat_baseline(self):
         g = from_edge_list([], 4)
-        model = LowOrderModel(beta_star=1, coeffs=tuple({(): 0.5} for _ in range(4)))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple({(): 0.5} for _ in range(4)))
         assert outcome_bound(model, g) == 0.5
 
     def test_cycle_model_first_order(self):
@@ -311,7 +336,7 @@ class TestOutcomeBound:
 
     def test_opposite_signs(self):
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=1,
             coeffs=({(): 0.0, (1,): 1.0, (2,): -1.0}, {(): 0.0}, {(): 0.0}),
         )
@@ -345,7 +370,7 @@ class TestOutcomeBound:
         # formula brackets at 3 while the true maximum is 1; soundness, not
         # tightness, is the contract
         g = from_edge_list([(1, 0), (2, 0)], 3)
-        model = LowOrderModel(
+        model = LowOrderModel.from_dicts(
             beta_star=2,
             coeffs=(
                 {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): -3.0},
@@ -366,16 +391,16 @@ class TestMixedSigns:
     def test_detects_both_signs(self):
         g = from_edge_list([(1, 0)], 2)
         c = singleton_clustering(2)
-        pos = LowOrderModel(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
+        pos = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
         assert not mixed_signs(cluster_aggregate(pos, g, c))
-        mixed = LowOrderModel(
+        mixed = LowOrderModel.from_dicts(
             beta_star=1, coeffs=({(): 0.0, (0,): -1.0, (1,): 1.0}, {(): 0.0})
         )
         assert mixed_signs(cluster_aggregate(mixed, g, c))
 
     def test_baseline_sign_irrelevant(self):
         g = from_edge_list([], 1)
-        model = LowOrderModel(beta_star=1, coeffs=({(): -5.0, (0,): 1.0},))
+        model = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): -5.0, (0,): 1.0},))
         assert not mixed_signs(cluster_aggregate(model, g, singleton_clustering(1)))
 
 
@@ -430,3 +455,140 @@ def test_tte_matches_contrast_property(seed):
     y1 = evaluate(model, g, np.ones(g.n, dtype=int))
     y0 = evaluate(model, g, np.zeros(g.n, dtype=int))
     assert true_tte(model) == pytest.approx(float(np.mean(y1 - y0)), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the array routes against the per-unit dict and tuple oracles of conftest
+# ---------------------------------------------------------------------------
+
+
+class TestArrayRoutesMatchDictOracles:
+    def test_random_triples(self):
+        seen = set()
+        for trial in range(72):
+            gen = np.random.default_rng(7000 + trial)
+            n = int(gen.integers(1, 14))
+            g = random_graph(gen, n)
+            # every fourth clustering is all singletons; the rest have few
+            # clusters, one or two among them
+            m = n if trial % 4 == 0 else int(gen.integers(1, max(1, n // 2) + 1))
+            c = random_clustering(gen, n, m)
+            beta_star = 1 + trial % 3
+            keep = 0.0 if trial % 6 == 5 else 0.6  # baseline-only models
+            coeffs = random_coeffs(gen, g, beta_star, keep=keep)
+            model = LowOrderModel.from_dicts(beta_star, coeffs)
+            got = (model.owner, model.members, model.values, model.baseline)
+            for a, b in zip(got, oracle_flat(beta_star, coeffs, g)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert model.coeffs == tuple(coeffs)
+            assert true_tte(model) == oracle_true_tte(coeffs)
+            assert outcome_bound(model, g) == oracle_outcome_bound(coeffs)
+            x = oracle_cluster_aggregate(model, g, c)
+            agg = cluster_aggregate(model, g, c)
+            assert agg_dicts(agg) == [dict(sorted(xm.items())) for xm in x]
+            assert mixed_signs(agg) == oracle_mixed_signs(x)
+            stats = cluster_stats(g, c)
+            nbhds = oracle_cluster_nbhd(g, c)
+            assert cluster_rows(stats) == nbhds
+            assert stats.C_max == max(map(len, nbhds))
+            assert stats.full_contact_count == sum(len(nb) == m for nb in nbhds)
+            if m >= 2 and trial % 2:
+                d = complete_gcr(c, int(gen.integers(1, m)))
+            else:
+                d = bernoulli_gcr(c, float(gen.uniform(0.1, 0.9)))
+            beta = 1 + (trial // 3) % 2
+            assert bias_exact(model, g, d, beta) == pytest.approx(
+                oracle_bias_exact(model, g, d, beta), rel=1e-12, abs=1e-12
+            )
+            if beta_star == 1 and not d.is_bernoulli:
+                B = max(outcome_bound(model, g), 1.0)
+                got_crd = bias_crd(agg, stats, d.m, d.k, B)
+                want_crd = oracle_bias_crd(x, nbhds, d.m, d.k, B)
+                assert got_crd == pytest.approx(want_crd, rel=1e-12, abs=1e-12)
+                seen.add("bias_crd")
+            seen.update({d.variant, ("beta_star", beta_star), ("m", min(m, 3))})
+            seen.add("baseline only" if keep == 0.0 else "keyed")
+            seen.add("singleton" if m == n else "few clusters")
+        assert {"bernoulli_gcr", "complete_gcr", "bias_crd", "baseline only"} <= seen
+        assert {("beta_star", b) for b in (1, 2, 3)} | {("m", 1), ("m", 2)} <= seen
+        assert {"singleton", "few clusters", "keyed"} <= seen
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            lambda: cycle_power(11, 2),
+            lambda: sbm_sample(60, 3, 0.3, 0.05, seed=2),
+            lambda: random_graph(np.random.default_rng(5), 15, extra_max=6),
+        ],
+    )
+    def test_generators_match_dict_builders(self, graph):
+        g = graph()
+        for beta_star in range(1, min(3, int(g.degrees.min())) + 1):
+            want = LowOrderModel.from_dicts(beta_star, oracle_cycle_coeffs(g, beta_star))
+            assert gen_cycle_model(g, beta_star) == want
+        for kind in ("null", "weak", "strong"):
+            want = LowOrderModel.from_dicts(1, oracle_named_coeffs(g, kind, 4))
+            assert gen_named_model(g, kind, 4) == want
+
+    @pytest.mark.parametrize(
+        "beta_star, coeffs, rows",
+        [
+            (1, [{(0,): 1.0}], [(0,)]),
+            (1, [{(): 1.0}, {(1,): 1.0}], [(0,), (1,)]),
+            (1, [{(): 0.0, (0, 1): 1.0}, {(): 0.0}], [(0, 1), (1,)]),
+            (2, [{(): 0.0, (1, 0): 1.0}, {(): 0.0}], [(0, 1), (1,)]),
+            (2, [{(): 0.0, (0, 0): 1.0}], [(0,)]),
+            (1, [{(): 0.0, (1,): 1.0}, {(): 0.0}], [(0,), (1,)]),
+            (1, [{(): 0.0, (2,): 1.0}, {(): 0.0}], [(0,), (1,)]),
+            (1, [{(): 0.0}, {(): 0.0, (7,): 1.0}], [(0,), (1,)]),
+            (1, [{(): 0.0, (-1,): 1.0}], [(0,)]),
+            (2, [{(): 0.0, (0, 2): 1.0}, {(): 0.0}], [(0, 1), (1,)]),
+            (-1, [{(): 0.0}], [(0,)]),
+            (1, [{(): 0.0}], [(0,), (1,)]),
+        ],
+    )
+    def test_bad_models_raise_as_oracle(self, beta_star, coeffs, rows):
+        g = csr_graph(rows)
+        with pytest.raises(InputError) as want:
+            oracle_flat(beta_star, coeffs, g)
+        with pytest.raises(InputError) as got:
+            outcome_bound(LowOrderModel.from_dicts(beta_star, coeffs), g)
+        assert str(got.value) == str(want.value)
+
+    def test_validated_once_per_graph(self, monkeypatch):
+        g = cycle_power(9, 1)
+        model = gen_cycle_model(g, 1)
+        evaluate(model, g, np.zeros(9, dtype=int))
+        # validation reads the graph's degrees; later uses of g must not
+        reads = []
+        degrees = property(lambda self: reads.append(1) or np.diff(self.indptr))
+        monkeypatch.setattr(type(g), "degrees", degrees)
+        evaluate_draws(model, g, singleton_clustering(9), np.ones((2, 9), dtype=np.int8))
+        assert outcome_bound(model, g) == pytest.approx(1.5)
+        assert reads == []
+        with pytest.raises(InputError, match="neighborhood"):
+            outcome_bound(model, cycle_power(9, 0))
+        assert reads == [1]
+
+    def test_arrays_read_only_and_equality(self):
+        g = cycle_power(12, 1)
+        a, b = gen_named_model(g, "weak", 5), gen_named_model(g, "weak", 5)
+        assert a == b and a != gen_named_model(g, "weak", 6) and a != "weak"
+        for arr in (a.owner, a.members, a.values, a.baseline):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            a.values[0] = 1.0
+
+    def test_save_load_save_bytes(self, tmp_path, rng):
+        g = random_graph(rng, 11)
+        for model in (
+            random_model(rng, g, 3),
+            gen_cycle_model(cycle_power(9, 2), 2),
+            gen_named_model(sbm_sample(30, 3, 0.3, 0.05, seed=4), "weak", 4),
+            LowOrderModel.from_dicts(1, [{(): -0.0, (0,): 1e-300}, {(1,): 2.5, (): 3.0}]),
+        ):
+            first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+            save_model(model, str(first))
+            save_model(load_model(str(first), model.n), str(second))
+            assert first.read_bytes() == second.read_bytes()
+            assert "np." not in first.read_text()
