@@ -95,13 +95,11 @@ from .moments import (
     analytic_cluster_moments,
     bern_cluster_moments,
     crd_cluster_moments,
-    crd_determinant,
     enumerate_subsets,
     monte_carlo_moments,
     numeric_pinv,
     size_class_pinv,
     size_class_sums,
-    support_moments,
     theta_vector,
 )
 from .outcomes import (
@@ -179,10 +177,8 @@ __all__ = [
     "theta_vector",
     "bern_cluster_moments",
     "crd_cluster_moments",
-    "crd_determinant",
     "numeric_pinv",
     "monte_carlo_moments",
-    "support_moments",
     "analytic_cluster_moments",
     "size_class_sums",
     "size_class_pinv",

@@ -39,12 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import Clustering, ClusterStats, _size_rows, cluster_neighborhoods
-from .design import Design, joint_treat_prob
+from .design import Design, _sample_draws, joint_treat_prob
 from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph
 from .moments import (
     DesignMoments,
-    _mc_draws,
     _mc_moments,
     size_class_pinv,
     size_class_sums,
@@ -201,7 +200,7 @@ def gamma_profile(
         # monte_carlo_moments per unit, with the neighborhoods and draws
         # built once
         indptr, ids = cluster_neighborhoods(g, d.clustering)
-        W = _mc_draws(d, mc_samples, mc_seed)
+        W = _sample_draws(d, mc_seed, mc_samples)
         gamma_sq = np.array(
             [
                 gamma_quadform(_mc_moments(W, tuple(ids[a:b].tolist()), beta))
@@ -388,8 +387,6 @@ def variance_bound(
     *,
     model: LowOrderModel | None = None,
     monotone: bool = False,
-    mc_samples: int = 2000,
-    mc_seed: int = 0,
 ) -> BoundReport:
     """Worst-case variance bound for outcomes bounded by B.
 
@@ -422,9 +419,7 @@ def variance_bound(
             "monotone effects asserted but aggregated coefficients have mixed signs"
         )
 
-    profile = gamma_profile(
-        stats, d, beta, gamma_source, g=g, mc_samples=mc_samples, mc_seed=mc_seed
-    )
+    profile = gamma_profile(stats, d, beta, gamma_source, g=g)
     if gamma_source == "closed" and d.is_bernoulli:
         eff = _by_size(stats, lambda c: gamma_gcr_envelope(c, beta, d.p))
     elif gamma_source == "closed":

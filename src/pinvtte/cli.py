@@ -356,10 +356,9 @@ def _cmd_oracle(o: _Opts) -> None:
     c = _build_clustering(o, g)
     d = _build_design(o, g, c)
     specs = o.get("estimator", _specs, default=[EstimatorSpec("pinv", 1)])
+    tte = true_tte(model)
     rows = []
-    for spec in specs:
-        mean, var = exhaustive_expectation(g, model, d, spec)
-        tte = true_tte(model)
+    for spec, (mean, var) in zip(specs, exhaustive_expectation(g, model, d, specs)):
         rows.append(
             {
                 "estimator": spec.kind,

@@ -129,6 +129,17 @@ def _sample_w(d: Design, seed: int, replicate: int) -> np.ndarray:
     return w
 
 
+def _sample_draws(d: Design, seed: int, R: int) -> np.ndarray:
+    """The (R, m) cluster treatments of the streams (seed, 0..R-1): row r
+    is _sample_w(d, seed, r)."""
+    if R < 1:
+        raise InputError(f"need at least one draw, got R={R}")
+    W = np.empty((R, d.m), dtype=np.int8)
+    for r in range(R):
+        W[r] = _sample_w(d, seed, r)
+    return W
+
+
 def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
     """All (probability, w) pairs of the design, in a fixed deterministic
     order. Probabilities sum to 1 exactly up to float rounding.

@@ -5,11 +5,12 @@ an experiment seeded with s draws its assignment from the stream (s, r), and
 all reductions into summary statistics use ``math.fsum`` in a fixed order,
 so parallel or repeated runs produce identical numbers.
 
-A replicated cell draws its (R, m) cluster assignments once, evaluates the
-outcomes of all R draws in one batched call (outcomes.evaluate_draws), and
-applies each estimator's weight table to the same draws and outcomes
-(estimator.batch_estimates). run_experiments shares that work between
-configurations that differ only in their estimator.
+Replicated runs and the exhaustive oracle share one cell: a matrix of
+cluster draws (the (seed, r) streams, or the design's whole support), one
+evaluation of their outcomes and each estimator's weight table on them
+(replicate_estimates), then one fsum reduction per estimator (_mean_var,
+weighted by probability on a non-uniform support). Several estimators of
+a cell share its draws, outcomes and support enumeration.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
-from .clustering import Clustering, cluster_neighborhoods, cluster_stats
-from .design import Design, _sample_w, enumerate_support
+from .clustering import Clustering, ClusterStats, cluster_neighborhoods, cluster_stats
+from .design import Design, _sample_draws, enumerate_support
 from .errors import InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
-from .moments import _mc_draws, _mc_moments, analytic_cluster_moments
+from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import LowOrderModel, evaluate_draws, outcome_bound, true_tte
 
 __all__ = [
@@ -93,14 +94,19 @@ class EstimatorSpec:
     def label(self) -> str:
         return self.kind if self.beta is None else f"{self.kind}:{self.beta}"
 
+    @property
+    def order(self) -> int | None:
+        """The order its analytic bias and variance bound are taken at:
+        None for ht, 1 for crd1, else beta."""
+        return 1 if self.kind == "crd1" else self.beta
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One replicated-experiment cell: everything a run needs, plus a seed.
 
     tag is a free-form label copied into the report (the CLI uses it to mark
-    grid cells such as "w=4"). out_path is carried for the CLI; the run
-    itself never writes files.
+    grid cells such as "w=4".
     """
 
     graph: InterferenceGraph
@@ -111,7 +117,6 @@ class ExperimentConfig:
     seed: int
     gamma_source: str = "quadform"
     tag: str = ""
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -154,17 +159,37 @@ def replicate_estimates(
     g: InterferenceGraph,
     model: LowOrderModel,
     d: Design,
-    spec: EstimatorSpec,
+    specs: Sequence[EstimatorSpec],
     W: np.ndarray,
-) -> np.ndarray:
-    """Estimates for a batch of cluster assignments, one per row of W.
+) -> list[np.ndarray]:
+    """Each spec's estimates for a batch of cluster assignments, one per row
+    of W.
 
-    Outcomes of all draws are evaluated in one batched call
-    (outcomes.evaluate_draws); the estimator then applies one weight table
-    to all draws (estimator.batch_estimates).
+    The outcomes of all draws are evaluated once, in one batched call
+    (outcomes.evaluate_draws), and freed on return; each estimator applies
+    its weight table to the same draws and outcomes
+    (estimator.batch_estimates).
     """
     Y = evaluate_draws(model, g, d.clustering, W)
-    return batch_estimates(g, d, spec.kind, spec.beta, W, Y)
+    return [batch_estimates(g, d, spec.kind, spec.beta, W, Y) for spec in specs]
+
+
+def _mean_var(est: np.ndarray, probs: list[float] | None = None) -> tuple[float, float]:
+    """(mean, population variance) of the estimates by fsum: the plain
+    average, or the probs-weighted sums when probs is given."""
+    vals = est.tolist()
+    if probs is None:
+        mean = math.fsum(vals) / len(vals)
+        return mean, math.fsum((e - mean) ** 2 for e in vals) / len(vals)
+    mean = math.fsum(pr * e for pr, e in zip(probs, vals))
+    return mean, math.fsum(pr * (e - mean) ** 2 for pr, e in zip(probs, vals))
+
+
+def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
+    """(mean, bias, population variance, mse) of replicated estimates."""
+    mean_est, var = _mean_var(est)
+    bias = mean_est - tte
+    return mean_est, bias, var, bias * bias + var
 
 
 def _analytic_bias(cfg: ExperimentConfig) -> float | None:
@@ -174,44 +199,17 @@ def _analytic_bias(cfg: ExperimentConfig) -> float | None:
         # under a Bernoulli design; no closed form is kept for the complete
         # design, where full-contact units can bias it.
         return 0.0 if cfg.design.is_bernoulli else None
-    beta = 1 if spec.kind == "crd1" else spec.beta
-    return bias_exact(cfg.model, cfg.graph, cfg.design, beta)
+    return bias_exact(cfg.model, cfg.graph, cfg.design, spec.order)
 
 
-def _var_bound(cfg: ExperimentConfig) -> float | None:
-    spec = cfg.estimator
-    if spec.kind == "ht":
+def _var_bound(cfg: ExperimentConfig, B: float, stats: ClusterStats | None) -> float | None:
+    order = cfg.estimator.order
+    if order is None or B <= 0.0:
         return None
-    B = outcome_bound(cfg.model, cfg.graph)
-    if B <= 0.0:
-        return None
-    beta = 1 if spec.kind == "crd1" else spec.beta
-    stats = cluster_stats(cfg.graph, cfg.design.clustering)
     rep = variance_bound(
-        cfg.graph, stats, cfg.design, beta, B, gamma_source=cfg.gamma_source
+        cfg.graph, stats, cfg.design, order, B, gamma_source=cfg.gamma_source
     )
     return rep.var_bound_pairwise
-
-
-def _cell_estimates(cfg: ExperimentConfig, specs: Sequence[EstimatorSpec]) -> list[np.ndarray]:
-    """Each estimator's R estimates on the cell's draws (seed, 0..R-1),
-    sampled and their outcomes evaluated once. The (R, n) outcomes are freed
-    on return, before a caller's bias and variance bound allocate theirs."""
-    g, d = cfg.graph, cfg.design
-    W = np.empty((cfg.replications, d.m), dtype=np.int8)
-    for r in range(cfg.replications):
-        W[r] = _sample_w(d, cfg.seed, r)
-    Y = evaluate_draws(cfg.model, g, d.clustering, W)
-    return [batch_estimates(g, d, spec.kind, spec.beta, W, Y) for spec in specs]
-
-
-def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
-    """(mean, bias, population variance, mse) of the estimates, by fsum."""
-    vals = est.tolist()
-    mean_est = math.fsum(vals) / len(vals)
-    bias = mean_est - tte
-    var = math.fsum((e - mean_est) ** 2 for e in vals) / len(vals)
-    return mean_est, bias, var, bias * bias + var
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -244,11 +242,17 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 raise InputError(
                     f"configurations of one cell differ in {f.name}, not only in estimator"
                 )
-    R = first.replications
+    g, model, d, R = first.graph, first.model, first.design, first.replications
     t0 = time.perf_counter()
-    estimates = _cell_estimates(first, [cfg.estimator for cfg in cfgs])
+    W = _sample_draws(d, first.seed, R)
+    estimates = replicate_estimates(g, model, d, [cfg.estimator for cfg in cfgs], W)
     wall = time.perf_counter() - t0
-    tte = true_tte(first.model)
+    del W  # freed before the bias and variance bound allocate theirs
+    tte = true_tte(model)
+    # the variance bound's inputs, once per cell and only if a spec needs them
+    bounded = any(cfg.estimator.order is not None for cfg in cfgs)
+    B = outcome_bound(model, g) if bounded else 0.0
+    stats = cluster_stats(g, d.clustering) if B > 0.0 else None
     reports = []
     for cfg, est in zip(cfgs, estimates):
         mean_est, bias, var, mse = _summary(est, tte)
@@ -266,7 +270,7 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 empirical_mse=mse,
                 empirical_rmse=math.sqrt(mse),
                 analytic_bias=_analytic_bias(cfg),
-                var_bound=_var_bound(cfg),
+                var_bound=_var_bound(cfg, B, stats),
                 wall_time_s=wall,
             )
         )
@@ -310,10 +314,11 @@ def exhaustive_expectation(
     g: InterferenceGraph,
     model: LowOrderModel,
     d: Design,
-    spec: EstimatorSpec,
-) -> tuple[float, float]:
-    """Exact mean and variance of an estimator over the design's support.
+    specs: Sequence[EstimatorSpec],
+) -> list[tuple[float, float]]:
+    """Exact (mean, variance) of each estimator over the design's support.
 
+    The support is enumerated and its outcomes evaluated once for all specs.
     When the support is uniform (complete designs, Bernoulli at p = 1/2)
     the reduction is the plain average in support order, so a replicated
     run over exactly the support points reproduces this value bit for bit.
@@ -321,14 +326,9 @@ def exhaustive_expectation(
     support = enumerate_support(d)
     W = np.stack([w for _, w in support])
     probs = [pr for pr, _ in support]
-    vals = replicate_estimates(g, model, d, spec, W).tolist()
     if all(pr == probs[0] for pr in probs):
-        mean = math.fsum(vals) / len(vals)
-        var = math.fsum((e - mean) ** 2 for e in vals) / len(vals)
-        return mean, var
-    mean = math.fsum(pr * e for pr, e in zip(probs, vals))
-    var = math.fsum(pr * (e - mean) ** 2 for pr, e in zip(probs, vals))
-    return mean, var
+        probs = None
+    return [_mean_var(est, probs) for est in replicate_estimates(g, model, d, specs, W)]
 
 
 def select_clustering(
@@ -383,8 +383,9 @@ def rmse_ratio(
     tte = true_tte(model)
     rmses = []
     for c in candidates:
-        cfg = ExperimentConfig(g, model, design_for(c), spec, replications, seed)
-        rmses.append(math.sqrt(_summary(_cell_estimates(cfg, [spec])[0], tte)[3]))
+        d = ExperimentConfig(g, model, design_for(c), spec, replications, seed).design
+        [est] = replicate_estimates(g, model, d, [spec], _sample_draws(d, seed, replications))
+        rmses.append(math.sqrt(_summary(est, tte)[3]))
     return rmses[chosen] / min(rmses), rmses
 
 
@@ -415,7 +416,7 @@ def mc_convergence_report(
         # monte_carlo_moments of each unit, sharing one set of draws per
         # seed: the streams (seed, r) are prefix-stable, so the first R
         # draws at the largest R are the draws at R
-        W = _mc_draws(d, max(R_grid, default=1), seed)
+        W = _sample_draws(d, seed, max(R_grid, default=1))
         for R in R_grid:
             for i in units:
                 mc = _mc_moments(W[:R], grounds[i], beta)

@@ -18,7 +18,7 @@ for both designs in the package, so closed forms are available:
 Since entries depend only on |U union V|, M^+ theta is constant on each
 subset-size class, v[U] = a_{|U|}, and size_class_pinv returns a_0..a_beta
 without the dense system. The dense SubsetIndex systems serve as the
-reference it is tested against and for the Monte Carlo and support oracles.
+reference it is tested against and for the Monte Carlo estimate.
 
 Numeric SVD pseudoinversion and Monte Carlo moment estimation cover designs
 or orders with no closed form, and double as cross-checks in tests.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import cluster_neighborhoods
-from .design import Design, _falling_ratio, _sample_w, enumerate_support, joint_treat_prob
+from .design import Design, _falling_ratio, _sample_draws, joint_treat_prob
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
 
@@ -44,10 +44,8 @@ __all__ = [
     "theta_vector",
     "bern_cluster_moments",
     "crd_cluster_moments",
-    "crd_determinant",
     "numeric_pinv",
     "monte_carlo_moments",
-    "support_moments",
     "analytic_cluster_moments",
     "size_class_sums",
     "size_class_pinv",
@@ -199,18 +197,6 @@ def _crd_beta1_pinv(c: int, m: int, k: int) -> np.ndarray:
     return P
 
 
-def crd_determinant(m: int, k: int, c_size: int) -> float:
-    """Determinant of the first-order moment matrix over c_size clusters
-    under the complete design: k^c (m-k)^c (m-c) / (m^{c+1} (m-1)^c).
-    Zero exactly when the neighborhood spans all m clusters."""
-    if not (1 <= k <= m - 1):
-        raise InputError(f"k={k} outside [1, m-1] for m={m}")
-    if not (0 <= c_size <= m):
-        raise InputError(f"c_size={c_size} outside [0, m]")
-    c = c_size
-    return (k**c * (m - k) ** c * (m - c)) / (m ** (c + 1) * (m - 1) ** c)
-
-
 def numeric_pinv(M, tol: float | None = None) -> np.ndarray:
     """SVD pseudoinverse with an explicit truncation threshold.
 
@@ -237,11 +223,6 @@ def numeric_pinv(M, tol: float | None = None) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def _cluster_ground(d: Design, g: InterferenceGraph, i: int) -> tuple[int, ...]:
-    indptr, ids = cluster_neighborhoods(g, d.clustering)
-    return tuple(ids[indptr[i] : indptr[i + 1]].tolist())
-
-
 def monte_carlo_moments(
     d: Design, g: InterferenceGraph, i: int, beta: int, R: int, seed: int
 ) -> DesignMoments:
@@ -250,20 +231,14 @@ def monte_carlo_moments(
     Replicate r uses the (seed, r) stream, so estimates are reproducible and
     draw-parallel. The pseudoinverse is numeric.
     """
-    W = _mc_draws(d, R, seed)
-    return _mc_moments(W, _cluster_ground(d, g, i), beta)
-
-
-def _mc_draws(d: Design, R: int, seed: int) -> np.ndarray:
-    """The (R, m) cluster treatments of the streams (seed, 0..R-1)."""
-    if R < 1:
-        raise InputError(f"need at least one draw, got R={R}")
-    return np.stack([_sample_w(d, seed, r) for r in range(R)])
+    W = _sample_draws(d, seed, R)
+    indptr, ids = cluster_neighborhoods(g, d.clustering)
+    return _mc_moments(W, tuple(ids[indptr[i] : indptr[i + 1]].tolist()), beta)
 
 
 def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMoments:
-    """Moment estimate over a cluster ground set from the draws W of
-    _mc_draws."""
+    """Moment estimate over a cluster ground set from the (R, m) draws W of
+    design._sample_draws."""
     R = W.shape[0]
     index = enumerate_subsets(ground, beta)
     cols = np.array(ground, dtype=np.int64)
@@ -273,22 +248,6 @@ def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMome
     return DesignMoments(
         index=index, M=M, M_pinv=numeric_pinv(M), provenance=f"monte_carlo({R})"
     )
-
-
-def support_moments(
-    d: Design, g: InterferenceGraph, i: int, beta: int
-) -> DesignMoments:
-    """Exact moment matrix for unit i by full support enumeration. Slow and
-    capacity-guarded; this is the oracle the closed forms are tested against."""
-    ground = _cluster_ground(d, g, i)
-    index = enumerate_subsets(ground, beta)
-    cols = np.array(ground, dtype=np.int64)
-    M = np.zeros((len(index), len(index)))
-    for prob, w in enumerate_support(d):
-        counts = index.membership @ w[cols].astype(np.int64)
-        ind = (counts == index.sizes).astype(np.float64)
-        M += prob * np.outer(ind, ind)
-    return DesignMoments(index=index, M=M, M_pinv=numeric_pinv(M), provenance="numeric")
 
 
 def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:

@@ -17,11 +17,15 @@ from pinvtte import (
     Clustering,
     ClusterStats,
     Design,
+    DesignMoments,
     InputError,
     InterferenceGraph,
     LowOrderModel,
     cluster_neighborhoods,
+    enumerate_subsets,
+    enumerate_support,
     joint_treat_prob,
+    numeric_pinv,
     size_class_pinv,
     size_class_sums,
 )
@@ -363,6 +367,40 @@ def pair_dependence(
     if d.is_bernoulli or monotone:
         return bool(set(cluster_rows(stats)[i]) & set(cluster_rows(stats)[j]))
     return True
+
+
+# ---------------------------------------------------------------------------
+# moment oracles: closed forms and exhaustive routes only the tests read
+# ---------------------------------------------------------------------------
+
+
+def crd_determinant(m: int, k: int, c_size: int) -> float:
+    """Determinant of the first-order moment matrix over c_size clusters
+    under the complete design: k^c (m-k)^c (m-c) / (m^{c+1} (m-1)^c).
+    Zero exactly when the neighborhood spans all m clusters."""
+    if not (1 <= k <= m - 1):
+        raise InputError(f"k={k} outside [1, m-1] for m={m}")
+    if not (0 <= c_size <= m):
+        raise InputError(f"c_size={c_size} outside [0, m]")
+    c = c_size
+    return (k**c * (m - k) ** c * (m - c)) / (m ** (c + 1) * (m - 1) ** c)
+
+
+def support_moments(
+    d: Design, g: InterferenceGraph, i: int, beta: int
+) -> DesignMoments:
+    """Exact moment matrix for unit i by full support enumeration. Slow and
+    capacity-guarded; this is the oracle the closed forms are tested against."""
+    indptr, ids = cluster_neighborhoods(g, d.clustering)
+    ground = tuple(ids[indptr[i] : indptr[i + 1]].tolist())
+    index = enumerate_subsets(ground, beta)
+    cols = np.array(ground, dtype=np.int64)
+    M = np.zeros((len(index), len(index)))
+    for prob, w in enumerate_support(d):
+        counts = index.membership @ w[cols].astype(np.int64)
+        ind = (counts == index.sizes).astype(np.float64)
+        M += prob * np.outer(ind, ind)
+    return DesignMoments(index=index, M=M, M_pinv=numeric_pinv(M), provenance="numeric")
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from pinvtte import (
     contiguous_cycle_clusters,
     crd_beta1_estimate,
     crd_cluster_moments,
-    crd_determinant,
     cycle_power,
     enumerate_subsets,
     enumerate_support,
@@ -56,13 +55,12 @@ from pinvtte import (
     sbm_sample,
     select_clustering,
     singleton_clustering,
-    support_moments,
     analytic_cluster_moments,
     true_tte,
     variance_bound,
 )
 
-from conftest import neighbors, cluster_rows
+from conftest import cluster_rows, crd_determinant, neighbors, support_moments
 
 
 @pytest.fixture
@@ -141,7 +139,7 @@ def test_acceptance_01_exhaustive_unbiasedness(announce):
         c = _random_clustering(rng, n, m)
         model = _random_model(rng, g, beta_star)
         d = bernoulli_gcr(c, p)
-        mean, _ = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", beta))
+        mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", beta)])[0]
         gap = abs(mean - true_tte(model))
         if gap >= 1e-9:
             failures.append(f"trial {trial}: |mean - tte| = {gap:.2e}")
@@ -159,7 +157,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         c = _random_clustering(rng, n, m)
         model = _random_model(rng, g, 2)
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
-        mean, _ = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", 1))
+        mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         exact = bias_exact(model, g, d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
@@ -172,7 +170,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         c = _random_clustering(rng, n, m)
         model = _random_model(rng, g, 2)
         d = complete_gcr(c, k)
-        mean, _ = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", 1))
+        mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         exact = bias_exact(model, g, d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
@@ -201,7 +199,7 @@ def test_acceptance_03_bias_bound_chain(announce):
         c = _random_clustering(rng, n, m)
         model = _random_model(rng, g, 2, pair_rate=0.9)
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
-        mean, _ = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", 1))
+        mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         bias = abs(mean - true_tte(model))
         bound = bias_bound_gcr(model, g, c, 1)
         slack = 1e-12
@@ -252,7 +250,7 @@ def test_acceptance_05_variance_bound_soundness(announce):
         c = _random_clustering(rng, n, m)
         model = _random_model(rng, g, beta)
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
-        _, var = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", beta))
+        _, var = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", beta)])[0]
         report = variance_bound(
             g, cluster_stats(g, c), d, beta, outcome_bound(model, g)
         )
@@ -266,7 +264,7 @@ def test_acceptance_05_variance_bound_soundness(announce):
     if report.var_bound_pairwise != pytest.approx(4.0, abs=1e-12):
         failures.append(f"single-unit bound {report.var_bound_pairwise}")
     flat = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 1.0},))
-    _, var = exhaustive_expectation(lone, flat, d, EstimatorSpec("pinv", 1))
+    _, var = exhaustive_expectation(lone, flat, d, [EstimatorSpec("pinv", 1)])[0]
     if var > 4.0 + 1e-12:
         failures.append(f"single-unit variance {var}")
     _verdict(5, failures, time.monotonic() - t0, 60.0, announce)
@@ -492,9 +490,9 @@ def test_acceptance_12_monotone_variance_ordering(announce):
         model = _random_model(rng, g, beta_star, nonneg=True)
         d = bernoulli_gcr(c, (0.2, 0.4)[trial % 2])
         _, var_pinv = exhaustive_expectation(
-            g, model, d, EstimatorSpec("pinv", beta_star)
-        )
-        _, var_ht = exhaustive_expectation(g, model, d, EstimatorSpec("ht"))
+            g, model, d, [EstimatorSpec("pinv", beta_star)]
+        )[0]
+        _, var_ht = exhaustive_expectation(g, model, d, [EstimatorSpec("ht")])[0]
         if var_pinv > var_ht + 1e-12:
             failures.append(f"trial {trial}: {var_pinv:.4e} > {var_ht:.4e}")
     _verdict(12, failures, time.monotonic() - t0, 60.0, announce)

@@ -448,6 +448,11 @@ GOLDEN_CASES = {
         "--clustering", "contiguous", "--width", "2", "--design", "crd", "--k", "4",
         "--estimator", "pinv:2,crd1,ht",
     ],
+    "oracle_gcr": [
+        "oracle", "--n", "16", "--radius", "1", "--model", "cycle", "--beta-star", "2",
+        "--clustering", "contiguous", "--width", "2", "--design", "gcr", "--p", "0.3",
+        "--estimator", "pinv:1,gcr_explicit:1,ht",
+    ],
     "mc_moments_grid": [
         "mc-moments", "--n", "20", "--radius", "1", "--clustering", "contiguous",
         "--width", "2", "--design", "gcr", "--p", "0.3", "--beta", "2",

@@ -116,6 +116,25 @@ class TestSample:
         with pytest.raises(InputError):
             sample(d, 0, -1)
 
+    def test_stacked_draws_match_per_replicate_samples(self):
+        # the one (R, m) draws helper stacks the (seed, r) streams bit for bit
+        from pinvtte.design import _sample_draws
+
+        designs = [
+            bernoulli_gcr(blocks(20, 2), 0.4),
+            bernoulli_unit(7, 0.1),
+            complete_gcr(blocks(18, 3), 2),
+            complete_gcr(blocks(5, 1), 4),
+        ]
+        for d in designs:
+            for seed, R in ((0, 1), (3, 17), (11, 40)):
+                W = _sample_draws(d, seed, R)
+                stacked = np.stack([sample(d, seed, r).w for r in range(R)])
+                assert W.dtype == np.int8 and W.shape == (R, d.m)
+                assert np.array_equal(W, stacked)
+        with pytest.raises(InputError, match="at least one draw"):
+            _sample_draws(designs[0], 0, 0)
+
 
 class TestDrawFromW:
     def test_shape_checked(self):

@@ -106,7 +106,7 @@ class TestReplicateEstimates:
     def test_matches_per_draw_estimator(self):
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(10)])
-        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, cfg.estimator, W)
+        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, [cfg.estimator], W)[0]
         for r in range(10):
             draw = draw_from_w(cfg.design, W[r])
             Y = evaluate(cfg.model, cfg.graph, draw.z)
@@ -118,20 +118,20 @@ class TestReplicateEstimates:
         W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])
         with pytest.raises(InputError, match="complete"):
             replicate_estimates(
-                cfg.graph, cfg.model, cfg.design, EstimatorSpec("crd1"), W
+                cfg.graph, cfg.model, cfg.design, [EstimatorSpec("crd1")], W
             )
         crd = complete_gcr(blocks(12, 2), 2)
         Wc = np.stack([sample(crd, 0, r).w for r in range(3)])
         with pytest.raises(InputError, match="Bernoulli"):
             replicate_estimates(
-                cfg.graph, cfg.model, crd, EstimatorSpec("gcr_explicit", 1), Wc
+                cfg.graph, cfg.model, crd, [EstimatorSpec("gcr_explicit", 1)], Wc
             )
 
     def test_shape_guard(self):
         cfg = small_cfg()
         with pytest.raises(InputError, match="W has shape"):
             replicate_estimates(
-                cfg.graph, cfg.model, cfg.design, cfg.estimator, np.zeros((4, 3))
+                cfg.graph, cfg.model, cfg.design, [cfg.estimator], np.zeros((4, 3))
             )
 
 
@@ -174,7 +174,7 @@ class TestRunExperiment:
         rep = run_experiment(small_cfg(replications=128))
         cfg = small_cfg(replications=128)
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(128)])
-        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, cfg.estimator, W)
+        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, [cfg.estimator], W)[0]
         direct = float(np.mean((ests - rep.true_tte) ** 2))
         assert rep.empirical_mse == pytest.approx(direct, rel=1e-9)
         assert rep.empirical_rmse == pytest.approx(math.sqrt(rep.empirical_mse))
@@ -236,10 +236,10 @@ class TestExhaustiveExpectation:
         model = gen_cycle_model(g, 1)
         d = complete_gcr(blocks(8, 2), 2)
         spec = EstimatorSpec("pinv", 1)
-        mean, var = exhaustive_expectation(g, model, d, spec)
+        mean, var = exhaustive_expectation(g, model, d, [spec])[0]
         support = enumerate_support(d)
         W = np.stack([w for _, w in support])
-        vals = replicate_estimates(g, model, d, spec, W).tolist()
+        vals = replicate_estimates(g, model, d, [spec], W)[0].tolist()
         assert mean == math.fsum(vals) / len(vals)
         assert var == math.fsum((e - mean) ** 2 for e in vals) / len(vals)
 
@@ -248,7 +248,7 @@ class TestExhaustiveExpectation:
         model = gen_cycle_model(g, 1)
         d = bernoulli_gcr(blocks(6, 2), 0.3)
         spec = EstimatorSpec("pinv", 1)
-        mean, var = exhaustive_expectation(g, model, d, spec)
+        mean, var = exhaustive_expectation(g, model, d, [spec])[0]
         acc = v2 = 0.0
         for prob, w in enumerate_support(d):
             draw = draw_from_w(d, w)
@@ -259,6 +259,39 @@ class TestExhaustiveExpectation:
         assert mean == pytest.approx(true_tte(model), abs=1e-10)
         assert var >= 0.0
 
+    def test_specs_share_one_enumeration(self, monkeypatch):
+        # several specs at once give, bit for bit, what one call per spec
+        # gives, from one support enumeration and one outcome evaluation
+        import pinvtte.harness as harness
+
+        calls = {"enumerate_support": 0, "evaluate_draws": 0}
+
+        def counted(name):
+            fn = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        g = cycle_power(8, 1)
+        model = gen_cycle_model(g, 2)
+        cases = [
+            (complete_gcr(blocks(8, 2), 2), ["pinv:2", "crd1", "ht"]),
+            (bernoulli_gcr(blocks(8, 2), 0.3), ["pinv:1", "gcr_explicit:2", "ht"]),
+        ]
+        for d, labels in cases:
+            specs = [EstimatorSpec.parse(text) for text in labels]
+            separate = [exhaustive_expectation(g, model, d, [spec])[0] for spec in specs]
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    calls[name] = 0
+                    patch.setattr(harness, name, counted(name))
+                together = exhaustive_expectation(g, model, d, specs)
+            assert together == separate
+            assert calls == {"enumerate_support": 1, "evaluate_draws": 1}
+
     def test_agrees_with_analytic_bias(self, rng):
         from pinvtte import bias_exact
         from conftest import ensure_tail
@@ -268,7 +301,7 @@ class TestExhaustiveExpectation:
         c = random_clustering(gen, 6, 3)
         model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
         d = bernoulli_gcr(c, 0.4)
-        mean, _ = exhaustive_expectation(g, model, d, EstimatorSpec("pinv", 1))
+        mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         assert mean - true_tte(model) == pytest.approx(
             bias_exact(model, g, d, 1), abs=1e-10
         )

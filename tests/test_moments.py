@@ -20,7 +20,6 @@ from pinvtte import (
     bernoulli_gcr,
     complete_gcr,
     crd_cluster_moments,
-    crd_determinant,
     cycle_power,
     enumerate_subsets,
     enumerate_support,
@@ -31,10 +30,15 @@ from pinvtte import (
     singleton_clustering,
     size_class_pinv,
     size_class_sums,
-    support_moments,
     theta_vector,
 )
-from conftest import neighbors, random_clustering, random_graph
+from conftest import (
+    crd_determinant,
+    neighbors,
+    random_clustering,
+    random_graph,
+    support_moments,
+)
 
 
 def penrose_holds(M, P, atol=1e-10):
