@@ -24,10 +24,11 @@ v = M_w^+ psi; they differ only at U = (), which only the baseline reaches.
 So the split by order drops out: bias_exact builds one row per neighborhood
 size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c, and gathers it at
 (c of the owner, |U|) over the model re-keyed to (unit, cluster subset)
-pairs by outcomes._cluster_keys, the re-keying evaluate_draws uses, with the
-baseline at |U| = 0. bias_bound_gcr reduces the same keys with |U| > beta,
-which only subsets of order > beta reach: their |x_{i,U}|, and one bincount
-by (owner, |U|).
+pairs by cluster_aggregate, with the baseline at |U| = 0. bias_bound_gcr
+reduces the same keys with |U| > beta, which only subsets of order > beta
+reach: their |x_{i,U}|, and one bincount by (owner, |U|). Callers lift once:
+the bias and gamma profile functions take that re-keyed model and
+cluster_stats' neighborhoods; only variance_bound re-keys a model itself.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats, _size_rows, cluster_neighborhoods
+from .clustering import ClusterStats, _same_clustering, _size_rows
 from .design import Design, _sample_draws, joint_treat_prob
 from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph
@@ -52,7 +53,6 @@ from .moments import (
 from .outcomes import (
     ClusterAggregatedModel,
     LowOrderModel,
-    _cluster_keys,
     _sequential_sum,
     cluster_aggregate,
     mixed_signs,
@@ -162,7 +162,6 @@ def gamma_profile(
     d: Design,
     beta: int,
     gamma_source: str = "closed",
-    g: InterferenceGraph | None = None,
     mc_samples: int = 2000,
     mc_seed: int = 0,
 ) -> GammaProfile:
@@ -171,9 +170,10 @@ def gamma_profile(
     "closed" uses the exact closed forms (Bernoulli any order; complete
     design requires beta = 1 and also fills the scaled values). "quadform"
     computes theta' M^+ theta from analytic moment matrices, any design and
-    order. "monte_carlo" does the same from estimated moments and needs the
-    graph to locate each unit's cluster neighborhood.
+    order. "monte_carlo" does the same from moments estimated on each
+    unit's cluster neighborhood in stats.
     """
+    _same_clustering(d.clustering, stats)
     scaled: np.ndarray | None = None
     if gamma_source == "closed":
         if d.is_bernoulli:
@@ -195,16 +195,12 @@ def gamma_profile(
         gamma_sq = _by_size(stats, quadform)
         provenance = "quadform"
     elif gamma_source == "monte_carlo":
-        if g is None:
-            raise InputError("monte_carlo gamma needs the interference graph")
-        # monte_carlo_moments per unit, with the neighborhoods and draws
-        # built once
-        indptr, ids = cluster_neighborhoods(g, d.clustering)
+        # monte_carlo_moments per unit, with the draws built once
         W = _sample_draws(d, mc_seed, mc_samples)
         gamma_sq = np.array(
             [
-                gamma_quadform(_mc_moments(W, tuple(ids[a:b].tolist()), beta))
-                for a, b in zip(indptr[:-1], indptr[1:])
+                gamma_quadform(_mc_moments(W, tuple(stats.cluster_ids[a:b].tolist()), beta))
+                for a, b in zip(stats.indptr[:-1], stats.indptr[1:])
             ]
         )
         provenance = "quadform"
@@ -218,9 +214,7 @@ def gamma_profile(
 # ---------------------------------------------------------------------------
 
 
-def bias_exact(
-    model: LowOrderModel, g: InterferenceGraph, d: Design, beta: int
-) -> float:
+def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta: int) -> float:
     """Exact bias of the order-beta pseudoinverse estimator under design d.
 
     Evaluated at the cluster level by one gather (see module docstring).
@@ -229,8 +223,7 @@ def bias_exact(
     """
     if beta < 1:
         raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    if model.n != g.n or d.n != g.n:
-        raise InputError("model, graph, and design must agree on n")
+    _same_clustering(d.clustering, agg, stats)
 
     def row(c: int, unit: int) -> np.ndarray:
         # (M v)_k on a size-k cluster subset, k = 0..c, minus theta_k
@@ -239,11 +232,9 @@ def bias_exact(
         Mv = size_class_sums(probs, c, c, a.size - 1) @ a
         return Mv - (np.arange(c + 1) > 0)
 
-    table, base = _size_rows(np.diff(cluster_neighborhoods(g, d.clustering)[0]), row)
-    model._validate(g)
-    keys = _cluster_keys(model, np.asarray(d.clustering.assignment), d.clustering.m)
-    total = model.baseline @ table[base] + keys.values @ table[base[keys.owner] + keys.order]
-    return float(total) / g.n
+    table, base = _size_rows(np.diff(stats.indptr), row)
+    total = agg.baseline @ table[base] + agg.values @ table[base[agg.owner] + agg.order]
+    return float(total) / stats.n
 
 
 class BiasBoundGCR(NamedTuple):
@@ -260,18 +251,17 @@ class BiasBoundGCR(NamedTuple):
     refined: float
 
 
-def bias_bound_gcr(
-    model: LowOrderModel, g: InterferenceGraph, clustering: Clustering, beta: int
-) -> BiasBoundGCR:
+def bias_bound_gcr(model: LowOrderModel, agg: ClusterAggregatedModel, beta: int) -> BiasBoundGCR:
     """Worst-case bias magnitude of the order-beta estimator under any
-    Bernoulli cluster design on this clustering."""
-    keys = cluster_aggregate(model, g, clustering)
-    size = keys.order
+    Bernoulli cluster design on the clustering of agg, the re-keyed model."""
+    if model.n != agg.baseline.size:
+        raise InputError("model and aggregated model must agree on n")
+    size = agg.order
     # an image of more than beta clusters has only subsets of order > beta
     wide = size > beta
-    x = keys.values[wide]
-    by_card = np.bincount(keys.owner[wide] * (model.beta_star + 1) + size[wide], weights=x)
-    n = g.n
+    x = agg.values[wide]
+    by_card = np.bincount(agg.owner[wide] * (agg.beta_star + 1) + size[wide], weights=x)
+    n = model.n
     return BiasBoundGCR(
         float(np.abs(x).sum()) / n,
         float(np.abs(model.values[model.order > beta]).sum()) / n,
@@ -410,8 +400,8 @@ def variance_bound(
     """
     if B <= 0:
         raise InputError(f"outcome bound B={B} must be positive")
-    if stats.n != g.n or d.n != g.n:
-        raise InputError("graph, stats, and design must agree on n")
+    if stats.n != g.n:
+        raise InputError("graph and stats must agree on n")
     n = g.n
     agg = None if model is None else cluster_aggregate(model, g, d.clustering)
     if monotone and agg is not None and mixed_signs(agg):
@@ -419,7 +409,7 @@ def variance_bound(
             "monotone effects asserted but aggregated coefficients have mixed signs"
         )
 
-    profile = gamma_profile(stats, d, beta, gamma_source, g=g)
+    profile = gamma_profile(stats, d, beta, gamma_source)
     if gamma_source == "closed" and d.is_bernoulli:
         eff = _by_size(stats, lambda c: gamma_gcr_envelope(c, beta, d.p))
     elif gamma_source == "closed":
@@ -456,9 +446,9 @@ def variance_bound(
     bias_val: float | None = None
     bias_bound_val: float | None = None
     if model is not None:
-        bias_val = bias_exact(model, g, d, beta)
+        bias_val = bias_exact(agg, stats, d, beta)
         if d.is_bernoulli:
-            bias_bound_val = bias_bound_gcr(model, g, d.clustering, beta).x_norm
+            bias_bound_val = bias_bound_gcr(model, agg, beta).x_norm
         elif beta == 1 and model.beta_star == 1:
             bias_bound_val = bias_crd(agg, stats, d.m, d.k, B)[1]
 

@@ -74,8 +74,8 @@ class Clustering:
 
 @dataclass(frozen=True, eq=False)
 class ClusterStats:
-    """Per-unit cluster neighborhoods and the graph-level summaries that the
-    variance and bias bounds consume.
+    """Per-unit cluster neighborhoods under clustering and the graph-level
+    summaries that estimator weights, bias and bounds consume.
 
     The cluster neighborhood of unit i, the sorted distinct ids of the
     clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]] (the CSR
@@ -85,7 +85,7 @@ class ClusterStats:
     that make a completely randomized design singular).
     """
 
-    m: int
+    clustering: Clustering
     indptr: np.ndarray
     cluster_ids: np.ndarray
     C_max: int
@@ -95,6 +95,17 @@ class ClusterStats:
     @property
     def n(self) -> int:
         return self.indptr.size - 1
+
+    @property
+    def m(self) -> int:
+        return self.clustering.m
+
+
+def _same_clustering(c: Clustering, *lifted) -> None:
+    """Raise InputError unless each lifted input was built from c."""
+    for x in lifted:
+        if x.clustering != c:
+            raise InputError(f"{type(x).__name__} and design must agree on the clustering")
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -146,10 +157,11 @@ def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
+    """Lift g to the clusters of c, for weights, exact bias and bounds."""
     indptr, ids = cluster_neighborhoods(g, c)
     sizes = np.diff(indptr)
     return ClusterStats(
-        m=c.m,
+        clustering=c,
         indptr=indptr,
         cluster_ids=ids,
         C_max=int(sizes.max()),

@@ -8,8 +8,9 @@ recombine them.
 Each weight depends on a draw only through (c_i, t_i): the number of clusters
 in unit i's cluster neighborhood and how many of them are treated. So every
 estimator is a table of weights by (c, t), built only for the c present, and
-one gather applies any table to a whole matrix of draws. The four tables are
-derived independently and cross-checked in tests:
+one gather applies any table to a whole matrix of draws; both read only the
+ClusterStats of clustering.cluster_stats. The four tables are derived
+independently and cross-checked in tests:
 
   pinv          moment-matrix route, any design: sum_s a_s(c) C(t, s), where
                 v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, _size_rows, cluster_neighborhoods
+from .clustering import Clustering, ClusterStats, _same_clustering, _size_rows, cluster_stats
 from .design import (
     AssignmentDraw,
     Design,
@@ -136,10 +137,10 @@ def _crd1_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
 _ROWS = {"pinv": _pinv_row, "gcr_explicit": _gcr_row, "ht": _ht_row, "crd1": _crd1_row}
 
 
-def _table(g: InterferenceGraph, d: Design, kind: str, beta: int | None):
-    """Flat weight table for every unit of g: unit i's weight when t of its
-    clusters are treated is values[base[i] + t]. Returns (values, base,
-    (indptr, cluster_ids))."""
+def _table(stats: ClusterStats, d: Design, kind: str, beta: int | None):
+    """Flat weight table for every unit of stats: unit i's weight when t of
+    its clusters are treated is values[base[i] + t]. Returns (values, base)."""
+    _same_clustering(d.clustering, stats)
     if kind not in _ROWS:
         raise InputError(f"unknown estimator kind {kind!r}")
     if kind in ("pinv", "gcr_explicit") and (beta is None or beta < 1):
@@ -148,17 +149,15 @@ def _table(g: InterferenceGraph, d: Design, kind: str, beta: int | None):
         raise InputError("gcr_explicit needs a Bernoulli design")
     if kind == "crd1" and d.variant != "complete_gcr":
         raise InputError("crd1 needs a complete cluster design")
-    indptr, ids = cluster_neighborhoods(g, d.clustering)
-    values, base = _size_rows(np.diff(indptr), lambda c, unit: _ROWS[kind](d, beta, c, unit))
-    return values, base.astype(np.int32), (indptr, ids)
+    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: _ROWS[kind](d, beta, c, unit))
+    return values, base.astype(np.int32)
 
 
-def _gather(values: np.ndarray, base: np.ndarray, nbhd, W: np.ndarray) -> np.ndarray:
+def _gather(values: np.ndarray, base: np.ndarray, stats: ClusterStats, W) -> np.ndarray:
     """(R, n) weights for the (R, m) int8 draw matrix W."""
     if W.size and (W.min() < 0 or W.max() > 1):
         raise InputError("cluster draws must be 0/1 treatment indicators")
-    indptr, ids = nbhd
-    treated = np.add.reduceat(W[:, ids], indptr[:-1], axis=1, dtype=np.int32)
+    treated = np.add.reduceat(W[:, stats.cluster_ids], stats.indptr[:-1], axis=1, dtype=np.int32)
     treated += base
     return values[treated]
 
@@ -189,25 +188,26 @@ def estimate(
         raise InputError(f"design covers {d.n} units but graph has {g.n}")
     if draw.w.shape != (d.m,):
         raise InputError(f"draw has {draw.w.shape[0]} clusters, design has {d.m}")
-    values, base, nbhd = _table(g, d, kind, beta)
-    weights = _gather(values, base, nbhd, np.asarray(draw.w, dtype=np.int8)[None, :])[0]
+    stats = cluster_stats(g, d.clustering)
+    values, base = _table(stats, d, kind, beta)
+    weights = _gather(values, base, stats, np.asarray(draw.w, dtype=np.int8)[None, :])[0]
     order = {"ht": None, "crd1": 1}.get(kind, beta)
     return EstimateBreakdown(kind, order, float(np.mean(Y * weights)), weights)
 
 
 def batch_estimates(
-    g: InterferenceGraph, d: Design, kind: str, beta: int | None, W: np.ndarray, Y: np.ndarray
+    stats: ClusterStats, d: Design, kind: str, beta: int | None, W: np.ndarray, Y: np.ndarray
 ) -> np.ndarray:
     """mean(Y[r] * weights[r]) for every row r of the (R, m) draw matrix W and
-    the (R, n) outcome matrix Y: the table and gather of estimate, applied to
-    blocks of draws so that no (R, n) weight array is held."""
+    the (R, n) outcome matrix Y, on stats built from d's clustering: the table
+    and gather of estimate over blocks of draws, holding no (R, n) weights."""
     W = np.asarray(W, dtype=np.int8)
-    values, base, nbhd = _table(g, d, kind, beta)
+    values, base = _table(stats, d, kind, beta)
     out = np.empty(W.shape[0])
-    step = max(1, _BLOCK // g.n)
+    step = max(1, _BLOCK // stats.n)
     for start in range(0, W.shape[0], step):
         block = slice(start, start + step)
-        out[block] = np.mean(Y[block] * _gather(values, base, nbhd, W[block]), axis=1)
+        out[block] = np.mean(Y[block] * _gather(values, base, stats, W[block]), axis=1)
     return out
 
 

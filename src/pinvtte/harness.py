@@ -5,12 +5,13 @@ an experiment seeded with s draws its assignment from the stream (s, r), and
 all reductions into summary statistics use ``math.fsum`` in a fixed order,
 so parallel or repeated runs produce identical numbers.
 
-Replicated runs and the exhaustive oracle share one cell: a matrix of
-cluster draws (the (seed, r) streams, or the design's whole support), one
+Replicated runs and the exhaustive oracle share one cell: the graph and
+model lifted to clusters once (cluster_stats, cluster_aggregate), a matrix
+of cluster draws (the (seed, r) streams, or the design's whole support), one
 evaluation of their outcomes and each estimator's weight table on them
 (replicate_estimates), then one fsum reduction per estimator (_mean_var,
-weighted by probability on a non-uniform support). Several estimators of
-a cell share its draws, outcomes and support enumeration.
+weighted by probability on a non-uniform support). Several estimators of a
+cell share all of these; its bias and bound are taken once per order.
 """
 
 from __future__ import annotations
@@ -27,13 +28,20 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
-from .clustering import Clustering, ClusterStats, cluster_neighborhoods, cluster_stats
+from .clustering import Clustering, ClusterStats, _same_clustering, cluster_stats
 from .design import Design, _sample_draws, enumerate_support
 from .errors import InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
 from .moments import _mc_moments, analytic_cluster_moments
-from .outcomes import LowOrderModel, evaluate_draws, outcome_bound, true_tte
+from .outcomes import (
+    ClusterAggregatedModel,
+    LowOrderModel,
+    cluster_aggregate,
+    evaluate_draws,
+    outcome_bound,
+    true_tte,
+)
 
 __all__ = [
     "EstimatorSpec",
@@ -106,7 +114,7 @@ class ExperimentConfig:
     """One replicated-experiment cell: everything a run needs, plus a seed.
 
     tag is a free-form label copied into the report (the CLI uses it to mark
-    grid cells such as "w=4".
+    grid cells such as "w=4").
     """
 
     graph: InterferenceGraph
@@ -133,8 +141,8 @@ class ExperimentReport:
     variance, matching mean((estimate - tte)^2) up to float rounding).
     analytic_bias is None when no closed form applies (Horvitz-Thompson
     under a complete design); var_bound is None for Horvitz-Thompson.
-    wall_time_s times the whole shared cell: sampling the draws, evaluating
-    their outcomes and every estimator's weights. Every report of a cell run
+    wall_time_s times the whole shared cell: its lift to clusters, draws,
+    outcomes and every estimator's weights. Every report of a cell run
     together (run_experiments) carries the same value; the analytic bias and
     the variance bound are not included.
     """
@@ -156,22 +164,23 @@ class ExperimentReport:
 
 
 def replicate_estimates(
-    g: InterferenceGraph,
-    model: LowOrderModel,
+    agg: ClusterAggregatedModel,
+    stats: ClusterStats,
     d: Design,
     specs: Sequence[EstimatorSpec],
     W: np.ndarray,
 ) -> list[np.ndarray]:
     """Each spec's estimates for a batch of cluster assignments, one per row
-    of W.
+    of W, from agg and stats lifted to d's clustering.
 
     The outcomes of all draws are evaluated once, in one batched call
     (outcomes.evaluate_draws), and freed on return; each estimator applies
     its weight table to the same draws and outcomes
     (estimator.batch_estimates).
     """
-    Y = evaluate_draws(model, g, d.clustering, W)
-    return [batch_estimates(g, d, spec.kind, spec.beta, W, Y) for spec in specs]
+    _same_clustering(d.clustering, agg, stats)
+    Y = evaluate_draws(agg, W)
+    return [batch_estimates(stats, d, spec.kind, spec.beta, W, Y) for spec in specs]
 
 
 def _mean_var(est: np.ndarray, probs: list[float] | None = None) -> tuple[float, float]:
@@ -192,26 +201,6 @@ def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
     return mean_est, bias, var, bias * bias + var
 
 
-def _analytic_bias(cfg: ExperimentConfig) -> float | None:
-    spec = cfg.estimator
-    if spec.kind == "ht":
-        # Horvitz-Thompson is unbiased whenever its weights are defined
-        # under a Bernoulli design; no closed form is kept for the complete
-        # design, where full-contact units can bias it.
-        return 0.0 if cfg.design.is_bernoulli else None
-    return bias_exact(cfg.model, cfg.graph, cfg.design, spec.order)
-
-
-def _var_bound(cfg: ExperimentConfig, B: float, stats: ClusterStats | None) -> float | None:
-    order = cfg.estimator.order
-    if order is None or B <= 0.0:
-        return None
-    rep = variance_bound(
-        cfg.graph, stats, cfg.design, order, B, gamma_source=cfg.gamma_source
-    )
-    return rep.var_bound_pairwise
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one experiment cell: R replicated draws, summary statistics."""
     return run_experiments([cfg])[0]
@@ -221,11 +210,12 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
     """Run one experiment cell for several estimators, one report each.
 
     The configurations must agree in everything but their estimator. The
-    cell's draws are sampled and their outcomes evaluated once, then every
-    estimator is applied to the same draws. Replicate r draws its assignment
-    from the stream (seed, r), so each report is identical to a run of its
-    configuration alone, no matter how replicates are scheduled. Empirical
-    variance uses the population convention (divide by R).
+    cell is lifted to clusters, sampled and evaluated once, then every
+    estimator is applied to the same draws; the analytic bias and variance
+    bound are computed once per distinct order. Replicate r draws its
+    assignment from the stream (seed, r), so each report is identical to a
+    run of its configuration alone, no matter how replicates are scheduled.
+    Empirical variance uses the population convention (divide by R).
 
     Raises
     ------
@@ -244,15 +234,23 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 )
     g, model, d, R = first.graph, first.model, first.design, first.replications
     t0 = time.perf_counter()
+    agg = cluster_aggregate(model, g, d.clustering)
+    stats = cluster_stats(g, d.clustering)
     W = _sample_draws(d, first.seed, R)
-    estimates = replicate_estimates(g, model, d, [cfg.estimator for cfg in cfgs], W)
+    estimates = replicate_estimates(agg, stats, d, [cfg.estimator for cfg in cfgs], W)
     wall = time.perf_counter() - t0
     del W  # freed before the bias and variance bound allocate theirs
     tte = true_tte(model)
-    # the variance bound's inputs, once per cell and only if a spec needs them
-    bounded = any(cfg.estimator.order is not None for cfg in cfgs)
-    B = outcome_bound(model, g) if bounded else 0.0
-    stats = cluster_stats(g, d.clustering) if B > 0.0 else None
+    # (analytic bias, variance bound) by order. Horvitz-Thompson (None) is
+    # unbiased under a Bernoulli design; full-contact units can bias it under
+    # the complete design, for which no closed form is kept.
+    analytic = {None: (0.0 if d.is_bernoulli else None, None)}
+    orders = dict.fromkeys(cfg.estimator.order for cfg in cfgs if cfg.estimator.order)
+    B = outcome_bound(model, g) if orders else 0.0
+    for order in orders:
+        exact = bias_exact(agg, stats, d, order)
+        rep = variance_bound(g, stats, d, order, B, first.gamma_source) if B > 0.0 else None
+        analytic[order] = exact, None if rep is None else rep.var_bound_pairwise
     reports = []
     for cfg, est in zip(cfgs, estimates):
         mean_est, bias, var, mse = _summary(est, tte)
@@ -269,8 +267,8 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 empirical_variance=var,
                 empirical_mse=mse,
                 empirical_rmse=math.sqrt(mse),
-                analytic_bias=_analytic_bias(cfg),
-                var_bound=_var_bound(cfg, B, stats),
+                analytic_bias=analytic[cfg.estimator.order][0],
+                var_bound=analytic[cfg.estimator.order][1],
                 wall_time_s=wall,
             )
         )
@@ -328,7 +326,8 @@ def exhaustive_expectation(
     probs = [pr for pr, _ in support]
     if all(pr == probs[0] for pr in probs):
         probs = None
-    return [_mean_var(est, probs) for est in replicate_estimates(g, model, d, specs, W)]
+    lifted = cluster_aggregate(model, g, d.clustering), cluster_stats(g, d.clustering)
+    return [_mean_var(est, probs) for est in replicate_estimates(*lifted, d, specs, W)]
 
 
 def select_clustering(
@@ -354,10 +353,7 @@ def select_clustering(
         raise InputError("no candidate clusterings")
     scored = []
     for idx, c in enumerate(candidates):
-        d = design_for(c)
-        rep = variance_bound(
-            g, cluster_stats(g, c), d, beta, B, gamma_source="quadform"
-        )
+        rep = variance_bound(g, cluster_stats(g, c), design_for(c), beta, B, "quadform")
         scored.append((rep.var_bound_pairwise, c.m, idx, rep))
     scored.sort(key=lambda t: t[:3])
     ranking = [(idx, rep) for _, _, idx, rep in scored]
@@ -384,7 +380,8 @@ def rmse_ratio(
     rmses = []
     for c in candidates:
         d = ExperimentConfig(g, model, design_for(c), spec, replications, seed).design
-        [est] = replicate_estimates(g, model, d, [spec], _sample_draws(d, seed, replications))
+        agg, stats = cluster_aggregate(model, g, d.clustering), cluster_stats(g, d.clustering)
+        [est] = replicate_estimates(agg, stats, d, [spec], _sample_draws(d, seed, replications))
         rmses.append(math.sqrt(_summary(est, tte)[3]))
     return rmses[chosen] / min(rmses), rmses
 
@@ -406,7 +403,10 @@ def mc_convergence_report(
     deviations over all (seed, unit) pairs, with log10 columns ready for
     log-log plotting.
     """
-    indptr, ids = cluster_neighborhoods(g, d.clustering)
+    if not all(0 <= i < g.n for i in units):
+        raise InputError(f"units {list(units)} not all within [0, {g.n})")
+    stats = cluster_stats(g, d.clustering)
+    indptr, ids = stats.indptr, stats.cluster_ids
     grounds = {i: tuple(ids[indptr[i] : indptr[i + 1]].tolist()) for i in units}
     targets = {i: analytic_cluster_moments(d, grounds[i], beta).M_pinv for i in units}
     if min(R_grid, default=1) < 1:

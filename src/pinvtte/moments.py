@@ -231,6 +231,8 @@ def monte_carlo_moments(
     Replicate r uses the (seed, r) stream, so estimates are reproducible and
     draw-parallel. The pseudoinverse is numeric.
     """
+    if not 0 <= i < g.n:
+        raise InputError(f"unit {i} outside [0, {g.n})")
     W = _sample_draws(d, seed, R)
     indptr, ids = cluster_neighborhoods(g, d.clustering)
     return _mc_moments(W, tuple(ids[indptr[i] : indptr[i + 1]].tolist()), beta)

@@ -5,8 +5,9 @@ sparse combination of products of treatments over subsets of its neighborhood,
 with subset order capped at beta_star. The empty subset carries the baseline
 (the outcome under global control) and is always present.
 
-A model is stored flat, one row per non-empty subset, so evaluation,
-re-keying by clusters and every reduction run as array operations.
+A model is stored flat, one row per non-empty subset, so evaluation and
+every reduction run as array operations. cluster_aggregate validates it and
+re-keys it by clusters, once, for evaluate_draws and the bias in bounds.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class LowOrderModel:
 
 @dataclass(frozen=True, eq=False)
 class ClusterAggregatedModel:
-    """Coefficients re-keyed by the clusters their subsets touch.
+    """Coefficients re-keyed by the clusters of clustering their subsets touch.
 
     Row r holds x_{i,U} = values[r] for i = owner[r] and U the entries of
     members[r] other than the pad index m: the sum of c_{i,S} over keyed
@@ -182,7 +183,11 @@ class ClusterAggregatedModel:
     members: np.ndarray
     values: np.ndarray
     baseline: np.ndarray
-    m: int
+    clustering: Clustering
+
+    @property
+    def m(self) -> int:
+        return self.clustering.m
 
     @property
     def order(self) -> np.ndarray:
@@ -207,9 +212,7 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     return y
 
 
-def _cluster_keys(
-    model: LowOrderModel, assignment: np.ndarray, m: int
-) -> ClusterAggregatedModel:
+def _cluster_keys(model: LowOrderModel, c: Clustering) -> ClusterAggregatedModel:
     """Re-key the model's subsets by the clusters their members fall in.
     This is the one map from unit subsets S to their cluster images U.
 
@@ -220,11 +223,11 @@ def _cluster_keys(
     sorts last. Rows come back sorted by (owner, U), trailing all-pad
     columns dropped.
     """
-    cmap = np.append(assignment, m)[model.members]
+    cmap = np.append(c.assignment, c.m)[model.members]
     cmap.sort(axis=1)
-    cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = m
+    cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = c.m
     cmap.sort(axis=1)
-    width = int((cmap < m).sum(axis=1).max(initial=0))
+    width = int((cmap < c.m).sum(axis=1).max(initial=0))
     rows = np.column_stack([model.owner, cmap[:, :width]])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
@@ -233,46 +236,37 @@ def _cluster_keys(
     values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
     keys = rows[first]
     return ClusterAggregatedModel(
-        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, m
+        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, c
     )
 
 
-def evaluate_draws(
-    model: LowOrderModel, g: InterferenceGraph, clustering: Clustering, W
-) -> np.ndarray:
-    """Outcome matrix (R, n) for the (R, m) matrix W of 0/1 cluster draws,
-    each lifted to units by the clustering.
+def evaluate_draws(agg: ClusterAggregatedModel, W) -> np.ndarray:
+    """Outcome matrix (R, n) for the (R, m) matrix W of 0/1 cluster draws of
+    agg's clustering.
 
-    The model is re-keyed once to cluster subsets, where
-    Y_i = sum_U x_{i,U} prod_{C in U} w_C, and blocks of draws are gathered
-    over those keys under a fixed element budget. Row r depends only on
-    draw r, whatever R or the block size.
+    On the re-keyed model Y_i = sum_U x_{i,U} prod_{C in U} w_C, and blocks
+    of draws are gathered over its keys under a fixed element budget. Row r
+    depends only on draw r, whatever R or the block size.
     """
-    if clustering.n != g.n:
-        raise InputError(f"clustering covers {clustering.n} units but graph has {g.n}")
     W = np.asarray(W)
-    if W.ndim != 2 or W.shape[1] != clustering.m:
-        raise InputError(f"W has shape {W.shape}, expected (R, {clustering.m})")
+    if W.ndim != 2 or W.shape[1] != agg.m:
+        raise InputError(f"W has shape {W.shape}, expected (R, {agg.m})")
     if not np.all((W == 0) | (W == 1)):
         raise InputError("cluster draws must be 0 or 1")
-    model._validate(g)
     R = W.shape[0]
-    if not model.values.size:
-        return np.tile(model.baseline, (R, 1))
-    # re-keyed before Y is allocated, so the re-keying temporaries are freed
-    # by the time Y is held
-    keys = _cluster_keys(model, np.asarray(clustering.assignment), clustering.m)
-    units, starts = np.unique(keys.owner, return_index=True)
-    Y = np.tile(model.baseline, (R, 1))
-    Wpad = np.ones((R, clustering.m + 1), dtype=np.int8)
+    Y = np.tile(agg.baseline, (R, 1))
+    if not agg.values.size:
+        return Y
+    units, starts = np.unique(agg.owner, return_index=True)
+    Wpad = np.ones((R, agg.m + 1), dtype=np.int8)
     Wpad[:, :-1] = W
-    step = max(1, _BLOCK // keys.values.size)
+    step = max(1, _BLOCK // agg.values.size)
     for start in range(0, R, step):
         block = Wpad[start : start + step]
-        hit = block[:, keys.members[:, 0]]
-        for col in keys.members.T[1:]:
+        hit = block[:, agg.members[:, 0]]
+        for col in agg.members.T[1:]:
             hit &= block[:, col]
-        Y[start : start + step, units] += np.add.reduceat(hit * keys.values, starts, axis=1)
+        Y[start : start + step, units] += np.add.reduceat(hit * agg.values, starts, axis=1)
     return Y
 
 
@@ -360,12 +354,12 @@ def cluster_aggregate(
     """Sum coefficients over subsets with the same cluster image.
 
     x_{i,U} collects every keyed c_{i,S} whose members' clusters are exactly
-    the set U: the re-keying that evaluate_draws evaluates.
+    the set U, after the model is checked against the graph.
     """
     if c.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")
     model._validate(g)
-    return _cluster_keys(model, np.asarray(c.assignment), c.m)
+    return _cluster_keys(model, c)
 
 
 def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:

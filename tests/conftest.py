@@ -21,7 +21,9 @@ from pinvtte import (
     InputError,
     InterferenceGraph,
     LowOrderModel,
+    cluster_aggregate,
     cluster_neighborhoods,
+    cluster_stats,
     enumerate_subsets,
     enumerate_support,
     joint_treat_prob,
@@ -286,6 +288,20 @@ def oracle_cluster_aggregate(
             xmap[u] = xmap.get(u, 0.0) + val
         rows.append(xmap)
     return rows
+
+
+def lift(
+    model: LowOrderModel, g: InterferenceGraph, c: Clustering
+) -> tuple[ClusterAggregatedModel, ClusterStats]:
+    """The re-keyed model and the cluster neighborhoods of (model, g) under
+    c: the two cluster-level inputs of evaluation, weights, bias and bounds."""
+    return cluster_aggregate(model, g, c), cluster_stats(g, c)
+
+
+def shifted_blocks(n: int, w: int) -> Clustering:
+    """Cycle blocks of width w shifted by w // 2: as many clusters as
+    contiguous_cycle_clusters(n, w), but another partition."""
+    return Clustering.from_labels([((i + w // 2) // w) % (n // w) for i in range(n)])
 
 
 def agg_dicts(agg: ClusterAggregatedModel) -> list[dict[tuple[int, ...], float]]:

@@ -60,7 +60,7 @@ from pinvtte import (
     variance_bound,
 )
 
-from conftest import cluster_rows, crd_determinant, neighbors, support_moments
+from conftest import cluster_rows, crd_determinant, lift, neighbors, support_moments
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         model = _random_model(rng, g, 2)
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
-        exact = bias_exact(model, g, d, 1)
+        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
             failures.append(f"bern trial {trial}: gap {gap:.2e}")
@@ -171,7 +171,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         model = _random_model(rng, g, 2)
         d = complete_gcr(c, k)
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
-        exact = bias_exact(model, g, d, 1)
+        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
             failures.append(f"crd trial {trial}: gap {gap:.2e}")
@@ -182,7 +182,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
     )
     for p in (0.25, 0.4, 0.5):
         d = bernoulli_gcr(singleton_clustering(2), p)
-        exact = bias_exact(pair_model, pair_graph, d, 1)
+        exact = bias_exact(*lift(pair_model, pair_graph, d.clustering), d, 1)
         if abs(exact - (2 * p - 1)) >= 1e-12:
             failures.append(f"delta pair p={p}: {exact}")
     _verdict(2, failures, time.monotonic() - t0, 30.0, announce)
@@ -201,7 +201,7 @@ def test_acceptance_03_bias_bound_chain(announce):
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         bias = abs(mean - true_tte(model))
-        bound = bias_bound_gcr(model, g, c, 1)
+        bound = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
         slack = 1e-12
         if not (bias <= bound.x_norm + slack and bound.x_norm <= bound.c_norm + slack):
             failures.append(
@@ -378,7 +378,7 @@ def test_acceptance_08_low_order_truncation_grid(announce):
         mse_full = reports[(width, 4, "pinv")].empirical_mse
         if not mse_low < mse_full:
             failures.append(f"w={width}: {mse_low:.4e} !< {mse_full:.4e}")
-        bound = bias_bound_gcr(model, g, clustering, 1)
+        bound = bias_bound_gcr(model, cluster_aggregate(model, g, clustering), 1)
         # the unit-level tail norm does not depend on the clustering; the
         # refined cluster-level bound only tightens it
         if bound.c_norm != pytest.approx(0.4375, abs=1e-12):

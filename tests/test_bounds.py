@@ -20,6 +20,7 @@ from pinvtte import (
     cluster_aggregate,
     cluster_stats,
     complete_gcr,
+    contiguous_cycle_clusters,
     crd_cluster_moments,
     cycle_power,
     draw_from_w,
@@ -46,6 +47,8 @@ from conftest import (
     cluster_rows,
     csr_graph,
     ensure_tail,
+    lift,
+    shifted_blocks,
     neighbors,
     oracle_bias_bound_gcr,
     oracle_bias_exact,
@@ -187,11 +190,7 @@ class TestGammaProfile:
         g = cycle_power(6, 1)
         c = singleton_clustering(6)
         d = bernoulli_gcr(c, 0.5)
-        with pytest.raises(InputError, match="graph"):
-            gamma_profile(cluster_stats(g, c), d, 1, "monte_carlo")
-        prof = gamma_profile(
-            cluster_stats(g, c), d, 1, "monte_carlo", g=g, mc_samples=4000
-        )
+        prof = gamma_profile(cluster_stats(g, c), d, 1, "monte_carlo", mc_samples=4000)
         closed = gamma_profile(cluster_stats(g, c), d, 1, "closed")
         assert np.allclose(prof.gamma_sq, closed.gamma_sq, rtol=0.2)
 
@@ -207,7 +206,7 @@ class TestGammaProfile:
             d = bernoulli_gcr(c, 0.3) if trial % 2 else complete_gcr(c, m // 2)
             beta = 1 + trial // 2
             prof = gamma_profile(
-                cluster_stats(g, c), d, beta, "monte_carlo", g=g, mc_samples=300, mc_seed=trial
+                cluster_stats(g, c), d, beta, "monte_carlo", mc_samples=300, mc_seed=trial
             )
             per_unit = [
                 gamma_quadform(monte_carlo_moments(d, g, i, beta, 300, trial)) for i in range(n)
@@ -227,7 +226,8 @@ class TestBiasExact:
     def test_pair_interaction_closed_form(self, p):
         g, model = delta_pair_instance()
         d = bernoulli_unit(2, p)
-        assert bias_exact(model, g, d, 1) == pytest.approx(2.0 * p - 1.0, abs=1e-12)
+        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
+        assert exact == pytest.approx(2.0 * p - 1.0, abs=1e-12)
 
     def test_zero_when_well_specified(self, rng):
         for trial in range(6):
@@ -236,7 +236,7 @@ class TestBiasExact:
             c = random_clustering(gen, 7, 3)
             model = random_model(gen, g, 2)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
-            assert bias_exact(model, g, d, 2) == pytest.approx(0.0, abs=1e-10)
+            assert bias_exact(*lift(model, g, d.clustering), d, 2) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_exhaustive_bernoulli(self, rng):
         for trial in range(8):
@@ -246,7 +246,7 @@ class TestBiasExact:
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
             mean, _ = exhaustive_moments(g, model, d, 1)
-            assert bias_exact(model, g, d, 1) == pytest.approx(
+            assert bias_exact(*lift(model, g, d.clustering), d, 1) == pytest.approx(
                 mean - true_tte(model), abs=1e-10
             )
 
@@ -259,7 +259,7 @@ class TestBiasExact:
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = complete_gcr(c, int(gen.integers(1, m)))
             mean, _ = exhaustive_moments(g, model, d, 1)
-            assert bias_exact(model, g, d, 1) == pytest.approx(
+            assert bias_exact(*lift(model, g, d.clustering), d, 1) == pytest.approx(
                 mean - true_tte(model), abs=1e-10
             )
 
@@ -267,16 +267,16 @@ class TestBiasExact:
         g, model = delta_pair_instance()
         d = bernoulli_unit(2, 0.5)
         with pytest.raises(InputError, match="beta"):
-            bias_exact(model, g, d, 0)
+            bias_exact(*lift(model, g, d.clustering), d, 0)
         with pytest.raises(InputError, match="agree"):
-            bias_exact(model, cycle_power(4, 1), bernoulli_unit(4, 0.5), 1)
+            bias_exact(*lift(model, g, d.clustering), bernoulli_unit(4, 0.5), 1)
 
 
 class TestBiasBoundGcr:
     def test_cycle_tail_mass(self):
         g = cycle_power(120, 3)
         model = gen_cycle_model(g, 4)
-        bb = bias_bound_gcr(model, g, singleton_clustering(120), 1)
+        bb = bias_bound_gcr(model, cluster_aggregate(model, g, singleton_clustering(120)), 1)
         assert bb.c_norm == pytest.approx(0.4375, abs=1e-12)
         # singleton clusters leave nothing to aggregate or cancel
         assert bb.x_norm == pytest.approx(bb.c_norm, abs=1e-12)
@@ -289,8 +289,8 @@ class TestBiasBoundGcr:
             c = random_clustering(gen, 7, 3)
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
-            bb = bias_bound_gcr(model, g, c, 1)
-            assert abs(bias_exact(model, g, d, 1)) <= bb.refined + 1e-12
+            bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
+            assert abs(bias_exact(*lift(model, g, d.clustering), d, 1)) <= bb.refined + 1e-12
             assert bb.refined <= bb.x_norm + 1e-12
             assert bb.x_norm <= bb.c_norm + 1e-12
 
@@ -306,7 +306,7 @@ class TestBiasBoundGcr:
             ),
         )
         c = Clustering.from_labels([0, 1, 1])
-        bb = bias_bound_gcr(model, g, c, 1)
+        bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
         assert bb.c_norm == pytest.approx(2.0 / 3.0)
         assert bb.x_norm == 0.0
 
@@ -322,7 +322,7 @@ class TestBiasBoundGcr:
                 {(): 0.0},
             ),
         )
-        bb = bias_bound_gcr(model, g, singleton_clustering(3), 1)
+        bb = bias_bound_gcr(model, cluster_aggregate(model, g, singleton_clustering(3)), 1)
         assert bb.x_norm == pytest.approx(2.0 / 3.0)
         assert bb.refined == 0.0
 
@@ -364,8 +364,9 @@ class TestPerKeyOracles:
             for got_i, want_i in zip(agg_dicts(cluster_aggregate(model, g, c)), want):
                 assert got_i.keys() == want_i.keys()
                 assert all(close(got_i[u], val) for u, val in want_i.items())
-            assert close(bias_exact(model, g, d, beta), oracle_bias_exact(model, g, d, beta))
-            bb = bias_bound_gcr(model, g, c, beta)
+            exact = bias_exact(*lift(model, g, d.clustering), d, beta)
+            assert close(exact, oracle_bias_exact(model, g, d, beta))
+            bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), beta)
             assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, beta)))
         assert seen == {
             ("design", "bernoulli_gcr"),
@@ -451,6 +452,38 @@ class TestBiasCrd:
             bias_crd(cluster_aggregate(two, g, c), stats, 2, 1, 1.0)
         with pytest.raises(InputError, match="k="):
             bias_crd(agg, stats, 2, 2, 1.0)
+
+
+class TestLiftedClustering:
+    """bias_exact, gamma_profile and variance_bound reject lifted inputs
+    built from another clustering than the design's."""
+
+    def instance(self):
+        g = cycle_power(24, 1)
+        d = bernoulli_gcr(contiguous_cycle_clusters(24, 4), 0.3)
+        return g, gen_cycle_model(g, 1), d, shifted_blocks(24, 4)
+
+    def test_variance_bound(self):
+        g, _, d, shifted = self.instance()
+        rep = variance_bound(g, cluster_stats(g, d.clustering), d, 1, 1.0)
+        assert rep.var_bound_pairwise == pytest.approx(3.515792847081217, rel=1e-12)
+        for other in (contiguous_cycle_clusters(24, 2), shifted):
+            with pytest.raises(InputError, match="clustering"):
+                variance_bound(g, cluster_stats(g, other), d, 1, 1.0)
+
+    def test_gamma_profile(self):
+        g, _, d, shifted = self.instance()
+        with pytest.raises(InputError, match="clustering"):
+            gamma_profile(cluster_stats(g, shifted), d, 1, "quadform")
+
+    def test_bias_exact(self):
+        g, model, d, shifted = self.instance()
+        agg, stats = lift(model, g, d.clustering)
+        other_agg, other_stats = lift(model, g, shifted)
+        assert bias_exact(agg, stats, d, 1) == pytest.approx(0.0, abs=1e-12)
+        for pair in ((other_agg, stats), (agg, other_stats), (other_agg, other_stats)):
+            with pytest.raises(InputError, match="clustering"):
+                bias_exact(*pair, d, 1)
 
 
 class TestVarianceBound:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,82 @@ class TestMcMoments:
         assert len(m_rows) == 16
         err = [float(r["value"]) for r in rows if r["section"] == "fro_error"]
         assert len(err) == 1 and err[0] >= 0.0
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "100", "--unit", "99"], ["--samples", "100", "--unit", "-1"],
+                  ["--units", "0,-1"], ["--units", "0,50"]],
+    )
+    def test_unit_outside_graph(self, capsys, flags):
+        argv = ["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3"]
+        assert main(argv + ["--r-grid", "10", "--mc-seeds", "0"] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: unit")
+
+
+class TestLiftOnce:
+    """A run lifts its cell to clusters once: one re-keying of the model
+    (outcomes._cluster_keys), one set of cluster neighborhoods, and one
+    analytic bias and variance bound per distinct estimator order."""
+
+    RUNS = {
+        "simulate": [
+            "simulate", "--n", "240", "--radius", "3", "--model", "cycle",
+            "--beta-star", "2", "--clustering", "contiguous", "--width", "4",
+            "--design", "gcr", "--p", "0.25", "--estimator", "pinv:2,gcr_explicit:2,ht",
+            "--replications", "60", "--seed", "3",
+        ],
+        "bounds": [
+            "bounds", "--n", "60", "--radius", "2", "--model", "cycle", "--beta-star", "2",
+            "--clustering", "contiguous", "--width", "3", "--design", "gcr", "--p", "0.3",
+            "--beta", "1",
+        ],
+        "oracle": [
+            "oracle", "--n", "16", "--radius", "1", "--model", "cycle", "--beta-star", "2",
+            "--clustering", "contiguous", "--width", "2", "--design", "crd", "--k", "4",
+            "--estimator", "pinv:2,crd1,ht",
+        ],
+    }
+
+    def counted_run(self, monkeypatch, tmp_path, name):
+        calls = dict.fromkeys(
+            ["_cluster_keys", "cluster_neighborhoods", "bias_exact", "variance_bound"], 0
+        )
+
+        def counter(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # every module binding of the two lifting maps, and the harness's
+        # bias and bound
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("pinvtte."):
+                for key in ("_cluster_keys", "cluster_neighborhoods"):
+                    if hasattr(mod, key):
+                        monkeypatch.setattr(mod, key, counter(key, getattr(mod, key)))
+        harness = sys.modules["pinvtte.harness"]
+        for key in ("bias_exact", "variance_bound"):
+            monkeypatch.setattr(harness, key, counter(key, getattr(harness, key)))
+        _, rows, _ = run_csv(tmp_path, self.RUNS[name])
+        return calls, rows
+
+    def test_simulate_cell(self, monkeypatch, tmp_path):
+        calls, rows = self.counted_run(monkeypatch, tmp_path, "simulate")
+        assert calls == {
+            "_cluster_keys": 1, "cluster_neighborhoods": 1, "bias_exact": 1, "variance_bound": 1,
+        }
+        for estimator in ("pinv", "gcr_explicit"):
+            value = {r["metric"]: r["value"] for r in rows if r["estimator"] == estimator}
+            assert value["analytic_bias"] == "-2.636779683484747e-16"
+            assert value["var_bound"] == "5.692416520604741"
+
+    @pytest.mark.parametrize("name", ["bounds", "oracle"])
+    def test_one_lift(self, monkeypatch, tmp_path, name):
+        calls, _ = self.counted_run(monkeypatch, tmp_path, name)
+        assert calls["_cluster_keys"] == 1
+        assert calls["cluster_neighborhoods"] == 1
 
 
 class TestClusterCommand:

@@ -15,6 +15,7 @@ from pinvtte import (
     batch_estimates,
     bernoulli_gcr,
     bernoulli_unit,
+    cluster_stats,
     complete_gcr,
     crd_beta1_estimate,
     cycle_power,
@@ -31,7 +32,7 @@ from pinvtte import (
     true_tte,
 )
 from pinvtte.estimator import _gcr_row, _pinv_row
-from conftest import neighbors, random_clustering, random_graph, random_model
+from conftest import neighbors, random_clustering, random_graph, random_model, shifted_blocks
 
 
 def single_unit():
@@ -192,7 +193,7 @@ class TestBatchKernels:
         gen = np.random.default_rng(seed)
         W = np.stack([sample(d, seed, r).w for r in range(12)])
         Y = gen.standard_normal((12, g.n))
-        batch = batch_estimates(g, d, kind, beta, W, Y)
+        batch = batch_estimates(cluster_stats(g, d.clustering), d, kind, beta, W, Y)
         for r in range(12):
             per = per_draw(g, Y[r], draw_from_w(d, W[r]))
             assert batch[r] == pytest.approx(per.tte_hat, abs=1e-12)
@@ -237,19 +238,29 @@ class TestBatchKernels:
         d = complete_gcr(c, 1)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
         with pytest.raises(PositivityError, match="unit 0"):
-            batch_estimates(g, d, "ht", None, W, np.ones((3, 4)))
+            batch_estimates(cluster_stats(g, d.clustering), d, "ht", None, W, np.ones((3, 4)))
 
     def test_batch_kind_checks(self):
         g = cycle_power(4, 1)
         gcr = bernoulli_gcr(singleton_clustering(4), 0.5)
         crd = complete_gcr(singleton_clustering(4), 2)
         W = np.zeros((2, 4), dtype=np.int8)
+        stats = cluster_stats(g, singleton_clustering(4))
         with pytest.raises(InputError, match="gcr_explicit needs a Bernoulli"):
-            batch_estimates(g, crd, "gcr_explicit", 1, W, np.ones((2, 4)))
+            batch_estimates(stats, crd, "gcr_explicit", 1, W, np.ones((2, 4)))
         with pytest.raises(InputError, match="crd1 needs a complete"):
-            batch_estimates(g, gcr, "crd1", None, W, np.ones((2, 4)))
+            batch_estimates(stats, gcr, "crd1", None, W, np.ones((2, 4)))
         with pytest.raises(InputError, match="0/1"):
-            batch_estimates(g, gcr, "pinv", 1, W + 2, np.ones((2, 4)))
+            batch_estimates(stats, gcr, "pinv", 1, W + 2, np.ones((2, 4)))
+
+
+    def test_batch_rejects_stats_of_another_clustering(self):
+        g = cycle_power(12, 1)
+        d = bernoulli_gcr(Clustering.from_labels([i // 4 for i in range(12)]), 0.5)
+        W = np.stack([sample(d, 0, r).w for r in range(3)])
+        stats = cluster_stats(g, shifted_blocks(12, 4))
+        with pytest.raises(InputError, match="clustering"):
+            batch_estimates(stats, d, "pinv", 1, W, np.ones((3, 12)))
 
 
 class TestLargeNeighborhoods:

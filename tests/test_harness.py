@@ -40,7 +40,15 @@ from pinvtte import (
     variance_bound,
     write_csv,
 )
-from conftest import cluster_rows, neighbors, random_clustering, random_graph, random_model
+from conftest import (
+    cluster_rows,
+    lift,
+    neighbors,
+    random_clustering,
+    random_graph,
+    random_model,
+    shifted_blocks,
+)
 
 
 def blocks(n, width):
@@ -106,7 +114,8 @@ class TestReplicateEstimates:
     def test_matches_per_draw_estimator(self):
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(10)])
-        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, [cfg.estimator], W)[0]
+        lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        ests = replicate_estimates(*lifted, cfg.design, [cfg.estimator], W)[0]
         for r in range(10):
             draw = draw_from_w(cfg.design, W[r])
             Y = evaluate(cfg.model, cfg.graph, draw.z)
@@ -116,23 +125,33 @@ class TestReplicateEstimates:
     def test_estimator_design_compatibility(self):
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])
+        lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
         with pytest.raises(InputError, match="complete"):
-            replicate_estimates(
-                cfg.graph, cfg.model, cfg.design, [EstimatorSpec("crd1")], W
-            )
+            replicate_estimates(*lifted, cfg.design, [EstimatorSpec("crd1")], W)
         crd = complete_gcr(blocks(12, 2), 2)
         Wc = np.stack([sample(crd, 0, r).w for r in range(3)])
         with pytest.raises(InputError, match="Bernoulli"):
-            replicate_estimates(
-                cfg.graph, cfg.model, crd, [EstimatorSpec("gcr_explicit", 1)], Wc
-            )
+            replicate_estimates(*lifted, crd, [EstimatorSpec("gcr_explicit", 1)], Wc)
 
     def test_shape_guard(self):
         cfg = small_cfg()
         with pytest.raises(InputError, match="W has shape"):
             replicate_estimates(
-                cfg.graph, cfg.model, cfg.design, [cfg.estimator], np.zeros((4, 3))
+                *lift(cfg.model, cfg.graph, cfg.design.clustering),
+                cfg.design,
+                [cfg.estimator],
+                np.zeros((4, 3)),
             )
+
+
+    def test_rejects_lifted_inputs_of_another_clustering(self):
+        cfg = small_cfg()
+        W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])
+        agg, stats = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        other_agg, other_stats = lift(cfg.model, cfg.graph, shifted_blocks(12, 2))
+        for pair in ((other_agg, stats), (agg, other_stats)):
+            with pytest.raises(InputError, match="clustering"):
+                replicate_estimates(*pair, cfg.design, [cfg.estimator], W)
 
 
 class TestRunExperiment:
@@ -174,7 +193,8 @@ class TestRunExperiment:
         rep = run_experiment(small_cfg(replications=128))
         cfg = small_cfg(replications=128)
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(128)])
-        ests = replicate_estimates(cfg.graph, cfg.model, cfg.design, [cfg.estimator], W)[0]
+        lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        ests = replicate_estimates(*lifted, cfg.design, [cfg.estimator], W)[0]
         direct = float(np.mean((ests - rep.true_tte) ** 2))
         assert rep.empirical_mse == pytest.approx(direct, rel=1e-9)
         assert rep.empirical_rmse == pytest.approx(math.sqrt(rep.empirical_mse))
@@ -239,7 +259,7 @@ class TestExhaustiveExpectation:
         mean, var = exhaustive_expectation(g, model, d, [spec])[0]
         support = enumerate_support(d)
         W = np.stack([w for _, w in support])
-        vals = replicate_estimates(g, model, d, [spec], W)[0].tolist()
+        vals = replicate_estimates(*lift(model, g, d.clustering), d, [spec], W)[0].tolist()
         assert mean == math.fsum(vals) / len(vals)
         assert var == math.fsum((e - mean) ** 2 for e in vals) / len(vals)
 
@@ -303,7 +323,7 @@ class TestExhaustiveExpectation:
         d = bernoulli_gcr(c, 0.4)
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         assert mean - true_tte(model) == pytest.approx(
-            bias_exact(model, g, d, 1), abs=1e-10
+            bias_exact(*lift(model, g, d.clustering), d, 1), abs=1e-10
         )
 
 
@@ -485,6 +505,14 @@ class TestMcConvergenceReport:
             ground = cluster_rows(cluster_stats(g, d.clustering))[i]
             target = analytic_cluster_moments(d, ground, 2).M_pinv
             assert row["fro_error"] == float(np.linalg.norm(mc.M_pinv - target))
+
+
+    def test_rejects_units_outside_graph(self):
+        g = cycle_power(10, 1)
+        d = bernoulli_gcr(blocks(10, 2), 0.4)
+        for units in ([0, -1], [0, 50], [10]):
+            with pytest.raises(InputError, match="units"):
+                mc_convergence_report(d, g, units, 1, [10], [0])
 
 
 class TestWriteCsv:

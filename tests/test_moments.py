@@ -274,6 +274,13 @@ class TestMonteCarloMoments:
         assert est.index.ground == ana.index.ground
         assert np.linalg.norm(est.M - ana.M) < 0.02
 
+    def test_rejects_unit_outside_graph(self):
+        g = cycle_power(12, 1)
+        d = bernoulli_gcr(singleton_clustering(12), 0.3)
+        for unit in (99, 12, -1):
+            with pytest.raises(InputError, match=f"unit {unit} outside"):
+                monte_carlo_moments(d, g, unit, 1, R=100, seed=0)
+
     def test_rejects_zero_draws(self):
         g = cycle_power(4, 1)
         d = bernoulli_unit_design()

@@ -36,6 +36,7 @@ from conftest import (
     agg_dicts,
     cluster_rows,
     csr_graph,
+    lift,
     neighbors,
     oracle_bias_crd,
     oracle_bias_exact,
@@ -146,7 +147,7 @@ class TestEvaluateDraws:
             beta_star = 1 + trial % 3
             model = random_model(rng, g, beta_star, keep=0.0 if trial % 10 == 0 else 0.6)
             W = rng.integers(0, 2, size=(7, m)).astype(np.int8)
-            Y = evaluate_draws(model, g, c, W)
+            Y = evaluate_draws(cluster_aggregate(model, g, c), W)
             assert Y.shape == (7, n)
             for w, y in zip(W, Y):
                 expect = evaluate(model, g, w[np.asarray(c.assignment)])
@@ -156,7 +157,8 @@ class TestEvaluateDraws:
         g = cycle_power(6, 1)
         model = LowOrderModel.from_dicts(1, tuple({(): float(i)} for i in range(6)))
         W = np.array([[0, 1, 0], [1, 1, 1]], dtype=np.int8)
-        Y = evaluate_draws(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]), W)
+        agg = cluster_aggregate(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]))
+        Y = evaluate_draws(agg, W)
         assert np.array_equal(Y, np.tile(np.arange(6.0), (2, 1)))
 
     def test_rows_independent_of_batch(self, rng, monkeypatch):
@@ -164,24 +166,27 @@ class TestEvaluateDraws:
         c = random_clustering(rng, 12, 5)
         model = random_model(rng, g, 3)
         W = rng.integers(0, 2, size=(9, 5)).astype(np.int8)
-        Y = evaluate_draws(model, g, c, W)
+        agg = cluster_aggregate(model, g, c)
+        Y = evaluate_draws(agg, W)
         for r in range(9):
-            assert np.array_equal(evaluate_draws(model, g, c, W[r : r + 1])[0], Y[r])
+            assert np.array_equal(evaluate_draws(agg, W[r : r + 1])[0], Y[r])
         monkeypatch.setattr("pinvtte.outcomes._BLOCK", 1)  # one draw per block
-        assert np.array_equal(evaluate_draws(model, g, c, W), Y)
+        assert np.array_equal(evaluate_draws(agg, W), Y)
 
     def test_draw_validation(self):
         g, model = pair_unit_model()
         c = Clustering.from_labels([0, 1, 1])
         with pytest.raises(InputError, match="W has shape"):
-            evaluate_draws(model, g, c, np.zeros((2, 3), dtype=np.int8))
+            evaluate_draws(cluster_aggregate(model, g, c), np.zeros((2, 3), dtype=np.int8))
         with pytest.raises(InputError, match="W has shape"):
-            evaluate_draws(model, g, c, np.zeros(2, dtype=np.int8))
+            evaluate_draws(cluster_aggregate(model, g, c), np.zeros(2, dtype=np.int8))
         for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 0]], [[256, 0]]):
             with pytest.raises(InputError, match="0 or 1"):
-                evaluate_draws(model, g, c, np.array(bad))
+                evaluate_draws(cluster_aggregate(model, g, c), np.array(bad))
         with pytest.raises(InputError, match="clustering"):
-            evaluate_draws(model, g, Clustering.from_labels([0, 1]), np.zeros((1, 2)))
+            evaluate_draws(
+                cluster_aggregate(model, g, Clustering.from_labels([0, 1])), np.zeros((1, 2))
+            )
 
 
 class TestTrueTte:
@@ -316,7 +321,7 @@ class TestClusterAggregate:
         model = random_model(rng, g, 2)
         agg = oracle_cluster_aggregate(model, g, c)
         W = rng.integers(0, 2, size=(8, 4))
-        for w, y in zip(W, evaluate_draws(model, g, c, W)):
+        for w, y in zip(W, evaluate_draws(cluster_aggregate(model, g, c), W)):
             expect = [
                 sum(val * math.prod(w[cid] for cid in u) for u, val in xmap.items())
                 for xmap in agg
@@ -497,7 +502,7 @@ class TestArrayRoutesMatchDictOracles:
             else:
                 d = bernoulli_gcr(c, float(gen.uniform(0.1, 0.9)))
             beta = 1 + (trial // 3) % 2
-            assert bias_exact(model, g, d, beta) == pytest.approx(
+            assert bias_exact(*lift(model, g, d.clustering), d, beta) == pytest.approx(
                 oracle_bias_exact(model, g, d, beta), rel=1e-12, abs=1e-12
             )
             if beta_star == 1 and not d.is_bernoulli:
@@ -563,7 +568,8 @@ class TestArrayRoutesMatchDictOracles:
         reads = []
         degrees = property(lambda self: reads.append(1) or np.diff(self.indptr))
         monkeypatch.setattr(type(g), "degrees", degrees)
-        evaluate_draws(model, g, singleton_clustering(9), np.ones((2, 9), dtype=np.int8))
+        agg = cluster_aggregate(model, g, singleton_clustering(9))
+        evaluate_draws(agg, np.ones((2, 9), dtype=np.int8))
         assert outcome_bound(model, g) == pytest.approx(1.5)
         assert reads == []
         with pytest.raises(InputError, match="neighborhood"):
