@@ -85,7 +85,6 @@ from .harness import (
     report_rows,
     rmse_ratio,
     run_experiment,
-    run_experiments,
     select_clustering,
     write_csv,
 )
@@ -208,7 +207,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
-    "run_experiments",
     "replicate_estimates",
     "report_rows",
     "exhaustive_expectation",

@@ -173,6 +173,8 @@ def gamma_profile(
     order. "monte_carlo" does the same from moments estimated on each
     unit's cluster neighborhood in stats.
     """
+    if beta < 1:
+        raise InputError(f"estimator order must be at least 1, got beta={beta}")
     _same_clustering(d.clustering, stats)
     scaled: np.ndarray | None = None
     if gamma_source == "closed":
@@ -398,8 +400,8 @@ def variance_bound(
         If monotone is asserted, a model is supplied, and its aggregated
         coefficients carry mixed signs.
     """
-    if B <= 0:
-        raise InputError(f"outcome bound B={B} must be positive")
+    if not 0 < B < math.inf:
+        raise InputError(f"outcome bound B={B} must be positive and finite")
     if stats.n != g.n:
         raise InputError("graph and stats must agree on n")
     n = g.n

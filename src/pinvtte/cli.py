@@ -44,7 +44,7 @@ from .harness import (
     exhaustive_expectation,
     mc_convergence_report,
     report_rows,
-    run_experiments,
+    run_experiment,
     select_clustering,
     write_csv,
 )
@@ -257,21 +257,17 @@ def _cmd_simulate(o: _Opts) -> None:
         cells = [("", _build_clustering(o, g))]
     rows = []
     for tag, c in cells:
-        d = _build_design(o, g, c)
-        cfgs = [
-            ExperimentConfig(
-                graph=g,
-                model=model,
-                design=d,
-                estimator=spec,
-                replications=replications,
-                seed=seed,
-                gamma_source=gamma,
-                tag=tag,
-            )
-            for spec in specs
-        ]
-        for report in run_experiments(cfgs):
+        cfg = ExperimentConfig(
+            graph=g,
+            model=model,
+            design=_build_design(o, g, c),
+            estimators=tuple(specs),
+            replications=replications,
+            seed=seed,
+            gamma_source=gamma,
+            tag=tag,
+        )
+        for report in run_experiment(cfg):
             rows.extend(report_rows(report))
     names = ["estimator", "beta", "tag", "replications", "true_tte", "metric", "value"]
     write_csv(rows, names, o.get("out", _str), seed=seed)
@@ -313,24 +309,12 @@ def _cmd_select(o: _Opts) -> None:
     )
     cluster_seed = o.get("cluster_seed", _int, default=0)
     candidates = [louvain(g, res, cluster_seed) for res in grid]
-    design_kind = _design_kind(o)
-    if design_kind == "bernoulli_gcr":
-        p = o.get("p", _float, default=0.25)
-
-        def design_for(c: Clustering) -> Design:
-            return bernoulli_gcr(c, p)
-
-    elif design_kind == "complete_gcr":
-        k = o.get("k", _int, required=True)
-
-        def design_for(c: Clustering) -> Design:
-            return complete_gcr(c, k)
-
-    else:
+    if _design_kind(o) == "bernoulli_unit":
         raise InputError("select needs a cluster design (gcr or crd)")
+    designs = [_build_design(o, g, c) for c in candidates]
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
-    chosen, ranking = select_clustering(g, candidates, design_for, beta, B)
+    chosen, ranking = select_clustering(g, designs, beta, B)
     rows = []
     for rank, (idx, rep) in enumerate(ranking):
         rows.append(
@@ -338,7 +322,7 @@ def _cmd_select(o: _Opts) -> None:
                 "rank": rank,
                 "candidate": idx,
                 "resolution": repr(grid[idx]),
-                "clusters": candidates[idx].m,
+                "clusters": designs[idx].m,
                 "var_bound_pairwise": repr(rep.var_bound_pairwise),
                 "var_bound_simplified": repr(rep.var_bound_simplified),
                 "C_max": rep.C_max,

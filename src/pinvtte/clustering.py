@@ -225,8 +225,8 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
 
     Isolated units (no symmetric edges) stay in their own clusters.
     """
-    if resolution <= 0:
-        raise InputError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < np.inf:
+        raise InputError(f"resolution must be positive and finite, got {resolution}")
     level_adj = _symmetric_adjacency(g)
     self_w = [0.0] * g.n
     mapping = list(range(g.n))  # original unit -> current level node

@@ -5,13 +5,16 @@ an experiment seeded with s draws its assignment from the stream (s, r), and
 all reductions into summary statistics use ``math.fsum`` in a fixed order,
 so parallel or repeated runs produce identical numbers.
 
-Replicated runs and the exhaustive oracle share one cell: the graph and
-model lifted to clusters once (cluster_stats, cluster_aggregate), a matrix
-of cluster draws (the (seed, r) streams, or the design's whole support), one
+An ExperimentConfig is one cell: a graph, model and design, the
+estimators compared on it, R and a seed. Replicated runs (run_experiment,
+rmse_ratio) and the exhaustive oracle share one path: the graph and model
+lifted to clusters once (cluster_stats, cluster_aggregate), a matrix of
+cluster draws (the (seed, r) streams, or the design's whole support), one
 evaluation of their outcomes and each estimator's weight table on them
 (replicate_estimates), then one fsum reduction per estimator (_mean_var,
-weighted by probability on a non-uniform support). Several estimators of a
-cell share all of these; its bias and bound are taken once per order.
+weighted by probability on a non-uniform support). The estimators of a cell
+share all of these; its bias and bound are taken once per order.
+Clustering selection scores a list of candidate designs, one per clustering.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
-from .clustering import Clustering, ClusterStats, _same_clustering, cluster_stats
+from .clustering import ClusterStats, _same_clustering, cluster_stats
 from .design import Design, _sample_draws, enumerate_support
 from .errors import InputError
 from .estimator import batch_estimates
@@ -49,7 +52,6 @@ __all__ = [
     "ExperimentReport",
     "replicate_estimates",
     "run_experiment",
-    "run_experiments",
     "report_rows",
     "exhaustive_expectation",
     "select_clustering",
@@ -113,20 +115,23 @@ class EstimatorSpec:
 class ExperimentConfig:
     """One replicated-experiment cell: everything a run needs, plus a seed.
 
-    tag is a free-form label copied into the report (the CLI uses it to mark
-    grid cells such as "w=4").
+    estimators are the estimators compared on the cell's shared draws, at
+    least one. tag is a free-form label copied into the reports (the CLI
+    uses it to mark grid cells such as "w=4").
     """
 
     graph: InterferenceGraph
     model: LowOrderModel
     design: Design
-    estimator: EstimatorSpec
+    estimators: tuple[EstimatorSpec, ...]
     replications: int
     seed: int
     gamma_source: str = "quadform"
     tag: str = ""
 
     def __post_init__(self) -> None:
+        if not self.estimators:
+            raise InputError("an experiment needs at least one estimator")
         if self.replications < 1:
             raise InputError(f"replications must be >= 1, got {self.replications}")
         if self.seed < 0:
@@ -142,9 +147,9 @@ class ExperimentReport:
     analytic_bias is None when no closed form applies (Horvitz-Thompson
     under a complete design); var_bound is None for Horvitz-Thompson.
     wall_time_s times the whole shared cell: its lift to clusters, draws,
-    outcomes and every estimator's weights. Every report of a cell run
-    together (run_experiments) carries the same value; the analytic bias and
-    the variance bound are not included.
+    outcomes and every estimator's weights. Every report of one
+    run_experiment call carries the same value; the analytic bias and the
+    variance bound are not included.
     """
 
     kind: str
@@ -201,65 +206,53 @@ def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
     return mean_est, bias, var, bias * bias + var
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run one experiment cell: R replicated draws, summary statistics."""
-    return run_experiments([cfg])[0]
+def _cell(
+    cfg: ExperimentConfig,
+) -> tuple[ClusterAggregatedModel, ClusterStats, list[np.ndarray], float]:
+    """The shared replication cell of cfg: its graph and model lifted to
+    clusters, its R draws, and each estimator's estimates on them, with the
+    seconds all of that took. The draws are freed on return."""
+    g, d = cfg.graph, cfg.design
+    t0 = time.perf_counter()
+    agg = cluster_aggregate(cfg.model, g, d.clustering)
+    stats = cluster_stats(g, d.clustering)
+    W = _sample_draws(d, cfg.seed, cfg.replications)
+    estimates = replicate_estimates(agg, stats, d, cfg.estimators, W)
+    return agg, stats, estimates, time.perf_counter() - t0
 
 
-def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
-    """Run one experiment cell for several estimators, one report each.
+def run_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
+    """Run one experiment cell: one report per estimator of cfg, in order.
 
-    The configurations must agree in everything but their estimator. The
-    cell is lifted to clusters, sampled and evaluated once, then every
+    The cell is lifted to clusters, sampled and evaluated once, then every
     estimator is applied to the same draws; the analytic bias and variance
     bound are computed once per distinct order. Replicate r draws its
     assignment from the stream (seed, r), so each report is identical to a
-    run of its configuration alone, no matter how replicates are scheduled.
+    run of its estimator alone, no matter how replicates are scheduled.
     Empirical variance uses the population convention (divide by R).
-
-    Raises
-    ------
-    InputError
-        If cfgs is empty or its configurations differ in anything but the
-        estimator.
     """
-    if not cfgs:
-        raise InputError("no experiment configurations")
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        for f in fields(ExperimentConfig):
-            if f.name != "estimator" and getattr(cfg, f.name) != getattr(first, f.name):
-                raise InputError(
-                    f"configurations of one cell differ in {f.name}, not only in estimator"
-                )
-    g, model, d, R = first.graph, first.model, first.design, first.replications
-    t0 = time.perf_counter()
-    agg = cluster_aggregate(model, g, d.clustering)
-    stats = cluster_stats(g, d.clustering)
-    W = _sample_draws(d, first.seed, R)
-    estimates = replicate_estimates(agg, stats, d, [cfg.estimator for cfg in cfgs], W)
-    wall = time.perf_counter() - t0
-    del W  # freed before the bias and variance bound allocate theirs
+    g, model, d = cfg.graph, cfg.model, cfg.design
+    agg, stats, estimates, wall = _cell(cfg)
     tte = true_tte(model)
     # (analytic bias, variance bound) by order. Horvitz-Thompson (None) is
     # unbiased under a Bernoulli design; full-contact units can bias it under
     # the complete design, for which no closed form is kept.
     analytic = {None: (0.0 if d.is_bernoulli else None, None)}
-    orders = dict.fromkeys(cfg.estimator.order for cfg in cfgs if cfg.estimator.order)
+    orders = dict.fromkeys(spec.order for spec in cfg.estimators if spec.order)
     B = outcome_bound(model, g) if orders else 0.0
     for order in orders:
         exact = bias_exact(agg, stats, d, order)
-        rep = variance_bound(g, stats, d, order, B, first.gamma_source) if B > 0.0 else None
+        rep = variance_bound(g, stats, d, order, B, cfg.gamma_source) if B > 0.0 else None
         analytic[order] = exact, None if rep is None else rep.var_bound_pairwise
     reports = []
-    for cfg, est in zip(cfgs, estimates):
+    for spec, est in zip(cfg.estimators, estimates):
         mean_est, bias, var, mse = _summary(est, tte)
         reports.append(
             ExperimentReport(
-                kind=cfg.estimator.kind,
-                beta=cfg.estimator.beta,
+                kind=spec.kind,
+                beta=spec.beta,
                 tag=cfg.tag,
-                replications=R,
+                replications=cfg.replications,
                 seed=cfg.seed,
                 true_tte=tte,
                 mean_estimate=mean_est,
@@ -267,8 +260,8 @@ def run_experiments(cfgs: Sequence[ExperimentConfig]) -> list[ExperimentReport]:
                 empirical_variance=var,
                 empirical_mse=mse,
                 empirical_rmse=math.sqrt(mse),
-                analytic_bias=analytic[cfg.estimator.order][0],
-                var_bound=analytic[cfg.estimator.order][1],
+                analytic_bias=analytic[spec.order][0],
+                var_bound=analytic[spec.order][1],
                 wall_time_s=wall,
             )
         )
@@ -286,11 +279,11 @@ _METRICS = (
 )
 
 
-def report_rows(report: ExperimentReport, include_timing: bool = True) -> list[dict]:
-    """Flatten a report into tidy rows, one per metric.
+def report_rows(report: ExperimentReport) -> list[dict]:
+    """Flatten a report into tidy rows, one per metric, wall_time_s last.
 
-    Timing is real elapsed time and therefore not reproducible; tests that
-    compare emitted CSV byte-for-byte pass include_timing=False.
+    Timing is real elapsed time and therefore not reproducible; every other
+    row is a pure function of the configuration.
     """
     base = {
         "estimator": report.kind,
@@ -303,8 +296,7 @@ def report_rows(report: ExperimentReport, include_timing: bool = True) -> list[d
     for name in _METRICS:
         value = getattr(report, name)
         rows.append(dict(base, metric=name, value="" if value is None else repr(value)))
-    if include_timing:
-        rows.append(dict(base, metric="wall_time_s", value=repr(report.wall_time_s)))
+    rows.append(dict(base, metric="wall_time_s", value=repr(report.wall_time_s)))
     return rows
 
 
@@ -332,29 +324,29 @@ def exhaustive_expectation(
 
 def select_clustering(
     g: InterferenceGraph,
-    candidates: Sequence[Clustering],
-    design_for: Callable[[Clustering], Design],
+    designs: Sequence[Design],
     beta: int,
     B: float,
 ) -> tuple[int, list[tuple[int, BoundReport]]]:
-    """Pick the candidate clustering with the lowest pairwise variance bound.
+    """Pick the candidate design with the lowest pairwise variance bound.
 
-    Bounds use the quadform gamma source so every design family is scored
-    by the same quantity. Ties break toward fewer clusters, then toward the
-    earlier candidate. The full ranking comes back for audit.
+    Each candidate is a cluster design on its own clustering. Bounds use the
+    quadform gamma source so every design family is scored by the same
+    quantity. Ties break toward fewer clusters, then toward the earlier
+    candidate. The full ranking comes back for audit.
 
     Returns
     -------
     (chosen, ranking)
-        chosen indexes into candidates; ranking lists (candidate index,
+        chosen indexes into designs; ranking lists (candidate index,
         BoundReport) from best to worst.
     """
-    if not candidates:
-        raise InputError("no candidate clusterings")
+    if not designs:
+        raise InputError("no candidate designs")
     scored = []
-    for idx, c in enumerate(candidates):
-        rep = variance_bound(g, cluster_stats(g, c), design_for(c), beta, B, "quadform")
-        scored.append((rep.var_bound_pairwise, c.m, idx, rep))
+    for idx, d in enumerate(designs):
+        rep = variance_bound(g, cluster_stats(g, d.clustering), d, beta, B, "quadform")
+        scored.append((rep.var_bound_pairwise, d.m, idx, rep))
     scored.sort(key=lambda t: t[:3])
     ranking = [(idx, rep) for _, _, idx, rep in scored]
     return ranking[0][0], ranking
@@ -363,14 +355,13 @@ def select_clustering(
 def rmse_ratio(
     g: InterferenceGraph,
     model: LowOrderModel,
-    candidates: Sequence[Clustering],
-    design_for: Callable[[Clustering], Design],
+    designs: Sequence[Design],
     spec: EstimatorSpec,
     replications: int,
     seed: int,
     chosen: int,
 ) -> tuple[float, list[float]]:
-    """Simulated RMSE of the chosen candidate relative to the best candidate.
+    """Simulated RMSE of the chosen candidate design relative to the best.
 
     Brute-forces every candidate with the same replication stream; a ratio
     of 1.0 means the bound-driven choice matched the oracle choice. Only the
@@ -378,10 +369,8 @@ def rmse_ratio(
     """
     tte = true_tte(model)
     rmses = []
-    for c in candidates:
-        d = ExperimentConfig(g, model, design_for(c), spec, replications, seed).design
-        agg, stats = cluster_aggregate(model, g, d.clustering), cluster_stats(g, d.clustering)
-        [est] = replicate_estimates(agg, stats, d, [spec], _sample_draws(d, seed, replications))
+    for d in designs:
+        [est] = _cell(ExperimentConfig(g, model, d, (spec,), replications, seed))[2]
         rmses.append(math.sqrt(_summary(est, tte)[3]))
     return rmses[chosen] / min(rmses), rmses
 

@@ -92,14 +92,10 @@ class SubsetIndex:
     def __len__(self) -> int:
         return len(self.subsets)
 
-    def union_sizes(self, other: "SubsetIndex | None" = None) -> np.ndarray:
-        """Matrix of |U union V| for U in self and V in other (self by
-        default). Requires the two indexes to share the ground set."""
-        rhs = self if other is None else other
-        if rhs.ground != self.ground:
-            raise InputError("union sizes need a shared ground set")
-        inter = self.membership @ rhs.membership.T
-        return self.sizes[:, None] + rhs.sizes[None, :] - inter
+    def union_sizes(self) -> np.ndarray:
+        """Matrix of |U union V| over pairs of subsets U, V in the index."""
+        inter = self.membership @ self.membership.T
+        return self.sizes[:, None] + self.sizes[None, :] - inter
 
 
 def enumerate_subsets(ground, beta: int) -> SubsetIndex:
@@ -197,12 +193,12 @@ def _crd_beta1_pinv(c: int, m: int, k: int) -> np.ndarray:
     return P
 
 
-def numeric_pinv(M, tol: float | None = None) -> np.ndarray:
-    """SVD pseudoinverse with an explicit truncation threshold.
+def numeric_pinv(M) -> np.ndarray:
+    """SVD pseudoinverse with a fixed relative truncation threshold.
 
-    Singular values at or below tol are dropped; the default threshold is
-    dim * sigma_max * 2^-52, the standard scale below which singular values
-    are indistinguishable from rounding noise.
+    Singular values at or below dim * sigma_max * 2^-52 are dropped, the
+    standard scale below which singular values are indistinguishable from
+    rounding noise.
 
     Raises
     ------
@@ -215,9 +211,7 @@ def numeric_pinv(M, tol: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(M)
-    if tol is None:
-        tol = M.shape[0] * (s[0] if s.size else 0.0) * 2.0**-52
-    keep = s > tol
+    keep = s > M.shape[0] * (s[0] if s.size else 0.0) * 2.0**-52
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T

@@ -76,6 +76,10 @@ class LowOrderModel:
             raise InputError("owner, members and values disagree in shape")
         if np.any((self.owner < 0) | (self.owner >= n)):
             raise InputError(f"row owner outside [0, {n})")
+        finite, base_finite = np.isfinite(self.values), np.isfinite(self.baseline)
+        if not (finite.all() and base_finite.all()):
+            units = np.append(self.owner[~finite], np.flatnonzero(~base_finite))
+            raise InputError(f"unit {units.min()}: coefficients must be finite")
         # per row, in the order checked: order, then sorted and unique
         unsorted = np.any((members[:, :-1] >= members[:, 1:]) & (members[:, 1:] != n), axis=1)
         bad = np.stack([self.order > self.beta_star, (self.order == 0) | unsorted])

@@ -337,12 +337,12 @@ def _cycle_grid_mse(model, beta_grid, estimators, seed):
                     graph=g,
                     model=model(beta) if callable(model) else model,
                     design=d,
-                    estimator=spec,
+                    estimators=(spec,),
                     replications=500,
                     seed=seed,
                     tag=f"w={width}",
                 )
-                out[(width, beta, kind)] = run_experiment(cfg)
+                out[(width, beta, kind)] = run_experiment(cfg)[0]
     return out
 
 
@@ -398,15 +398,12 @@ def test_acceptance_09_clustering_selection(announce):
     model = gen_named_model(g, "weak", seed=0)
     grid = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
     candidates = [louvain(g, resolution=r, seed=0) for r in grid]
-    design_for = lambda c: bernoulli_gcr(c, 0.25)
-    chosen, _ = select_clustering(
-        g, candidates, design_for, beta=1, B=outcome_bound(model, g)
-    )
+    designs = [bernoulli_gcr(c, 0.25) for c in candidates]
+    chosen, _ = select_clustering(g, designs, beta=1, B=outcome_bound(model, g))
     ratio, rmses = rmse_ratio(
         g,
         model,
-        candidates,
-        design_for,
+        designs,
         EstimatorSpec("pinv", 1),
         replications=500,
         seed=17,

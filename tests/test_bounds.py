@@ -220,6 +220,16 @@ class TestGammaProfile:
         with pytest.raises(InputError, match="gamma_source"):
             gamma_profile(cluster_stats(g, c), d, 1, "oracle")
 
+    @pytest.mark.parametrize("source", ["closed", "quadform", "monte_carlo"])
+    def test_rejects_order_zero(self, source):
+        g = cycle_power(12, 1)
+        c = singleton_clustering(12)
+        d = bernoulli_gcr(c, 0.3)
+        with pytest.raises(InputError, match="at least 1, got beta=0"):
+            gamma_profile(cluster_stats(g, c), d, 0, source)
+        with pytest.raises(InputError, match="at least 1, got beta=0"):
+            variance_bound(g, cluster_stats(g, c), d, 0, 1.0, source)
+
 
 class TestBiasExact:
     @pytest.mark.parametrize("p", [0.25, 0.4, 0.5])
@@ -579,8 +589,9 @@ class TestVarianceBound:
         g = cycle_power(4, 1)
         c = singleton_clustering(4)
         d = bernoulli_gcr(c, 0.5)
-        with pytest.raises(InputError, match="B="):
-            variance_bound(g, cluster_stats(g, c), d, 1, 0.0)
+        for B in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="B="):
+                variance_bound(g, cluster_stats(g, c), d, 1, B)
 
     def test_quadform_source_never_looser(self, rng):
         # the closed source uses dominating envelopes, so the quadform

@@ -469,6 +469,37 @@ class TestErrorSurface:
         assert rc == 2
         assert "--k" in capsys.readouterr().err
 
+    BOUNDS = ["bounds", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (BOUNDS + ["--beta", "0", "--B-bound", "1"], "got beta=0"),
+            (BOUNDS + ["--beta", "0", "--B-bound", "1", "--gamma", "closed"], "got beta=0"),
+            (["select", "--n", "12", "--radius", "1", "--beta", "0", "--B-bound", "1"],
+             "got beta=0"),
+            (BOUNDS + ["--B-bound", "nan"], "B=nan must be positive and finite"),
+            (BOUNDS + ["--B-bound", "inf"], "B=inf must be positive and finite"),
+            (["select", "--n", "12", "--radius", "1", "--resolution-grid", "nan,1",
+              "--B-bound", "1"], "resolution must be positive and finite, got nan"),
+            (["cluster", "--n", "12", "--radius", "1", "--method", "louvain",
+              "--resolution", "inf"], "resolution must be positive and finite, got inf"),
+        ],
+    )
+    def test_degenerate_inputs_rejected(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "bounds", "oracle"])
+    def test_non_finite_model_file_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "m.tsv"
+        path.write_text("0\t-\t0.0\n2\t1\tnan\n")
+        assert main([command, "--n", "12", "--radius", "1", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unit 2: coefficients must be finite\n"
+
 
 # ---------------------------------------------------------------------------
 # byte-identical goldens: each case's output file as recorded under

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,11 @@ class TestLouvain:
         g = two_triangles()
         assert louvain(g, resolution=1000.0).m == 6
         assert louvain(g, resolution=1e-6).m == 2
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_resolution_not_positive_finite(self, resolution):
+        with pytest.raises(InputError, match="positive and finite"):
+            louvain(two_triangles(), resolution=resolution)
 
     def test_improves_modularity_over_singletons(self):
         g = sbm_sample(40, 4, 0.7, 0.05, seed=2)

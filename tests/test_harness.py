@@ -31,7 +31,6 @@ from pinvtte import (
     report_rows,
     rmse_ratio,
     run_experiment,
-    run_experiments,
     sample,
     sbm_sample,
     select_clustering,
@@ -63,12 +62,17 @@ def small_cfg(**overrides):
         graph=g,
         model=model,
         design=d,
-        estimator=EstimatorSpec("pinv", 1),
+        estimators=(EstimatorSpec("pinv", 1),),
         replications=64,
         seed=7,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def untimed_rows(report):
+    """report_rows without the wall_time_s row, which is real elapsed time."""
+    return [row for row in report_rows(report) if row["metric"] != "wall_time_s"]
 
 
 class TestEstimatorSpec:
@@ -108,6 +112,8 @@ class TestExperimentConfig:
             small_cfg(replications=0)
         with pytest.raises(InputError, match="seed"):
             small_cfg(seed=-1)
+        with pytest.raises(InputError, match="at least one estimator"):
+            small_cfg(estimators=())
 
 
 class TestReplicateEstimates:
@@ -115,7 +121,7 @@ class TestReplicateEstimates:
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(10)])
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
-        ests = replicate_estimates(*lifted, cfg.design, [cfg.estimator], W)[0]
+        ests = replicate_estimates(*lifted, cfg.design, cfg.estimators, W)[0]
         for r in range(10):
             draw = draw_from_w(cfg.design, W[r])
             Y = evaluate(cfg.model, cfg.graph, draw.z)
@@ -139,7 +145,7 @@ class TestReplicateEstimates:
             replicate_estimates(
                 *lift(cfg.model, cfg.graph, cfg.design.clustering),
                 cfg.design,
-                [cfg.estimator],
+                cfg.estimators,
                 np.zeros((4, 3)),
             )
 
@@ -151,74 +157,61 @@ class TestReplicateEstimates:
         other_agg, other_stats = lift(cfg.model, cfg.graph, shifted_blocks(12, 2))
         for pair in ((other_agg, stats), (agg, other_stats)):
             with pytest.raises(InputError, match="clustering"):
-                replicate_estimates(*pair, cfg.design, [cfg.estimator], W)
+                replicate_estimates(*pair, cfg.design, cfg.estimators, W)
 
 
 class TestRunExperiment:
     def test_deterministic_apart_from_timing(self):
-        a = run_experiment(small_cfg())
-        b = run_experiment(small_cfg())
-        assert report_rows(a, include_timing=False) == report_rows(
-            b, include_timing=False
-        )
+        [a] = run_experiment(small_cfg())
+        [b] = run_experiment(small_cfg())
+        assert untimed_rows(a) == untimed_rows(b)
 
     def test_shared_cell_matches_separate_runs(self):
         g = cycle_power(12, 2)
         base = dict(model=gen_cycle_model(g, 2), graph=g, replications=40, tag="w=2")
-        cfgs = [small_cfg(estimator=EstimatorSpec.parse(s), **base) for s in ("pinv:2", "ht")]
-        shared = run_experiments(cfgs)
+        specs = tuple(EstimatorSpec.parse(s) for s in ("pinv:2", "ht"))
+        shared = run_experiment(small_cfg(estimators=specs, **base))
         assert [rep.kind for rep in shared] == ["pinv", "ht"]
-        for cfg, rep in zip(cfgs, shared):
-            assert report_rows(rep, include_timing=False) == report_rows(
-                run_experiment(cfg), include_timing=False
-            )
+        for spec, rep in zip(specs, shared):
+            [alone] = run_experiment(small_cfg(estimators=(spec,), **base))
+            assert untimed_rows(rep) == untimed_rows(alone)
         assert shared[0].wall_time_s == shared[1].wall_time_s
 
-    def test_shared_cell_configs_must_agree(self):
-        with pytest.raises(InputError, match="no experiment"):
-            run_experiments([])
-        for field, value in [("seed", 8), ("replications", 65), ("tag", "w=4")]:
-            with pytest.raises(InputError, match=field):
-                run_experiments([small_cfg(), small_cfg(**{field: value})])
-        other = small_cfg(design=bernoulli_gcr(blocks(12, 3), 0.25))
-        with pytest.raises(InputError, match="design"):
-            run_experiments([small_cfg(estimator=EstimatorSpec("ht")), other])
-
     def test_seed_changes_estimates(self):
-        a = run_experiment(small_cfg(seed=1))
-        b = run_experiment(small_cfg(seed=2))
+        [a] = run_experiment(small_cfg(seed=1))
+        [b] = run_experiment(small_cfg(seed=2))
         assert a.mean_estimate != b.mean_estimate
 
     def test_mse_identity(self):
-        rep = run_experiment(small_cfg(replications=128))
+        [rep] = run_experiment(small_cfg(replications=128))
         cfg = small_cfg(replications=128)
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(128)])
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
-        ests = replicate_estimates(*lifted, cfg.design, [cfg.estimator], W)[0]
+        ests = replicate_estimates(*lifted, cfg.design, cfg.estimators, W)[0]
         direct = float(np.mean((ests - rep.true_tte) ** 2))
         assert rep.empirical_mse == pytest.approx(direct, rel=1e-9)
         assert rep.empirical_rmse == pytest.approx(math.sqrt(rep.empirical_mse))
 
     def test_unbiased_estimator_lands_within_sampling_error(self):
         cfg = small_cfg(replications=2000)
-        rep = run_experiment(cfg)
+        [rep] = run_experiment(cfg)
         se = math.sqrt(rep.empirical_variance / cfg.replications)
         assert abs(rep.empirical_bias) <= 4.0 * se
         assert rep.analytic_bias == pytest.approx(0.0, abs=1e-10)
 
     def test_var_bound_reported_and_respected(self):
-        rep = run_experiment(small_cfg(replications=3000))
+        [rep] = run_experiment(small_cfg(replications=3000))
         assert rep.var_bound is not None
         assert rep.empirical_variance <= rep.var_bound
 
     def test_ht_fields(self):
-        rep = run_experiment(small_cfg(estimator=EstimatorSpec("ht")))
+        [rep] = run_experiment(small_cfg(estimators=(EstimatorSpec("ht"),)))
         assert rep.var_bound is None
         assert rep.analytic_bias == 0.0
-        crd_rep = run_experiment(
+        [crd_rep] = run_experiment(
             small_cfg(
                 design=complete_gcr(blocks(12, 2), 2),
-                estimator=EstimatorSpec("ht"),
+                estimators=(EstimatorSpec("ht"),),
             )
         )
         assert crd_rep.analytic_bias is None
@@ -242,11 +235,11 @@ class TestRunExperiment:
             graph=g,
             model=model,
             design=complete_gcr(c, 1),
-            estimator=EstimatorSpec("crd1"),
+            estimators=(EstimatorSpec("crd1"),),
             replications=8,
             seed=0,
         )
-        rep = run_experiment(cfg)
+        [rep] = run_experiment(cfg)
         assert rep.analytic_bias == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
 
@@ -336,7 +329,7 @@ class TestSelectClustering:
     def test_blocks_beat_singletons_on_disconnected_blocks(self):
         g, candidates = self.sbm_instance()
         chosen, ranking = select_clustering(
-            g, candidates, lambda c: bernoulli_gcr(c, 0.25), beta=1, B=1.0
+            g, [bernoulli_gcr(c, 0.25) for c in candidates], beta=1, B=1.0
         )
         assert chosen == 1
         best = dict(ranking)[1].var_bound_pairwise
@@ -347,7 +340,7 @@ class TestSelectClustering:
         g = cycle_power(12, 1)
         c = blocks(12, 3)
         chosen, ranking = select_clustering(
-            g, [c, c, c], lambda cc: bernoulli_gcr(cc, 0.25), beta=1, B=1.0
+            g, [bernoulli_gcr(cc, 0.25) for cc in [c, c, c]], beta=1, B=1.0
         )
         assert chosen == 0
         assert [idx for idx, _ in ranking] == [0, 1, 2]
@@ -358,7 +351,7 @@ class TestSelectClustering:
         relabel = {0: 3, 1: 2, 2: 1, 3: 0}
         b = Clustering.from_labels([relabel[i // 3] for i in range(12)])
         _, ranking = select_clustering(
-            g, [a, b], lambda cc: bernoulli_gcr(cc, 0.25), beta=1, B=1.0
+            g, [bernoulli_gcr(cc, 0.25) for cc in [a, b]], beta=1, B=1.0
         )
         reps = dict(ranking)
         assert reps[0].var_bound_pairwise == pytest.approx(
@@ -369,7 +362,7 @@ class TestSelectClustering:
         g = cycle_power(12, 1)
         cands = [singleton_clustering(12), blocks(12, 2), blocks(12, 4)]
         _, ranking = select_clustering(
-            g, cands, lambda cc: bernoulli_gcr(cc, 0.25), beta=1, B=2.0
+            g, [bernoulli_gcr(cc, 0.25) for cc in cands], beta=1, B=2.0
         )
         for idx, rep in ranking:
             direct = variance_bound(
@@ -389,7 +382,7 @@ class TestSelectClustering:
     def test_empty_candidates(self):
         g = cycle_power(4, 1)
         with pytest.raises(InputError, match="candidate"):
-            select_clustering(g, [], lambda c: bernoulli_gcr(c, 0.5), 1, 1.0)
+            select_clustering(g, [], 1, 1.0)
 
 
 class TestRmseRatio:
@@ -400,14 +393,13 @@ class TestRmseRatio:
         ratio, rmses = rmse_ratio(
             g,
             model,
-            cands,
-            lambda c: bernoulli_gcr(c, 0.25),
+            [bernoulli_gcr(c, 0.25) for c in cands],
             EstimatorSpec("pinv", 1),
             replications=200,
             seed=3,
             chosen=int(np.argmin([
                 rmse_ratio(
-                    g, model, [c], lambda cc: bernoulli_gcr(cc, 0.25),
+                    g, model, [bernoulli_gcr(c, 0.25)],
                     EstimatorSpec("pinv", 1), 200, 3, 0,
                 )[1][0]
                 for c in cands
@@ -424,8 +416,7 @@ class TestRmseRatio:
             ratio, _ = rmse_ratio(
                 g,
                 model,
-                cands,
-                lambda c: bernoulli_gcr(c, 0.25),
+                [bernoulli_gcr(c, 0.25) for c in cands],
                 EstimatorSpec("pinv", 1),
                 replications=100,
                 seed=1,
@@ -439,14 +430,14 @@ class TestRmseRatio:
         g = cycle_power(24, 2)
         model = gen_cycle_model(g, 2)
         cands = [singleton_clustering(24), blocks(24, 3), blocks(24, 6)]
-        design_for = lambda c: complete_gcr(c, 2)
+        designs = [complete_gcr(c, 2) for c in cands]
         spec = EstimatorSpec("pinv", 2)
-        _, rmses = rmse_ratio(g, model, cands, design_for, spec, 60, 7, 0)
-        for c, rmse in zip(cands, rmses):
-            cfg = ExperimentConfig(g, model, design_for(c), spec, 60, 7)
-            assert rmse == run_experiment(cfg).empirical_rmse
+        _, rmses = rmse_ratio(g, model, designs, spec, 60, 7, 0)
+        for d, rmse in zip(designs, rmses):
+            cfg = ExperimentConfig(g, model, d, (spec,), 60, 7)
+            assert rmse == run_experiment(cfg)[0].empirical_rmse
         with pytest.raises(InputError, match="replications"):
-            rmse_ratio(g, model, cands, design_for, spec, 0, 7, 0)
+            rmse_ratio(g, model, designs, spec, 0, 7, 0)
 
 
 def per_cell_mc_report(d, g, units, beta, R_grid, seeds):
@@ -549,16 +540,16 @@ class TestWriteCsv:
         assert rows == [["tag", "value"], [tag, "1"]]
 
     def test_report_rows_round_trip_bytes(self, tmp_path):
-        rep = run_experiment(small_cfg())
+        [rep] = run_experiment(small_cfg())
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         names = ["estimator", "beta", "tag", "replications", "true_tte", "metric", "value"]
-        write_csv(report_rows(rep, include_timing=False), names, str(p1), seed=7)
-        rep2 = run_experiment(small_cfg())
-        write_csv(report_rows(rep2, include_timing=False), names, str(p2), seed=7)
+        write_csv(untimed_rows(rep), names, str(p1), seed=7)
+        [rep2] = run_experiment(small_cfg())
+        write_csv(untimed_rows(rep2), names, str(p2), seed=7)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_metric_values_reparse_exactly(self):
-        rep = run_experiment(small_cfg())
-        for row in report_rows(rep, include_timing=False):
+        [rep] = run_experiment(small_cfg())
+        for row in untimed_rows(rep):
             if row["metric"] == "mean_estimate":
                 assert float(row["value"]) == rep.mean_estimate

@@ -95,12 +95,6 @@ class TestSubsetIndex:
         )
         assert np.array_equal(idx.union_sizes(), expect)
 
-    def test_union_sizes_requires_shared_ground(self):
-        a = enumerate_subsets((0, 1), 1)
-        b = enumerate_subsets((0, 2), 1)
-        with pytest.raises(InputError):
-            a.union_sizes(b)
-
 
 def test_theta_vector():
     assert list(theta_vector(4)) == [0.0, 1.0, 1.0, 1.0]

@@ -78,6 +78,18 @@ class TestLowOrderModel:
         with pytest.raises(InputError):
             LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (0, 1): 1.0},))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            ({(): 0.0}, {(): 0.0, (0,): math.nan}),
+            ({(): 0.0}, {(): math.inf, (0,): 1.0}),
+            ({(): 0.0}, {(): 0.0, (1,): -math.inf}),
+        ],
+    )
+    def test_non_finite_coefficient_names_unit(self, coeffs):
+        with pytest.raises(InputError, match="unit 1: coefficients must be finite"):
+            LowOrderModel.from_dicts(beta_star=1, coeffs=coeffs)
+
     def test_unsorted_key_rejected(self):
         with pytest.raises(InputError):
             LowOrderModel.from_dicts(beta_star=2, coeffs=({(): 0.0, (1, 0): 1.0},))
