@@ -45,6 +45,7 @@ from .errors import InputError, PreconditionError
 from .graph import InterferenceGraph
 from .moments import (
     DesignMoments,
+    _bernoulli_finite,
     _mc_moments,
     size_class_pinv,
     size_class_sums,
@@ -113,10 +114,14 @@ def gamma_gcr_closed(c_size: int, beta: int, p: float) -> float:
     if c_size < 0 or beta < 0:
         raise InputError("c_size and beta must be nonnegative")
     r = (1.0 - p) / p
-    total = 0.0
-    for x in range(1, min(beta, c_size) + 1):
-        total += math.comb(c_size, x) * (r**x - 2.0 * (-1.0) ** x + r**-x)
-    return total
+
+    def total() -> float:
+        out = 0.0
+        for x in range(1, min(beta, c_size) + 1):
+            out += math.comb(c_size, x) * (r**x - 2.0 * (-1.0) ** x + r**-x)
+        return out
+
+    return _bernoulli_finite(total, p, beta, c_size, "closed-form gamma terms")
 
 
 def gamma_gcr_envelope(c_size: int, beta: int, p: float) -> float:
@@ -131,7 +136,14 @@ def gamma_gcr_envelope(c_size: int, beta: int, p: float) -> float:
     if not (0.0 < p < 1.0):
         raise InputError(f"treatment probability p={p} not in (0, 1)")
     q = min(p, 1.0 - p)
-    return 2.0 * min(q ** (-c_size), c_size**beta * q ** (-beta))
+    try:
+        full = q ** (-c_size)
+    except OverflowError:  # then the min is the other term, if that one fits
+        full = math.inf
+    return _bernoulli_finite(
+        lambda: 2.0 * min(full, c_size**beta * q ** (-beta)),
+        p, beta, c_size, "gamma envelope terms",
+    )
 
 
 def gamma_crd(c_size: int, m: int, k: int) -> tuple[float, float]:
@@ -430,12 +442,8 @@ def variance_bound(
     C, N = stats.C_max, stats.N_max
     d_max = int(g.degrees.max())
     if d.is_bernoulli:
-        # evaluated at min(p, 1-p) for the same symmetry reason as the
-        # per-unit envelope
-        q = min(d.p, 1.0 - d.p)
-        simplified = float(
-            2.0 * B * B * C * N * d_max / n * min(q**-C, C**beta * q**-beta)
-        )
+        # the per-unit envelope at c = C
+        simplified = float(B * B * C * N * d_max / n * gamma_gcr_envelope(C, beta, d.p))
     elif C == d.m:
         simplified = math.inf
     else:

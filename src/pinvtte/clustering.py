@@ -14,7 +14,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graph import InterferenceGraph, _write_lines
+from .graph import InterferenceGraph, _csr, _write_lines
 
 __all__ = [
     "Clustering",
@@ -137,9 +137,7 @@ def cluster_neighborhoods(
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     keys = np.unique(units * c.m + np.asarray(c.assignment, dtype=np.int64)[g.indices])
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // c.m, minlength=g.n), out=indptr[1:])
-    return indptr, keys % c.m
+    return _csr(keys, g.n, c.m)
 
 
 def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
@@ -177,39 +175,32 @@ def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
 # Hand-rolled so iteration order is pinned: nodes are visited in ascending
 # index order, with a seeded shuffle applied only when seed != 0. Library
 # implementations leave that order unspecified, which breaks byte-for-byte
-# reproducibility of downstream CSV outputs.
+# reproducibility of downstream CSV outputs. Each level is a symmetric CSR
+# graph (indptr, nbr, wts) plus per-node strengths k. Every weight is a
+# whole number, so every sum is exact in any order and the partition does
+# not depend on how a level's arrays are laid out.
 
 
-def _symmetric_adjacency(g: InterferenceGraph) -> list[dict[int, float]]:
-    # Interference self-loops carry no community information; drop them.
-    # Row by row, so the key i stored by every entry of row i is one int
-    # object; fewer distinct key objects make Louvain's visits faster.
-    adj: list[dict[int, float]] = [dict() for _ in range(g.n)]
-    bounds, flat = g.indptr.tolist(), g.indices.tolist()
-    for i in range(g.n):
-        for j in flat[bounds[i] : bounds[i + 1]]:
-            if j != i:
-                adj[i][j] = 1.0
-                adj[j][i] = 1.0
-    return adj
+def _symmetrized(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, nbr) of the undirected graph behind g, with the
+    interference self-loops dropped: they carry no community information."""
+    units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    off = g.indices != units
+    i, j = units[off], g.indices[off]
+    return _csr(np.unique(np.concatenate([i * g.n + j, j * g.n + i])), g.n, g.n)
 
 
 def modularity(g: InterferenceGraph, c: Clustering, resolution: float = 1.0) -> float:
     """Newman modularity of the partition on the symmetrized graph, with
     self-loops ignored and a resolution multiplier on the null-model term."""
-    adj = _symmetric_adjacency(g)
-    k = np.array([sum(d.values()) for d in adj])
+    indptr, nbr = _symmetrized(g)
+    k = np.diff(indptr).astype(np.float64)
     two_w = k.sum()
     if two_w == 0:
         return 0.0
-    assign = c.assignment
-    intra = 0.0
-    for i in range(g.n):
-        for j, wt in adj[i].items():
-            if assign[i] == assign[j]:
-                intra += wt
-    tot = np.zeros(c.m)
-    np.add.at(tot, np.asarray(assign), k)
+    assign = np.asarray(c.assignment)
+    intra = np.count_nonzero(np.repeat(assign, np.diff(indptr)) == assign[nbr])
+    tot = np.bincount(assign, weights=k, minlength=c.m)
     return intra / two_w - resolution * float(np.sum((tot / two_w) ** 2))
 
 
@@ -227,76 +218,72 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
     """
     if not 0 < resolution < np.inf:
         raise InputError(f"resolution must be positive and finite, got {resolution}")
-    level_adj = _symmetric_adjacency(g)
-    self_w = [0.0] * g.n
-    mapping = list(range(g.n))  # original unit -> current level node
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    indptr, nbr = _symmetrized(g)
+    two_w = float(nbr.size)  # twice the total weight, the same at every level
+    if two_w == 0:
+        return singleton_clustering(g.n)
+    wts = np.ones(nbr.size)
+    k = np.diff(indptr).astype(np.float64).tolist()
+    mapping = np.arange(g.n)  # original unit -> current level node
     rng = np.random.default_rng(seed) if seed != 0 else None
 
     while True:
-        nn = len(level_adj)
-        total_w = sum(sum(d.values()) for d in level_adj) / 2.0 + sum(self_w)
-        if total_w == 0:
-            break
-        k = [sum(level_adj[v].values()) + 2.0 * self_w[v] for v in range(nn)]
+        nn = len(k)
+        bounds, flat, flat_w = indptr.tolist(), nbr.tolist(), wts.tolist()
+        adj = [list(zip(flat[a:b], flat_w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
         com = list(range(nn))
         tot = k[:]
-        improved = False
+        links = [0.0] * nn  # the visited node's link weight into each community
         while True:
             moved = False
             order = list(range(nn))
             if rng is not None:
                 rng.shuffle(order)
             for v in order:
-                cv = com[v]
-                tot[cv] -= k[v]
-                neigh: dict[int, float] = {}
-                for u, wt in level_adj[v].items():
+                cv, kv = com[v], k[v]
+                tot[cv] -= kv
+                touched = []
+                for u, wt in adj[v]:
                     cu = com[u]
-                    neigh[cu] = neigh.get(cu, 0.0) + wt
+                    if not links[cu]:
+                        touched.append(cu)
+                    links[cu] += wt
                 # Gain of joining community c, up to a shared affine shift:
-                # links into c minus the resolution-weighted degree product.
+                # links into c minus the resolution-weighted degree product,
+                # grouped as (resolution * k_v) * tot_c / 2w: other groupings
+                # round differently. cv's own gain never beats best_gain.
+                rk = resolution * kv
                 best_c = cv
-                best_gain = neigh.get(cv, 0.0) - resolution * k[v] * tot[cv] / (
-                    2.0 * total_w
-                )
-                for cu in sorted(neigh):
-                    if cu == cv:
-                        continue
-                    gain = neigh[cu] - resolution * k[v] * tot[cu] / (2.0 * total_w)
+                best_gain = links[cv] - rk * tot[cv] / two_w
+                touched.sort()
+                for cu in touched:
+                    gain = links[cu] - rk * tot[cu] / two_w
                     if gain > best_gain + 1e-12:
                         best_c, best_gain = cu, gain
+                    links[cu] = 0.0
                 com[v] = best_c
-                tot[best_c] += k[v]
+                tot[best_c] += kv
                 if best_c != cv:
                     moved = True
-                    improved = True
             if not moved:
                 break
-        if not improved:
+        # A node only joins a community holding a neighbor, so the level
+        # shrinks exactly when some node moved.
+        labels, com = np.unique(com, return_inverse=True)
+        if labels.size == nn:
             break
-        # Aggregate communities into supernodes for the next level.
-        labels = sorted(set(com))
-        relabel = {lab: idx for idx, lab in enumerate(labels)}
-        com = [relabel[x] for x in com]
-        nc = len(labels)
-        new_adj: list[dict[int, float]] = [dict() for _ in range(nc)]
-        new_self = [0.0] * nc
-        for v in range(nn):
-            cv = com[v]
-            new_self[cv] += self_w[v]
-            for u, wt in level_adj[v].items():
-                cu = com[u]
-                if cu == cv:
-                    if u > v:
-                        new_self[cv] += wt
-                else:
-                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + wt
-        mapping = [com[x] for x in mapping]
-        level_adj = new_adj
-        self_w = new_self
-        if nc == nn:
-            break
-    return Clustering.from_labels(mapping)
+        # Supernodes for the next level: links between two communities sum
+        # per pair, links inside one drop out, and tot carries the strengths.
+        k = [tot[c] for c in labels.tolist()]
+        cv, cu = com[np.repeat(np.arange(nn), np.diff(indptr))], com[nbr]
+        cross = cv != cu
+        keys, pair = np.unique(cv[cross] * len(k) + cu[cross], return_inverse=True)
+        wts = np.bincount(pair, weights=wts[cross], minlength=keys.size)
+        indptr, nbr = _csr(keys, len(k), len(k))
+        mapping = com[mapping]
+    return Clustering.from_labels(mapping.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .design import (
 )
 from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
-from .moments import size_class_pinv
+from .moments import _bernoulli_finite, size_class_pinv
 
 __all__ = [
     "EstimateBreakdown",
@@ -92,12 +92,16 @@ def _gcr_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
     top = min(beta, c)
     B = _binomials(c, top)
     treated, control = B, B[::-1]  # C(t, i) and C(c - t, j)
-    row = np.zeros(c + 1)
-    for i in range(top + 1):
-        for j in range(top + 1 - i):
-            coef = ((1.0 - p) / p) ** i * (-1.0) ** j - (-1.0) ** i * (p / (1.0 - p)) ** j
-            row += coef * treated[:, i] * control[:, j]
-    return row
+
+    def row() -> np.ndarray:
+        out = np.zeros(c + 1)
+        for i in range(top + 1):
+            for j in range(top + 1 - i):
+                coef = ((1.0 - p) / p) ** i * (-1.0) ** j - (-1.0) ** i * (p / (1.0 - p)) ** j
+                out += coef * treated[:, i] * control[:, j]
+        return out
+
+    return _bernoulli_finite(row, p, beta, c, "explicit weights")
 
 
 def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:

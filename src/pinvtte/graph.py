@@ -97,14 +97,20 @@ class InterferenceGraph:
         return np.diff(self.indptr)
 
 
+def _csr(keys: np.ndarray, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, cols) of the sorted unique keys row * width + col:
+    row i holds cols[indptr[i]:indptr[i + 1]], ascending."""
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=rows), out=indptr[1:])
+    return indptr, keys % width
+
+
 def _from_pairs(n: int, dst: np.ndarray, src: np.ndarray) -> InterferenceGraph:
     """The graph with src in N_dst for every pair, plus the implicit self
     loops (forced here, so callers never have to remember them); repeated
     pairs collapse."""
     keys = np.unique(np.concatenate([dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return InterferenceGraph(indptr, keys % n)
+    return InterferenceGraph(*_csr(keys, n, n))
 
 
 def from_edge_list(edges: list[tuple[int, int]], n: int) -> InterferenceGraph:
@@ -175,7 +181,7 @@ def sbm_sample(
     GeometryError
         If num_blocks does not divide n.
     InputError
-        If either probability falls outside [0, 1].
+        If either probability falls outside [0, 1], or seed is negative.
     """
     if num_blocks <= 0 or n % num_blocks != 0:
         raise GeometryError(
@@ -184,6 +190,8 @@ def sbm_sample(
     for name, val in (("pi_in", pi_in), ("pi_out", pi_out)):
         if not (0.0 <= val <= 1.0):
             raise InputError(f"{name}={val} is not a probability")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     size = n // num_blocks
     block = np.repeat(np.arange(num_blocks), size)
     rng = np.random.default_rng(seed)

@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import ClusterStats, _same_clustering, cluster_stats
 from .design import Design, _sample_draws, enumerate_support
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .estimator import batch_estimates
 from .graph import InterferenceGraph
 from .moments import _mc_moments, analytic_cluster_moments
@@ -190,13 +190,18 @@ def replicate_estimates(
 
 def _mean_var(est: np.ndarray, probs: list[float] | None = None) -> tuple[float, float]:
     """(mean, population variance) of the estimates by fsum: the plain
-    average, or the probs-weighted sums when probs is given."""
+    average, or the probs-weighted sums when probs is given. CapacityError
+    if a squared deviation overflows (estimates near 1e154 and beyond)."""
     vals = est.tolist()
-    if probs is None:
-        mean = math.fsum(vals) / len(vals)
-        return mean, math.fsum((e - mean) ** 2 for e in vals) / len(vals)
-    mean = math.fsum(pr * e for pr, e in zip(probs, vals))
-    return mean, math.fsum(pr * (e - mean) ** 2 for pr, e in zip(probs, vals))
+    try:
+        if probs is None:
+            mean = math.fsum(vals) / len(vals)
+            return mean, math.fsum((e - mean) ** 2 for e in vals) / len(vals)
+        mean = math.fsum(pr * e for pr, e in zip(probs, vals))
+        return mean, math.fsum(pr * (e - mean) ** 2 for pr, e in zip(probs, vals))
+    except OverflowError:
+        top = max(map(abs, vals))
+        raise CapacityError(f"the variance of estimates up to {top:.3g} overflows") from None
 
 
 def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
@@ -366,7 +371,12 @@ def rmse_ratio(
     Brute-forces every candidate with the same replication stream; a ratio
     of 1.0 means the bound-driven choice matched the oracle choice. Only the
     empirical RMSE of run_experiment is computed, not its bias or bound.
+    chosen must index into designs.
     """
+    if not designs:
+        raise InputError("no candidate designs")
+    if not 0 <= chosen < len(designs):
+        raise InputError(f"chosen={chosen} is not a candidate index in [0, {len(designs)})")
     tte = true_tte(model)
     rmses = []
     for d in designs:

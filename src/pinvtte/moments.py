@@ -273,6 +273,21 @@ def size_class_sums(values, c: int, rows: int, cols: int) -> np.ndarray:
     return K
 
 
+def _bernoulli_finite(f, p: float, beta: int, c: int, what: str):
+    """f(), a Bernoulli closed form in powers of 1/p or 1/(1-p), or CapacityError
+    once it leaves double precision (** raises OverflowError; * and / give inf)."""
+    try:
+        out = f()
+    except OverflowError:
+        out = math.inf
+    if not np.isfinite(out).all():
+        raise CapacityError(
+            f"p={p!r}: the order-{beta} {what} of a neighborhood of c={c} clusters "
+            "overflow double precision"
+        )
+    return out
+
+
 def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     """Per-size coefficients a_0..a_min(beta, c) of M^+ theta for a cluster
     neighborhood of c clusters under design d: v[U] = a_{|U|}.
@@ -294,15 +309,18 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
         # (-1)^|X| - (p/(1-p))^|X|, free of cancellation between entries
         p = d.p
         r = p / (1.0 - p)
-        return np.array(
-            [
-                (-1.0 / p) ** s
-                * sum(
-                    math.comb(c - s, x - s) * ((-1.0) ** x - r**x)
-                    for x in range(s, top + 1)
-                )
-                for s in range(top + 1)
-            ]
+        return _bernoulli_finite(
+            lambda: np.array(
+                [
+                    (-1.0 / p) ** s
+                    * sum(
+                        math.comb(c - s, x - s) * ((-1.0) ** x - r**x)
+                        for x in range(s, top + 1)
+                    )
+                    for s in range(top + 1)
+                ]
+            ),
+            p, beta, c, "pseudoinverse weights",
         )
     length = min(c, 2 * top) + 1  # largest union of two indexed subsets
     probs = [joint_treat_prob(d, u) for u in range(length)]

@@ -337,6 +337,8 @@ def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel
     """
     if kind not in ("null", "weak", "strong"):
         raise InputError(f"unknown model kind {kind!r}")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     deg = g.degrees
     noise = np.random.default_rng(seed).standard_normal(g.n)
     baseline = (0.5 + 0.1 * noise) * deg / int(deg.max())

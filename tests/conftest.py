@@ -386,6 +386,131 @@ def pair_dependence(
 
 
 # ---------------------------------------------------------------------------
+# Louvain oracles: louvain and modularity as the library ran them on a list
+# of adjacency dicts, one dict built and sorted per node visit
+# ---------------------------------------------------------------------------
+
+
+def oracle_symmetric_adjacency(g: InterferenceGraph) -> list[dict[int, float]]:
+    # Interference self-loops carry no community information; drop them.
+    # Row by row, so the key i stored by every entry of row i is one int
+    # object; fewer distinct key objects make Louvain's visits faster.
+    adj: list[dict[int, float]] = [dict() for _ in range(g.n)]
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
+    for i in range(g.n):
+        for j in flat[bounds[i] : bounds[i + 1]]:
+            if j != i:
+                adj[i][j] = 1.0
+                adj[j][i] = 1.0
+    return adj
+
+
+def oracle_modularity(g: InterferenceGraph, c: Clustering, resolution: float = 1.0) -> float:
+    """Newman modularity of the partition on the symmetrized graph, with
+    self-loops ignored and a resolution multiplier on the null-model term."""
+    adj = oracle_symmetric_adjacency(g)
+    k = np.array([sum(d.values()) for d in adj])
+    two_w = k.sum()
+    if two_w == 0:
+        return 0.0
+    assign = c.assignment
+    intra = 0.0
+    for i in range(g.n):
+        for j, wt in adj[i].items():
+            if assign[i] == assign[j]:
+                intra += wt
+    tot = np.zeros(c.m)
+    np.add.at(tot, np.asarray(assign), k)
+    return intra / two_w - resolution * float(np.sum((tot / two_w) ** 2))
+
+
+def oracle_louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clustering:
+    """Deterministic Louvain partition of the symmetrized graph.
+
+    Runs the usual two-phase scheme (greedy local moves, then community
+    aggregation) until modularity stops improving. Nodes are scanned in
+    ascending order; passing seed != 0 shuffles the scan order once per
+    sweep with numpy's default_rng(seed). Ties never move a node, and
+    candidate communities are scanned in ascending id order, so the output
+    is a pure function of (graph, resolution, seed).
+
+    Isolated units (no symmetric edges) stay in their own clusters.
+    """
+    if not 0 < resolution < np.inf:
+        raise InputError(f"resolution must be positive and finite, got {resolution}")
+    level_adj = oracle_symmetric_adjacency(g)
+    self_w = [0.0] * g.n
+    mapping = list(range(g.n))  # original unit -> current level node
+    rng = np.random.default_rng(seed) if seed != 0 else None
+
+    while True:
+        nn = len(level_adj)
+        total_w = sum(sum(d.values()) for d in level_adj) / 2.0 + sum(self_w)
+        if total_w == 0:
+            break
+        k = [sum(level_adj[v].values()) + 2.0 * self_w[v] for v in range(nn)]
+        com = list(range(nn))
+        tot = k[:]
+        improved = False
+        while True:
+            moved = False
+            order = list(range(nn))
+            if rng is not None:
+                rng.shuffle(order)
+            for v in order:
+                cv = com[v]
+                tot[cv] -= k[v]
+                neigh: dict[int, float] = {}
+                for u, wt in level_adj[v].items():
+                    cu = com[u]
+                    neigh[cu] = neigh.get(cu, 0.0) + wt
+                # Gain of joining community c, up to a shared affine shift:
+                # links into c minus the resolution-weighted degree product.
+                best_c = cv
+                best_gain = neigh.get(cv, 0.0) - resolution * k[v] * tot[cv] / (
+                    2.0 * total_w
+                )
+                for cu in sorted(neigh):
+                    if cu == cv:
+                        continue
+                    gain = neigh[cu] - resolution * k[v] * tot[cu] / (2.0 * total_w)
+                    if gain > best_gain + 1e-12:
+                        best_c, best_gain = cu, gain
+                com[v] = best_c
+                tot[best_c] += k[v]
+                if best_c != cv:
+                    moved = True
+                    improved = True
+            if not moved:
+                break
+        if not improved:
+            break
+        # Aggregate communities into supernodes for the next level.
+        labels = sorted(set(com))
+        relabel = {lab: idx for idx, lab in enumerate(labels)}
+        com = [relabel[x] for x in com]
+        nc = len(labels)
+        new_adj: list[dict[int, float]] = [dict() for _ in range(nc)]
+        new_self = [0.0] * nc
+        for v in range(nn):
+            cv = com[v]
+            new_self[cv] += self_w[v]
+            for u, wt in level_adj[v].items():
+                cu = com[u]
+                if cu == cv:
+                    if u > v:
+                        new_self[cv] += wt
+                else:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + wt
+        mapping = [com[x] for x in mapping]
+        level_adj = new_adj
+        self_w = new_self
+        if nc == nn:
+            break
+    return Clustering.from_labels(mapping)
+
+
+# ---------------------------------------------------------------------------
 # moment oracles: closed forms and exhaustive routes only the tests read
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinvtte import (
+    CapacityError,
     Clustering,
     InputError,
     LowOrderModel,
@@ -110,6 +111,12 @@ class TestGammaClosed:
         with pytest.raises(InputError):
             gamma_gcr_closed(-1, 1, 0.5)
 
+    @pytest.mark.parametrize("beta, p", [(1, 1e-320), (2, 1e-200)])
+    def test_tiny_p_overflow_names_p_order_and_c(self, beta, p):
+        message = f"p={p!r}: the order-{beta} closed-form gamma terms of a neighborhood of c=3"
+        with pytest.raises(CapacityError, match=message):
+            gamma_gcr_closed(3, beta, p)
+
 
 class TestGammaEnvelope:
     @pytest.mark.parametrize("p", [0.1, 0.2, 0.5, 0.8])
@@ -124,6 +131,12 @@ class TestGammaEnvelope:
     def test_value(self):
         assert gamma_gcr_envelope(3, 2, 0.5) == 2.0 * min(8.0, 9 * 4.0)
         assert gamma_gcr_envelope(1, 1, 0.5) == 4.0
+
+    def test_tiny_p_takes_the_term_that_fits(self):
+        # q^-3 overflows at q = 1e-200, the smaller term 3 q^-1 does not
+        assert gamma_gcr_envelope(3, 1, 1e-200) == 2.0 * (3 * 1e-200 ** (-1))
+        with pytest.raises(CapacityError, match=r"p=1e-320: the order-1 gamma envelope"):
+            gamma_gcr_envelope(3, 1, 1e-320)
 
 
 class TestGammaCrd:
@@ -497,6 +510,14 @@ class TestLiftedClustering:
 
 
 class TestVarianceBound:
+    def test_tiny_p_simplified_bound_is_finite(self):
+        # q^-C alone overflows; the simplified bound is the envelope at C
+        g = cycle_power(12, 1)
+        stats = cluster_stats(g, singleton_clustering(12))
+        rep = variance_bound(g, stats, bernoulli_unit(12, 1e-200), 1, 1.0, "closed")
+        assert rep.var_bound_simplified == 3 * 1 * 3 / 12 * gamma_gcr_envelope(3, 1, 1e-200)
+        assert math.isfinite(rep.var_bound_pairwise)
+
     def test_single_unit_frozen(self):
         g = from_edge_list([], 1)
         d = bernoulli_unit(1, 0.5)

@@ -470,6 +470,7 @@ class TestErrorSurface:
         assert "--k" in capsys.readouterr().err
 
     BOUNDS = ["bounds", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3"]
+    TINY_P = ["--n", "12", "--radius", "1", "--design", "gcr", "--p"]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -484,6 +485,32 @@ class TestErrorSurface:
               "--B-bound", "1"], "resolution must be positive and finite, got nan"),
             (["cluster", "--n", "12", "--radius", "1", "--method", "louvain",
               "--resolution", "inf"], "resolution must be positive and finite, got inf"),
+            # negative seeds
+            (["cluster", "--n", "12", "--radius", "1", "--method", "louvain", "--seed", "-1"],
+             "seed must be nonnegative, got -1"),
+            (["select", "--n", "12", "--radius", "1", "--cluster-seed", "-1", "--B-bound", "1"],
+             "seed must be nonnegative, got -1"),
+            (["bounds", "--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.3",
+              "--graph-seed", "-2", "--design", "gcr", "--p", "0.25", "--B-bound", "1"],
+             "seed must be nonnegative, got -2"),
+            (["model", "gen", "--kind", "weak", "--n", "12", "--radius", "1", "--seed", "-1"],
+             "seed must be nonnegative, got -1"),
+            # powers of 1/p past double precision
+            (["bounds"] + TINY_P + ["1e-320", "--B-bound", "1"],
+             "p=1e-320: the order-1 pseudoinverse weights of a neighborhood of c=3"),
+            (["bounds"] + TINY_P + ["1e-320", "--B-bound", "1", "--gamma", "closed"],
+             "p=1e-320: the order-1 closed-form gamma terms of a neighborhood of c=3"),
+            (["bounds"] + TINY_P + ["1e-200", "--beta", "2", "--B-bound", "1"],
+             "p=1e-200: the order-2 pseudoinverse weights of a neighborhood of c=3"),
+            (["estimate"] + TINY_P + ["1e-300", "--model", "cycle", "--estimator", "pinv:2"],
+             "p=1e-300: the order-2 pseudoinverse weights of a neighborhood of c=3"),
+            (["estimate"] + TINY_P
+             + ["1e-300", "--model", "cycle", "--estimator", "gcr_explicit:2"],
+             "p=1e-300: the order-2 explicit weights of a neighborhood of c=3"),
+            (["simulate"] + TINY_P + ["1e-320", "--model", "cycle", "--replications", "5"],
+             "p=1e-320: the order-1 pseudoinverse weights of a neighborhood of c=3"),
+            (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--design", "gcr",
+              "--p", "1e-300", "--estimator", "pinv:1"], "the variance of estimates up to"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):
@@ -565,6 +592,11 @@ GOLDEN_CASES = {
         "mc-moments", "--n", "20", "--radius", "1", "--clustering", "contiguous",
         "--width", "2", "--design", "gcr", "--p", "0.3", "--beta", "2",
         "--units", "0,5", "--r-grid", "50,200", "--mc-seeds", "0,1",
+    ],
+    "cluster_louvain": [
+        "cluster", "--graph", "sbm", "--n", "120", "--blocks", "6", "--pi-in", "0.2",
+        "--pi-out", "0.01", "--graph-seed", "8", "--method", "louvain",
+        "--resolution", "1.0", "--seed", "5",
     ],
     "model_gen_cycle": ["model", "gen", "--n", "9", "--radius", "2", "--kind", "cycle",
                         "--beta-star", "2"],

@@ -22,7 +22,17 @@ from pinvtte import (
     sbm_sample,
     singleton_clustering,
 )
-from conftest import cluster_rows, neighbors, random_clustering, random_graph
+from conftest import (
+    cluster_rows,
+    neighbors,
+    oracle_louvain,
+    oracle_modularity,
+    random_clustering,
+    random_graph,
+)
+
+# the CLI's default resolution grid for select
+DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
 def two_triangles():
@@ -145,6 +155,27 @@ class TestLouvain:
     def test_rejects_resolution_not_positive_finite(self, resolution):
         with pytest.raises(InputError, match="positive and finite"):
             louvain(two_triangles(), resolution=resolution)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+            louvain(two_triangles(), seed=-1)
+
+    def test_matches_dict_oracle(self):
+        # the CSR levels give the partition of the dict-per-visit route,
+        # seeded shuffles included, and modularity to the last bit
+        gen = np.random.default_rng(11)
+        graphs = [
+            random_graph(gen, int(gen.integers(2, 60)), int(gen.integers(1, 8)))
+            for _ in range(50)
+        ]
+        graphs += [cycle_power(30, 2), sbm_sample(120, 6, 0.2, 0.01, 8), from_edge_list([], 5)]
+        for g in graphs:
+            for resolution in DEFAULT_GRID:
+                for seed in (0, 7):
+                    c = louvain(g, resolution, seed)
+                    assert c == oracle_louvain(g, resolution, seed), (g.n, resolution, seed)
+                    q = modularity(g, c, resolution)
+                    assert q == oracle_modularity(g, c, resolution)
 
     def test_improves_modularity_over_singletons(self):
         g = sbm_sample(40, 4, 0.7, 0.05, seed=2)

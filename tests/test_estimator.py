@@ -288,6 +288,13 @@ class TestLargeNeighborhoods:
         with pytest.raises(CapacityError, match=r"unit 0\b.*c=600.*underflows"):
             ht_estimate(g, np.ones(600), sample(d, 0, 0), d)
 
+    def test_gcr_explicit_tiny_p_overflow(self):
+        g = cycle_power(12, 1)
+        d = bernoulli_unit(12, 1e-300)
+        message = r"p=1e-300: the order-2 explicit weights of a neighborhood of c=3"
+        with pytest.raises(CapacityError, match=message):
+            gcr_explicit_estimate(g, np.ones(12), sample(d, 0, 0), d.clustering, 1e-300, 2)
+
     def test_pinv_table_matches_product_form_at_p09(self):
         # a numeric solve of the size-class system misses here by ~1e-6
         d = bernoulli_unit(2, 0.9)

@@ -151,6 +151,10 @@ class TestSbmSample:
         with pytest.raises(GeometryError):
             sbm_sample(10, 3, 0.5, 0.0, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be nonnegative, got -2"):
+            sbm_sample(40, 4, 0.3, 0.0, seed=-2)
+
 
 class TestEdgeListFiles:
     def test_round_trip(self, tmp_path, rng):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pinvtte import (
+    CapacityError,
     Clustering,
     EstimatorSpec,
     ExperimentConfig,
@@ -244,6 +245,13 @@ class TestRunExperiment:
 
 
 class TestExhaustiveExpectation:
+    def test_variance_overflow_is_capacity_error(self):
+        # weights near 1/p = 1e300 make squared deviations overflow
+        g = cycle_power(8, 1)
+        d = bernoulli_unit(8, 1e-300)
+        with pytest.raises(CapacityError, match="variance of estimates up to 4.5e"):
+            exhaustive_expectation(g, gen_cycle_model(g, 1), d, [EstimatorSpec("pinv", 1)])
+
     def test_uniform_support_reduction_is_plain_average(self):
         g = cycle_power(8, 1)
         model = gen_cycle_model(g, 1)
@@ -424,6 +432,17 @@ class TestRmseRatio:
             )
             assert ratio >= 1.0
 
+
+    def test_rejects_bad_candidates(self):
+        g = cycle_power(12, 1)
+        model = gen_cycle_model(g, 1)
+        spec = EstimatorSpec("pinv", 1)
+        with pytest.raises(InputError, match="no candidate designs"):
+            rmse_ratio(g, model, [], spec, 10, 0, 0)
+        designs = [bernoulli_gcr(c, 0.25) for c in (singleton_clustering(12), blocks(12, 2))]
+        for chosen in (-1, 2):
+            with pytest.raises(InputError, match=f"chosen={chosen} is not a candidate"):
+                rmse_ratio(g, model, designs, spec, 10, 0, chosen)
 
     def test_rmse_matches_run_experiment(self):
         # the RMSE alone, bit for bit the empirical_rmse of a full run

@@ -289,6 +289,13 @@ def bernoulli_unit_design():
 
 
 class TestSizeClass:
+    @pytest.mark.parametrize("beta, p", [(2, 1e-200), (1, 1e-320)])
+    def test_tiny_p_overflow_names_p_order_and_c(self, beta, p):
+        d = bernoulli_gcr(singleton_clustering(3), p)
+        message = f"p={p!r}: the order-{beta} pseudoinverse weights of a neighborhood of c=3"
+        with pytest.raises(CapacityError, match=message):
+            size_class_pinv(d, 3, beta)
+
     def test_matches_dense(self):
         # M^+ theta from the dense subset system is a_{|U|} on every row
         for m in range(2, 9):

@@ -247,6 +247,10 @@ class TestGenNamedModel:
         with pytest.raises(InputError):
             gen_named_model(g, "mystery", seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+            gen_named_model(cycle_power(12, 1), "weak", seed=-1)
+
     def test_seed_reproducibility(self):
         g = cycle_power(12, 1)
         a = gen_named_model(g, "weak", seed=5)
