@@ -41,7 +41,7 @@ import numpy as np
 
 from .clustering import ClusterStats, _same_clustering, _size_rows
 from .design import Design, _sample_draws, joint_treat_prob
-from .errors import InputError, PreconditionError
+from .errors import CapacityError, InputError, PreconditionError
 from .graph import InterferenceGraph
 from .moments import (
     DesignMoments,
@@ -411,6 +411,8 @@ def variance_bound(
     PreconditionError
         If monotone is asserted, a model is supplied, and its aggregated
         coefficients carry mixed signs.
+    CapacityError
+        If B^2 times a finite product overflows; the error names B and it.
     """
     if not 0 < B < math.inf:
         raise InputError(f"outcome bound B={B} must be positive and finite")
@@ -437,7 +439,12 @@ def variance_bound(
         per_unit = _dependent_sums(stats, gam)
     else:
         per_unit = gam * gam.sum()
-    pairwise = float(B) * float(B) / (n * n) * float(np.add.reduce(per_unit))
+    pair_sum = float(np.add.reduce(per_unit))
+    pairwise = float(B) * float(B) / (n * n) * pair_sum
+    if not math.isfinite(pairwise):
+        raise CapacityError(
+            f"B={B!r}: the pairwise variance bound B^2/n^2 * {pair_sum:.3g} overflows"
+        )
 
     C, N = stats.C_max, stats.N_max
     d_max = int(g.degrees.max())
@@ -451,6 +458,11 @@ def variance_bound(
         frac = k / m
         simplified = float(
             B * B * m * C**3 * N * d_max / (n * frac * (1 - frac) * (m - C))
+        )
+    # inf is the simplified bound only of a complete design with C == m
+    if not math.isfinite(simplified) and (d.is_bernoulli or C < d.m):
+        raise CapacityError(
+            f"B={B!r}: the simplified variance bound B^2 * {C=}, {N=}, {d_max=} terms overflows"
         )
 
     bias_val: float | None = None

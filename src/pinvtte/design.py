@@ -140,9 +140,10 @@ def _sample_draws(d: Design, seed: int, R: int) -> np.ndarray:
     return W
 
 
-def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
-    """All (probability, w) pairs of the design, in a fixed deterministic
-    order. Probabilities sum to 1 exactly up to float rounding.
+def enumerate_support(d: Design) -> tuple[np.ndarray, np.ndarray]:
+    """The design's support as (probs, W) in a fixed deterministic order: the
+    float64 (S,) point probabilities, summing to 1 up to float rounding, and
+    the (S, m) int8 matrix whose row s is point s.
 
     Raises
     ------
@@ -161,8 +162,8 @@ def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
         W = np.empty((bits.size, m), dtype=np.int8)
         for c in range(m):
             W[:, c] = (bits >> c) & 1
-        probs = [d.p**t * (1.0 - d.p) ** (m - t) for t in range(m + 1)]
-        return [(probs[t], w) for t, w in zip(W.sum(axis=1).tolist(), W)]
+        probs = np.array([d.p**t * (1.0 - d.p) ** (m - t) for t in range(m + 1)])
+        return probs[W.sum(axis=1)], W
     count = math.comb(m, d.k)
     if count > _MAX_CRD_SUPPORT:
         raise CapacityError(
@@ -175,8 +176,7 @@ def enumerate_support(d: Design) -> list[tuple[float, np.ndarray]]:
     )
     W = np.zeros((count, m), dtype=np.int8)
     W[np.repeat(np.arange(count), d.k), chosen] = 1
-    prob = 1.0 / count
-    return [(prob, w) for w in W]
+    return np.full(count, 1.0 / count), W
 
 
 def joint_treat_prob(d: Design, t: int) -> float:

@@ -8,9 +8,9 @@ recombine them.
 Each weight depends on a draw only through (c_i, t_i): the number of clusters
 in unit i's cluster neighborhood and how many of them are treated. So every
 estimator is a table of weights by (c, t), built only for the c present, and
-one gather applies any table to a whole matrix of draws; both read only the
-ClusterStats of clustering.cluster_stats. The four tables are derived
-independently and cross-checked in tests:
+one gather applies any table to the treated counts t of a whole matrix of
+draws; both read only the ClusterStats of clustering.cluster_stats. The four
+tables are derived independently and cross-checked in tests:
 
   pinv          moment-matrix route, any design: sum_s a_s(c) C(t, s), where
                 v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
@@ -45,15 +45,11 @@ from .moments import _bernoulli_finite, size_class_pinv
 __all__ = [
     "EstimateBreakdown",
     "estimate",
-    "batch_estimates",
     "pinv_estimate",
     "gcr_explicit_estimate",
     "ht_estimate",
     "crd_beta1_estimate",
 ]
-
-# draws times units gathered at once; bounds the kernel's temporary arrays
-_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -157,13 +153,12 @@ def _table(stats: ClusterStats, d: Design, kind: str, beta: int | None):
     return values, base.astype(np.int32)
 
 
-def _gather(values: np.ndarray, base: np.ndarray, stats: ClusterStats, W) -> np.ndarray:
-    """(R, n) weights for the (R, m) int8 draw matrix W."""
+def _treated(stats: ClusterStats, W) -> np.ndarray:
+    """(R, n) treated clusters of each unit's neighborhood for the (R, m) int8
+    draw matrix W: the t of every table, whose weights are values[base + t]."""
     if W.size and (W.min() < 0 or W.max() > 1):
         raise InputError("cluster draws must be 0/1 treatment indicators")
-    treated = np.add.reduceat(W[:, stats.cluster_ids], stats.indptr[:-1], axis=1, dtype=np.int32)
-    treated += base
-    return values[treated]
+    return np.add.reduceat(W[:, stats.cluster_ids], stats.indptr[:-1], axis=1, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +189,9 @@ def estimate(
         raise InputError(f"draw has {draw.w.shape[0]} clusters, design has {d.m}")
     stats = cluster_stats(g, d.clustering)
     values, base = _table(stats, d, kind, beta)
-    weights = _gather(values, base, stats, np.asarray(draw.w, dtype=np.int8)[None, :])[0]
+    weights = values[base + _treated(stats, np.asarray(draw.w, dtype=np.int8)[None, :])[0]]
     order = {"ht": None, "crd1": 1}.get(kind, beta)
     return EstimateBreakdown(kind, order, float(np.mean(Y * weights)), weights)
-
-
-def batch_estimates(
-    stats: ClusterStats, d: Design, kind: str, beta: int | None, W: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """mean(Y[r] * weights[r]) for every row r of the (R, m) draw matrix W and
-    the (R, n) outcome matrix Y, on stats built from d's clustering: the table
-    and gather of estimate over blocks of draws, holding no (R, n) weights."""
-    W = np.asarray(W, dtype=np.int8)
-    values, base = _table(stats, d, kind, beta)
-    out = np.empty(W.shape[0])
-    step = max(1, _BLOCK // stats.n)
-    for start in range(0, W.shape[0], step):
-        block = slice(start, start + step)
-        out[block] = np.mean(Y[block] * _gather(values, base, stats, W[block]), axis=1)
-    return out
 
 
 def pinv_estimate(

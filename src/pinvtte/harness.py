@@ -10,10 +10,11 @@ estimators compared on it, R and a seed. Replicated runs (run_experiment,
 rmse_ratio) and the exhaustive oracle share one path: the graph and model
 lifted to clusters once (cluster_stats, cluster_aggregate), a matrix of
 cluster draws (the (seed, r) streams, or the design's whole support), one
-evaluation of their outcomes and each estimator's weight table on them
-(replicate_estimates), then one fsum reduction per estimator (_mean_var,
-weighted by probability on a non-uniform support). The estimators of a cell
-share all of these; its bias and bound are taken once per order.
+walk over its blocks applying every estimator's weight table to each block's
+outcomes (replicate_estimates), then one fsum reduction per estimator
+(_mean_var, weighted by probability on a non-uniform support). The
+estimators of a cell share all of these; its bias and bound are taken once
+per order.
 Clustering selection scores a list of candidate designs, one per clustering.
 """
 
@@ -34,7 +35,7 @@ from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import ClusterStats, _same_clustering, cluster_stats
 from .design import Design, _sample_draws, enumerate_support
 from .errors import CapacityError, InputError
-from .estimator import batch_estimates
+from .estimator import _ROWS, _table, _treated
 from .graph import InterferenceGraph
 from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import (
@@ -61,7 +62,8 @@ __all__ = [
     "git_describe",
 ]
 
-_KINDS = ("pinv", "gcr_explicit", "ht", "crd1")
+# draws times the larger of model keys and neighborhood entries held at once
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class EstimatorSpec:
     beta: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _ROWS:
             raise InputError(f"unknown estimator kind {self.kind!r}")
         if self.kind in ("pinv", "gcr_explicit"):
             if self.beta is None or self.beta < 1:
@@ -178,14 +180,23 @@ def replicate_estimates(
     """Each spec's estimates for a batch of cluster assignments, one per row
     of W, from agg and stats lifted to d's clustering.
 
-    The outcomes of all draws are evaluated once, in one batched call
-    (outcomes.evaluate_draws), and freed on return; each estimator applies
-    its weight table to the same draws and outcomes
-    (estimator.batch_estimates).
+    Each spec's weight table is built once; then, per block of draws under
+    the _BLOCK element budget, the outcomes (outcomes.evaluate_draws) and
+    treated counts are taken once and every table is gathered on them. No
+    (R, n) array is held, and estimate r depends only on draw r.
     """
     _same_clustering(d.clustering, agg, stats)
-    Y = evaluate_draws(agg, W)
-    return [batch_estimates(stats, d, spec.kind, spec.beta, W, Y) for spec in specs]
+    tables = [_table(stats, d, spec.kind, spec.beta) for spec in specs]
+    W = np.asarray(W)
+    out = [np.empty(W.shape[0]) for _ in specs]
+    step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
+    for start in range(0, W.shape[0], step):
+        block = slice(start, start + step)
+        Y = evaluate_draws(agg, W[block])
+        treated = _treated(stats, np.asarray(W[block], dtype=np.int8))
+        for est, (values, base) in zip(out, tables):
+            est[block] = np.mean(Y * values[base + treated], axis=1)
+    return out
 
 
 def _mean_var(est: np.ndarray, probs: list[float] | None = None) -> tuple[float, float]:
@@ -318,9 +329,8 @@ def exhaustive_expectation(
     the reduction is the plain average in support order, so a replicated
     run over exactly the support points reproduces this value bit for bit.
     """
-    support = enumerate_support(d)
-    W = np.stack([w for _, w in support])
-    probs = [pr for pr, _ in support]
+    probs, W = enumerate_support(d)
+    probs = probs.tolist()
     if all(pr == probs[0] for pr in probs):
         probs = None
     lifted = cluster_aggregate(model, g, d.clustering), cluster_stats(g, d.clustering)

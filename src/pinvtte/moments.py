@@ -140,8 +140,11 @@ def bern_cluster_moments(index: SubsetIndex, p: float) -> DesignMoments:
     T = np.zeros(usize.max() + 1)
     for u in range(top + 1):
         T[u] = sum(math.comb(c - u, x - u) * r**x for x in range(u, top + 1))
-    sign = (-1.0 / p) ** index.sizes.astype(np.float64)
-    P = sign[:, None] * sign[None, :] * T[usize]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign = (-1.0 / p) ** index.sizes.astype(np.float64)
+        P = _bernoulli_finite(
+            lambda: np.outer(sign, sign) * T[usize], p, index.beta, c, "pseudoinverse entries"
+        )
     return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
 
 

@@ -41,9 +41,6 @@ __all__ = [
 # A model built from dicts holds at most this many subset keys.
 _MAX_KEYS = 2_000_000
 
-# draws times keys gathered at once; bounds evaluate_draws' temporary arrays
-_BLOCK = 1 << 18
-
 
 @dataclass(frozen=True, eq=False)
 class LowOrderModel:
@@ -248,9 +245,9 @@ def evaluate_draws(agg: ClusterAggregatedModel, W) -> np.ndarray:
     """Outcome matrix (R, n) for the (R, m) matrix W of 0/1 cluster draws of
     agg's clustering.
 
-    On the re-keyed model Y_i = sum_U x_{i,U} prod_{C in U} w_C, and blocks
-    of draws are gathered over its keys under a fixed element budget. Row r
-    depends only on draw r, whatever R or the block size.
+    On the re-keyed model Y_i = sum_U x_{i,U} prod_{C in U} w_C, gathered
+    over its keys for all R draws at once; callers bound R (the replication
+    cell walks its draws in blocks). Row r depends only on draw r, whatever R.
     """
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[1] != agg.m:
@@ -261,16 +258,14 @@ def evaluate_draws(agg: ClusterAggregatedModel, W) -> np.ndarray:
     Y = np.tile(agg.baseline, (R, 1))
     if not agg.values.size:
         return Y
-    units, starts = np.unique(agg.owner, return_index=True)
     Wpad = np.ones((R, agg.m + 1), dtype=np.int8)
     Wpad[:, :-1] = W
-    step = max(1, _BLOCK // agg.values.size)
-    for start in range(0, R, step):
-        block = Wpad[start : start + step]
-        hit = block[:, agg.members[:, 0]]
-        for col in agg.members.T[1:]:
-            hit &= block[:, col]
-        Y[start : start + step, units] += np.add.reduceat(hit * agg.values, starts, axis=1)
+    hit = Wpad[:, agg.members[:, 0]]
+    for col in agg.members.T[1:]:
+        hit &= Wpad[:, col]
+    # rows are sorted by owner: each unit's keys are one run
+    starts = np.flatnonzero(np.diff(agg.owner, prepend=-1))
+    Y[:, agg.owner[starts]] += np.add.reduceat(hit * agg.values, starts, axis=1)
     return Y
 
 

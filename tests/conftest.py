@@ -537,7 +537,7 @@ def support_moments(
     index = enumerate_subsets(ground, beta)
     cols = np.array(ground, dtype=np.int64)
     M = np.zeros((len(index), len(index)))
-    for prob, w in enumerate_support(d):
+    for prob, w in zip(*enumerate_support(d)):
         counts = index.membership @ w[cols].astype(np.int64)
         ind = (counts == index.sizes).astype(np.float64)
         M += prob * np.outer(ind, ind)

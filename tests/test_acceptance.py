@@ -297,7 +297,7 @@ def test_acceptance_06_crd_structure(announce):
     if exact != -2 / 3:
         failures.append(f"full-contact bias {exact}")
     d = complete_gcr(c, 1)
-    for _, w in enumerate_support(d):
+    for _, w in zip(*enumerate_support(d)):
         from pinvtte import draw_from_w
 
         draw = draw_from_w(d, w)
@@ -464,7 +464,7 @@ def test_acceptance_11_route_equivalence(announce):
         beta = max(g.degrees)
         from pinvtte import draw_from_w
 
-        for _, w in enumerate_support(d):
+        for _, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
             a = pinv_estimate(g, Y, draw, d, beta).tte_hat
             b = ht_estimate(g, Y, draw, d).tte_hat

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ from conftest import (
 
 def exhaustive_moments(g, model, d, beta):
     ests, probs = [], []
-    for prob, w in enumerate_support(d):
+    for prob, w in zip(*enumerate_support(d)):
         draw = draw_from_w(d, w)
         Y = evaluate(model, g, draw.z)
         ests.append(pinv_estimate(g, Y, draw, d, beta).tte_hat)
@@ -577,12 +579,26 @@ class TestVarianceBound:
             assert rep.var_bound_pairwise <= rep.var_bound_simplified * (1 + 1e-12)
 
     def test_simplified_infinite_at_full_contact(self):
+        # by definition, not by overflow: no CapacityError at a large finite B
         g = cycle_power(4, 1)
         c = Clustering.from_labels([0, 1, 0, 1])
         d = complete_gcr(c, 1)
-        rep = variance_bound(g, cluster_stats(g, c), d, 1, 1.0)
-        assert rep.var_bound_simplified == math.inf
-        assert math.isfinite(rep.var_bound_pairwise)
+        for B in (1.0, 1e150):
+            rep = variance_bound(g, cluster_stats(g, c), d, 1, B)
+            assert rep.var_bound_simplified == math.inf
+            assert math.isfinite(rep.var_bound_pairwise)
+
+    def test_overflowing_bound_is_capacity_error(self):
+        # a finite B whose bound leaves double precision: at p = 1e-300 the
+        # pairwise bound, and at B^2 = max/7 the simplified one alone (the
+        # singleton cycle's pairwise bound is 5 B^2, its simplified one 9 B^2)
+        g = cycle_power(12, 1)
+        stats = cluster_stats(g, singleton_clustering(12))
+        with pytest.raises(CapacityError, match=r"B=1e\+300: the pairwise variance bound"):
+            variance_bound(g, stats, bernoulli_unit(12, 1e-300), 1, 1e300)
+        B = math.sqrt(sys.float_info.max / 7)
+        with pytest.raises(CapacityError, match=re.escape(f"B={B!r}: the simplified")):
+            variance_bound(g, stats, bernoulli_unit(12, 0.5), 1, B)
 
     def test_monotone_screen_tightens_complete(self, rng):
         # disjoint cluster neighborhoods exist, so screening drops pairs

@@ -511,6 +511,12 @@ class TestErrorSurface:
              "p=1e-320: the order-1 pseudoinverse weights of a neighborhood of c=3"),
             (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--design", "gcr",
               "--p", "1e-300", "--estimator", "pinv:1"], "the variance of estimates up to"),
+            (["mc-moments"] + TINY_P + ["1e-300", "--beta", "1", "--units", "0",
+              "--r-grid", "50", "--mc-seeds", "0"],
+             "p=1e-300: the order-1 pseudoinverse entries of a neighborhood of c=3"),
+            # a finite B whose variance bound leaves double precision
+            (["bounds"] + TINY_P + ["1e-300", "--beta", "1", "--B-bound", "1e300"],
+             "B=1e+300: the pairwise variance bound B^2/n^2 * 1.8e+302"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):

@@ -151,7 +151,7 @@ class TestDrawFromW:
 class TestEnumerateSupport:
     def test_bernoulli_counts_and_mass(self):
         d = bernoulli_gcr(blocks(8, 2), 0.3)
-        support = enumerate_support(d)
+        support = list(zip(*enumerate_support(d)))
         assert len(support) == 16
         assert math.fsum(p for p, _ in support) == pytest.approx(1.0, abs=1e-14)
         seen = {tuple(int(x) for x in w) for _, w in support}
@@ -159,13 +159,13 @@ class TestEnumerateSupport:
 
     def test_bernoulli_point_probability(self):
         d = bernoulli_gcr(blocks(6, 2), 0.2)
-        for prob, w in enumerate_support(d):
+        for prob, w in zip(*enumerate_support(d)):
             t = int(w.sum())
             assert prob == pytest.approx(0.2**t * 0.8 ** (3 - t), abs=1e-15)
 
     def test_complete_counts_and_uniformity(self):
         d = complete_gcr(blocks(10, 2), 2)
-        support = enumerate_support(d)
+        support = list(zip(*enumerate_support(d)))
         assert len(support) == math.comb(5, 2)
         assert all(int(w.sum()) == 2 for _, w in support)
         assert all(p == support[0][0] for p, _ in support)
@@ -190,17 +190,17 @@ class TestEnumerateSupport:
     )
     def test_matches_point_by_point_route(self, design):
         d = design()
-        got = enumerate_support(d)
+        probs, W = enumerate_support(d)
         want = oracle_support(d)
-        assert [p for p, _ in got] == [p for p, _ in want]
-        assert len(got) == len(want)
-        for (_, w), (_, v) in zip(got, want):
-            assert w.dtype == np.int8 and np.array_equal(w, v)
+        assert probs.dtype == np.float64 and probs.shape == (len(want),)
+        assert W.dtype == np.int8 and W.shape == (len(want), d.m)
+        assert probs.tolist() == [p for p, _ in want]
+        assert np.array_equal(W, np.stack([v for _, v in want]))
 
     def test_order_deterministic(self):
         d = bernoulli_gcr(blocks(6, 2), 0.5)
-        first = [tuple(int(x) for x in w) for _, w in enumerate_support(d)]
-        second = [tuple(int(x) for x in w) for _, w in enumerate_support(d)]
+        first = [tuple(int(x) for x in w) for _, w in zip(*enumerate_support(d))]
+        second = [tuple(int(x) for x in w) for _, w in zip(*enumerate_support(d))]
         assert first == second
 
 
@@ -222,7 +222,7 @@ class TestJointProbabilities:
 
     def test_matches_support_frequency(self):
         d = complete_gcr(blocks(12, 2), 3)  # m = 6, k = 3
-        support = enumerate_support(d)
+        support = list(zip(*enumerate_support(d)))
         for t in range(1, 5):
             clusters = tuple(range(t))
             treat = math.fsum(p for p, w in support if all(w[c] == 1 for c in clusters))

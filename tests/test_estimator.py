@@ -11,8 +11,8 @@ from pinvtte import (
     CapacityError,
     Clustering,
     InputError,
+    EstimatorSpec,
     PositivityError,
-    batch_estimates,
     bernoulli_gcr,
     bernoulli_unit,
     cluster_stats,
@@ -21,18 +21,27 @@ from pinvtte import (
     cycle_power,
     draw_from_w,
     enumerate_support,
+    estimate,
     evaluate,
     from_edge_list,
     gcr_explicit_estimate,
     gen_cycle_model,
     ht_estimate,
     pinv_estimate,
+    replicate_estimates,
     sample,
     singleton_clustering,
     true_tte,
 )
 from pinvtte.estimator import _gcr_row, _pinv_row
-from conftest import neighbors, random_clustering, random_graph, random_model, shifted_blocks
+from conftest import (
+    lift,
+    neighbors,
+    random_clustering,
+    random_graph,
+    random_model,
+    shifted_blocks,
+)
 
 
 def single_unit():
@@ -131,7 +140,7 @@ class TestRouteEquivalence:
         c = Clustering.from_labels([0, 1, 0, 1])
         d = complete_gcr(c, 1)
         Y = rng.standard_normal(4)
-        for _, w in enumerate_support(d):
+        for _, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
             a = crd_beta1_estimate(g, Y, draw, c, k=1)
             b = pinv_estimate(g, Y, draw, d, beta=1)
@@ -150,7 +159,7 @@ class TestUnbiasedness:
             * pinv_estimate(
                 g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d, 2
             ).tte_hat
-            for prob, w in enumerate_support(d)
+            for prob, w in zip(*enumerate_support(d))
         )
         assert mean == pytest.approx(true_tte(model), abs=1e-10)
 
@@ -162,7 +171,7 @@ class TestUnbiasedness:
         mean = math.fsum(
             prob
             * ht_estimate(g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d).tte_hat
-            for prob, w in enumerate_support(d)
+            for prob, w in zip(*enumerate_support(d))
         )
         assert mean == pytest.approx(true_tte(model), abs=1e-10)
 
@@ -187,50 +196,40 @@ class TestPositivity:
 
 
 class TestBatchKernels:
-    """The kernel over R draws reproduces the public function per draw."""
+    """replicate_estimates over R draws reproduces estimate per draw."""
 
-    def check(self, g, d, kind, beta, per_draw, seed):
+    def check(self, g, d, kind, beta, seed):
         gen = np.random.default_rng(seed)
+        model = random_model(gen, g, 2)
         W = np.stack([sample(d, seed, r).w for r in range(12)])
-        Y = gen.standard_normal((12, g.n))
-        batch = batch_estimates(cluster_stats(g, d.clustering), d, kind, beta, W, Y)
+        lifted = lift(model, g, d.clustering)
+        [batch] = replicate_estimates(*lifted, d, [EstimatorSpec(kind, beta)], W)
         for r in range(12):
-            per = per_draw(g, Y[r], draw_from_w(d, W[r]))
+            draw = draw_from_w(d, W[r])
+            per = estimate(g, evaluate(model, g, draw.z), draw, d, kind, beta)
             assert batch[r] == pytest.approx(per.tte_hat, abs=1e-12)
 
     def test_pinv_batch_matches_per_draw(self, rng):
         gen = np.random.default_rng(7)
         g = random_graph(gen, 8)
         d = bernoulli_gcr(random_clustering(gen, 8, 4), 0.4)
-        self.check(g, d, "pinv", 2, lambda g, Y, dr: pinv_estimate(g, Y, dr, d, 2), 1)
+        self.check(g, d, "pinv", 2, 1)
 
     def test_ht_batch_matches_per_draw(self, rng):
         gen = np.random.default_rng(8)
         g = random_graph(gen, 7)
-        d = bernoulli_unit(7, 0.35)
-        self.check(g, d, "ht", None, lambda g, Y, dr: ht_estimate(g, Y, dr, d), 2)
+        self.check(g, bernoulli_unit(7, 0.35), "ht", None, 2)
 
     def test_gcr_explicit_batch_matches_per_draw(self, rng):
         gen = np.random.default_rng(9)
         g = random_graph(gen, 9)
-        c = random_clustering(gen, 9, 5)
-        d = bernoulli_gcr(c, 0.3)
-        self.check(
-            g,
-            d,
-            "gcr_explicit",
-            3,
-            lambda g, Y, dr: gcr_explicit_estimate(g, Y, dr, c, 0.3, 3),
-            3,
-        )
+        d = bernoulli_gcr(random_clustering(gen, 9, 5), 0.3)
+        self.check(g, d, "gcr_explicit", 3, 3)
 
     def test_crd1_batch_matches_per_draw(self, rng):
         g = cycle_power(10, 2)
-        c = Clustering.from_labels([i // 2 for i in range(10)])
-        d = complete_gcr(c, 2)
-        self.check(
-            g, d, "crd1", None, lambda g, Y, dr: crd_beta1_estimate(g, Y, dr, c, 2), 4
-        )
+        d = complete_gcr(Clustering.from_labels([i // 2 for i in range(10)]), 2)
+        self.check(g, d, "crd1", None, 4)
 
     def test_batch_positivity_guard(self):
         g = cycle_power(4, 1)
@@ -238,29 +237,29 @@ class TestBatchKernels:
         d = complete_gcr(c, 1)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
         with pytest.raises(PositivityError, match="unit 0"):
-            batch_estimates(cluster_stats(g, d.clustering), d, "ht", None, W, np.ones((3, 4)))
+            replicate_estimates(*lift(gen_cycle_model(g, 1), g, c), d, [EstimatorSpec("ht")], W)
 
     def test_batch_kind_checks(self):
         g = cycle_power(4, 1)
-        gcr = bernoulli_gcr(singleton_clustering(4), 0.5)
-        crd = complete_gcr(singleton_clustering(4), 2)
+        c = singleton_clustering(4)
+        gcr, crd = bernoulli_gcr(c, 0.5), complete_gcr(c, 2)
         W = np.zeros((2, 4), dtype=np.int8)
-        stats = cluster_stats(g, singleton_clustering(4))
+        lifted = lift(gen_cycle_model(g, 1), g, c)
         with pytest.raises(InputError, match="gcr_explicit needs a Bernoulli"):
-            batch_estimates(stats, crd, "gcr_explicit", 1, W, np.ones((2, 4)))
+            replicate_estimates(*lifted, crd, [EstimatorSpec("gcr_explicit", 1)], W)
         with pytest.raises(InputError, match="crd1 needs a complete"):
-            batch_estimates(stats, gcr, "crd1", None, W, np.ones((2, 4)))
-        with pytest.raises(InputError, match="0/1"):
-            batch_estimates(stats, gcr, "pinv", 1, W + 2, np.ones((2, 4)))
-
+            replicate_estimates(*lifted, gcr, [EstimatorSpec("crd1")], W)
+        with pytest.raises(InputError, match="0 or 1"):
+            replicate_estimates(*lifted, gcr, [EstimatorSpec("pinv", 1)], W + 2)
 
     def test_batch_rejects_stats_of_another_clustering(self):
         g = cycle_power(12, 1)
         d = bernoulli_gcr(Clustering.from_labels([i // 4 for i in range(12)]), 0.5)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
+        agg = lift(gen_cycle_model(g, 1), g, d.clustering)[0]
         stats = cluster_stats(g, shifted_blocks(12, 4))
         with pytest.raises(InputError, match="clustering"):
-            batch_estimates(stats, d, "pinv", 1, W, np.ones((3, 12)))
+            replicate_estimates(agg, stats, d, [EstimatorSpec("pinv", 1)], W)
 
 
 class TestLargeNeighborhoods:

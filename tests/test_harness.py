@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pinvtte.harness as harness
 from pinvtte import (
     CapacityError,
     Clustering,
@@ -40,6 +41,7 @@ from pinvtte import (
     variance_bound,
     write_csv,
 )
+from pinvtte.design import _sample_draws
 from conftest import (
     cluster_rows,
     lift,
@@ -150,6 +152,50 @@ class TestReplicateEstimates:
                 np.zeros((4, 3)),
             )
 
+    def test_blocks_do_not_change_estimates(self, monkeypatch):
+        # one draw per block gives, bit for bit, what the default budget
+        # gives, on a sampled cell and on a whole oracle support
+        g = cycle_power(12, 2)
+        model = gen_cycle_model(g, 2)
+        gcr = bernoulli_gcr(blocks(12, 2), 0.3)
+        crd = complete_gcr(blocks(12, 2), 3)
+        cases = [
+            (gcr, _sample_draws(gcr, 4, 40), ["pinv:2", "gcr_explicit:1", "ht"]),
+            (crd, enumerate_support(crd)[1], ["pinv:2", "crd1", "ht"]),
+        ]
+        for d, W, labels in cases:
+            specs = [EstimatorSpec.parse(text) for text in labels]
+            lifted = lift(model, g, d.clustering)
+            default = replicate_estimates(*lifted, d, specs, W)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_BLOCK", 1)
+                single = replicate_estimates(*lifted, d, specs, W)
+            assert len(single) == len(default) == len(specs)
+            for a, b in zip(default, single):
+                assert a.shape == (W.shape[0],) and np.array_equal(a, b)
+
+    def test_blocks_within_budget(self, monkeypatch):
+        # every outcome block holds at most _BLOCK // width draws, width the
+        # larger of the model keys and the neighborhood entries
+        cfg = small_cfg()
+        agg, stats = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        width = max(agg.values.size, stats.cluster_ids.size)
+        W = _sample_draws(cfg.design, 0, 50)
+        sizes = []
+        evaluate_draws = harness.evaluate_draws
+
+        def recorded(agg, W):
+            sizes.append(W.shape[0])
+            return evaluate_draws(agg, W)
+
+        monkeypatch.setattr(harness, "evaluate_draws", recorded)
+        for budget in (1, width, 3 * width + 1, harness._BLOCK):
+            sizes.clear()
+            monkeypatch.setattr(harness, "_BLOCK", budget)
+            replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
+            assert sum(sizes) == 50
+            assert max(sizes) <= max(1, budget // width)
+
 
     def test_rejects_lifted_inputs_of_another_clustering(self):
         cfg = small_cfg()
@@ -258,8 +304,7 @@ class TestExhaustiveExpectation:
         d = complete_gcr(blocks(8, 2), 2)
         spec = EstimatorSpec("pinv", 1)
         mean, var = exhaustive_expectation(g, model, d, [spec])[0]
-        support = enumerate_support(d)
-        W = np.stack([w for _, w in support])
+        _, W = enumerate_support(d)
         vals = replicate_estimates(*lift(model, g, d.clustering), d, [spec], W)[0].tolist()
         assert mean == math.fsum(vals) / len(vals)
         assert var == math.fsum((e - mean) ** 2 for e in vals) / len(vals)
@@ -271,7 +316,7 @@ class TestExhaustiveExpectation:
         spec = EstimatorSpec("pinv", 1)
         mean, var = exhaustive_expectation(g, model, d, [spec])[0]
         acc = v2 = 0.0
-        for prob, w in enumerate_support(d):
+        for prob, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
             Y = evaluate(model, g, draw.z)
             est = pinv_estimate(g, Y, draw, d, 1).tte_hat
@@ -283,8 +328,6 @@ class TestExhaustiveExpectation:
     def test_specs_share_one_enumeration(self, monkeypatch):
         # several specs at once give, bit for bit, what one call per spec
         # gives, from one support enumeration and one outcome evaluation
-        import pinvtte.harness as harness
-
         calls = {"enumerate_support": 0, "evaluate_draws": 0}
 
         def counted(name):

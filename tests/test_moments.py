@@ -123,6 +123,13 @@ class TestBernoulliMoments:
         assert np.allclose(dm.M_pinv, numeric_pinv(dm.M), atol=1e-12 * scale + 1e-9)
         assert penrose_holds(dm.M, dm.M_pinv, atol=1e-9)
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_tiny_p_overflow_names_p_order_and_c(self, beta):
+        idx = enumerate_subsets((0, 1, 2), beta)
+        message = f"p=1e-300: the order-{beta} pseudoinverse entries of a neighborhood of c=3"
+        with pytest.raises(CapacityError, match=message):
+            bern_cluster_moments(idx, 1e-300)
+
     def test_invalid_p(self):
         idx = enumerate_subsets((0,), 1)
         for p in (0.0, 1.0, -0.5):
@@ -460,7 +467,7 @@ class TestBlockLift:
 class TestLiftedSystems:
     def unit_level_support_M(self, d, c, unit_index):
         M = np.zeros((len(unit_index), len(unit_index)))
-        for prob, w in enumerate_support(d):
+        for prob, w in zip(*enumerate_support(d)):
             z = w[np.asarray(c.assignment)]
             ind = np.array(
                 [all(z[j] == 1 for j in s) for s in unit_index.subsets],
