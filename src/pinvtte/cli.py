@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,10 +36,9 @@ from .errors import (
     PositivityError,
     PreconditionError,
 )
-from .estimator import estimate
+from .estimator import _ORDERED, EstimatorSpec, estimate
 from .graph import InterferenceGraph, cycle_power, load_edge_list, sbm_sample
 from .harness import (
-    EstimatorSpec,
     ExperimentConfig,
     exhaustive_expectation,
     mc_convergence_report,
@@ -81,12 +80,19 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 class _Opts:
-    """Merge parsed flags over config-file values over defaults."""
+    """Merge parsed flags over config-file values over defaults.
+
+    A config file may hold any key that some subcommand accepts, so one file
+    can serve several subcommands; any other key is an error."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         cfg_path = self._args.get("config")
         self._file = _parse_config_file(cfg_path) if cfg_path else {}
+        known = {opt.replace("-", "_") for _, opts, _ in _SUBCOMMANDS.values() for opt in opts}
+        unknown = sorted(self._file.keys() - known)
+        if unknown:
+            raise InputError(f"{cfg_path}: unknown keys {', '.join(unknown)}")
 
     def get(self, name, parse, default=None, required=False):
         raw = self._args.get(name)
@@ -282,7 +288,7 @@ def _cmd_bounds(o: _Opts) -> None:
     B = _resolve_B(o, g, model)
     rep = variance_bound(
         g,
-        cluster_stats(g, c),
+        cluster_stats(g, d.clustering),
         d,
         beta,
         B,
@@ -290,15 +296,8 @@ def _cmd_bounds(o: _Opts) -> None:
         model=model,
         monotone=o.get("monotone", _bool, default=False),
     )
-    names = [f.name for f in dataclass_fields(rep)]
-
-    def cell(v):
-        if v is None:
-            return ""
-        return repr(v) if isinstance(v, float) else v
-
-    row = {k: cell(getattr(rep, k)) for k in names}
-    write_csv([row], names, o.get("out", _str))
+    row = asdict(rep)
+    write_csv([row], list(row), o.get("out", _str))
 
 
 def _cmd_select(o: _Opts) -> None:
@@ -321,10 +320,10 @@ def _cmd_select(o: _Opts) -> None:
             {
                 "rank": rank,
                 "candidate": idx,
-                "resolution": repr(grid[idx]),
+                "resolution": grid[idx],
                 "clusters": designs[idx].m,
-                "var_bound_pairwise": repr(rep.var_bound_pairwise),
-                "var_bound_simplified": repr(rep.var_bound_simplified),
+                "var_bound_pairwise": rep.var_bound_pairwise,
+                "var_bound_simplified": rep.var_bound_simplified,
                 "C_max": rep.C_max,
                 "N_max": rep.N_max,
                 "chosen": int(idx == chosen),
@@ -346,11 +345,11 @@ def _cmd_oracle(o: _Opts) -> None:
         rows.append(
             {
                 "estimator": spec.kind,
-                "beta": "" if spec.beta is None else spec.beta,
-                "true_tte": repr(tte),
-                "mean": repr(mean),
-                "variance": repr(var),
-                "bias": repr(mean - tte),
+                "beta": spec.beta,
+                "true_tte": tte,
+                "mean": mean,
+                "variance": var,
+                "bias": mean - tte,
             }
         )
     names = ["estimator", "beta", "true_tte", "mean", "variance", "bias"]
@@ -375,15 +374,8 @@ def _cmd_mc_moments(o: _Opts) -> None:
         for section, mat in (("M", mc.M), ("M_pinv", mc.M_pinv)):
             for r in range(mat.shape[0]):
                 for col in range(mat.shape[1]):
-                    rows.append(
-                        {
-                            "section": section,
-                            "row": r,
-                            "col": col,
-                            "value": repr(float(mat[r, col])),
-                        }
-                    )
-        rows.append({"section": "fro_error", "row": "", "col": "", "value": repr(err)})
+                    rows.append({"section": section, "row": r, "col": col, "value": mat[r, col]})
+        rows.append({"section": "fro_error", "value": err})
         write_csv(rows, ["section", "row", "col", "value"], o.get("out", _str), seed=seed)
         return
     tables = mc_convergence_report(
@@ -405,12 +397,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
         "log10_R",
         "log10_median_fro_error",
     ]
-    rows = []
-    for row in tables["detail"]:
-        rows.append(dict(row, table="detail", fro_error=repr(row["fro_error"])))
-    for row in tables["summary"]:
-        out = {k: repr(v) for k, v in row.items() if k != "R"}
-        rows.append(dict(out, table="summary", R=row["R"]))
+    rows = [dict(row, table=table) for table in ("detail", "summary") for row in tables[table]]
     write_csv(rows, names, o.get("out", _str))
 
 
@@ -438,9 +425,6 @@ def _cmd_cluster(o: _Opts) -> None:
 
 
 def _cmd_model(o: _Opts) -> None:
-    action = o.get("action", _str)
-    if action != "gen":
-        raise InputError(f"model supports the 'gen' action, got {action!r}")
     g = _build_graph(o)
     kind = o.get("kind", _str, required=True)
     if kind == "cycle":
@@ -457,23 +441,20 @@ def _cmd_estimate(o: _Opts) -> None:
     model = _build_model(o, g)
     c = _build_clustering(o, g)
     d = _build_design(o, g, c)
-    kind = o.get("estimator", _str, default="pinv")
-    if ":" in kind:
-        spec = EstimatorSpec.parse(kind)
-    elif kind in ("pinv", "gcr_explicit"):
-        spec = EstimatorSpec(kind, o.get("beta", _int, default=1))
+    text = o.get("estimator", _str, default="pinv")
+    if ":" in text:
+        spec = EstimatorSpec.parse(text)
     else:
-        spec = EstimatorSpec(kind)
+        spec = EstimatorSpec(text, o.get("beta", _int, default=1 if text in _ORDERED else None))
     seed = o.get("seed", _int, default=0)
     draw = sample(d, seed, o.get("replicate", _int, default=0))
     Y = evaluate(model, g, draw.z)
     breakdown = estimate(g, Y, draw, d, spec.kind, spec.beta)
-    base = {"estimator": breakdown.kind, "beta": "" if spec.beta is None else spec.beta}
-    rows = [dict(base, metric="tte_hat", unit="", value=repr(breakdown.tte_hat))]
+    base = {"estimator": breakdown.kind, "beta": spec.beta}
+    rows = [dict(base, metric="tte_hat", value=breakdown.tte_hat)]
     if o.get("weights", _bool, default=False):
         rows += [
-            dict(base, metric="weight", unit=i, value=repr(float(wi)))
-            for i, wi in enumerate(breakdown.weights)
+            dict(base, metric="weight", unit=i, value=wi) for i, wi in enumerate(breakdown.weights)
         ]
     names = ["estimator", "beta", "metric", "unit", "value"]
     write_csv(rows, names, o.get("out", _str), seed=seed)
@@ -557,12 +538,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _SUBCOMMANDS[args.command][0]
+    # the package's own errors, and files that cannot be opened, written or
+    # decoded, end in one "error:" line and exit status 2
     try:
         handler(_Opts(args))
-    except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (*_ERRORS, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -20,6 +20,9 @@ tables are derived independently and cross-checked in tests:
                 centered values
   ht            Horvitz-Thompson full-neighborhood route
   crd1          closed first-order weights for the complete design
+
+An EstimatorSpec names one of these kinds and its order; its constructor is
+the only check of which kinds take an order.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .graph import InterferenceGraph
 from .moments import _bernoulli_finite, size_class_pinv
 
 __all__ = [
+    "EstimatorSpec",
     "EstimateBreakdown",
     "estimate",
     "pinv_estimate",
@@ -137,19 +141,64 @@ def _crd1_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
 _ROWS = {"pinv": _pinv_row, "gcr_explicit": _gcr_row, "ht": _ht_row, "crd1": _crd1_row}
 
 
-def _table(stats: ClusterStats, d: Design, kind: str, beta: int | None):
+# the kinds whose order is the caller's to choose; crd1 is first order and
+# ht takes none
+_ORDERED = ("pinv", "gcr_explicit")
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """Which estimator to run, and at what interaction order.
+
+    kind is one of "pinv", "gcr_explicit", "ht", "crd1". The two
+    pseudoinverse routes need beta >= 1; "ht" takes no order and "crd1" is
+    pinned at beta = 1.
+    """
+
+    kind: str
+    beta: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _ROWS:
+            raise InputError(f"unknown estimator kind {self.kind!r}")
+        if self.kind in _ORDERED:
+            if self.beta is None or self.beta < 1:
+                raise InputError(f"{self.kind} needs beta >= 1, got {self.beta}")
+        elif self.kind == "ht":
+            if self.beta is not None:
+                raise InputError("ht takes no beta")
+        elif self.beta not in (None, 1):
+            raise InputError(f"crd1 is a beta=1 estimator, got beta={self.beta}")
+
+    @classmethod
+    def parse(cls, text: str) -> "EstimatorSpec":
+        """Parse "kind" or "kind:beta", the CLI surface form."""
+        kind, sep, tail = text.partition(":")
+        if not sep:
+            return cls(kind=kind.strip())
+        try:
+            beta = int(tail)
+        except ValueError:
+            raise InputError(f"bad estimator spec {text!r}: beta must be an integer")
+        return cls(kind=kind.strip(), beta=beta)
+
+    @property
+    def order(self) -> int | None:
+        """The order its analytic bias and variance bound are taken at:
+        None for ht, 1 for crd1, else beta."""
+        return 1 if self.kind == "crd1" else self.beta
+
+
+def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
     """Flat weight table for every unit of stats: unit i's weight when t of
     its clusters are treated is values[base[i] + t]. Returns (values, base)."""
     _same_clustering(d.clustering, stats)
-    if kind not in _ROWS:
-        raise InputError(f"unknown estimator kind {kind!r}")
-    if kind in ("pinv", "gcr_explicit") and (beta is None or beta < 1):
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    if kind == "gcr_explicit" and not d.is_bernoulli:
+    if spec.kind == "gcr_explicit" and not d.is_bernoulli:
         raise InputError("gcr_explicit needs a Bernoulli design")
-    if kind == "crd1" and d.variant != "complete_gcr":
+    if spec.kind == "crd1" and d.variant != "complete_gcr":
         raise InputError("crd1 needs a complete cluster design")
-    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: _ROWS[kind](d, beta, c, unit))
+    row = _ROWS[spec.kind]
+    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, spec.beta, c, unit))
     return values, base.astype(np.int32)
 
 
@@ -170,16 +219,17 @@ def estimate(
     g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design, kind: str, beta: int | None = None
 ) -> EstimateBreakdown:
     """One estimate of kind "pinv", "gcr_explicit", "ht" or "crd1" from one
-    draw. The two pseudoinverse routes need beta >= 1; "ht" ignores beta and
-    "crd1" is first order.
+    draw, at the order EstimatorSpec(kind, beta) allows.
 
     Raises
     ------
     InputError
-        For malformed input, or a kind the design cannot carry.
+        For malformed input, a kind and order EstimatorSpec rejects, or a
+        kind the design cannot carry.
     PositivityError, CapacityError
         As for ht_estimate.
     """
+    spec = EstimatorSpec(kind, beta)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != (g.n,):
         raise InputError(f"Y has shape {Y.shape}, expected ({g.n},)")
@@ -188,10 +238,9 @@ def estimate(
     if draw.w.shape != (d.m,):
         raise InputError(f"draw has {draw.w.shape[0]} clusters, design has {d.m}")
     stats = cluster_stats(g, d.clustering)
-    values, base = _table(stats, d, kind, beta)
+    values, base = _table(stats, d, spec)
     weights = values[base + _treated(stats, np.asarray(draw.w, dtype=np.int8)[None, :])[0]]
-    order = {"ht": None, "crd1": 1}.get(kind, beta)
-    return EstimateBreakdown(kind, order, float(np.mean(Y * weights)), weights)
+    return EstimateBreakdown(kind, spec.order, float(np.mean(Y * weights)), weights)
 
 
 def pinv_estimate(

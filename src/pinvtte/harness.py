@@ -35,7 +35,7 @@ from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import ClusterStats, _same_clustering, cluster_stats
 from .design import Design, _sample_draws, enumerate_support
 from .errors import CapacityError, InputError
-from .estimator import _ROWS, _table, _treated
+from .estimator import EstimatorSpec, _table, _treated
 from .graph import InterferenceGraph
 from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import (
@@ -48,7 +48,6 @@ from .outcomes import (
 )
 
 __all__ = [
-    "EstimatorSpec",
     "ExperimentConfig",
     "ExperimentReport",
     "replicate_estimates",
@@ -64,53 +63,6 @@ __all__ = [
 
 # draws times the larger of model keys and neighborhood entries held at once
 _BLOCK = 1 << 18
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Which estimator to run, and at what interaction order.
-
-    kind is one of "pinv", "gcr_explicit", "ht", "crd1". The two
-    pseudoinverse routes need beta >= 1; "ht" takes no order and "crd1" is
-    pinned at beta = 1.
-    """
-
-    kind: str
-    beta: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _ROWS:
-            raise InputError(f"unknown estimator kind {self.kind!r}")
-        if self.kind in ("pinv", "gcr_explicit"):
-            if self.beta is None or self.beta < 1:
-                raise InputError(f"{self.kind} needs beta >= 1, got {self.beta}")
-        elif self.kind == "ht":
-            if self.beta is not None:
-                raise InputError("ht takes no beta")
-        elif self.beta not in (None, 1):
-            raise InputError(f"crd1 is a beta=1 estimator, got beta={self.beta}")
-
-    @classmethod
-    def parse(cls, text: str) -> "EstimatorSpec":
-        """Parse "kind" or "kind:beta", the CLI surface form."""
-        kind, sep, tail = text.partition(":")
-        if not sep:
-            return cls(kind=kind.strip())
-        try:
-            beta = int(tail)
-        except ValueError:
-            raise InputError(f"bad estimator spec {text!r}: beta must be an integer")
-        return cls(kind=kind.strip(), beta=beta)
-
-    @property
-    def label(self) -> str:
-        return self.kind if self.beta is None else f"{self.kind}:{self.beta}"
-
-    @property
-    def order(self) -> int | None:
-        """The order its analytic bias and variance bound are taken at:
-        None for ht, 1 for crd1, else beta."""
-        return 1 if self.kind == "crd1" else self.beta
 
 
 @dataclass(frozen=True)
@@ -186,7 +138,7 @@ def replicate_estimates(
     (R, n) array is held, and estimate r depends only on draw r.
     """
     _same_clustering(d.clustering, agg, stats)
-    tables = [_table(stats, d, spec.kind, spec.beta) for spec in specs]
+    tables = [_table(stats, d, spec) for spec in specs]
     W = np.asarray(W)
     out = [np.empty(W.shape[0]) for _ in specs]
     step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
@@ -297,23 +249,22 @@ _METRICS = (
 
 def report_rows(report: ExperimentReport) -> list[dict]:
     """Flatten a report into tidy rows, one per metric, wall_time_s last.
+    Values are the report's own (None where it has none), for write_csv.
 
     Timing is real elapsed time and therefore not reproducible; every other
     row is a pure function of the configuration.
     """
     base = {
         "estimator": report.kind,
-        "beta": "" if report.beta is None else report.beta,
+        "beta": report.beta,
         "tag": report.tag,
         "replications": report.replications,
-        "true_tte": repr(report.true_tte),
+        "true_tte": report.true_tte,
     }
-    rows = []
-    for name in _METRICS:
-        value = getattr(report, name)
-        rows.append(dict(base, metric=name, value="" if value is None else repr(value)))
-    rows.append(dict(base, metric="wall_time_s", value=repr(report.wall_time_s)))
-    return rows
+    return [
+        dict(base, metric=name, value=getattr(report, name))
+        for name in _METRICS + ("wall_time_s",)
+    ]
 
 
 def exhaustive_expectation(
@@ -329,6 +280,8 @@ def exhaustive_expectation(
     the reduction is the plain average in support order, so a replicated
     run over exactly the support points reproduces this value bit for bit.
     """
+    if not specs:
+        raise InputError("an oracle needs at least one estimator")
     probs, W = enumerate_support(d)
     probs = probs.tolist()
     if all(pr == probs[0] for pr in probs):
@@ -485,10 +438,11 @@ def write_csv(
 ) -> None:
     """Write tidy rows as CSV with a trailing metadata comment block.
 
-    path None writes to stdout. Values are written as str() of themselves
-    (callers repr() floats they want round-trippable), quoted only where a
-    value holds a comma, quote or line break. The trailing comments record
-    the seed and the source version so every output file is self-describing.
+    path None writes to stdout. None (or a missing field) is an empty cell
+    and every other value is str() of itself, which for a float is its
+    shortest round-trip form; cells are quoted only where a value holds a
+    comma, quote or line break. The trailing comments record the seed and
+    the source version so every output file is self-describing.
     """
     out: TextIO
     close = False
@@ -501,7 +455,7 @@ def write_csv(
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([str(row.get(f, "")) for f in fieldnames])
+            writer.writerow(["" if row.get(f) is None else str(row[f]) for f in fieldnames])
         if seed is not None:
             out.write(f"# seed={seed}\n")
         out.write(f"# git_describe={git_describe()}\n")

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinvtte import gen_cycle_model, load_clustering, load_model, cycle_power
+from pinvtte import (
+    cycle_power,
+    gen_cycle_model,
+    load_clustering,
+    load_model,
+    louvain,
+    save_edge_list,
+    sbm_sample,
+)
 from pinvtte.cli import main
 
 
@@ -138,6 +146,37 @@ class TestBounds:
         assert rows[0]["design_variant"] == "complete_gcr"
         assert rows[0]["k"] == "2"
         assert rows[0]["p"] == ""
+
+    def test_unit_design_ignores_clustering(self, tmp_path):
+        # a bern design is always on singletons, as in simulate and oracle
+        args = ["bounds", "--n", "12", "--radius", "1", "--design", "bern", "--B-bound", "1"]
+        _, wide, _ = run_csv(tmp_path, args + ["--clustering", "contiguous", "--width", "4"], "a.csv")
+        _, single, _ = run_csv(tmp_path, args + ["--clustering", "singleton"], "b.csv")
+        assert wide == single
+
+
+class TestInputFiles:
+    SBM = ["--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.4", "--graph-seed", "2"]
+    BOUNDS = ["bounds", "--design", "gcr", "--p", "0.3", "--B-bound", "1"]
+
+    def test_graph_file_matches_generated_graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(cycle_power(12, 2), str(path))
+        _, built, _ = run_csv(tmp_path, self.BOUNDS + ["--n", "12", "--radius", "2"], "a.csv")
+        _, loaded, _ = run_csv(tmp_path, self.BOUNDS + ["--graph", str(path)], "b.csv")
+        assert loaded == built
+
+    def test_louvain_and_clustering_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        cluster = ["cluster", "--method", "louvain", "--resolution", "0.5", "--seed", "1"]
+        assert main(cluster + self.SBM + ["--out", str(path)]) == 0
+        flags = ["--clustering", "louvain", "--resolution", "0.5", "--cluster-seed", "1"]
+        _, direct, _ = run_csv(tmp_path, self.BOUNDS + self.SBM + flags, "a.csv")
+        _, from_file, _ = run_csv(
+            tmp_path, self.BOUNDS + self.SBM + ["--clustering", str(path)], "b.csv"
+        )
+        assert from_file == direct
+        assert direct[0]["m"] == str(louvain(sbm_sample(40, 4, 0.4, 0.0, 2), 0.5, 1).m)
 
 
 class TestSelect:
@@ -335,6 +374,15 @@ class TestClusterCommand:
         assert c.m == 2
         assert list(c.assignment) == [0, 0, 0, 0, 1, 1, 1, 1]
 
+    def test_singleton_and_file_methods(self, tmp_path, capsys):
+        path = tmp_path / "c.tsv"
+        assert main(["cluster", "--n", "4", "--radius", "1", "--method", "singleton"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t0", "1\t1", "2\t2", "3\t3"]
+        path.write_text("0\t5\n1\t5\n2\t9\n3\t9\n")
+        argv = ["cluster", "--n", "4", "--radius", "1", "--method", "file", "--in", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t0", "1\t0", "2\t1", "3\t1"]
+
     def test_louvain_default(self, tmp_path):
         path = tmp_path / "c.tsv"
         rc = main([
@@ -446,6 +494,23 @@ class TestConfigFile:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("replication = 7\ndesgin = crd\nmodel = cycle\nn = 12\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown keys desgin, replication\n"
+
+    def test_keys_of_other_subcommands_allowed(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(
+            "n = 12\nradius = 1\nmodel = cycle\ndesign = gcr\n"
+            "replications = 5\nbeta = 1\nB-bound = 2\nresolution-grid = 0.5\n"
+        )
+        _, sim, _ = run_csv(tmp_path, ["simulate", "--config", str(cfg)], "a.csv")
+        _, bounds, _ = run_csv(tmp_path, ["bounds", "--config", str(cfg)], "b.csv")
+        assert {r["replications"] for r in sim} == {"5"}
+        assert bounds[0]["B"] == "2.0"
+
 
 class TestErrorSurface:
     def test_unknown_design(self, capsys):
@@ -517,6 +582,21 @@ class TestErrorSurface:
             # a finite B whose variance bound leaves double precision
             (["bounds"] + TINY_P + ["1e-300", "--beta", "1", "--B-bound", "1e300"],
              "B=1e+300: the pairwise variance bound B^2/n^2 * 1.8e+302"),
+            # option values that do not parse
+            (["bounds", "--n", "x", "--B-bound", "1"], "expected an integer, got 'x'"),
+            (["bounds"] + TINY_P + ["x", "--B-bound", "1"], "expected a number, got 'x'"),
+            (BOUNDS + ["--B-bound", "1", "--monotone", "maybe"], "expected true/false, got 'maybe'"),
+            (["simulate", "--n", "12", "--radius", "1"], "missing required option --model"),
+            (["cluster", "--n", "12", "--radius", "1", "--method", "spectral"],
+             "unknown clustering method 'spectral'"),
+            # estimator kinds and orders, checked by EstimatorSpec alone
+            (["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--estimator", "ht",
+              "--beta", "2"], "ht takes no beta"),
+            (["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--clustering",
+              "contiguous", "--width", "2", "--design", "crd", "--k", "2", "--estimator", "crd1",
+              "--beta", "3"], "crd1 is a beta=1 estimator, got beta=3"),
+            (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--estimator", ","],
+             "an oracle needs at least one estimator"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):
@@ -524,6 +604,17 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_unwritable_out_and_undecodable_config(self, tmp_path, capsys):
+        argv = ["bounds", "--n", "12", "--radius", "1", "--B-bound", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"n = 12 # caf\xe9\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "bounds", "oracle"])
     def test_non_finite_model_file_rejected(self, tmp_path, capsys, command):

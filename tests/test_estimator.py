@@ -350,6 +350,20 @@ class TestContracts:
         with pytest.raises(InputError, match="k="):
             crd_beta1_estimate(g, np.ones(4), draw, singleton_clustering(4), 0)
 
+    def test_estimate_takes_kind_and_order_from_estimator_spec(self):
+        g = cycle_power(4, 1)
+        d = complete_gcr(singleton_clustering(4), 2)
+        draw = sample(d, 0, 0)
+        for kind, beta, message in (
+            ("magic", 1, "unknown estimator kind 'magic'"),
+            ("ht", 2, "ht takes no beta"),
+            ("crd1", 3, "crd1 is a beta=1 estimator, got beta=3"),
+        ):
+            with pytest.raises(InputError, match=message):
+                estimate(g, np.ones(4), draw, d, kind, beta)
+        assert estimate(g, np.ones(4), draw, d, "crd1").beta == 1
+        assert estimate(g, np.ones(4), draw, d, "pinv", 2).beta == 2
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

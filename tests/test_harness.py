@@ -87,10 +87,6 @@ class TestEstimatorSpec:
             "gcr_explicit", 3
         )
 
-    def test_labels(self):
-        assert EstimatorSpec("pinv", 2).label == "pinv:2"
-        assert EstimatorSpec("ht").label == "ht"
-
     def test_validation(self):
         with pytest.raises(InputError, match="unknown estimator"):
             EstimatorSpec("magic", 1)
@@ -291,6 +287,11 @@ class TestRunExperiment:
 
 
 class TestExhaustiveExpectation:
+    def test_needs_an_estimator(self):
+        g = cycle_power(8, 1)
+        with pytest.raises(InputError, match="at least one estimator"):
+            exhaustive_expectation(g, gen_cycle_model(g, 1), bernoulli_unit(8, 0.5), [])
+
     def test_variance_overflow_is_capacity_error(self):
         # weights near 1/p = 1e300 make squared deviations overflow
         g = cycle_power(8, 1)
