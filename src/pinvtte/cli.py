@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .estimator import _ORDERED, EstimatorSpec, estimate
-from .graph import InterferenceGraph, cycle_power, load_edge_list, sbm_sample
+from .graph import InterferenceGraph, _read_lines, cycle_power, load_edge_list, sbm_sample
 from .harness import (
     ExperimentConfig,
     exhaustive_expectation,
@@ -67,15 +67,14 @@ _ERRORS = (InputError, GeometryError, CapacityError, PositivityError, Preconditi
 def _parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; # starts a comment; blank lines are skipped."""
     vals: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            vals[key.strip().replace("-", "_")] = value.strip()
+    for where, raw in _read_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise InputError(f"{where}: expected key=value, got {raw.strip()!r}")
+        vals[key.strip().replace("-", "_")] = value.strip()
     return vals
 
 
@@ -301,6 +300,9 @@ def _cmd_bounds(o: _Opts) -> None:
 
 
 def _cmd_select(o: _Opts) -> None:
+    # checked before the graph is built and clustered
+    if _design_kind(o) == "bernoulli_unit":
+        raise InputError("select needs a cluster design (gcr or crd)")
     g = _build_graph(o)
     model = _build_model(o, g, required=False)
     grid = o.get(
@@ -308,8 +310,6 @@ def _cmd_select(o: _Opts) -> None:
     )
     cluster_seed = o.get("cluster_seed", _int, default=0)
     candidates = [louvain(g, res, cluster_seed) for res in grid]
-    if _design_kind(o) == "bernoulli_unit":
-        raise InputError("select needs a cluster design (gcr or crd)")
     designs = [_build_design(o, g, c) for c in candidates]
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
@@ -442,10 +442,13 @@ def _cmd_estimate(o: _Opts) -> None:
     c = _build_clustering(o, g)
     d = _build_design(o, g, c)
     text = o.get("estimator", _str, default="pinv")
+    beta = o.get("beta", _int)
     if ":" in text:
         spec = EstimatorSpec.parse(text)
+        if beta is not None and beta != spec.beta:
+            raise InputError(f"--estimator {text} gives order {spec.beta} but --beta gives {beta}")
     else:
-        spec = EstimatorSpec(text, o.get("beta", _int, default=1 if text in _ORDERED else None))
+        spec = EstimatorSpec(text, 1 if beta is None and text in _ORDERED else beta)
     seed = o.get("seed", _int, default=0)
     draw = sample(d, seed, o.get("replicate", _int, default=0))
     Y = evaluate(model, g, draw.z)
@@ -538,11 +541,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _SUBCOMMANDS[args.command][0]
-    # the package's own errors, and files that cannot be opened, written or
-    # decoded, end in one "error:" line and exit status 2
+    # the package's own errors (undecodable input files among them) and files
+    # that cannot be opened or written end in one "error:" line and exit
+    # status 2
     try:
         handler(_Opts(args))
-    except (*_ERRORS, OSError, UnicodeDecodeError) as exc:
+    except (*_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -14,7 +14,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graph import InterferenceGraph, _csr, _write_lines
+from .graph import InterferenceGraph, _csr, _read_lines, _write_lines
 
 __all__ = [
     "Clustering",
@@ -304,22 +304,21 @@ def load_clustering(path: str, n: int | None = None) -> Clustering:
     InputError with the 1-based line number.
     """
     seen: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected 'unit<TAB>label'")
-            try:
-                unit, lab = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer field")
-            if unit in seen:
-                raise InputError(f"line {lineno}: duplicate unit {unit}")
-            seen[unit] = lab
+    for where, raw in _read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{where}: expected 'unit<TAB>label'")
+        try:
+            unit, lab = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"{where}: non-integer field")
+        if unit in seen:
+            raise InputError(f"{where}: duplicate unit {unit}")
+        seen[unit] = lab
     count = n if n is not None else len(seen)
     if sorted(seen) != list(range(count)):
-        raise InputError(f"units do not cover 0..{count - 1} exactly once")
+        raise InputError(f"{path}: units do not cover 0..{count - 1} exactly once")
     return Clustering.from_labels(seen[u] for u in range(count))

@@ -9,7 +9,7 @@ self-loop so callers never have to remember it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -230,6 +230,18 @@ def _write_lines(lines: Iterable[str], out: str | TextIO) -> None:
         fh.writelines(lines)
 
 
+def _read_lines(path: str) -> Iterator[tuple[str, str]]:
+    """Each line of the UTF-8 text file at path, as (where, line) with where
+    "<path>: line <n>" (1-based) for error messages. A file that does not
+    decode raises InputError naming path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield f"{path}: line {lineno}", line
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
+
 def save_edge_list(g: InterferenceGraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n={g.n}\n")
@@ -246,31 +258,28 @@ def load_edge_list(path: str) -> InterferenceGraph:
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if n is None:
-                if not line.startswith("n="):
-                    raise InputError(f"line {lineno}: expected 'n=<count>' header")
-                try:
-                    n = int(line[2:])
-                except ValueError:
-                    raise InputError(f"line {lineno}: bad unit count {line[2:]!r}")
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected 'src<TAB>dst'")
+    for where, raw in _read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            if not line.startswith("n="):
+                raise InputError(f"{where}: expected 'n=<count>' header")
             try:
-                src, dst = int(parts[0]), int(parts[1])
+                n = int(line[2:])
             except ValueError:
-                raise InputError(f"line {lineno}: non-integer endpoint")
-            if not (0 <= src < n) or not (0 <= dst < n):
-                raise InputError(
-                    f"line {lineno}: endpoint ({src}, {dst}) out of range for n={n}"
-                )
-            edges.append((src, dst))
+                raise InputError(f"{where}: bad unit count {line[2:]!r}")
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{where}: expected 'src<TAB>dst'")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"{where}: non-integer endpoint")
+        if not (0 <= src < n) or not (0 <= dst < n):
+            raise InputError(f"{where}: endpoint ({src}, {dst}) out of range for n={n}")
+        edges.append((src, dst))
     if n is None:
-        raise InputError("missing 'n=<count>' header")
+        raise InputError(f"{path}: missing 'n=<count>' header")
     return from_edge_list(edges, n)

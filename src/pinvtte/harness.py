@@ -10,11 +10,16 @@ estimators compared on it, R and a seed. Replicated runs (run_experiment,
 rmse_ratio) and the exhaustive oracle share one path: the graph and model
 lifted to clusters once (cluster_stats, cluster_aggregate), a matrix of
 cluster draws (the (seed, r) streams, or the design's whole support), one
-walk over its blocks applying every estimator's weight table to each block's
-outcomes (replicate_estimates), then one fsum reduction per estimator
-(_mean_var, weighted by probability on a non-uniform support). The
-estimators of a cell share all of these; its bias and bound are taken once
-per order.
+walk over its blocks (replicate_estimates), then one fsum reduction per
+estimator (_mean_var, weighted by probability on a non-uniform support).
+The walk takes one of two routes. When the P = 2**C_max treated-cluster
+patterns of a neighborhood number at most the draws and n * P fits the
+_BLOCK budget, each estimator's term Y_i * w_i is tabled once per unit and
+pattern and every draw gathers its units' terms; otherwise each block's
+outcomes are evaluated and every weight table applied to them. A table
+entry is the same product the per-draw route forms, and both average the
+same rows, so the routes agree bit for bit. The estimators of a cell share
+all of this; its bias and bound are taken once per order.
 Clustering selection scores a list of candidate designs, one per clustering.
 """
 
@@ -41,6 +46,8 @@ from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import (
     ClusterAggregatedModel,
     LowOrderModel,
+    _draws,
+    _evaluate_hits,
     cluster_aggregate,
     evaluate_draws,
     outcome_bound,
@@ -61,7 +68,8 @@ __all__ = [
     "git_describe",
 ]
 
-# draws times the larger of model keys and neighborhood entries held at once
+# elements held at once: a block of draws or patterns times the larger of
+# model keys and neighborhood entries, or one pattern table's n * 2**C_max
 _BLOCK = 1 << 18
 
 
@@ -122,6 +130,85 @@ class ExperimentReport:
     wall_time_s: float
 
 
+def _slot(stats: ClusterStats) -> np.ndarray:
+    """Each neighborhood entry's position j within its unit's neighborhood."""
+    return np.arange(stats.cluster_ids.size) - np.repeat(stats.indptr[:-1], np.diff(stats.indptr))
+
+
+def _row_positions(
+    agg: ClusterAggregatedModel, stats: ClusterStats
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, pos): each cluster agg.members[rows, cols] of a re-keyed
+    model row and its position pos in the cluster neighborhood of the row's
+    unit. InputError when a row names a cluster outside that neighborhood,
+    as when agg and stats were lifted from different graphs."""
+    keys = np.repeat(np.arange(stats.n), np.diff(stats.indptr)) * stats.m + stats.cluster_ids
+    rows, cols = np.nonzero(agg.members < agg.m)
+    want = agg.owner[rows] * stats.m + agg.members[rows, cols]
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    if np.any(keys[at] != want):
+        raise InputError("the model and the cluster statistics must be lifted from one graph")
+    return rows, cols, _slot(stats)[at]
+
+
+def _pattern_estimates(
+    agg: ClusterAggregatedModel,
+    stats: ClusterStats,
+    tables: list[tuple[np.ndarray, np.ndarray]],
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray],
+    W: np.ndarray,
+    step: int,
+) -> list[np.ndarray]:
+    """The table route of replicate_estimates, for the row positions of
+    _row_positions, taking step patterns at a time.
+
+    Per weight table (values, base), E[i * P + p] = Y_i(p) * values[base[i]
+    + t] with P = 2**C_max: unit i's term when the clusters of its
+    neighborhood marked by the bits of pattern p are treated, t of them.
+    Y_i(p) sums the rows whose masks p covers, as evaluate_draws sums the
+    rows a draw treats. Each draw then gathers every unit's term at the
+    pattern its clusters take and averages them.
+    """
+    n, C, P = stats.n, stats.C_max, 1 << stats.C_max
+    sizes = np.diff(stats.indptr)
+    low = (1 << sizes) - 1
+    ones = sum((np.arange(P) >> j) & 1 for j in range(C))
+    # each model row's clusters as bits, bit j for the j-th neighborhood slot
+    rows, cols, pos = positions
+    bits = np.zeros(agg.members.shape, dtype=np.int64)
+    bits[rows, cols] = 1 << pos
+    masks = bits.sum(axis=1)
+    E = [np.empty((n, P)) for _ in tables]
+    for start in range(0, P, step):
+        p = np.arange(start, min(start + step, P))[:, None]
+        Y = _evaluate_hits(agg, (p & masks) == masks)
+        t = ones[p & low]
+        for e, (values, base) in zip(E, tables):
+            e[:, start : start + p.size] = (Y * values[base + t]).T
+    # slots[i, j] is the j-th cluster of unit i's neighborhood, or the pad m
+    # (never treated) past its end; a draw's pattern for unit i sums 2**j
+    # over its treated slots
+    slots = np.full((n, C), agg.m)
+    slots[np.repeat(np.arange(n), sizes), _slot(stats)] = stats.cluster_ids
+    # indexes into E stay below n * P <= _BLOCK, so int32 holds them
+    offs = np.arange(n, dtype=np.int32) * P
+    out = [np.empty(W.shape[0]) for _ in tables]
+    # a block holds (draws, n) codes and terms and (draws, m + 1) padded draws
+    step = max(1, _BLOCK // (n + 1))
+    for start in range(0, W.shape[0], step):
+        block = slice(start, start + step)
+        Wb = _draws(W[block], agg.m)
+        Wpad = np.zeros((Wb.shape[0], agg.m + 1), dtype=np.int32)
+        Wpad[:, :-1] = Wb
+        # C order, so each row is averaged as the per-draw route averages it
+        code = np.tile(offs, (Wpad.shape[0], 1))
+        for j in range(C):
+            code += Wpad[:, slots[:, j]] << j
+        for est, e in zip(out, E):
+            est[block] = np.mean(e.ravel()[code], axis=1)
+    return out
+
+
 def replicate_estimates(
     agg: ClusterAggregatedModel,
     stats: ClusterStats,
@@ -132,16 +219,30 @@ def replicate_estimates(
     """Each spec's estimates for a batch of cluster assignments, one per row
     of W, from agg and stats lifted to d's clustering.
 
-    Each spec's weight table is built once; then, per block of draws under
-    the _BLOCK element budget, the outcomes (outcomes.evaluate_draws) and
-    treated counts are taken once and every table is gathered on them. No
-    (R, n) array is held, and estimate r depends only on draw r.
+    Each spec's weight table is built once. Unit i's term Y_i * w_i depends
+    on a draw only through which of its c_i neighborhood clusters are
+    treated, a pattern of c_i bits. When the P = 2**C_max patterns number at
+    most the draws and n * P fits the _BLOCK budget, the table route takes
+    every term once per pattern, and each draw gathers its units' terms by
+    pattern. Otherwise the per-draw route takes each block's outcomes
+    (evaluate_draws) and treated counts once and gathers every weight table
+    on them: below R = P, filling the tables takes longer than evaluating
+    the draws, and past n * P > _BLOCK they would not fit one block.
+    Both routes multiply the same outcome by the same weight and average
+    the same (draws, n) rows, so they agree bit for bit. Both walk their
+    work in blocks under the _BLOCK element budget, no (R, n) array is
+    held, and estimate r depends only on draw r.
     """
     _same_clustering(d.clustering, agg, stats)
     tables = [_table(stats, d, spec) for spec in specs]
     W = np.asarray(W)
-    out = [np.empty(W.shape[0]) for _ in specs]
     step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
+    # both routes reject agg and stats lifted from different graphs
+    positions = _row_positions(agg, stats)
+    P = 1 << stats.C_max
+    if P <= W.shape[0] and stats.n * P <= _BLOCK:
+        return _pattern_estimates(agg, stats, tables, positions, W, step)
+    out = [np.empty(W.shape[0]) for _ in specs]
     for start in range(0, W.shape[0], step):
         block = slice(start, start + step)
         Y = evaluate_draws(agg, W[block])

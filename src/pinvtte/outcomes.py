@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import Clustering
 from .errors import CapacityError, InputError
-from .graph import InterferenceGraph, _frozen, _write_lines
+from .graph import InterferenceGraph, _frozen, _read_lines, _write_lines
 
 __all__ = [
     "LowOrderModel",
@@ -241,6 +241,29 @@ def _cluster_keys(model: LowOrderModel, c: Clustering) -> ClusterAggregatedModel
     )
 
 
+def _draws(W, m: int) -> np.ndarray:
+    """W as an array, checked to be an (R, m) matrix of 0/1 cluster draws."""
+    W = np.asarray(W)
+    if W.ndim != 2 or W.shape[1] != m:
+        raise InputError(f"W has shape {W.shape}, expected (R, {m})")
+    if not np.all((W == 0) | (W == 1)):
+        raise InputError("cluster draws must be 0 or 1")
+    return W
+
+
+def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:
+    """Outcome matrix (R, n) from hit[r, k], 1 when every cluster of agg's
+    row k is treated in draw r: Y_i = x_{i,()} + the sum of unit i's hit
+    rows, in row order."""
+    Y = np.tile(agg.baseline, (hit.shape[0], 1))
+    if not agg.values.size:
+        return Y
+    # rows are sorted by owner: each unit's keys are one run
+    starts = np.flatnonzero(np.diff(agg.owner, prepend=-1))
+    Y[:, agg.owner[starts]] += np.add.reduceat(hit * agg.values, starts, axis=1)
+    return Y
+
+
 def evaluate_draws(agg: ClusterAggregatedModel, W) -> np.ndarray:
     """Outcome matrix (R, n) for the (R, m) matrix W of 0/1 cluster draws of
     agg's clustering.
@@ -249,24 +272,15 @@ def evaluate_draws(agg: ClusterAggregatedModel, W) -> np.ndarray:
     over its keys for all R draws at once; callers bound R (the replication
     cell walks its draws in blocks). Row r depends only on draw r, whatever R.
     """
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[1] != agg.m:
-        raise InputError(f"W has shape {W.shape}, expected (R, {agg.m})")
-    if not np.all((W == 0) | (W == 1)):
-        raise InputError("cluster draws must be 0 or 1")
-    R = W.shape[0]
-    Y = np.tile(agg.baseline, (R, 1))
-    if not agg.values.size:
-        return Y
-    Wpad = np.ones((R, agg.m + 1), dtype=np.int8)
+    W = _draws(W, agg.m)
+    Wpad = np.ones((W.shape[0], agg.m + 1), dtype=np.int8)
     Wpad[:, :-1] = W
+    if not agg.members.size:
+        return _evaluate_hits(agg, Wpad[:, :0])
     hit = Wpad[:, agg.members[:, 0]]
     for col in agg.members.T[1:]:
         hit &= Wpad[:, col]
-    # rows are sorted by owner: each unit's keys are one run
-    starts = np.flatnonzero(np.diff(agg.owner, prepend=-1))
-    Y[:, agg.owner[starts]] += np.add.reduceat(hit * agg.values, starts, axis=1)
-    return Y
+    return _evaluate_hits(agg, hit)
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -412,30 +426,29 @@ def load_model(path: str, n: int) -> LowOrderModel:
     largest subset size present (at least 1); missing baselines default to 0."""
     coeffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(n)]
     beta_star = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: expected 'unit<TAB>subset<TAB>value'")
-            try:
-                unit = int(parts[0])
-                subset = (
-                    ()
-                    if parts[1] == "-"
-                    else tuple(sorted(int(tok) for tok in parts[1].split(",")))
-                )
-                value = float(parts[2])
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed field")
-            if not (0 <= unit < n):
-                raise InputError(f"line {lineno}: unit {unit} out of range for n={n}")
-            if subset in coeffs[unit]:
-                raise InputError(f"line {lineno}: duplicate subset for unit {unit}")
-            coeffs[unit][subset] = value
-            beta_star = max(beta_star, len(subset))
+    for where, raw in _read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise InputError(f"{where}: expected 'unit<TAB>subset<TAB>value'")
+        try:
+            unit = int(parts[0])
+            subset = (
+                ()
+                if parts[1] == "-"
+                else tuple(sorted(int(tok) for tok in parts[1].split(",")))
+            )
+            value = float(parts[2])
+        except ValueError:
+            raise InputError(f"{where}: malformed field")
+        if not (0 <= unit < n):
+            raise InputError(f"{where}: unit {unit} out of range for n={n}")
+        if subset in coeffs[unit]:
+            raise InputError(f"{where}: duplicate subset for unit {unit}")
+        coeffs[unit][subset] = value
+        beta_star = max(beta_star, len(subset))
     for cmap in coeffs:
         cmap.setdefault((), 0.0)
     return LowOrderModel.from_dicts(beta_star, coeffs)

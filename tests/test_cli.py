@@ -218,6 +218,19 @@ class TestSelect:
         assert rc == 2
         assert "cluster design" in capsys.readouterr().err
 
+    def test_unit_design_rejected_before_clustering(self, monkeypatch, capsys):
+        import pinvtte.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "louvain", lambda *args: calls.append(args))
+        argv = [
+            "select", "--graph", "sbm", "--n", "2000", "--blocks", "20", "--pi-in", "0.05",
+            "--pi-out", "0.001", "--design", "bern", "--p", "0.25", "--B-bound", "1",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: select needs a cluster design (gcr or crd)\n"
+        assert calls == []
+
 
 class TestOracle:
     def test_exhaustive_rows(self, tmp_path):
@@ -463,6 +476,23 @@ class TestEstimate:
         assert rc == 2
         assert "complete" in capsys.readouterr().err
 
+    def test_conflicting_orders_rejected(self, capsys):
+        argv = ["estimate", "--n", "12", "--radius", "1", "--model", "cycle"]
+        assert main(argv + ["--estimator", "pinv:2", "--beta", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --estimator pinv:2 gives order 2 but --beta gives 3\n"
+
+    def test_agreeing_orders_pass(self, tmp_path):
+        argv = ["estimate", "--n", "12", "--radius", "1", "--model", "cycle"]
+        _, alone, _ = run_csv(tmp_path, argv + ["--estimator", "pinv:2"], "a.csv")
+        _, both, _ = run_csv(tmp_path, argv + ["--estimator", "pinv:2", "--beta", "2"], "b.csv")
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("beta = 2\n")
+        _, shared, _ = run_csv(
+            tmp_path, argv + ["--estimator", "pinv:2", "--config", str(cfg)], "c.csv"
+        )
+        assert alone == both == shared and alone[0]["beta"] == "2"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
@@ -614,7 +644,33 @@ class TestErrorSurface:
         cfg.write_bytes(b"n = 12 # caf\xe9\n")
         assert main(argv + ["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--config", "--graph", "--clustering", "--model"])
+    def test_undecodable_file_named(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0\t\xff\n")
+        argv = ["simulate", "--n", "12", "--radius", "1", "--model", "cycle", flag, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--config", "n 12\n", "line 1: expected key=value"),
+            ("--graph", "# edges\nn=12\n0 1\n", "line 3: expected 'src<TAB>dst'"),
+            ("--clustering", "0\t0\n0\t1\n", "line 2: duplicate unit 0"),
+            ("--model", "0\t-\t1.0\n0\t-\t2.0\n", "line 2: duplicate subset for unit 0"),
+        ],
+    )
+    def test_malformed_line_names_file(self, tmp_path, capsys, flag, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        argv = ["simulate", "--n", "12", "--radius", "1", "--model", "cycle", flag, str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("command", ["simulate", "bounds", "oracle"])
     def test_non_finite_model_file_rejected(self, tmp_path, capsys, command):

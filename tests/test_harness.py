@@ -57,6 +57,17 @@ def blocks(n, width):
     return Clustering.from_labels([i // width for i in range(n)])
 
 
+def spied(fn, log):
+    """fn, logging the row count of its second argument (a draw or pattern
+    block), or 0 when called with fewer arguments, on each call."""
+
+    def wrapper(*args, **kwargs):
+        log.append(np.shape(args[1])[0] if len(args) > 1 else 0)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def small_cfg(**overrides):
     g = cycle_power(12, 1)
     model = gen_cycle_model(g, 1)
@@ -140,58 +151,90 @@ class TestReplicateEstimates:
 
     def test_shape_guard(self):
         cfg = small_cfg()
+        lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
         with pytest.raises(InputError, match="W has shape"):
-            replicate_estimates(
-                *lift(cfg.model, cfg.graph, cfg.design.clustering),
-                cfg.design,
-                cfg.estimators,
-                np.zeros((4, 3)),
-            )
+            replicate_estimates(*lifted, cfg.design, cfg.estimators, np.zeros((4, 3)))
+        # both routes (P = 4) check every block, up to the last draw
+        for R in (3, 64):
+            W = _sample_draws(cfg.design, 0, R)
+            W[-1, 0] = 2
+            with pytest.raises(InputError, match="0 or 1"):
+                replicate_estimates(*lifted, cfg.design, cfg.estimators, W)
 
     def test_blocks_do_not_change_estimates(self, monkeypatch):
-        # one draw per block gives, bit for bit, what the default budget
-        # gives, on a sampled cell and on a whole oracle support
-        g = cycle_power(12, 2)
-        model = gen_cycle_model(g, 2)
-        gcr = bernoulli_gcr(blocks(12, 2), 0.3)
+        # one element per block forces the per-draw route, one draw at a
+        # time, and gives bit for bit what the default budget gives: the
+        # table route once R reaches P = 2**C_max draws, the per-draw route
+        # below that. A budget of n * P keeps the table route but splits
+        # both its pattern fill and its draw walk into several blocks.
+        # Sampled cells with C_max from 1 to 4 and R around P, a whole
+        # oracle support, and a full-contact complete design
+        cases = []
+        for radius, width, C in ((1, 12, 1), (1, 2, 2), (2, 2, 3), (3, 2, 4)):
+            g, gcr = cycle_power(12, radius), bernoulli_gcr(blocks(12, width), 0.3)
+            for R in (2**C - 1, 2**C, 2**C + 1, 40):
+                W = _sample_draws(gcr, 4, R)
+                cases.append((g, gcr, C, W, ["pinv:2", "gcr_explicit:1", "ht"]))
         crd = complete_gcr(blocks(12, 2), 3)
-        cases = [
-            (gcr, _sample_draws(gcr, 4, 40), ["pinv:2", "gcr_explicit:1", "ht"]),
-            (crd, enumerate_support(crd)[1], ["pinv:2", "crd1", "ht"]),
-        ]
-        for d, W, labels in cases:
+        W = enumerate_support(crd)[1]
+        cases.append((cycle_power(12, 2), crd, 3, W, ["pinv:2", "crd1", "ht"]))
+        # every unit touches all m = 3 clusters: crd1's rank-deficient form
+        full = complete_gcr(blocks(6, 2), 1)
+        cases.append((cycle_power(6, 2), full, 3, _sample_draws(full, 2, 30), ["crd1", "pinv:2"]))
+        fills = []
+        for g, d, C, W, labels in cases:
             specs = [EstimatorSpec.parse(text) for text in labels]
-            lifted = lift(model, g, d.clustering)
-            default = replicate_estimates(*lifted, d, specs, W)
+            lifted = lift(gen_cycle_model(g, 2), g, d.clustering)
+            assert lifted[1].C_max == C
+            tabled = []
             with monkeypatch.context() as patch:
+                patch.setattr(harness, "_evaluate_hits", spied(harness._evaluate_hits, tabled))
+                default = replicate_estimates(*lifted, d, specs, W)
+                assert len(tabled) == (W.shape[0] >= 2**C)
+                tabled.clear()
+                patch.setattr(harness, "_BLOCK", lifted[1].n * 2**C)
+                split = replicate_estimates(*lifted, d, specs, W)
+                fills.append(len(tabled))
                 patch.setattr(harness, "_BLOCK", 1)
                 single = replicate_estimates(*lifted, d, specs, W)
-            assert len(single) == len(default) == len(specs)
-            for a, b in zip(default, single):
-                assert a.shape == (W.shape[0],) and np.array_equal(a, b)
+            assert len(single) == len(split) == len(default) == len(specs)
+            for a, b, c in zip(default, split, single):
+                assert a.shape == (W.shape[0],)
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        # the n * P budget splits the fill into P blocks once C_max > 1;
+        # R = P - 1 takes the per-draw route
+        assert fills == [0, 1, 1, 1, 0, 4, 4, 4, 0, 8, 8, 8, 0, 16, 16, 16, 8, 8]
 
     def test_blocks_within_budget(self, monkeypatch):
-        # every outcome block holds at most _BLOCK // width draws, width the
-        # larger of the model keys and the neighborhood entries
+        # every outcome block holds at most _BLOCK // width draws or
+        # patterns, width the larger of the model keys and the neighborhood
+        # entries. The per-draw route evaluates each draw once; the table
+        # route evaluates each of its P = 2**C_max patterns once, and only
+        # when its n * P terms per table fit the budget
         cfg = small_cfg()
         agg, stats = lift(cfg.model, cfg.graph, cfg.design.clustering)
         width = max(agg.values.size, stats.cluster_ids.size)
+        P = 2**stats.C_max
         W = _sample_draws(cfg.design, 0, 50)
-        sizes = []
-        evaluate_draws = harness.evaluate_draws
-
-        def recorded(agg, W):
-            sizes.append(W.shape[0])
-            return evaluate_draws(agg, W)
-
-        monkeypatch.setattr(harness, "evaluate_draws", recorded)
-        for budget in (1, width, 3 * width + 1, harness._BLOCK):
-            sizes.clear()
+        draws, patterns = [], []
+        monkeypatch.setattr(harness, "evaluate_draws", spied(harness.evaluate_draws, draws))
+        monkeypatch.setattr(harness, "_evaluate_hits", spied(harness._evaluate_hits, patterns))
+        routes = set()
+        default = replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
+        for budget in (1, width, 3 * width + 1, stats.n * P, harness._BLOCK):
+            draws.clear()
+            patterns.clear()
             monkeypatch.setattr(harness, "_BLOCK", budget)
-            replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
-            assert sum(sizes) == 50
-            assert max(sizes) <= max(1, budget // width)
-
+            ests = replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
+            assert all(np.array_equal(a, b) for a, b in zip(ests, default))
+            if patterns:
+                assert not draws and stats.n * P <= budget
+                assert sum(patterns) == P
+            else:
+                assert sum(draws) == 50
+            assert max(draws + patterns) <= max(1, budget // width)
+            routes.add(bool(patterns))
+        assert routes == {False, True}
 
     def test_rejects_lifted_inputs_of_another_clustering(self):
         cfg = small_cfg()
@@ -201,6 +244,18 @@ class TestReplicateEstimates:
         for pair in ((other_agg, stats), (agg, other_stats)):
             with pytest.raises(InputError, match="clustering"):
                 replicate_estimates(*pair, cfg.design, cfg.estimators, W)
+
+    def test_rejects_lifted_inputs_of_another_graph(self):
+        # the model lifted on radius-2 neighborhoods names clusters outside
+        # the radius-1 ones of stats; both routes reject it (P = 4)
+        clustering = blocks(12, 2)
+        g1, g2 = cycle_power(12, 1), cycle_power(12, 2)
+        agg = lift(gen_cycle_model(g2, 2), g2, clustering)[0]
+        stats = cluster_stats(g1, clustering)
+        d = bernoulli_gcr(clustering, 0.3)
+        for R in (3, 64):
+            with pytest.raises(InputError, match="lifted from one graph"):
+                replicate_estimates(agg, stats, d, [EstimatorSpec("ht")], _sample_draws(d, 0, R))
 
 
 class TestRunExperiment:
@@ -328,34 +383,31 @@ class TestExhaustiveExpectation:
 
     def test_specs_share_one_enumeration(self, monkeypatch):
         # several specs at once give, bit for bit, what one call per spec
-        # gives, from one support enumeration and one outcome evaluation
-        calls = {"enumerate_support": 0, "evaluate_draws": 0}
-
-        def counted(name):
-            fn = getattr(harness, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        g = cycle_power(8, 1)
-        model = gen_cycle_model(g, 2)
+        # gives, from one support enumeration and one outcome evaluation:
+        # of the P = 2**C_max patterns on the table route, of the support
+        # points on the per-draw route (a support smaller than P)
+        calls = {"enumerate_support": [], "evaluate_draws": [], "_evaluate_hits": []}
+        g1, g2 = cycle_power(8, 1), cycle_power(8, 2)
         cases = [
-            (complete_gcr(blocks(8, 2), 2), ["pinv:2", "crd1", "ht"]),
-            (bernoulli_gcr(blocks(8, 2), 0.3), ["pinv:1", "gcr_explicit:2", "ht"]),
+            (g1, complete_gcr(blocks(8, 2), 2), ["pinv:2", "crd1", "ht"]),  # 6 points, P = 4
+            (g1, bernoulli_gcr(blocks(8, 2), 0.3), ["pinv:1", "gcr_explicit:2", "ht"]),
+            (g2, complete_gcr(blocks(8, 2), 2), ["pinv:2", "crd1"]),  # 6 points, P = 8
         ]
-        for d, labels in cases:
+        routes = []
+        for g, d, labels in cases:
+            model = gen_cycle_model(g, 2)
             specs = [EstimatorSpec.parse(text) for text in labels]
             separate = [exhaustive_expectation(g, model, d, [spec])[0] for spec in specs]
             with monkeypatch.context() as patch:
-                for name in calls:
-                    calls[name] = 0
-                    patch.setattr(harness, name, counted(name))
+                for name, log in calls.items():
+                    log.clear()
+                    patch.setattr(harness, name, spied(getattr(harness, name), log))
                 together = exhaustive_expectation(g, model, d, specs)
             assert together == separate
-            assert calls == {"enumerate_support": 1, "evaluate_draws": 1}
+            assert len(calls["enumerate_support"]) == 1
+            assert len(calls["evaluate_draws"]) + len(calls["_evaluate_hits"]) == 1
+            routes.append(len(calls["_evaluate_hits"]))
+        assert routes == [1, 1, 0]
 
     def test_agrees_with_analytic_bias(self, rng):
         from pinvtte import bias_exact
