@@ -28,7 +28,9 @@ pairs by cluster_aggregate, with the baseline at |U| = 0. bias_bound_gcr
 reduces the same keys with |U| > beta, which only subsets of order > beta
 reach: their |x_{i,U}|, and one bincount by (owner, |U|). Callers lift once:
 the bias and gamma profile functions take that re-keyed model and
-cluster_stats' neighborhoods; only variance_bound re-keys a model itself.
+cluster_stats' neighborhoods; only variance_bound re-keys a model itself,
+on stats.graph. clustering._same_lift rejects lifted inputs of two graphs
+or of another clustering than the design's.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterStats, _same_clustering, _size_rows
+from .clustering import ClusterStats, _same_lift, _size_rows
 from .design import Design, _sample_draws, joint_treat_prob
 from .errors import CapacityError, InputError, PreconditionError
-from .graph import InterferenceGraph
 from .moments import (
     DesignMoments,
     _bernoulli_finite,
@@ -187,7 +188,7 @@ def gamma_profile(
     """
     if beta < 1:
         raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    _same_clustering(d.clustering, stats)
+    _same_lift(d.clustering, stats)
     scaled: np.ndarray | None = None
     if gamma_source == "closed":
         if d.is_bernoulli:
@@ -237,7 +238,7 @@ def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta
     """
     if beta < 1:
         raise InputError(f"estimator order must be at least 1, got beta={beta}")
-    _same_clustering(d.clustering, agg, stats)
+    _same_lift(d.clustering, agg, stats)
 
     def row(c: int, unit: int) -> np.ndarray:
         # (M v)_k on a size-k cluster subset, k = 0..c, minus theta_k
@@ -284,10 +285,10 @@ def bias_bound_gcr(model: LowOrderModel, agg: ClusterAggregatedModel, beta: int)
 
 
 def bias_crd(
-    agg: ClusterAggregatedModel, stats: ClusterStats, m: int, k: int, B: float
+    agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, B: float
 ) -> tuple[float, float]:
     """Exact bias and worst-case bound of the first-order estimator under
-    the complete design for a first-order model.
+    the complete design d for a first-order model.
 
     Only units in contact with every cluster contribute: for those,
     bias_i = m (k x_{i,empty} - sum_C x_{i,{C}}) / (k^2 + m). The bound
@@ -295,11 +296,10 @@ def bias_crd(
     """
     if agg.beta_star != 1:
         raise InputError("complete-design bias formula needs a first-order model")
-    if not (1 <= k <= m - 1):
-        raise InputError(f"k={k} outside [1, m-1] for m={m}")
-    if agg.baseline.size != stats.n:
-        raise InputError("aggregated model and stats must agree on n")
-    n = stats.n
+    if d.is_bernoulli:
+        raise InputError("bias_crd needs a complete cluster design")
+    _same_lift(d.clustering, agg, stats)
+    n, m, k = stats.n, d.m, d.k
     full = np.diff(stats.indptr) == m
     single = (agg.order == 1) & full[agg.owner]
     x1 = np.bincount(agg.owner[single], agg.values[single], n)
@@ -382,7 +382,6 @@ class BoundReport:
 
 
 def variance_bound(
-    g: InterferenceGraph,
     stats: ClusterStats,
     d: Design,
     beta: int,
@@ -392,7 +391,8 @@ def variance_bound(
     model: LowOrderModel | None = None,
     monotone: bool = False,
 ) -> BoundReport:
-    """Worst-case variance bound for outcomes bounded by B.
+    """Worst-case variance bound for outcomes bounded by B, on the graph
+    stats was lifted from (its d_max, and the graph a model is lifted on).
 
     The pairwise term is (B^2/n^2) sum over dependent ordered pairs (i, j) of
     gamma_i gamma_j. Under Bernoulli designs i and j are dependent when
@@ -416,9 +416,7 @@ def variance_bound(
     """
     if not 0 < B < math.inf:
         raise InputError(f"outcome bound B={B} must be positive and finite")
-    if stats.n != g.n:
-        raise InputError("graph and stats must agree on n")
-    n = g.n
+    g, n = stats.graph, stats.n
     agg = None if model is None else cluster_aggregate(model, g, d.clustering)
     if monotone and agg is not None and mixed_signs(agg):
         raise PreconditionError(
@@ -472,7 +470,7 @@ def variance_bound(
         if d.is_bernoulli:
             bias_bound_val = bias_bound_gcr(model, agg, beta).x_norm
         elif beta == 1 and model.beta_star == 1:
-            bias_bound_val = bias_crd(agg, stats, d.m, d.k, B)[1]
+            bias_bound_val = bias_crd(agg, stats, d, B)[1]
 
     return BoundReport(
         var_bound_pairwise=pairwise,

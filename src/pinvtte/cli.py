@@ -286,7 +286,6 @@ def _cmd_bounds(o: _Opts) -> None:
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
     rep = variance_bound(
-        g,
         cluster_stats(g, d.clustering),
         d,
         beta,

@@ -74,8 +74,9 @@ class Clustering:
 
 @dataclass(frozen=True, eq=False)
 class ClusterStats:
-    """Per-unit cluster neighborhoods under clustering and the graph-level
-    summaries that estimator weights, bias and bounds consume.
+    """Per-unit cluster neighborhoods of graph under clustering, the lift
+    that only cluster_stats builds and _same_lift checks, and the summaries
+    that estimator weights, bias and bounds consume.
 
     The cluster neighborhood of unit i, the sorted distinct ids of the
     clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]] (the CSR
@@ -85,6 +86,7 @@ class ClusterStats:
     that make a completely randomized design singular).
     """
 
+    graph: InterferenceGraph
     clustering: Clustering
     indptr: np.ndarray
     cluster_ids: np.ndarray
@@ -101,11 +103,15 @@ class ClusterStats:
         return self.clustering.m
 
 
-def _same_clustering(c: Clustering, *lifted) -> None:
-    """Raise InputError unless each lifted input was built from c."""
+def _same_lift(c: Clustering, *lifted) -> None:
+    """Raise InputError unless every lifted input was built from clustering
+    c, and all of them from one graph."""
+    g = lifted[0].graph
     for x in lifted:
         if x.clustering != c:
             raise InputError(f"{type(x).__name__} and design must agree on the clustering")
+        if x.graph != g:
+            raise InputError("model and cluster statistics must be lifted from one graph")
 
 
 def singleton_clustering(n: int) -> Clustering:
@@ -159,6 +165,7 @@ def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
     indptr, ids = cluster_neighborhoods(g, c)
     sizes = np.diff(indptr)
     return ClusterStats(
+        graph=g,
         clustering=c,
         indptr=indptr,
         cluster_ids=ids,

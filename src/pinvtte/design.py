@@ -98,11 +98,20 @@ def complete_gcr(c: Clustering, k: int) -> Design:
     return Design("complete_gcr", c, k=k)
 
 
+def _draws(W, m: int) -> np.ndarray:
+    """W as an int8 array, checked before the cast to be an (R, m) matrix of
+    0/1 cluster draws, so no other value truncates or wraps into one."""
+    W = np.asarray(W)
+    if W.ndim != 2 or W.shape[1] != m:
+        raise InputError(f"W has shape {W.shape}, expected (R, {m}): one row of {m} clusters")
+    if not np.all((W == 0) | (W == 1)):
+        raise InputError("cluster draws must be 0 or 1")
+    return W.astype(np.int8, copy=False)
+
+
 def draw_from_w(d: Design, w) -> AssignmentDraw:
     """Lift a cluster assignment to units via the design's clustering."""
-    w = np.asarray(w, dtype=np.int8)
-    if w.shape != (d.m,):
-        raise InputError(f"w has shape {w.shape}, expected ({d.m},)")
+    w = _draws(np.asarray(w)[None], d.m)[0]
     z = w[np.asarray(d.clustering.assignment)]
     return AssignmentDraw(w=w, z=z)
 

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats, _same_clustering, _size_rows, cluster_stats
+from .clustering import Clustering, ClusterStats, _size_rows, cluster_stats
 from .design import (
     AssignmentDraw,
     Design,
+    _draws,
     bernoulli_gcr,
     complete_gcr,
     joint_control_prob,
@@ -192,7 +193,6 @@ class EstimatorSpec:
 def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
     """Flat weight table for every unit of stats: unit i's weight when t of
     its clusters are treated is values[base[i] + t]. Returns (values, base)."""
-    _same_clustering(d.clustering, stats)
     if spec.kind == "gcr_explicit" and not d.is_bernoulli:
         raise InputError("gcr_explicit needs a Bernoulli design")
     if spec.kind == "crd1" and d.variant != "complete_gcr":
@@ -203,10 +203,8 @@ def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
 
 
 def _treated(stats: ClusterStats, W) -> np.ndarray:
-    """(R, n) treated clusters of each unit's neighborhood for the (R, m) int8
-    draw matrix W: the t of every table, whose weights are values[base + t]."""
-    if W.size and (W.min() < 0 or W.max() > 1):
-        raise InputError("cluster draws must be 0/1 treatment indicators")
+    """(R, n) treated clusters of each unit's neighborhood for the (R, m) draws
+    W of _draws: the t of every table, whose weights are values[base + t]."""
     return np.add.reduceat(W[:, stats.cluster_ids], stats.indptr[:-1], axis=1, dtype=np.int32)
 
 
@@ -235,11 +233,10 @@ def estimate(
         raise InputError(f"Y has shape {Y.shape}, expected ({g.n},)")
     if d.n != g.n:
         raise InputError(f"design covers {d.n} units but graph has {g.n}")
-    if draw.w.shape != (d.m,):
-        raise InputError(f"draw has {draw.w.shape[0]} clusters, design has {d.m}")
+    w = _draws(np.asarray(draw.w)[None], d.m)
     stats = cluster_stats(g, d.clustering)
     values, base = _table(stats, d, spec)
-    weights = values[base + _treated(stats, np.asarray(draw.w, dtype=np.int8)[None, :])[0]]
+    weights = values[base + _treated(stats, w)[0]]
     return EstimateBreakdown(kind, spec.order, float(np.mean(Y * weights)), weights)
 
 

@@ -18,8 +18,9 @@ _BLOCK budget, each estimator's term Y_i * w_i is tabled once per unit and
 pattern and every draw gathers its units' terms; otherwise each block's
 outcomes are evaluated and every weight table applied to them. A table
 entry is the same product the per-draw route forms, and both average the
-same rows, so the routes agree bit for bit. The estimators of a cell share
-all of this; its bias and bound are taken once per order.
+same rows, so the routes agree bit for bit; clustering._same_lift rejects
+a mismatched lift before either. The estimators of a cell share all of
+this; its bias and bound are taken once per order.
 Clustering selection scores a list of candidate designs, one per clustering.
 """
 
@@ -37,8 +38,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .bounds import BoundReport, bias_exact, variance_bound
-from .clustering import ClusterStats, _same_clustering, cluster_stats
-from .design import Design, _sample_draws, enumerate_support
+from .clustering import ClusterStats, _same_lift, cluster_stats
+from .design import Design, _draws, _sample_draws, enumerate_support
 from .errors import CapacityError, InputError
 from .estimator import EstimatorSpec, _table, _treated
 from .graph import InterferenceGraph
@@ -46,7 +47,6 @@ from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import (
     ClusterAggregatedModel,
     LowOrderModel,
-    _draws,
     _evaluate_hits,
     cluster_aggregate,
     evaluate_draws,
@@ -140,14 +140,11 @@ def _row_positions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, pos): each cluster agg.members[rows, cols] of a re-keyed
     model row and its position pos in the cluster neighborhood of the row's
-    unit. InputError when a row names a cluster outside that neighborhood,
-    as when agg and stats were lifted from different graphs."""
+    unit. agg and stats come from one lift (_same_lift), so every row's
+    clusters lie in its unit's neighborhood."""
     keys = np.repeat(np.arange(stats.n), np.diff(stats.indptr)) * stats.m + stats.cluster_ids
     rows, cols = np.nonzero(agg.members < agg.m)
-    want = agg.owner[rows] * stats.m + agg.members[rows, cols]
-    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    if np.any(keys[at] != want):
-        raise InputError("the model and the cluster statistics must be lifted from one graph")
+    at = np.searchsorted(keys, agg.owner[rows] * stats.m + agg.members[rows, cols])
     return rows, cols, _slot(stats)[at]
 
 
@@ -155,12 +152,10 @@ def _pattern_estimates(
     agg: ClusterAggregatedModel,
     stats: ClusterStats,
     tables: list[tuple[np.ndarray, np.ndarray]],
-    positions: tuple[np.ndarray, np.ndarray, np.ndarray],
     W: np.ndarray,
     step: int,
 ) -> list[np.ndarray]:
-    """The table route of replicate_estimates, for the row positions of
-    _row_positions, taking step patterns at a time.
+    """The table route of replicate_estimates, taking step patterns at a time.
 
     Per weight table (values, base), E[i * P + p] = Y_i(p) * values[base[i]
     + t] with P = 2**C_max: unit i's term when the clusters of its
@@ -174,7 +169,7 @@ def _pattern_estimates(
     low = (1 << sizes) - 1
     ones = sum((np.arange(P) >> j) & 1 for j in range(C))
     # each model row's clusters as bits, bit j for the j-th neighborhood slot
-    rows, cols, pos = positions
+    rows, cols, pos = _row_positions(agg, stats)
     bits = np.zeros(agg.members.shape, dtype=np.int64)
     bits[rows, cols] = 1 << pos
     masks = bits.sum(axis=1)
@@ -217,7 +212,8 @@ def replicate_estimates(
     W: np.ndarray,
 ) -> list[np.ndarray]:
     """Each spec's estimates for a batch of cluster assignments, one per row
-    of W, from agg and stats lifted to d's clustering.
+    of W, from agg and stats lifted to d's clustering from one graph, as
+    _same_lift checks.
 
     Each spec's weight table is built once. Unit i's term Y_i * w_i depends
     on a draw only through which of its c_i neighborhood clusters are
@@ -233,15 +229,13 @@ def replicate_estimates(
     work in blocks under the _BLOCK element budget, no (R, n) array is
     held, and estimate r depends only on draw r.
     """
-    _same_clustering(d.clustering, agg, stats)
+    _same_lift(d.clustering, agg, stats)
     tables = [_table(stats, d, spec) for spec in specs]
     W = np.asarray(W)
     step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
-    # both routes reject agg and stats lifted from different graphs
-    positions = _row_positions(agg, stats)
     P = 1 << stats.C_max
     if P <= W.shape[0] and stats.n * P <= _BLOCK:
-        return _pattern_estimates(agg, stats, tables, positions, W, step)
+        return _pattern_estimates(agg, stats, tables, W, step)
     out = [np.empty(W.shape[0]) for _ in specs]
     for start in range(0, W.shape[0], step):
         block = slice(start, start + step)
@@ -311,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
     B = outcome_bound(model, g) if orders else 0.0
     for order in orders:
         exact = bias_exact(agg, stats, d, order)
-        rep = variance_bound(g, stats, d, order, B, cfg.gamma_source) if B > 0.0 else None
+        rep = variance_bound(stats, d, order, B, cfg.gamma_source) if B > 0.0 else None
         analytic[order] = exact, None if rep is None else rep.var_bound_pairwise
     reports = []
     for spec, est in zip(cfg.estimators, estimates):
@@ -414,7 +408,7 @@ def select_clustering(
         raise InputError("no candidate designs")
     scored = []
     for idx, d in enumerate(designs):
-        rep = variance_bound(g, cluster_stats(g, d.clustering), d, beta, B, "quadform")
+        rep = variance_bound(cluster_stats(g, d.clustering), d, beta, B, "quadform")
         scored.append((rep.var_bound_pairwise, d.m, idx, rep))
     scored.sort(key=lambda t: t[:3])
     ranking = [(idx, rep) for _, _, idx, rep in scored]

@@ -20,6 +20,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .clustering import Clustering
+from .design import _draws
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph, _frozen, _read_lines, _write_lines
 
@@ -176,7 +177,8 @@ class ClusterAggregatedModel:
     Row r holds x_{i,U} = values[r] for i = owner[r] and U the entries of
     members[r] other than the pad index m: the sum of c_{i,S} over keyed
     non-empty subsets S whose members' clusters are exactly U. Rows are
-    sorted by (owner, U); x_{i,()} is baseline[i].
+    sorted by (owner, U); x_{i,()} is baseline[i]. graph and clustering are
+    the lift's, set only by cluster_aggregate and checked by _same_lift.
     """
 
     beta_star: int
@@ -184,6 +186,7 @@ class ClusterAggregatedModel:
     members: np.ndarray
     values: np.ndarray
     baseline: np.ndarray
+    graph: InterferenceGraph
     clustering: Clustering
 
     @property
@@ -213,7 +216,9 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     return y
 
 
-def _cluster_keys(model: LowOrderModel, c: Clustering) -> ClusterAggregatedModel:
+def _cluster_keys(
+    model: LowOrderModel, g: InterferenceGraph, c: Clustering
+) -> ClusterAggregatedModel:
     """Re-key the model's subsets by the clusters their members fall in.
     This is the one map from unit subsets S to their cluster images U.
 
@@ -237,18 +242,8 @@ def _cluster_keys(model: LowOrderModel, c: Clustering) -> ClusterAggregatedModel
     values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
     keys = rows[first]
     return ClusterAggregatedModel(
-        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, c
+        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, g, c
     )
-
-
-def _draws(W, m: int) -> np.ndarray:
-    """W as an array, checked to be an (R, m) matrix of 0/1 cluster draws."""
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[1] != m:
-        raise InputError(f"W has shape {W.shape}, expected (R, {m})")
-    if not np.all((W == 0) | (W == 1)):
-        raise InputError("cluster draws must be 0 or 1")
-    return W
 
 
 def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:
@@ -374,7 +369,7 @@ def cluster_aggregate(
     if c.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")
     model._validate(g)
-    return _cluster_keys(model, c)
+    return _cluster_keys(model, g, c)
 
 
 def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:

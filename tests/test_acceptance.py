@@ -252,7 +252,7 @@ def test_acceptance_05_variance_bound_soundness(announce):
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         _, var = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", beta)])[0]
         report = variance_bound(
-            g, cluster_stats(g, c), d, beta, outcome_bound(model, g)
+            cluster_stats(g, c), d, beta, outcome_bound(model, g)
         )
         if var > report.var_bound_pairwise * (1 + 1e-9) + 1e-12:
             failures.append(
@@ -260,7 +260,7 @@ def test_acceptance_05_variance_bound_soundness(announce):
             )
     lone = from_edge_list([], 1)
     d = bernoulli_gcr(singleton_clustering(1), 0.5)
-    report = variance_bound(lone, cluster_stats(lone, singleton_clustering(1)), d, 1, 1.0)
+    report = variance_bound(cluster_stats(lone, singleton_clustering(1)), d, 1, 1.0)
     if report.var_bound_pairwise != pytest.approx(4.0, abs=1e-12):
         failures.append(f"single-unit bound {report.var_bound_pairwise}")
     flat = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 1.0},))
@@ -293,7 +293,7 @@ def test_acceptance_06_crd_structure(announce):
     model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple(coeffs))
     agg = cluster_aggregate(model, g, c)
     stats = cluster_stats(g, c)
-    exact, _ = bias_crd(agg, stats, 2, 1, outcome_bound(model, g))
+    exact, _ = bias_crd(agg, stats, complete_gcr(c, 1), outcome_bound(model, g))
     if exact != -2 / 3:
         failures.append(f"full-contact bias {exact}")
     d = complete_gcr(c, 1)
@@ -314,7 +314,7 @@ def test_acceptance_06_crd_structure(announce):
         model2 = _random_model(rng, g2, 1)
         agg2 = cluster_aggregate(model2, g2, c2)
         exact2, bound2 = bias_crd(
-            agg2, cluster_stats(g2, c2), m, k, outcome_bound(model2, g2)
+            agg2, cluster_stats(g2, c2), complete_gcr(c2, k), outcome_bound(model2, g2)
         )
         if abs(exact2) > bound2 + 1e-12:
             failures.append(f"trial {trial}: |{exact2:.3e}| > {bound2:.3e}")

@@ -243,7 +243,7 @@ class TestGammaProfile:
         with pytest.raises(InputError, match="at least 1, got beta=0"):
             gamma_profile(cluster_stats(g, c), d, 0, source)
         with pytest.raises(InputError, match="at least 1, got beta=0"):
-            variance_bound(g, cluster_stats(g, c), d, 0, 1.0, source)
+            variance_bound(cluster_stats(g, c), d, 0, 1.0, source)
 
 
 class TestBiasExact:
@@ -425,7 +425,7 @@ class TestBiasCrd:
         g, c, model = self.crd_instance()
         agg = cluster_aggregate(model, g, c)
         stats = cluster_stats(g, c)
-        exact, bound = bias_crd(agg, stats, m=2, k=1, B=outcome_bound(model, g))
+        exact, bound = bias_crd(agg, stats, complete_gcr(c, 1), B=outcome_bound(model, g))
         assert exact == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert bound == pytest.approx(2.0, abs=1e-12)
 
@@ -436,7 +436,7 @@ class TestBiasCrd:
         d = complete_gcr(c, 1)
         mean, _ = exhaustive_moments(g, model, d, 1)
         agg = cluster_aggregate(model, g, c)
-        exact, bound = bias_crd(agg, cluster_stats(g, c), 2, 1, 1.0)
+        exact, bound = bias_crd(agg, cluster_stats(g, c), d, 1.0)
         assert exact == pytest.approx(mean - true_tte(model), abs=1e-12)
         assert abs(exact) <= bound
 
@@ -452,7 +452,7 @@ class TestBiasCrd:
             mean, _ = exhaustive_moments(g, model, d, 1)
             agg = cluster_aggregate(model, g, c)
             B = max(outcome_bound(model, g), 1e-9)
-            exact, bound = bias_crd(agg, cluster_stats(g, c), m, k, B)
+            exact, bound = bias_crd(agg, cluster_stats(g, c), d, B)
             assert exact == pytest.approx(mean - true_tte(model), abs=1e-10)
             assert abs(exact) <= bound + 1e-12
 
@@ -462,7 +462,7 @@ class TestBiasCrd:
         c = Clustering.from_labels([i // 2 for i in range(8)])
         model = random_model(rng, g, 1)
         agg = cluster_aggregate(model, g, c)
-        exact, bound = bias_crd(agg, cluster_stats(g, c), 4, 2, 1.0)
+        exact, bound = bias_crd(agg, cluster_stats(g, c), complete_gcr(c, 2), 1.0)
         assert exact == 0.0
         assert bound == 0.0
 
@@ -474,14 +474,22 @@ class TestBiasCrd:
             two = LowOrderModel.from_dicts(
                 beta_star=2, coeffs=tuple({(): 0.0} for _ in range(4))
             )
-            bias_crd(cluster_aggregate(two, g, c), stats, 2, 1, 1.0)
+            bias_crd(cluster_aggregate(two, g, c), stats, complete_gcr(c, 1), 1.0)
         with pytest.raises(InputError, match="k="):
-            bias_crd(agg, stats, 2, 2, 1.0)
+            bias_crd(agg, stats, complete_gcr(c, 2), 1.0)
+        with pytest.raises(InputError, match="complete cluster design"):
+            bias_crd(agg, stats, bernoulli_gcr(c, 0.5), 1.0)
+        d = complete_gcr(c, 1)
+        with pytest.raises(InputError, match="clustering"):
+            bias_crd(agg, cluster_stats(g, Clustering.from_labels([0, 0, 1, 1])), d, 1.0)
+        with pytest.raises(InputError, match="lifted from one graph"):
+            bias_crd(agg, cluster_stats(from_edge_list([], 4), c), d, 1.0)
 
 
 class TestLiftedClustering:
     """bias_exact, gamma_profile and variance_bound reject lifted inputs
-    built from another clustering than the design's."""
+    built from another clustering than the design's, and bias_exact a
+    model and stats lifted from two graphs."""
 
     def instance(self):
         g = cycle_power(24, 1)
@@ -490,11 +498,11 @@ class TestLiftedClustering:
 
     def test_variance_bound(self):
         g, _, d, shifted = self.instance()
-        rep = variance_bound(g, cluster_stats(g, d.clustering), d, 1, 1.0)
+        rep = variance_bound(cluster_stats(g, d.clustering), d, 1, 1.0)
         assert rep.var_bound_pairwise == pytest.approx(3.515792847081217, rel=1e-12)
         for other in (contiguous_cycle_clusters(24, 2), shifted):
             with pytest.raises(InputError, match="clustering"):
-                variance_bound(g, cluster_stats(g, other), d, 1, 1.0)
+                variance_bound(cluster_stats(g, other), d, 1, 1.0)
 
     def test_gamma_profile(self):
         g, _, d, shifted = self.instance()
@@ -509,6 +517,11 @@ class TestLiftedClustering:
         for pair in ((other_agg, stats), (agg, other_stats), (other_agg, other_stats)):
             with pytest.raises(InputError, match="clustering"):
                 bias_exact(*pair, d, 1)
+        wide = cycle_power(24, 2)
+        wide_agg, wide_stats = lift(gen_cycle_model(wide, 1), wide, d.clustering)
+        for pair in ((agg, wide_stats), (wide_agg, stats)):
+            with pytest.raises(InputError, match="lifted from one graph"):
+                bias_exact(*pair, d, 1)
 
 
 class TestVarianceBound:
@@ -516,7 +529,7 @@ class TestVarianceBound:
         # q^-C alone overflows; the simplified bound is the envelope at C
         g = cycle_power(12, 1)
         stats = cluster_stats(g, singleton_clustering(12))
-        rep = variance_bound(g, stats, bernoulli_unit(12, 1e-200), 1, 1.0, "closed")
+        rep = variance_bound(stats, bernoulli_unit(12, 1e-200), 1, 1.0, "closed")
         assert rep.var_bound_simplified == 3 * 1 * 3 / 12 * gamma_gcr_envelope(3, 1, 1e-200)
         assert math.isfinite(rep.var_bound_pairwise)
 
@@ -524,7 +537,7 @@ class TestVarianceBound:
         g = from_edge_list([], 1)
         d = bernoulli_unit(1, 0.5)
         stats = cluster_stats(g, singleton_clustering(1))
-        rep = variance_bound(g, stats, d, 1, 1.0)
+        rep = variance_bound(stats, d, 1, 1.0)
         assert rep.var_bound_pairwise == pytest.approx(4.0, abs=1e-12)
 
     def test_single_unit_variance_saturates(self):
@@ -548,7 +561,7 @@ class TestVarianceBound:
             B = outcome_bound(model, g)
             if B <= 0:
                 continue
-            rep = variance_bound(g, cluster_stats(g, c), d, 2, B)
+            rep = variance_bound(cluster_stats(g, c), d, 2, B)
             _, var = exhaustive_moments(g, model, d, 2)
             assert var <= rep.var_bound_pairwise + 1e-10
 
@@ -563,7 +576,7 @@ class TestVarianceBound:
             B = outcome_bound(model, g)
             if B <= 0:
                 continue
-            rep = variance_bound(g, cluster_stats(g, c), d, 1, B)
+            rep = variance_bound(cluster_stats(g, c), d, 1, B)
             _, var = exhaustive_moments(g, model, d, 1)
             assert var <= rep.var_bound_pairwise + 1e-10
 
@@ -575,7 +588,7 @@ class TestVarianceBound:
             c = random_clustering(gen, n, int(gen.integers(1, n + 1)))
             d = bernoulli_gcr(c, float(gen.uniform(0.1, 0.9)))
             beta = int(gen.integers(1, 4))
-            rep = variance_bound(g, cluster_stats(g, c), d, beta, 1.0)
+            rep = variance_bound(cluster_stats(g, c), d, beta, 1.0)
             assert rep.var_bound_pairwise <= rep.var_bound_simplified * (1 + 1e-12)
 
     def test_simplified_infinite_at_full_contact(self):
@@ -584,7 +597,7 @@ class TestVarianceBound:
         c = Clustering.from_labels([0, 1, 0, 1])
         d = complete_gcr(c, 1)
         for B in (1.0, 1e150):
-            rep = variance_bound(g, cluster_stats(g, c), d, 1, B)
+            rep = variance_bound(cluster_stats(g, c), d, 1, B)
             assert rep.var_bound_simplified == math.inf
             assert math.isfinite(rep.var_bound_pairwise)
 
@@ -595,10 +608,10 @@ class TestVarianceBound:
         g = cycle_power(12, 1)
         stats = cluster_stats(g, singleton_clustering(12))
         with pytest.raises(CapacityError, match=r"B=1e\+300: the pairwise variance bound"):
-            variance_bound(g, stats, bernoulli_unit(12, 1e-300), 1, 1e300)
+            variance_bound(stats, bernoulli_unit(12, 1e-300), 1, 1e300)
         B = math.sqrt(sys.float_info.max / 7)
         with pytest.raises(CapacityError, match=re.escape(f"B={B!r}: the simplified")):
-            variance_bound(g, stats, bernoulli_unit(12, 0.5), 1, B)
+            variance_bound(stats, bernoulli_unit(12, 0.5), 1, B)
 
     def test_monotone_screen_tightens_complete(self, rng):
         # disjoint cluster neighborhoods exist, so screening drops pairs
@@ -606,8 +619,8 @@ class TestVarianceBound:
         c = Clustering.from_labels([i // 2 for i in range(12)])
         d = complete_gcr(c, 3)
         stats = cluster_stats(g, c)
-        loose = variance_bound(g, stats, d, 1, 1.0)
-        tight = variance_bound(g, stats, d, 1, 1.0, monotone=True)
+        loose = variance_bound(stats, d, 1, 1.0)
+        tight = variance_bound(stats, d, 1, 1.0, monotone=True)
         assert tight.var_bound_pairwise < loose.var_bound_pairwise
 
     def test_monotone_assertion_checked_against_model(self, rng):
@@ -619,7 +632,7 @@ class TestVarianceBound:
         )
         with pytest.raises(PreconditionError, match="mixed signs"):
             variance_bound(
-                g, cluster_stats(g, c), d, 1, 1.0, model=mixed, monotone=True
+                cluster_stats(g, c), d, 1, 1.0, model=mixed, monotone=True
             )
 
     def test_rejects_nonpositive_B(self):
@@ -628,7 +641,7 @@ class TestVarianceBound:
         d = bernoulli_gcr(c, 0.5)
         for B in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(InputError, match="B="):
-                variance_bound(g, cluster_stats(g, c), d, 1, B)
+                variance_bound(cluster_stats(g, c), d, 1, B)
 
     def test_quadform_source_never_looser(self, rng):
         # the closed source uses dominating envelopes, so the quadform
@@ -640,8 +653,8 @@ class TestVarianceBound:
             c = random_clustering(gen, n, int(gen.integers(2, n + 1)))
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
             stats = cluster_stats(g, c)
-            closed = variance_bound(g, stats, d, 2, 1.0, gamma_source="closed")
-            quad = variance_bound(g, stats, d, 2, 1.0, gamma_source="quadform")
+            closed = variance_bound(stats, d, 2, 1.0, gamma_source="closed")
+            quad = variance_bound(stats, d, 2, 1.0, gamma_source="quadform")
             assert quad.var_bound_pairwise <= closed.var_bound_pairwise + 1e-9
 
     def test_report_carries_configuration(self):
@@ -649,7 +662,7 @@ class TestVarianceBound:
         c = Clustering.from_labels([i // 2 for i in range(6)])
         d = bernoulli_gcr(c, 0.25)
         model = gen_cycle_model(g, 1)
-        rep = variance_bound(g, cluster_stats(g, c), d, 1, 1.5, model=model)
+        rep = variance_bound(cluster_stats(g, c), d, 1, 1.5, model=model)
         assert rep.design_variant == d.variant
         assert rep.p == 0.25 and rep.k is None
         assert rep.n == 6 and rep.m == 3 and rep.beta == 1
@@ -726,7 +739,7 @@ class TestDependentSums:
                 d = bernoulli_gcr(c, float(gen.choice([0.2, 0.5, 0.7])))
                 monotone = bool(gen.integers(0, 2))
             B = float(gen.uniform(0.5, 3.0))
-            rep = variance_bound(g, stats, d, beta, B, source, monotone=monotone)
+            rep = variance_bound(stats, d, beta, B, source, monotone=monotone)
             want = _pair_oracle(g, stats, d, beta, B, source, monotone)
             assert rep.var_bound_pairwise == pytest.approx(want, rel=1e-12)
 
@@ -740,7 +753,7 @@ class TestDependentSums:
             c = random_clustering(gen, n, int(gen.integers(2, n + 1)))
             d = complete_gcr(c, int(gen.integers(1, c.m)))
             stats = cluster_stats(g, c)
-            rep = variance_bound(g, stats, d, 1, 1.5, "quadform")
+            rep = variance_bound(stats, d, 1, 1.5, "quadform")
             gam = np.sqrt(gamma_profile(stats, d, 1, "quadform").gamma_sq)
             assert rep.var_bound_pairwise == 1.5 * 1.5 / (n * n) * float(
                 np.add.reduce(gam * gam.sum())
@@ -760,5 +773,5 @@ def test_pairwise_simplified_order_property(seed):
     c = random_clustering(gen, n, int(gen.integers(1, n + 1)))
     d = bernoulli_gcr(c, float(gen.uniform(0.05, 0.95)))
     beta = int(gen.integers(1, 4))
-    rep = variance_bound(g, cluster_stats(g, c), d, beta, 2.0)
+    rep = variance_bound(cluster_stats(g, c), d, beta, 2.0)
     assert rep.var_bound_pairwise <= rep.var_bound_simplified * (1 + 1e-12)

@@ -142,6 +142,13 @@ class TestDrawFromW:
         with pytest.raises(InputError, match="expected"):
             draw_from_w(d, [1, 0])
 
+    def test_values_checked_before_the_cast(self):
+        # an int8 cast would truncate 0.5 to 0, keep 2 and overflow on 257
+        d = bernoulli_gcr(singleton_clustering(8), 0.5)
+        for bad in (0.5, 2, 257):
+            with pytest.raises(InputError, match="0 or 1"):
+                draw_from_w(d, [bad] + [0] * 7)
+
     def test_lift(self):
         d = bernoulli_gcr(blocks(6, 2), 0.5)
         draw = draw_from_w(d, [1, 0, 1])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinvtte import (
+    AssignmentDraw,
     CapacityError,
     Clustering,
     InputError,
@@ -345,6 +346,11 @@ class TestContracts:
         other = bernoulli_unit(6, 0.5)
         with pytest.raises(InputError, match="clusters"):
             pinv_estimate(g, np.ones(4), sample(other, 0, 0), d, 1)
+        # checked before the int8 cast, which would truncate 0.5 and wrap 257
+        for bad in (0.5, 2, 257):
+            w = np.array([bad, 0, 1, 0], dtype=np.float64)
+            with pytest.raises(InputError, match="0 or 1"):
+                pinv_estimate(g, np.ones(4), AssignmentDraw(w, w), d, 1)
         with pytest.raises(InputError, match="p="):
             gcr_explicit_estimate(g, np.ones(4), draw, singleton_clustering(4), 1.5, 1)
         with pytest.raises(InputError, match="k="):

@@ -246,16 +246,20 @@ class TestReplicateEstimates:
                 replicate_estimates(*pair, cfg.design, cfg.estimators, W)
 
     def test_rejects_lifted_inputs_of_another_graph(self):
-        # the model lifted on radius-2 neighborhoods names clusters outside
-        # the radius-1 ones of stats; both routes reject it (P = 4)
+        # a model lifted on radius-2 neighborhoods names clusters outside
+        # the radius-1 ones of stats; one lifted on radius-1 neighborhoods
+        # names only clusters inside the radius-2 ones. Both routes reject
+        # both pairs (P = 4 and 16)
         clustering = blocks(12, 2)
         g1, g2 = cycle_power(12, 1), cycle_power(12, 2)
-        agg = lift(gen_cycle_model(g2, 2), g2, clustering)[0]
-        stats = cluster_stats(g1, clustering)
         d = bernoulli_gcr(clustering, 0.3)
-        for R in (3, 64):
-            with pytest.raises(InputError, match="lifted from one graph"):
-                replicate_estimates(agg, stats, d, [EstimatorSpec("ht")], _sample_draws(d, 0, R))
+        for model_graph, stats_graph in ((g2, g1), (g1, g2)):
+            agg = lift(gen_cycle_model(model_graph, 2), model_graph, clustering)[0]
+            stats = cluster_stats(stats_graph, clustering)
+            for R in (3, 64):
+                W = _sample_draws(d, 0, R)
+                with pytest.raises(InputError, match="lifted from one graph"):
+                    replicate_estimates(agg, stats, d, [EstimatorSpec("ht")], W)
 
 
 class TestRunExperiment:
@@ -470,7 +474,6 @@ class TestSelectClustering:
         )
         for idx, rep in ranking:
             direct = variance_bound(
-                g,
                 cluster_stats(g, cands[idx]),
                 bernoulli_gcr(cands[idx], 0.25),
                 1,

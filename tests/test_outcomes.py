@@ -523,7 +523,7 @@ class TestArrayRoutesMatchDictOracles:
             )
             if beta_star == 1 and not d.is_bernoulli:
                 B = max(outcome_bound(model, g), 1.0)
-                got_crd = bias_crd(agg, stats, d.m, d.k, B)
+                got_crd = bias_crd(agg, stats, d, B)
                 want_crd = oracle_bias_crd(x, nbhds, d.m, d.k, B)
                 assert got_crd == pytest.approx(want_crd, rel=1e-12, abs=1e-12)
                 seen.add("bias_crd")

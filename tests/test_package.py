@@ -1,10 +1,13 @@
 """The package's public surface: pinvtte.__all__ re-exports exactly what the
-library modules export, so a deletion cannot leave a stale name behind."""
+library modules export, so a deletion cannot leave a stale name behind, and
+no public function takes a graph beside a lift that already holds it."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
+import typing
 
 import pinvtte
 
@@ -31,3 +34,24 @@ def test_every_export_imports():
         mod = importlib.import_module(f"pinvtte.{modname}")
         for name in mod.__all__:
             assert namespace[name] is getattr(mod, name), f"{modname}.{name}"
+
+
+def _annotated_types(hint) -> set:
+    """hint and, for a union or generic such as ClusterStats | None, its
+    arguments."""
+    return {hint, *typing.get_args(hint)}
+
+
+def test_no_function_takes_a_graph_beside_its_lift():
+    lifts = {pinvtte.ClusterStats, pinvtte.ClusterAggregatedModel}
+    both = []
+    for name in pinvtte.__all__:
+        fn = getattr(pinvtte, name)
+        if not inspect.isfunction(fn):
+            continue
+        hints = typing.get_type_hints(fn)
+        hints.pop("return", None)
+        types = set().union(*map(_annotated_types, hints.values()))
+        if pinvtte.InterferenceGraph in types and types & lifts:
+            both.append(name)
+    assert both == []
