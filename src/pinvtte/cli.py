@@ -257,6 +257,8 @@ def _cmd_simulate(o: _Opts) -> None:
     clustering_kind = o.get("clustering", _str, default="singleton")
     if clustering_kind == "contiguous":
         widths = o.get("width", _ints, default=[1])
+        if not widths:
+            raise InputError("--width needs at least one cluster width")
         cells = [(f"w={w}", _build_clustering(o, g, width=w)) for w in widths]
     else:
         cells = [("", _build_clustering(o, g))]

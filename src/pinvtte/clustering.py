@@ -1,20 +1,20 @@
 """Partitions of the unit set into treatment clusters.
 
 Cluster ids are canonicalized so that relabeled copies of the same partition
-compare equal as plain vectors: ids are assigned in order of each cluster's
+compare equal as arrays: ids are assigned in order of each cluster's
 smallest member. `Clustering.from_labels` performs that relabeling; the bare
 constructor only validates, so tests can build explicit labelings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graph import InterferenceGraph, _csr, _read_lines, _write_lines
+from .graph import InterferenceGraph, _csr, _frozen, _read_lines, _write_lines
 
 __all__ = [
     "Clustering",
@@ -30,46 +30,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """A partition of units 0..n-1 into m non-empty clusters labeled 0..m-1."""
+    """A partition of units 0..n-1 into m non-empty clusters labeled 0..m-1:
+    a read-only int64 array, m its largest label + 1, equal when arrays are."""
 
-    assignment: tuple[int, ...]
-    m: int
+    assignment: np.ndarray
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.assignment)
-        if n == 0:
+        a = np.array(self.assignment)
+        if a.size == 0:
             raise InputError("clustering over zero units")
-        seen = set(self.assignment)
-        if any(c < 0 or c >= self.m for c in seen):
-            raise InputError(f"cluster id outside [0, {self.m})")
-        if len(seen) != self.m:
-            missing = sorted(set(range(self.m)) - seen)
-            raise InputError(f"empty cluster ids {missing}")
+        if a.ndim != 1 or a.dtype.kind not in "iu":
+            raise InputError(f"expected one integer cluster id per unit, got {a.dtype} {a.shape}")
+        if a.min() < 0 or a.max() >= a.size:
+            raise InputError(f"cluster ids {a.min()}..{a.max()} outside [0, {a.size})")
+        a = _frozen(a, np.int64)
+        sizes = np.bincount(a)
+        if not sizes.all():
+            raise InputError(f"empty cluster ids {np.flatnonzero(sizes == 0).tolist()}")
+        object.__setattr__(self, "assignment", a)
+        object.__setattr__(self, "m", sizes.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Clustering):
+            return NotImplemented
+        return self is other or np.array_equal(self.assignment, other.assignment)
+
+    def __hash__(self) -> int:
+        return hash(self.assignment.tobytes())
 
     @property
     def n(self) -> int:
-        return len(self.assignment)
+        return self.assignment.size
 
     @classmethod
     def from_labels(cls, labels) -> "Clustering":
         """Build from arbitrary hashable labels, relabeling ids to [0, m)
         in order of each cluster's smallest member."""
-        labels = list(labels)
         relabel: dict = {}
-        for lab in labels:
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-        return cls(tuple(relabel[lab] for lab in labels), len(relabel))
-
-    def members(self) -> list[np.ndarray]:
-        """Unit ids in each cluster, index by cluster id."""
-        arr = np.asarray(self.assignment)
-        return [np.flatnonzero(arr == c) for c in range(self.m)]
+        return cls([relabel.setdefault(lab, len(relabel)) for lab in labels])
 
     def sizes(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.assignment), minlength=self.m)
+        return np.bincount(self.assignment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +121,7 @@ def _same_lift(c: Clustering, *lifted) -> None:
 def singleton_clustering(n: int) -> Clustering:
     """Every unit its own cluster; cluster randomization degenerates to
     unit-level randomization."""
-    return Clustering(tuple(range(n)), n)
+    return Clustering(np.arange(n))
 
 
 def contiguous_cycle_clusters(n: int, w: int) -> Clustering:
@@ -130,7 +134,7 @@ def contiguous_cycle_clusters(n: int, w: int) -> Clustering:
     """
     if w <= 0 or n % w != 0:
         raise GeometryError(f"cluster width w={w} must be positive and divide n={n}")
-    return Clustering(tuple(i // w for i in range(n)), n // w)
+    return Clustering(np.arange(n) // w)
 
 
 def cluster_neighborhoods(
@@ -142,7 +146,7 @@ def cluster_neighborhoods(
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    keys = np.unique(units * c.m + np.asarray(c.assignment, dtype=np.int64)[g.indices])
+    keys = np.unique(units * c.m + c.assignment[g.indices])
     return _csr(keys, g.n, c.m)
 
 
@@ -200,14 +204,15 @@ def _symmetrized(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
 def modularity(g: InterferenceGraph, c: Clustering, resolution: float = 1.0) -> float:
     """Newman modularity of the partition on the symmetrized graph, with
     self-loops ignored and a resolution multiplier on the null-model term."""
+    if c.n != g.n:
+        raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     indptr, nbr = _symmetrized(g)
     k = np.diff(indptr).astype(np.float64)
     two_w = k.sum()
     if two_w == 0:
         return 0.0
-    assign = np.asarray(c.assignment)
-    intra = np.count_nonzero(np.repeat(assign, np.diff(indptr)) == assign[nbr])
-    tot = np.bincount(assign, weights=k, minlength=c.m)
+    intra = np.count_nonzero(np.repeat(c.assignment, np.diff(indptr)) == c.assignment[nbr])
+    tot = np.bincount(c.assignment, weights=k, minlength=c.m)
     return intra / two_w - resolution * float(np.sum((tot / two_w) ** 2))
 
 
@@ -300,7 +305,7 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
 
 def save_clustering(c: Clustering, out: str | TextIO) -> None:
     """Write the clustering to a path, or to an open text stream."""
-    _write_lines((f"{unit}\t{lab}\n" for unit, lab in enumerate(c.assignment)), out)
+    _write_lines((f"{unit}\t{lab}\n" for unit, lab in enumerate(c.assignment.tolist())), out)
 
 
 def load_clustering(path: str, n: int | None = None) -> Clustering:

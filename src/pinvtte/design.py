@@ -112,7 +112,7 @@ def _draws(W, m: int) -> np.ndarray:
 def draw_from_w(d: Design, w) -> AssignmentDraw:
     """Lift a cluster assignment to units via the design's clustering."""
     w = _draws(np.asarray(w)[None], d.m)[0]
-    z = w[np.asarray(d.clustering.assignment)]
+    z = w[d.clustering.assignment]
     return AssignmentDraw(w=w, z=z)
 
 

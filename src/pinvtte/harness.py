@@ -460,20 +460,23 @@ def mc_convergence_report(
     deviations over all (seed, unit) pairs, with log10 columns ready for
     log-log plotting.
     """
+    for name, vals in (("units", units), ("R_grid", R_grid), ("seeds", seeds)):
+        if len(vals) == 0:
+            raise InputError(f"empty {name}: need at least one unit, R and seed")
     if not all(0 <= i < g.n for i in units):
         raise InputError(f"units {list(units)} not all within [0, {g.n})")
+    if min(R_grid) < 1:
+        raise InputError(f"need at least one draw, got R={min(R_grid)}")
     stats = cluster_stats(g, d.clustering)
     indptr, ids = stats.indptr, stats.cluster_ids
     grounds = {i: tuple(ids[indptr[i] : indptr[i + 1]].tolist()) for i in units}
     targets = {i: analytic_cluster_moments(d, grounds[i], beta).M_pinv for i in units}
-    if min(R_grid, default=1) < 1:
-        raise InputError(f"need at least one draw, got R={min(R_grid)}")
     fro: dict[tuple[int, int, int], float] = {}
     for seed in seeds:
         # monte_carlo_moments of each unit, sharing one set of draws per
         # seed: the streams (seed, r) are prefix-stable, so the first R
         # draws at the largest R are the draws at R
-        W = _sample_draws(d, seed, max(R_grid, default=1))
+        W = _sample_draws(d, seed, max(R_grid))
         for R in R_grid:
             for i in units:
                 mc = _mc_moments(W[:R], grounds[i], beta)

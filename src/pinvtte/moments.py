@@ -57,8 +57,7 @@ _MAX_INDEX = 1_000_000  # total subsets one index may hold
 class SubsetIndex:
     """Canonically ordered subsets of a ground set, capped at size beta.
 
-    Rows are the subsets themselves (tuples of ground elements); `position`
-    inverts them.
+    Rows are the subsets themselves (tuples of ground elements).
     """
 
     def __init__(self, ground: tuple[int, ...], beta: int):
@@ -79,7 +78,6 @@ class SubsetIndex:
         self.ground = tuple(ground)
         self.beta = beta
         self.subsets = tuple(subsets)
-        self.position = {s: r for r, s in enumerate(subsets)}
         self.sizes = np.array([len(s) for s in subsets], dtype=np.int64)
         pos_of = {g: idx for idx, g in enumerate(ground)}
         q = len(subsets)

@@ -99,7 +99,7 @@ def _random_graph(rng: np.random.Generator, n: int, avg_deg: float = 2.5):
 def _random_clustering(rng: np.random.Generator, n: int, m: int) -> Clustering:
     labels = list(range(m)) + [int(rng.integers(0, m)) for _ in range(n - m)]
     rng.shuffle(labels)
-    return Clustering(assignment=tuple(labels), m=m)
+    return Clustering(assignment=tuple(labels))
 
 
 def _random_model(
@@ -285,7 +285,7 @@ def test_acceptance_06_crd_structure(announce):
                 if abs(closed - numeric) > 1e-12 * max(1.0, abs(closed)):
                     failures.append(f"det m={m} k={k} c={c}")
     g = cycle_power(4, 1)
-    c = Clustering(assignment=(0, 1, 0, 1), m=2)
+    c = Clustering(assignment=(0, 1, 0, 1))
     coeffs = []
     for i in range(4):
         left, right = (i - 1) % 4, (i + 1) % 4

@@ -722,7 +722,7 @@ class TestDependentSums:
             if kind == "singleton":
                 c = singleton_clustering(n)
             elif kind == "one":
-                c = Clustering((0,) * n, 1)
+                c = Clustering((0,) * n)
             else:
                 c = random_clustering(gen, n, int(gen.integers(1, n + 1)))
             stats = cluster_stats(g, c)

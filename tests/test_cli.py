@@ -627,6 +627,16 @@ class TestErrorSurface:
               "--beta", "3"], "crd1 is a beta=1 estimator, got beta=3"),
             (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--estimator", ","],
              "an oracle needs at least one estimator"),
+            # empty grid options
+            (["simulate", "--n", "12", "--radius", "1", "--model", "cycle", "--clustering",
+              "contiguous", "--width", ",", "--replications", "5"],
+             "--width needs at least one cluster width"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--units", "0", "--r-grid", ",",
+              "--mc-seeds", "0"], "empty R_grid"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--units", ",", "--r-grid", "50",
+              "--mc-seeds", "0"], "empty units"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--units", "0", "--r-grid", "50",
+              "--mc-seeds", ","], "empty seeds"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):

@@ -22,6 +22,7 @@ from pinvtte import (
     sbm_sample,
     singleton_clustering,
 )
+from pinvtte.clustering import _same_lift
 from conftest import (
     cluster_rows,
     neighbors,
@@ -45,36 +46,42 @@ def two_triangles():
 class TestClustering:
     def test_empty_cluster_rejected(self):
         with pytest.raises(InputError):
-            Clustering(assignment=(0, 0, 2), m=3)
+            Clustering(assignment=(0, 0, 2))
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(InputError):
-            Clustering(assignment=(0, 3), m=2)
+            Clustering(assignment=(0, 3))
+
+    @pytest.mark.parametrize(
+        "labels", [(0, 0.5, 1, 1), ("a", "a"), np.zeros((2, 2), dtype=int), (), (0, -1)]
+    )
+    def test_non_label_assignment_rejected(self, labels):
+        with pytest.raises(InputError):
+            Clustering(labels)
 
     def test_from_labels_compacts_by_first_appearance(self):
         c = Clustering.from_labels([5, 5, 2, 7])
-        assert c.assignment == (0, 0, 1, 2)
+        assert tuple(c.assignment) == (0, 0, 1, 2)
         assert c.m == 3
 
     def test_from_labels_idempotent_on_canonical(self):
         c = Clustering.from_labels([0, 1, 1, 2])
-        assert Clustering.from_labels(c.assignment).assignment == c.assignment
+        assert Clustering.from_labels(c.assignment) == c
 
     def test_members_and_sizes(self):
         c = Clustering.from_labels([0, 1, 0, 1, 1])
-        members = c.members()
-        assert list(members[0]) == [0, 2]
-        assert list(members[1]) == [1, 3, 4]
+        assert list(np.flatnonzero(c.assignment == 0)) == [0, 2]
+        assert list(np.flatnonzero(c.assignment == 1)) == [1, 3, 4]
         assert list(c.sizes()) == [2, 3]
 
     def test_singleton(self):
         c = singleton_clustering(4)
         assert c.m == 4
-        assert c.assignment == (0, 1, 2, 3)
+        assert tuple(c.assignment) == (0, 1, 2, 3)
 
     def test_contiguous(self):
         c = contiguous_cycle_clusters(6, 2)
-        assert c.assignment == (0, 0, 1, 1, 2, 2)
+        assert tuple(c.assignment) == (0, 0, 1, 1, 2, 2)
         with pytest.raises(GeometryError):
             contiguous_cycle_clusters(6, 4)
 
@@ -119,6 +126,10 @@ class TestModularity:
         c = Clustering.from_labels([0, 0, 0, 1, 1, 1])
         assert modularity(g, c, resolution=2.0) < modularity(g, c, resolution=0.5)
 
+    def test_unit_count_mismatch_rejected(self):
+        with pytest.raises(InputError, match="clustering over 6 units but graph has 8"):
+            modularity(cycle_power(8, 1), singleton_clustering(6))
+
     def test_self_loops_ignored(self):
         # cycle graphs carry i in N_i; modularity must not see a self-edge
         g = cycle_power(6, 1)
@@ -133,18 +144,18 @@ class TestLouvain:
     def test_disconnected_cliques_recovered(self):
         g = two_triangles()
         c = louvain(g)
-        assert c.assignment == (0, 0, 0, 1, 1, 1)
+        assert tuple(c.assignment) == (0, 0, 0, 1, 1, 1)
 
     def test_sbm_blocks_recovered(self):
         g = sbm_sample(60, 4, 0.9, 0.0, seed=3)
         c = louvain(g)
         truth = Clustering.from_labels([i // 15 for i in range(60)])
-        assert c.assignment == truth.assignment
+        assert c == truth
 
     def test_determinism(self):
         g = sbm_sample(40, 4, 0.6, 0.1, seed=1)
-        assert louvain(g, seed=7).assignment == louvain(g, seed=7).assignment
-        assert louvain(g).assignment == louvain(g).assignment
+        assert louvain(g, seed=7) == louvain(g, seed=7)
+        assert louvain(g) == louvain(g)
 
     def test_extreme_resolutions(self):
         g = two_triangles()
@@ -188,13 +199,13 @@ class TestClusteringFiles:
         c = random_clustering(rng, 13, 4)
         path = tmp_path / "c.tsv"
         save_clustering(c, str(path))
-        assert load_clustering(str(path), 13).assignment == c.assignment
+        assert load_clustering(str(path), 13) == c
 
     def test_labels_compacted_on_load(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\t10\n1\t10\n2\t-3\n")
         c = load_clustering(str(path))
-        assert c.assignment == (0, 0, 1)
+        assert tuple(c.assignment) == (0, 0, 1)
 
     def test_duplicate_unit_names_line(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -209,6 +220,22 @@ class TestClusteringFiles:
             load_clustering(str(path), 3)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-3, 5), min_size=1, max_size=12))
+def test_equal_partitions_equal_whatever_built_them(labels):
+    canon = Clustering.from_labels(labels).assignment.tolist()
+    built = [
+        Clustering(canon),
+        Clustering(tuple(canon)),
+        Clustering(np.array(canon, dtype=np.int32)),
+        Clustering.from_labels(canon),
+    ]
+    g = from_edge_list([], len(canon))
+    for c in built:
+        assert c == built[0] and hash(c) == hash(built[0])
+    _same_lift(built[0], *(cluster_stats(g, c) for c in built))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 15))
 def test_stats_invariants_property(seed, n):
@@ -218,7 +245,7 @@ def test_stats_invariants_property(seed, n):
     c = random_clustering(gen, n, m)
     stats = cluster_stats(g, c)
     assert 1 <= stats.C_max <= m
-    assert stats.N_max == max(len(mem) for mem in c.members())
+    assert stats.N_max == max(list(c.assignment).count(k) for k in range(m))
     assert 0 <= stats.full_contact_count <= n
     for i in range(n):
         seen = {c.assignment[j] for j in neighbors(g)[i]}

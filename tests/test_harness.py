@@ -615,6 +615,17 @@ class TestMcConvergenceReport:
             target = analytic_cluster_moments(d, ground, 2).M_pinv
             assert row["fro_error"] == float(np.linalg.norm(mc.M_pinv - target))
 
+    def test_rejects_empty_units_grid_and_seeds(self):
+        g = cycle_power(10, 1)
+        d = bernoulli_gcr(blocks(10, 2), 0.4)
+        for name, args in (
+            ("units", ([], [10], [0])),
+            ("R_grid", ([0], [], [0])),
+            ("seeds", ([0], [10], [])),
+        ):
+            units, R_grid, seeds = args
+            with pytest.raises(InputError, match=f"empty {name}"):
+                mc_convergence_report(d, g, units, 1, R_grid, seeds)
 
     def test_rejects_units_outside_graph(self):
         g = cycle_power(10, 1)

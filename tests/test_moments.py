@@ -57,7 +57,7 @@ class TestSubsetIndex:
     def test_canonical_order(self):
         idx = enumerate_subsets((3, 7), 2)
         assert idx.subsets == ((), (3,), (7,), (3, 7))
-        assert idx.position[(3, 7)] == 3
+        assert idx.subsets.index((3, 7)) == 3
         assert list(idx.sizes) == [0, 1, 1, 2]
 
     def test_beta_beyond_ground_gives_power_set(self):
@@ -86,7 +86,7 @@ class TestSubsetIndex:
         idx = enumerate_subsets((2, 5, 9), 3)
         for r, s in enumerate(idx.subsets):
             if s:
-                assert idx.position[s[:-1]] < r
+                assert idx.subsets.index(s[:-1]) < r
 
     def test_union_sizes_hand_values(self):
         idx = enumerate_subsets((0, 1), 2)
@@ -385,7 +385,7 @@ def block_lift(
     cluster_index = enumerate_subsets(ground, beta)
     row_map = np.array(
         [
-            cluster_index.position[tuple(sorted({assign[j] for j in s}))]
+            cluster_index.subsets.index(tuple(sorted({assign[j] for j in s})))
             for s in unit_index.subsets
         ],
         dtype=np.int64,
