@@ -266,11 +266,11 @@ class BiasBoundGCR(NamedTuple):
     refined: float
 
 
-def bias_bound_gcr(model: LowOrderModel, agg: ClusterAggregatedModel, beta: int) -> BiasBoundGCR:
+def bias_bound_gcr(agg: ClusterAggregatedModel, beta: int) -> BiasBoundGCR:
     """Worst-case bias magnitude of the order-beta estimator under any
-    Bernoulli cluster design on the clustering of agg, the re-keyed model."""
-    if model.n != agg.baseline.size:
-        raise InputError("model and aggregated model must agree on n")
+    Bernoulli cluster design on the clustering of agg, the re-keyed model;
+    c_norm reads the unit-level model agg was lifted from."""
+    model = agg.model
     size = agg.order
     # an image of more than beta clusters has only subsets of order > beta
     wide = size > beta
@@ -468,7 +468,7 @@ def variance_bound(
     if model is not None:
         bias_val = bias_exact(agg, stats, d, beta)
         if d.is_bernoulli:
-            bias_bound_val = bias_bound_gcr(model, agg, beta).x_norm
+            bias_bound_val = bias_bound_gcr(agg, beta).x_norm
         elif beta == 1 and model.beta_star == 1:
             bias_bound_val = bias_crd(agg, stats, d, B)[1]
 

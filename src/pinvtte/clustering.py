@@ -39,7 +39,10 @@ class Clustering:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        a = np.array(self.assignment)
+        try:
+            a = np.array(self.assignment)
+        except ValueError as exc:  # a ragged nested sequence
+            raise InputError(f"expected one integer cluster id per unit: {exc}") from None
         if a.size == 0:
             raise InputError("clustering over zero units")
         if a.ndim != 1 or a.dtype.kind not in "iu":

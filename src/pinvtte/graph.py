@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # unit pairs drawn at once by sbm_sample; bounds its per-block arrays
-_PAIRS = 1 << 18
+_PAIRS = 1 << 16
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -193,26 +193,29 @@ def sbm_sample(
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     size = n // num_blocks
-    block = np.repeat(np.arange(num_blocks), size)
     rng = np.random.default_rng(seed)
     # pairs (i, j > i) in row-major order, a block of whole rows at a time;
     # drawing rng.random chunk by chunk gives the same stream as one draw
-    lengths = np.arange(n - 1, -1, -1, dtype=np.int64)
+    unit = np.arange(n, dtype=np.int64)
+    lengths = n - 1 - unit
     ends = np.cumsum(lengths)
-    kept: list[np.ndarray] = [np.empty((2, 0), dtype=np.int64)]
+    first = ends - lengths  # row i's pairs are numbered first[i]..ends[i]-1
+    # row i's pairs run pi_in up to the end of its block, then pi_out
+    inside = (unit // size + 1) * size - 1 - unit
+    runs = np.column_stack([inside, lengths - inside]).ravel()
+    probs = np.tile(np.array([pi_in, pi_out], dtype=np.float64), n)
+    kept: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     a = 0
     while a < n:
-        done = int(ends[a] - lengths[a])
+        done = int(first[a])
         b = max(a + 1, int(np.searchsorted(ends, done + _PAIRS, side="right")))
-        iu = np.repeat(np.arange(a, b), lengths[a:b])
-        # pair number k of row i is (i, i + 1 + k - first pair number of row i)
-        first = np.repeat(ends[a:b] - lengths[a:b], lengths[a:b])
-        ju = np.arange(done, int(ends[b - 1])) - first + iu + 1
-        prob = np.where(block[iu] == block[ju], pi_in, pi_out)
-        keep = rng.random(iu.size) < prob
-        kept.append(np.stack([iu[keep], ju[keep]]))
+        thr = np.repeat(probs[2 * a : 2 * b], runs[2 * a : 2 * b])
+        kept.append(np.flatnonzero(rng.random(thr.size) < thr) + done)
         a = b
-    iu, ju = np.concatenate(kept, axis=1)
+    # pair number p of row i is (i, i + 1 + p - first[i])
+    pair = np.concatenate(kept)
+    iu = np.searchsorted(ends, pair, side="right")
+    ju = pair - first[iu] + iu + 1
     return _from_pairs(n, np.concatenate([iu, ju]), np.concatenate([ju, iu]))
 
 

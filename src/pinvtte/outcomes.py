@@ -42,6 +42,10 @@ __all__ = [
 # A model built from dicts holds at most this many subset keys.
 _MAX_KEYS = 2_000_000
 
+# member entries held at once by the row blocks that check a model against a
+# graph and that fill a generated cycle model
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class LowOrderModel:
@@ -155,18 +159,19 @@ class LowOrderModel:
             return
         if self.n != g.n:
             raise InputError(f"model has {self.n} units but graph has {g.n}")
-        rows, cols = np.nonzero(self.members != g.n)
-        member = self.members[rows, cols]
         # CSR rows are sorted, so (unit, neighbor) keys are too
         keys = np.repeat(np.arange(g.n), g.degrees) * g.n + g.indices
-        want = self.owner[rows] * g.n + member
-        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        missing = rows[(keys[at] != want) | (member < 0) | (member > g.n)]
-        if missing.size:
-            r = int(missing[0])
-            raise InputError(
-                f"unit {self.owner[r]}: subset {self._key(r)} not within its neighborhood"
-            )
+        step = max(1, _BLOCK // max(1, self.members.shape[1]))
+        for a in range(0, self.owner.size, step):
+            member = self.members[a : a + step]
+            want = self.owner[a : a + step, None] * g.n + member
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            bad = (member != g.n) & ((keys[at] != want) | (member < 0) | (member > g.n))
+            if bad.any():
+                r = a + int(np.flatnonzero(bad.any(axis=1))[0])
+                raise InputError(
+                    f"unit {self.owner[r]}: subset {self._key(r)} not within its neighborhood"
+                )
         object.__setattr__(self, "_graph", g)
 
 
@@ -177,17 +182,25 @@ class ClusterAggregatedModel:
     Row r holds x_{i,U} = values[r] for i = owner[r] and U the entries of
     members[r] other than the pad index m: the sum of c_{i,S} over keyed
     non-empty subsets S whose members' clusters are exactly U. Rows are
-    sorted by (owner, U); x_{i,()} is baseline[i]. graph and clustering are
-    the lift's, set only by cluster_aggregate and checked by _same_lift.
+    sorted by (owner, U); x_{i,()} is baseline[i]. model, graph and
+    clustering are the lift's, set only by cluster_aggregate; _same_lift
+    checks the last two.
     """
 
-    beta_star: int
     owner: np.ndarray
     members: np.ndarray
     values: np.ndarray
-    baseline: np.ndarray
+    model: LowOrderModel
     graph: InterferenceGraph
     clustering: Clustering
+
+    @property
+    def beta_star(self) -> int:
+        return self.model.beta_star
+
+    @property
+    def baseline(self) -> np.ndarray:
+        return self.model.baseline
 
     @property
     def m(self) -> int:
@@ -241,9 +254,7 @@ def _cluster_keys(
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
     keys = rows[first]
-    return ClusterAggregatedModel(
-        model.beta_star, keys[:, 0], keys[:, 1:], values, model.baseline, g, c
-    )
+    return ClusterAggregatedModel(keys[:, 0], keys[:, 1:], values, model, g, c)
 
 
 def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:
@@ -296,7 +307,7 @@ def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
 
     Rows run unit by unit, each in itertools.combinations order by k; one
     template of neighborhood positions per distinct degree is applied to
-    all the units of that degree.
+    the units of that degree, a block of units at a time.
     """
     deg = g.degrees
     if beta_star < 1 or beta_star > int(deg.min()):
@@ -309,19 +320,22 @@ def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
     if int(counts.sum()) + g.n > _MAX_KEYS:
         raise CapacityError(f"cycle model would exceed the {_MAX_KEYS} subset-key guard")
     owner = np.repeat(np.arange(g.n), counts)
-    row_degree = inv[owner]
+    first = np.cumsum(counts) - counts
     members = np.empty((owner.size, beta_star), dtype=np.int64)
     values = np.empty(owner.size)
     gather = np.append(g.indices, g.n)  # its last entry is the pad index
     for j, d in enumerate(ds.tolist()):
         combos = [c for k in orders for c in itertools.combinations(range(d), k)]
         template = np.array([c + (-1,) * (beta_star - len(c)) for c in combos])
-        units = np.flatnonzero(inv == j)
-        at = np.where(template >= 0, g.indptr[units][:, None, None] + template, -1)
-        rows = np.flatnonzero(row_degree == j)
-        members[rows] = gather[at].reshape(-1, beta_star)
         coef = [0.5 ** len(c) / math.comb(d, len(c)) for c in combos]
-        values[rows] = np.tile(coef, units.size)
+        of_degree = np.flatnonzero(inv == j)
+        step = max(1, _BLOCK // template.size)
+        for a in range(0, of_degree.size, step):
+            units = of_degree[a : a + step]
+            at = np.where(template >= 0, g.indptr[units][:, None, None] + template, -1)
+            rows = (first[units][:, None] + np.arange(len(combos))).ravel()
+            members[rows] = gather[at].reshape(-1, beta_star)
+            values[rows] = np.tile(coef, units.size)
     return LowOrderModel(beta_star, owner, members, values, np.ones(g.n))
 
 
@@ -364,7 +378,8 @@ def cluster_aggregate(
     """Sum coefficients over subsets with the same cluster image.
 
     x_{i,U} collects every keyed c_{i,S} whose members' clusters are exactly
-    the set U, after the model is checked against the graph.
+    the set U, after the model is checked against the graph. The result
+    records model, g and c.
     """
     if c.n != g.n or model.n != g.n:
         raise InputError("model, graph, and clustering must agree on n")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ from pinvtte import (
     size_class_pinv,
     size_class_sums,
 )
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn() runs, as tracemalloc sees them; numpy's
+    random generator is set up first, so its one-time tables do not count."""
+    np.random.default_rng(0).random(1)
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def csr_graph(rows) -> InterferenceGraph:

@@ -201,7 +201,7 @@ def test_acceptance_03_bias_bound_chain(announce):
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         bias = abs(mean - true_tte(model))
-        bound = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
+        bound = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
         slack = 1e-12
         if not (bias <= bound.x_norm + slack and bound.x_norm <= bound.c_norm + slack):
             failures.append(
@@ -378,7 +378,7 @@ def test_acceptance_08_low_order_truncation_grid(announce):
         mse_full = reports[(width, 4, "pinv")].empirical_mse
         if not mse_low < mse_full:
             failures.append(f"w={width}: {mse_low:.4e} !< {mse_full:.4e}")
-        bound = bias_bound_gcr(model, cluster_aggregate(model, g, clustering), 1)
+        bound = bias_bound_gcr(cluster_aggregate(model, g, clustering), 1)
         # the unit-level tail norm does not depend on the clustering; the
         # refined cluster-level bound only tightens it
         if bound.c_norm != pytest.approx(0.4375, abs=1e-12):

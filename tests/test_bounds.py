@@ -301,11 +301,23 @@ class TestBiasBoundGcr:
     def test_cycle_tail_mass(self):
         g = cycle_power(120, 3)
         model = gen_cycle_model(g, 4)
-        bb = bias_bound_gcr(model, cluster_aggregate(model, g, singleton_clustering(120)), 1)
+        bb = bias_bound_gcr(cluster_aggregate(model, g, singleton_clustering(120)), 1)
         assert bb.c_norm == pytest.approx(0.4375, abs=1e-12)
         # singleton clusters leave nothing to aggregate or cancel
         assert bb.x_norm == pytest.approx(bb.c_norm, abs=1e-12)
         assert bb.refined == pytest.approx(bb.x_norm, abs=1e-12)
+
+    def test_reads_the_model_of_its_lift(self):
+        # c_norm and x_norm both describe the lifted order-2 model; mixing in
+        # a lift of the order-1 model gave x_norm 0.0 beside c_norm 0.25
+        g = cycle_power(8, 1)
+        c = contiguous_cycle_clusters(8, 2)
+        model = gen_cycle_model(g, 2)
+        agg = cluster_aggregate(model, g, c)
+        assert agg.model is model
+        bb = bias_bound_gcr(agg, 1)
+        assert bb.x_norm == pytest.approx(1 / 6) and bb.c_norm == pytest.approx(0.25)
+        assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, 1)))
 
     def test_chain_dominates_bias(self, rng):
         for trial in range(10):
@@ -314,7 +326,7 @@ class TestBiasBoundGcr:
             c = random_clustering(gen, 7, 3)
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
-            bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
+            bb = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
             assert abs(bias_exact(*lift(model, g, d.clustering), d, 1)) <= bb.refined + 1e-12
             assert bb.refined <= bb.x_norm + 1e-12
             assert bb.x_norm <= bb.c_norm + 1e-12
@@ -331,7 +343,7 @@ class TestBiasBoundGcr:
             ),
         )
         c = Clustering.from_labels([0, 1, 1])
-        bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), 1)
+        bb = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
         assert bb.c_norm == pytest.approx(2.0 / 3.0)
         assert bb.x_norm == 0.0
 
@@ -347,7 +359,7 @@ class TestBiasBoundGcr:
                 {(): 0.0},
             ),
         )
-        bb = bias_bound_gcr(model, cluster_aggregate(model, g, singleton_clustering(3)), 1)
+        bb = bias_bound_gcr(cluster_aggregate(model, g, singleton_clustering(3)), 1)
         assert bb.x_norm == pytest.approx(2.0 / 3.0)
         assert bb.refined == 0.0
 
@@ -391,7 +403,7 @@ class TestPerKeyOracles:
                 assert all(close(got_i[u], val) for u, val in want_i.items())
             exact = bias_exact(*lift(model, g, d.clustering), d, beta)
             assert close(exact, oracle_bias_exact(model, g, d, beta))
-            bb = bias_bound_gcr(model, cluster_aggregate(model, g, c), beta)
+            bb = bias_bound_gcr(cluster_aggregate(model, g, c), beta)
             assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, beta)))
         assert seen == {
             ("design", "bernoulli_gcr"),

@@ -53,7 +53,8 @@ class TestClustering:
             Clustering(assignment=(0, 3))
 
     @pytest.mark.parametrize(
-        "labels", [(0, 0.5, 1, 1), ("a", "a"), np.zeros((2, 2), dtype=int), (), (0, -1)]
+        "labels",
+        [(0, 0.5, 1, 1), ("a", "a"), np.zeros((2, 2), dtype=int), (), (0, -1), [[0], [0, 1]]],
     )
     def test_non_label_assignment_rejected(self, labels):
         with pytest.raises(InputError):

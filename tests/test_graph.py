@@ -16,7 +16,7 @@ from pinvtte import (
     sbm_sample,
     to_edge_list,
 )
-from conftest import csr_graph, neighbors, oracle_graph_check, random_graph
+from conftest import csr_graph, neighbors, oracle_graph_check, random_graph, traced_peak
 
 
 class TestInterferenceGraph:
@@ -117,10 +117,15 @@ class TestSbmSample:
     def test_matches_dense_sampler(self, monkeypatch, args, budget):
         # streamed blocks of rows draw the same random stream in the same
         # pair order, so every seed gives the same graph; 1000 units span
-        # two blocks at the library's budget
+        # eight blocks at the library's budget
         if budget is not None:
             monkeypatch.setattr("pinvtte.graph._PAIRS", budget)
         assert neighbors(sbm_sample(*args)) == neighbors(dense_sbm_sample(*args))
+
+    def test_scratch_memory_is_bounded(self):
+        # about 2M candidate pairs, 15,818 kept: only kept pairs are mapped to
+        # (i, j), so scratch is a block of _PAIRS draws beside the graph
+        assert traced_peak(lambda: sbm_sample(2000, 20, 0.05, 0.001, 0)) <= 6e6
 
     def test_no_cross_block_edges_when_pi_out_zero(self):
         g = sbm_sample(40, 4, 0.7, 0.0, seed=2)

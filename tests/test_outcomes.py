@@ -52,6 +52,7 @@ from conftest import (
     random_coeffs,
     random_graph,
     random_model,
+    traced_peak,
 )
 
 
@@ -542,14 +543,20 @@ class TestArrayRoutesMatchDictOracles:
             lambda: random_graph(np.random.default_rng(5), 15, extra_max=6),
         ],
     )
-    def test_generators_match_dict_builders(self, graph):
+    def test_generators_match_dict_builders(self, monkeypatch, graph):
         g = graph()
-        for beta_star in range(1, min(3, int(g.degrees.min())) + 1):
-            want = LowOrderModel.from_dicts(beta_star, oracle_cycle_coeffs(g, beta_star))
-            assert gen_cycle_model(g, beta_star) == want
-        for kind in ("null", "weak", "strong"):
-            want = LowOrderModel.from_dicts(1, oracle_named_coeffs(g, kind, 4))
-            assert gen_named_model(g, kind, 4) == want
+        # budgets of 1 and 7 member entries put block edges between every
+        # few units and rows
+        for budget in (None, 1, 7):
+            if budget is not None:
+                monkeypatch.setattr("pinvtte.outcomes._BLOCK", budget)
+            for beta_star in range(1, min(3, int(g.degrees.min())) + 1):
+                want = LowOrderModel.from_dicts(beta_star, oracle_cycle_coeffs(g, beta_star))
+                assert gen_cycle_model(g, beta_star) == want
+                want._validate(g)  # and every row passes the block check
+            for kind in ("null", "weak", "strong"):
+                want = LowOrderModel.from_dicts(1, oracle_named_coeffs(g, kind, 4))
+                assert gen_named_model(g, kind, 4) == want
 
     @pytest.mark.parametrize(
         "beta_star, coeffs, rows",
@@ -566,15 +573,34 @@ class TestArrayRoutesMatchDictOracles:
             (2, [{(): 0.0, (0, 2): 1.0}, {(): 0.0}], [(0, 1), (1,)]),
             (-1, [{(): 0.0}], [(0,)]),
             (1, [{(): 0.0}], [(0,), (1,)]),
+            (
+                2,
+                [
+                    {(): 0.0, (0,): 1.0, (0, 1): 1.0},
+                    {(): 0.0, (0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0},
+                    {(): 0.0, (1,): 1.0, (1, 2): 1.0, (0, 2): 1.0},
+                ],
+                [(0, 1), (0, 1, 2), (1, 2)],
+            ),
         ],
     )
-    def test_bad_models_raise_as_oracle(self, beta_star, coeffs, rows):
+    def test_bad_models_raise_as_oracle(self, monkeypatch, beta_star, coeffs, rows):
         g = csr_graph(rows)
         with pytest.raises(InputError) as want:
             oracle_flat(beta_star, coeffs, g)
-        with pytest.raises(InputError) as got:
-            outcome_bound(LowOrderModel.from_dicts(beta_star, coeffs), g)
-        assert str(got.value) == str(want.value)
+        # the first failing row is found whatever block it falls in
+        for budget in (None, 1, 7):
+            if budget is not None:
+                monkeypatch.setattr("pinvtte.outcomes._BLOCK", budget)
+            with pytest.raises(InputError) as got:
+                outcome_bound(LowOrderModel.from_dicts(beta_star, coeffs), g)
+            assert str(got.value) == str(want.value)
+
+    def test_validation_memory_is_bounded(self):
+        # 168k rows of 2 members, checked a block of rows at a time
+        g = cycle_power(6000, 3)
+        model = gen_cycle_model(g, 2)
+        assert traced_peak(lambda: model._validate(g)) <= 5e6
 
     def test_validated_once_per_graph(self, monkeypatch):
         g = cycle_power(9, 1)

@@ -1,6 +1,7 @@
 """The package's public surface: pinvtte.__all__ re-exports exactly what the
 library modules export, so a deletion cannot leave a stale name behind, and
-no public function takes a graph beside a lift that already holds it."""
+no public function takes a graph or a model beside a lift that already holds
+it."""
 
 from __future__ import annotations
 
@@ -42,9 +43,9 @@ def _annotated_types(hint) -> set:
     return {hint, *typing.get_args(hint)}
 
 
-def test_no_function_takes_a_graph_beside_its_lift():
-    lifts = {pinvtte.ClusterStats, pinvtte.ClusterAggregatedModel}
-    both = []
+def _functions_taking(*kinds) -> list[str]:
+    """Public functions with a parameter of each of the given types."""
+    found = []
     for name in pinvtte.__all__:
         fn = getattr(pinvtte, name)
         if not inspect.isfunction(fn):
@@ -52,6 +53,16 @@ def test_no_function_takes_a_graph_beside_its_lift():
         hints = typing.get_type_hints(fn)
         hints.pop("return", None)
         types = set().union(*map(_annotated_types, hints.values()))
-        if pinvtte.InterferenceGraph in types and types & lifts:
-            both.append(name)
-    assert both == []
+        if all(types & kind for kind in kinds):
+            found.append(name)
+    return found
+
+
+def test_no_function_takes_a_graph_beside_its_lift():
+    lifts = {pinvtte.ClusterStats, pinvtte.ClusterAggregatedModel}
+    assert _functions_taking({pinvtte.InterferenceGraph}, lifts) == []
+
+
+def test_no_function_takes_a_model_beside_its_lift():
+    lift = {pinvtte.ClusterAggregatedModel}
+    assert _functions_taking({pinvtte.LowOrderModel}, lift) == []
