@@ -50,7 +50,6 @@ from .moments import (
     _mc_moments,
     size_class_pinv,
     size_class_sums,
-    theta_vector,
 )
 from .outcomes import (
     ClusterAggregatedModel,
@@ -80,6 +79,23 @@ __all__ = [
 _BLOCK = 1 << 18
 
 
+def _check_order(beta: int) -> None:
+    if beta < 1:
+        raise InputError(f"estimator order must be at least 1, got beta={beta}")
+
+
+def _check_B(B: float) -> None:
+    if not 0 < B < math.inf:
+        raise InputError(f"outcome bound B={B} must be positive and finite")
+
+
+def _check_closed(c_size: int, beta: int, p: float) -> None:
+    if not (0.0 < p < 1.0):
+        raise InputError(f"treatment probability p={p} not in (0, 1)")
+    if c_size < 0 or beta < 0:
+        raise InputError("c_size and beta must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # per-unit gamma terms
 # ---------------------------------------------------------------------------
@@ -101,8 +117,10 @@ class GammaProfile:
 
 
 def gamma_quadform(moments: DesignMoments) -> float:
-    """theta' M^+ theta for an explicit moments object."""
-    th = theta_vector(len(moments.index))
+    """theta' M^+ theta for an explicit moments object, where theta sums the
+    effects: zero on the empty subset row, one on every other row."""
+    th = np.ones(len(moments.index))
+    th[0] = 0.0
     return float(th @ moments.M_pinv @ th)
 
 
@@ -110,10 +128,7 @@ def gamma_gcr_closed(c_size: int, beta: int, p: float) -> float:
     """Exact quadform under Bernoulli cluster treatment, in closed form:
     sum over x = 1..min(beta, c) of binom(c, x) [((1-p)/p)^x - 2(-1)^x +
     (p/(1-p))^x]. Symmetric in p and 1-p."""
-    if not (0.0 < p < 1.0):
-        raise InputError(f"treatment probability p={p} not in (0, 1)")
-    if c_size < 0 or beta < 0:
-        raise InputError("c_size and beta must be nonnegative")
+    _check_closed(c_size, beta, p)
     r = (1.0 - p) / p
 
     def total() -> float:
@@ -134,8 +149,7 @@ def gamma_gcr_envelope(c_size: int, beta: int, p: float) -> float:
     side. At p above one half the raw-p expression sits below the quadform
     and would not be a bound at all.
     """
-    if not (0.0 < p < 1.0):
-        raise InputError(f"treatment probability p={p} not in (0, 1)")
+    _check_closed(c_size, beta, p)
     q = min(p, 1.0 - p)
     try:
         full = q ** (-c_size)
@@ -186,8 +200,7 @@ def gamma_profile(
     order. "monte_carlo" does the same from moments estimated on each
     unit's cluster neighborhood in stats.
     """
-    if beta < 1:
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
+    _check_order(beta)
     _same_lift(d.clustering, stats)
     scaled: np.ndarray | None = None
     if gamma_source == "closed":
@@ -236,8 +249,7 @@ def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta
     The moment and cross matrices are analytic for both supported designs,
     so this never enumerates the assignment support.
     """
-    if beta < 1:
-        raise InputError(f"estimator order must be at least 1, got beta={beta}")
+    _check_order(beta)
     _same_lift(d.clustering, agg, stats)
 
     def row(c: int, unit: int) -> np.ndarray:
@@ -270,6 +282,7 @@ def bias_bound_gcr(agg: ClusterAggregatedModel, beta: int) -> BiasBoundGCR:
     """Worst-case bias magnitude of the order-beta estimator under any
     Bernoulli cluster design on the clustering of agg, the re-keyed model;
     c_norm reads the unit-level model agg was lifted from."""
+    _check_order(beta)
     model = agg.model
     size = agg.order
     # an image of more than beta clusters has only subsets of order > beta
@@ -294,6 +307,7 @@ def bias_crd(
     bias_i = m (k x_{i,empty} - sum_C x_{i,{C}}) / (k^2 + m). The bound
     multiplies the full-contact fraction by m (k+2) B / (k^2 + m).
     """
+    _check_B(B)
     if agg.beta_star != 1:
         raise InputError("complete-design bias formula needs a first-order model")
     if d.is_bernoulli:
@@ -414,8 +428,7 @@ def variance_bound(
     CapacityError
         If B^2 times a finite product overflows; the error names B and it.
     """
-    if not 0 < B < math.inf:
-        raise InputError(f"outcome bound B={B} must be positive and finite")
+    _check_B(B)
     g, n = stats.graph, stats.n
     agg = None if model is None else cluster_aggregate(model, g, d.clustering)
     if monotone and agg is not None and mixed_signs(agg):

@@ -23,7 +23,6 @@ __all__ = [
     "contiguous_cycle_clusters",
     "louvain",
     "modularity",
-    "cluster_neighborhoods",
     "cluster_stats",
     "load_clustering",
     "save_clustering",
@@ -86,11 +85,11 @@ class ClusterStats:
     that estimator weights, bias and bounds consume.
 
     The cluster neighborhood of unit i, the sorted distinct ids of the
-    clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]] (the CSR
-    arrays of cluster_neighborhoods). C_max is the largest such
-    neighborhood, N_max the largest cluster, and full_contact_count the
-    number of units whose cluster neighborhood is every cluster (the units
-    that make a completely randomized design singular).
+    clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]], never
+    empty since i is in N_i. C_max is the largest such neighborhood, N_max
+    the largest cluster, and full_contact_count the number of units whose
+    cluster neighborhood is every cluster (the units that make a completely
+    randomized design singular).
     """
 
     graph: InterferenceGraph
@@ -140,19 +139,6 @@ def contiguous_cycle_clusters(n: int, w: int) -> Clustering:
     return Clustering(np.arange(n) // w)
 
 
-def cluster_neighborhoods(
-    g: InterferenceGraph, c: Clustering
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster neighborhoods as CSR arrays (indptr, cluster_ids): the sorted
-    distinct ids of the clusters touching N_i are
-    cluster_ids[indptr[i]:indptr[i + 1]], never empty since i is in N_i."""
-    if c.n != g.n:
-        raise InputError(f"clustering over {c.n} units but graph has {g.n}")
-    units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    keys = np.unique(units * c.m + c.assignment[g.indices])
-    return _csr(keys, g.n, c.m)
-
-
 def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
     """The rows row(c, unit), one per distinct size c in sizes, concatenated
     into values, and each unit's offset base into them: unit i's row starts
@@ -168,8 +154,13 @@ def _size_rows(sizes: np.ndarray, row) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
-    """Lift g to the clusters of c, for weights, exact bias and bounds."""
-    indptr, ids = cluster_neighborhoods(g, c)
+    """Lift g to the clusters of c, for weights, exact bias and bounds: the
+    cluster neighborhoods as CSR arrays, with their summaries."""
+    if c.n != g.n:
+        raise InputError(f"clustering over {c.n} units but graph has {g.n}")
+    units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    keys = np.unique(units * c.m + c.assignment[g.indices])
+    indptr, ids = _csr(keys, g.n, c.m)
     sizes = np.diff(indptr)
     return ClusterStats(
         graph=g,

@@ -32,29 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Clustering, ClusterStats, _size_rows, cluster_stats
-from .design import (
-    AssignmentDraw,
-    Design,
-    _draws,
-    bernoulli_gcr,
-    complete_gcr,
-    joint_control_prob,
-    joint_treat_prob,
-)
+from .clustering import ClusterStats, _size_rows, cluster_stats
+from .design import AssignmentDraw, Design, _draws, joint_control_prob, joint_treat_prob
 from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
 from .moments import _bernoulli_finite, size_class_pinv
 
-__all__ = [
-    "EstimatorSpec",
-    "EstimateBreakdown",
-    "estimate",
-    "pinv_estimate",
-    "gcr_explicit_estimate",
-    "ht_estimate",
-    "crd_beta1_estimate",
-]
+__all__ = ["EstimatorSpec", "EstimateBreakdown", "estimate"]
 
 
 @dataclass(frozen=True)
@@ -195,7 +179,7 @@ def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
     its clusters are treated is values[base[i] + t]. Returns (values, base)."""
     if spec.kind == "gcr_explicit" and not d.is_bernoulli:
         raise InputError("gcr_explicit needs a Bernoulli design")
-    if spec.kind == "crd1" and d.variant != "complete_gcr":
+    if spec.kind == "crd1" and d.is_bernoulli:
         raise InputError("crd1 needs a complete cluster design")
     row = _ROWS[spec.kind]
     values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, spec.beta, c, unit))
@@ -209,7 +193,7 @@ def _treated(stats: ClusterStats, W) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public estimators
+# public estimator
 # ---------------------------------------------------------------------------
 
 
@@ -219,13 +203,24 @@ def estimate(
     """One estimate of kind "pinv", "gcr_explicit", "ht" or "crd1" from one
     draw, at the order EstimatorSpec(kind, beta) allows.
 
+    pinv works under any design and needs no positivity; gcr_explicit needs
+    a Bernoulli design and crd1 the complete one (see the module docstring
+    for each kind's weights).
+
     Raises
     ------
     InputError
         For malformed input, a kind and order EstimatorSpec rejects, or a
         kind the design cannot carry.
-    PositivityError, CapacityError
-        As for ht_estimate.
+    PositivityError
+        For ht, if some unit's neighborhood can never be fully treated or
+        fully untreated under the design (only possible for the complete
+        design).
+    CapacityError
+        For ht, if such a probability is positive but too small for its
+        inverse to be represented in double precision; for pinv and
+        gcr_explicit under a Bernoulli design, if a closed-form weight
+        overflows double precision.
     """
     spec = EstimatorSpec(kind, beta)
     Y = np.asarray(Y, dtype=np.float64)
@@ -239,64 +234,3 @@ def estimate(
     weights = values[base + _treated(stats, w)[0]]
     return EstimateBreakdown(kind, spec.order, float(np.mean(Y * weights)), weights)
 
-
-def pinv_estimate(
-    g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design, beta: int
-) -> EstimateBreakdown:
-    """Pseudoinverse estimator of order beta.
-
-    Unit i's weight is <M^+ theta, w~> where M is the design moment matrix
-    over subsets of i's cluster neighborhood (size <= beta), theta selects
-    the non-empty rows, and w~ holds the realized products of cluster
-    treatments. Works for any design the moments module can describe; no
-    positivity is required.
-    """
-    return estimate(g, Y, draw, d, "pinv", beta)
-
-
-def gcr_explicit_estimate(
-    g: InterferenceGraph,
-    Y,
-    draw: AssignmentDraw,
-    clustering: Clustering,
-    p: float,
-    beta: int,
-) -> EstimateBreakdown:
-    """Product-form pseudoinverse weights for Bernoulli cluster designs.
-
-    The weight is the difference of two truncated products over unit i's
-    cluster neighborhood, sum_{|U| <= beta} [prod_{C in U} (w_C - p)/p -
-    prod_{C in U} (w_C - p)/(p - 1)], evaluated as elementary symmetric
-    sums in the number of treated clusters rather than by subset
-    enumeration.
-    """
-    return estimate(g, Y, draw, bernoulli_gcr(clustering, p), "gcr_explicit", beta)
-
-
-def ht_estimate(
-    g: InterferenceGraph, Y, draw: AssignmentDraw, d: Design
-) -> EstimateBreakdown:
-    """Horvitz-Thompson estimator on full neighborhood exposure.
-
-    Raises
-    ------
-    PositivityError
-        If some unit's neighborhood can never be fully treated or fully
-        untreated under the design (only possible for the complete design).
-    CapacityError
-        If such a probability is positive but too small for its inverse to
-        be represented in double precision.
-    """
-    return estimate(g, Y, draw, d, "ht")
-
-
-def crd_beta1_estimate(
-    g: InterferenceGraph, Y, draw: AssignmentDraw, clustering: Clustering, k: int
-) -> EstimateBreakdown:
-    """Closed-form first-order weights under the complete design.
-
-    For a unit touching c of the m clusters the weight is a rescaled sum of
-    centered cluster treatments; units in contact with every cluster use the
-    rank-deficient pseudoinverse form instead.
-    """
-    return estimate(g, Y, draw, complete_gcr(clustering, k), "crd1")

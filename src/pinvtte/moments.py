@@ -5,7 +5,8 @@ neighborhood of size c, the relevant matrix is indexed by the subsets of
 those c clusters up to size beta, in canonical order (empty set first, then
 size ascending, lexicographic within a size). Entries are joint treatment
 probabilities E[prod_{C in U union V} w_C], which depend only on |U union V|
-for both designs in the package, so closed forms are available:
+for both designs in the package, so closed forms are available, and
+analytic_cluster_moments picks the one of its design:
 
   Bernoulli(p):  entry p^{|U union V|}; the pseudoinverse has entries
                  (-1/p)^{|V|+|W|} sum over indexed supersets X of V union W
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import cluster_neighborhoods
+from .clustering import cluster_stats
 from .design import Design, _falling_ratio, _sample_draws, joint_treat_prob
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
@@ -40,10 +41,6 @@ from .graph import InterferenceGraph
 __all__ = [
     "SubsetIndex",
     "DesignMoments",
-    "enumerate_subsets",
-    "theta_vector",
-    "bern_cluster_moments",
-    "crd_cluster_moments",
     "numeric_pinv",
     "monte_carlo_moments",
     "analytic_cluster_moments",
@@ -57,13 +54,16 @@ _MAX_INDEX = 1_000_000  # total subsets one index may hold
 class SubsetIndex:
     """Canonically ordered subsets of a ground set, capped at size beta.
 
-    Rows are the subsets themselves (tuples of ground elements).
+    Rows are the subsets themselves (tuples of ground elements). ground is
+    any iterable of sorted, distinct elements; a beta larger than it is
+    legal and yields the full power set.
     """
 
-    def __init__(self, ground: tuple[int, ...], beta: int):
+    def __init__(self, ground, beta: int):
+        ground = tuple(ground)
         if beta < 0:
             raise InputError(f"beta must be nonnegative, got {beta}")
-        if tuple(sorted(set(ground))) != tuple(ground):
+        if tuple(sorted(set(ground))) != ground:
             raise InputError("ground set must be sorted and duplicate-free")
         c = len(ground)
         top = min(beta, c)
@@ -75,7 +75,7 @@ class SubsetIndex:
         subsets: list[tuple[int, ...]] = []
         for size in range(top + 1):
             subsets.extend(itertools.combinations(ground, size))
-        self.ground = tuple(ground)
+        self.ground = ground
         self.beta = beta
         self.subsets = tuple(subsets)
         self.sizes = np.array([len(s) for s in subsets], dtype=np.int64)
@@ -96,22 +96,6 @@ class SubsetIndex:
         return self.sizes[:, None] + self.sizes[None, :] - inter
 
 
-def enumerate_subsets(ground, beta: int) -> SubsetIndex:
-    """Index all subsets of the ground set with at most beta elements.
-
-    A beta larger than the ground set is legal and yields the full power set.
-    """
-    return SubsetIndex(tuple(ground), beta)
-
-
-def theta_vector(q: int) -> np.ndarray:
-    """The effect-summing vector over a subset index: zero on the empty
-    subset row, one on every other row."""
-    theta = np.ones(q)
-    theta[0] = 0.0
-    return theta
-
-
 @dataclass(frozen=True)
 class DesignMoments:
     """A subset index together with its design moment matrix and a
@@ -122,53 +106,6 @@ class DesignMoments:
     M: np.ndarray
     M_pinv: np.ndarray
     provenance: str
-
-
-def bern_cluster_moments(index: SubsetIndex, p: float) -> DesignMoments:
-    """Closed-form moments and pseudoinverse for independent cluster
-    treatments with probability p."""
-    if not (0.0 < p < 1.0):
-        raise InputError(f"treatment probability p={p} not in (0, 1)")
-    c = len(index.ground)
-    top = min(index.beta, c)
-    usize = index.union_sizes()
-    M = p**usize.astype(np.float64)
-    # T[u] = sum over indexed supersets X of a size-u subset of (p/(1-p))^|X|
-    r = p / (1.0 - p)
-    T = np.zeros(usize.max() + 1)
-    for u in range(top + 1):
-        T[u] = sum(math.comb(c - u, x - u) * r**x for x in range(u, top + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sign = (-1.0 / p) ** index.sizes.astype(np.float64)
-        P = _bernoulli_finite(
-            lambda: np.outer(sign, sign) * T[usize], p, index.beta, c, "pseudoinverse entries"
-        )
-    return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
-
-
-def crd_cluster_moments(index: SubsetIndex, m: int, k: int) -> DesignMoments:
-    """Moments for the design that treats a uniform k-subset of m clusters.
-
-    The matrix entry for (U, V) is the probability that |U union V| specific
-    clusters are all treated. With beta = 1 the pseudoinverse is written in
-    closed form (ordinary inverse when the ground set misses at least one
-    cluster, rank-deficient pseudoinverse when it spans all m); higher orders
-    fall back to numeric SVD pseudoinversion.
-    """
-    if not (1 <= k <= m - 1):
-        raise InputError(f"k={k} outside [1, m-1] for m={m}")
-    c = len(index.ground)
-    if c > m:
-        raise InputError(f"ground set has {c} clusters but the design only {m}")
-    usize = index.union_sizes()
-    ff = np.array([_falling_ratio(k, m, t) for t in range(usize.max() + 1)])
-    M = ff[usize]
-    if index.sizes.max(initial=0) <= 1:
-        P = _crd_beta1_pinv(c, m, k)
-        return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
-    return DesignMoments(
-        index=index, M=M, M_pinv=numeric_pinv(M), provenance="numeric"
-    )
 
 
 def _crd_beta1_pinv(c: int, m: int, k: int) -> np.ndarray:
@@ -229,15 +166,16 @@ def monte_carlo_moments(
     if not 0 <= i < g.n:
         raise InputError(f"unit {i} outside [0, {g.n})")
     W = _sample_draws(d, seed, R)
-    indptr, ids = cluster_neighborhoods(g, d.clustering)
-    return _mc_moments(W, tuple(ids[indptr[i] : indptr[i + 1]].tolist()), beta)
+    stats = cluster_stats(g, d.clustering)
+    ids = stats.cluster_ids[stats.indptr[i] : stats.indptr[i + 1]]
+    return _mc_moments(W, tuple(ids.tolist()), beta)
 
 
 def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMoments:
     """Moment estimate over a cluster ground set from the (R, m) draws W of
     design._sample_draws."""
     R = W.shape[0]
-    index = enumerate_subsets(ground, beta)
+    index = SubsetIndex(ground, beta)
     cols = np.array(ground, dtype=np.int64)
     counts = W[:, cols].astype(np.float64) @ index.membership.T.astype(np.float64)
     ind = (counts == index.sizes[None, :]).astype(np.float64)
@@ -248,12 +186,41 @@ def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMome
 
 
 def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
-    """Closed-form moments for the given design over an explicit cluster
-    ground set."""
-    index = enumerate_subsets(ground, beta)
+    """Closed-form moments for design d over SubsetIndex(ground, beta).
+
+    Bernoulli entries are p^{|U union V|}, with a closed-form pseudoinverse
+    (CapacityError once it overflows). Complete-design entries are the
+    probability that |U union V| given clusters are all treated; the
+    pseudoinverse is explicit at beta = 1 (rank-deficient when the ground
+    set spans all m clusters) and numeric above. A ground set wider than
+    the complete design's m clusters raises InputError.
+    """
+    index = SubsetIndex(ground, beta)
+    c = len(index.ground)
+    usize = index.union_sizes()
     if d.is_bernoulli:
-        return bern_cluster_moments(index, d.p)
-    return crd_cluster_moments(index, d.m, d.k)
+        p = d.p
+        top = min(beta, c)
+        M = p**usize.astype(np.float64)
+        # T[u] = sum over indexed supersets X of a size-u subset of (p/(1-p))^|X|
+        r = p / (1.0 - p)
+        T = np.zeros(usize.max() + 1)
+        for u in range(top + 1):
+            T[u] = sum(math.comb(c - u, x - u) * r**x for x in range(u, top + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sign = (-1.0 / p) ** index.sizes.astype(np.float64)
+            P = _bernoulli_finite(
+                lambda: np.outer(sign, sign) * T[usize], p, beta, c, "pseudoinverse entries"
+            )
+        return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
+    if c > d.m:
+        raise InputError(f"ground set has {c} clusters but the design only {d.m}")
+    ff = np.array([_falling_ratio(d.k, d.m, t) for t in range(usize.max() + 1)])
+    M = ff[usize]
+    if index.sizes.max(initial=0) <= 1:
+        P = _crd_beta1_pinv(c, d.m, d.k)
+        return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
+    return DesignMoments(index=index, M=M, M_pinv=numeric_pinv(M), provenance="numeric")
 
 
 def size_class_sums(values, c: int, rows: int, cols: int) -> np.ndarray:
@@ -299,8 +266,8 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     their orthonormal basis: M is symmetric and maps that subspace to itself,
     so M^+ restricted there is the pseudoinverse of the restriction.
     """
-    if beta < 0:
-        raise InputError(f"beta must be nonnegative, got {beta}")
+    if c < 0 or beta < 0:
+        raise InputError(f"c and beta must be nonnegative, got c={c}, beta={beta}")
     top = min(beta, c)
     if d.is_bernoulli:
         # v[U] = sum_{V nonempty} (-1/p)^{|U|+|V|} T[|U union V|]; writing T

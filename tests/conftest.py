@@ -22,10 +22,9 @@ from pinvtte import (
     InputError,
     InterferenceGraph,
     LowOrderModel,
+    SubsetIndex,
     cluster_aggregate,
-    cluster_neighborhoods,
     cluster_stats,
-    enumerate_subsets,
     enumerate_support,
     joint_treat_prob,
     numeric_pinv,
@@ -333,7 +332,7 @@ def oracle_bias_exact(model: LowOrderModel, g: InterferenceGraph, d: Design, bet
     coefficients of order <= beta grouped by image size and dotted with
     M v - theta, those of higher order with Cross v - 1."""
     assign = d.clustering.assignment
-    sizes = np.diff(cluster_neighborhoods(g, d.clustering)[0])
+    sizes = np.diff(cluster_stats(g, d.clustering).indptr)
     per_size: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     total = 0.0
     for i in range(g.n):
@@ -545,9 +544,9 @@ def support_moments(
 ) -> DesignMoments:
     """Exact moment matrix for unit i by full support enumeration. Slow and
     capacity-guarded; this is the oracle the closed forms are tested against."""
-    indptr, ids = cluster_neighborhoods(g, d.clustering)
-    ground = tuple(ids[indptr[i] : indptr[i + 1]].tolist())
-    index = enumerate_subsets(ground, beta)
+    stats = cluster_stats(g, d.clustering)
+    ground = tuple(stats.cluster_ids[stats.indptr[i] : stats.indptr[i + 1]].tolist())
+    index = SubsetIndex(ground, beta)
     cols = np.array(ground, dtype=np.int64)
     M = np.zeros((len(index), len(index)))
     for prob, w in zip(*enumerate_support(d)):

@@ -21,7 +21,6 @@ from pinvtte import (
     EstimatorSpec,
     ExperimentConfig,
     LowOrderModel,
-    bern_cluster_moments,
     bernoulli_gcr,
     bias_bound_gcr,
     bias_crd,
@@ -30,25 +29,20 @@ from pinvtte import (
     cluster_stats,
     complete_gcr,
     contiguous_cycle_clusters,
-    crd_beta1_estimate,
-    crd_cluster_moments,
     cycle_power,
-    enumerate_subsets,
     enumerate_support,
+    estimate,
     exhaustive_expectation,
     from_edge_list,
     gamma_crd,
     gamma_gcr_closed,
     gamma_gcr_envelope,
     gamma_quadform,
-    gcr_explicit_estimate,
     gen_cycle_model,
     gen_named_model,
-    ht_estimate,
     louvain,
     mc_convergence_report,
     outcome_bound,
-    pinv_estimate,
     rmse_ratio,
     run_experiment,
     sample,
@@ -218,9 +212,8 @@ def test_acceptance_04_gamma_closed_forms(announce):
         for beta in range(1, 4):
             for p in p_grid:
                 closed = gamma_gcr_closed(c, beta, p)
-                quad = gamma_quadform(
-                    bern_cluster_moments(enumerate_subsets(tuple(range(c)), beta), p)
-                )
+                d = bernoulli_gcr(singleton_clustering(c), p)
+                quad = gamma_quadform(analytic_cluster_moments(d, range(c), beta))
                 if abs(closed - quad) > 1e-10 * max(1.0, abs(closed)):
                     failures.append(f"gcr c={c} beta={beta} p={p}")
                 envelope = gamma_gcr_envelope(c, beta, p)
@@ -228,11 +221,10 @@ def test_acceptance_04_gamma_closed_forms(announce):
                     failures.append(f"envelope below closed at c={c} beta={beta} p={p}")
     for m in range(2, 9):
         for k in range(1, m):
+            d = complete_gcr(singleton_clustering(m), k)
             for c in range(1, m + 1):
                 quad, _ = gamma_crd(c, m, k)
-                numeric = gamma_quadform(
-                    crd_cluster_moments(enumerate_subsets(tuple(range(c)), 1), m, k)
-                )
+                numeric = gamma_quadform(analytic_cluster_moments(d, range(c), 1))
                 if abs(quad - numeric) > 1e-9 * max(1.0, abs(quad)):
                     failures.append(f"crd m={m} k={k} c={c}")
     _verdict(4, failures, time.monotonic() - t0, 10.0, announce)
@@ -275,13 +267,10 @@ def test_acceptance_06_crd_structure(announce):
     failures: list[str] = []
     for m in range(2, 9):
         for k in range(1, m):
+            d = complete_gcr(singleton_clustering(m), k)
             for c in range(0, m + 1):
                 closed = crd_determinant(m, k, c)
-                numeric = float(
-                    np.linalg.det(
-                        crd_cluster_moments(enumerate_subsets(tuple(range(c)), 1), m, k).M
-                    )
-                )
+                numeric = float(np.linalg.det(analytic_cluster_moments(d, range(c), 1).M))
                 if abs(closed - numeric) > 1e-12 * max(1.0, abs(closed)):
                     failures.append(f"det m={m} k={k} c={c}")
     g = cycle_power(4, 1)
@@ -301,7 +290,7 @@ def test_acceptance_06_crd_structure(announce):
         from pinvtte import draw_from_w
 
         draw = draw_from_w(d, w)
-        est = crd_beta1_estimate(g, np.zeros(4), draw, c, 1)
+        est = estimate(g, np.zeros(4), draw, d, "crd1")
         if any(weight != pytest.approx(2 / 3, abs=1e-15) for weight in est.weights):
             failures.append(f"weights {est.weights} for w={w}")
     rng = np.random.default_rng(606)
@@ -451,8 +440,8 @@ def test_acceptance_11_route_equivalence(announce):
         Y = rng.normal(size=n)
         for r in range(100):
             draw = sample(d, seed=trial, replicate=r)
-            a = pinv_estimate(g, Y, draw, d, beta).tte_hat
-            b = gcr_explicit_estimate(g, Y, draw, c, p, beta).tte_hat
+            a = estimate(g, Y, draw, d, "pinv", beta).tte_hat
+            b = estimate(g, Y, draw, d, "gcr_explicit", beta).tte_hat
             if abs(a - b) > 1e-10 * max(1.0, abs(a)):
                 failures.append(f"trial {trial} rep {r}: pinv {a} explicit {b}")
                 break
@@ -466,8 +455,8 @@ def test_acceptance_11_route_equivalence(announce):
 
         for _, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
-            a = pinv_estimate(g, Y, draw, d, beta).tte_hat
-            b = ht_estimate(g, Y, draw, d).tte_hat
+            a = estimate(g, Y, draw, d, "pinv", beta).tte_hat
+            b = estimate(g, Y, draw, d, "ht").tte_hat
             if abs(a - b) > 1e-10 * max(1.0, abs(b)):
                 failures.append(f"saturated trial {trial}: pinv {a} ht {b}")
                 break

@@ -15,6 +15,7 @@ from pinvtte import (
     InputError,
     LowOrderModel,
     PreconditionError,
+    analytic_cluster_moments,
     bernoulli_gcr,
     bernoulli_unit,
     bias_bound_gcr,
@@ -24,11 +25,10 @@ from pinvtte import (
     cluster_stats,
     complete_gcr,
     contiguous_cycle_clusters,
-    crd_cluster_moments,
     cycle_power,
     draw_from_w,
-    enumerate_subsets,
     enumerate_support,
+    estimate,
     evaluate,
     from_edge_list,
     gamma_crd,
@@ -37,11 +37,10 @@ from pinvtte import (
     gamma_profile,
     gamma_quadform,
     gen_cycle_model,
-    bern_cluster_moments,
     monte_carlo_moments,
     outcome_bound,
-    pinv_estimate,
     singleton_clustering,
+    size_class_pinv,
     true_tte,
     variance_bound,
 )
@@ -68,7 +67,7 @@ def exhaustive_moments(g, model, d, beta):
     for prob, w in zip(*enumerate_support(d)):
         draw = draw_from_w(d, w)
         Y = evaluate(model, g, draw.z)
-        ests.append(pinv_estimate(g, Y, draw, d, beta).tte_hat)
+        ests.append(estimate(g, Y, draw, d, "pinv", beta).tte_hat)
         probs.append(prob)
     mean = math.fsum(p * e for p, e in zip(probs, ests))
     var = math.fsum(p * (e - mean) ** 2 for p, e in zip(probs, ests))
@@ -102,7 +101,7 @@ class TestGammaClosed:
     @pytest.mark.parametrize("beta", [1, 2, 3])
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_matches_quadform(self, c, beta, p):
-        dm = bern_cluster_moments(enumerate_subsets(tuple(range(c)), beta), p)
+        dm = analytic_cluster_moments(bernoulli_gcr(singleton_clustering(c), p), range(c), beta)
         assert gamma_gcr_closed(c, beta, p) == pytest.approx(
             gamma_quadform(dm), rel=1e-10, abs=1e-10
         )
@@ -141,6 +140,24 @@ class TestGammaEnvelope:
             gamma_gcr_envelope(3, 1, 1e-320)
 
 
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        (gamma_gcr_closed, (-1, 1, 0.5)),
+        (gamma_gcr_envelope, (-1, 1, 0.5)),
+        (gamma_gcr_envelope, (3, -2, 0.5)),
+        (size_class_pinv, (bernoulli_gcr(singleton_clustering(4), 0.5), -1, 1)),
+        (size_class_pinv, (complete_gcr(singleton_clustering(4), 2), -1, 1)),
+    ],
+    ids=["closed-size", "envelope-size", "envelope-order", "pinv-bernoulli", "pinv-complete"],
+)
+def test_closed_forms_reject_negative_size_or_order(closed_form, args):
+    # else a negative size gives the envelope a negative variance term and
+    # size_class_pinv an empty array
+    with pytest.raises(InputError, match="nonnegative"):
+        closed_form(*args)
+
+
 class TestGammaCrd:
     def test_frozen_values(self):
         assert gamma_crd(1, 2, 1) == pytest.approx((4.0, 8.0))
@@ -151,8 +168,9 @@ class TestGammaCrd:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_quadform(self, m):
         for k in range(1, m):
+            d = complete_gcr(singleton_clustering(m), k)
             for c in range(1, m + 1):
-                dm = crd_cluster_moments(enumerate_subsets(tuple(range(c)), 1), m, k)
+                dm = analytic_cluster_moments(d, range(c), 1)
                 quad, scaled = gamma_crd(c, m, k)
                 assert quad == pytest.approx(gamma_quadform(dm), rel=1e-9, abs=1e-9)
                 assert scaled == pytest.approx((c + 1) * quad, rel=1e-12)
@@ -318,6 +336,14 @@ class TestBiasBoundGcr:
         bb = bias_bound_gcr(agg, 1)
         assert bb.x_norm == pytest.approx(1 / 6) and bb.c_norm == pytest.approx(0.25)
         assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, 1)))
+
+    def test_rejects_order_below_one(self):
+        # no estimator has these orders, yet the tail sums would read 0.75
+        g = cycle_power(8, 1)
+        agg = cluster_aggregate(gen_cycle_model(g, 2), g, contiguous_cycle_clusters(8, 2))
+        for beta in (0, -3):
+            with pytest.raises(InputError, match=f"at least 1, got beta={beta}"):
+                bias_bound_gcr(agg, beta)
 
     def test_chain_dominates_bias(self, rng):
         for trial in range(10):
@@ -496,6 +522,15 @@ class TestBiasCrd:
             bias_crd(agg, cluster_stats(g, Clustering.from_labels([0, 0, 1, 1])), d, 1.0)
         with pytest.raises(InputError, match="lifted from one graph"):
             bias_crd(agg, cluster_stats(from_edge_list([], 4), c), d, 1.0)
+
+    def test_rejects_nonpositive_B(self):
+        # the bound scales with B, so B = -1 would read -0.0 and B = nan nan
+        g = cycle_power(8, 1)
+        c = contiguous_cycle_clusters(8, 2)
+        agg = cluster_aggregate(gen_cycle_model(g, 1), g, c)
+        for B in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="B="):
+                bias_crd(agg, cluster_stats(g, c), complete_gcr(c, 2), B)
 
 
 class TestLiftedClustering:

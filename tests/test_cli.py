@@ -305,8 +305,8 @@ class TestMcMoments:
 
 class TestLiftOnce:
     """A run lifts its cell to clusters once: one re-keying of the model
-    (outcomes._cluster_keys), one set of cluster neighborhoods, and one
-    analytic bias and variance bound per distinct estimator order."""
+    (outcomes._cluster_keys), one cluster_stats, and one analytic bias and
+    variance bound per distinct estimator order."""
 
     RUNS = {
         "simulate": [
@@ -329,7 +329,7 @@ class TestLiftOnce:
 
     def counted_run(self, monkeypatch, tmp_path, name):
         calls = dict.fromkeys(
-            ["_cluster_keys", "cluster_neighborhoods", "bias_exact", "variance_bound"], 0
+            ["_cluster_keys", "cluster_stats", "bias_exact", "variance_bound"], 0
         )
 
         def counter(key, fn):
@@ -343,7 +343,7 @@ class TestLiftOnce:
         # bias and bound
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("pinvtte."):
-                for key in ("_cluster_keys", "cluster_neighborhoods"):
+                for key in ("_cluster_keys", "cluster_stats"):
                     if hasattr(mod, key):
                         monkeypatch.setattr(mod, key, counter(key, getattr(mod, key)))
         harness = sys.modules["pinvtte.harness"]
@@ -355,7 +355,7 @@ class TestLiftOnce:
     def test_simulate_cell(self, monkeypatch, tmp_path):
         calls, rows = self.counted_run(monkeypatch, tmp_path, "simulate")
         assert calls == {
-            "_cluster_keys": 1, "cluster_neighborhoods": 1, "bias_exact": 1, "variance_bound": 1,
+            "_cluster_keys": 1, "cluster_stats": 1, "bias_exact": 1, "variance_bound": 1,
         }
         for estimator in ("pinv", "gcr_explicit"):
             value = {r["metric"]: r["value"] for r in rows if r["estimator"] == estimator}
@@ -366,7 +366,7 @@ class TestLiftOnce:
     def test_one_lift(self, monkeypatch, tmp_path, name):
         calls, _ = self.counted_run(monkeypatch, tmp_path, name)
         assert calls["_cluster_keys"] == 1
-        assert calls["cluster_neighborhoods"] == 1
+        assert calls["cluster_stats"] == 1
 
 
 class TestClusterCommand:

@@ -18,17 +18,13 @@ from pinvtte import (
     bernoulli_unit,
     cluster_stats,
     complete_gcr,
-    crd_beta1_estimate,
     cycle_power,
     draw_from_w,
     enumerate_support,
     estimate,
     evaluate,
     from_edge_list,
-    gcr_explicit_estimate,
     gen_cycle_model,
-    ht_estimate,
-    pinv_estimate,
     replicate_estimates,
     sample,
     singleton_clustering,
@@ -55,7 +51,7 @@ class TestFrozenWeights:
     def test_single_unit_half(self):
         g, d = single_unit()
         for w, expect in [(0, -2.0), (1, 2.0)]:
-            br = pinv_estimate(g, [1.0], draw_from_w(d, [w]), d, beta=1)
+            br = estimate(g, [1.0], draw_from_w(d, [w]), d, "pinv", 1)
             assert br.weights[0] == pytest.approx(expect, abs=1e-12)
             assert br.tte_hat == pytest.approx(expect, abs=1e-12)
 
@@ -63,8 +59,9 @@ class TestFrozenWeights:
         g = cycle_power(6, 1)
         c = Clustering.from_labels([0, 0, 1, 1, 2, 2])
         p = 0.3
-        draw = draw_from_w(bernoulli_gcr(c, p), [1, 0, 1])
-        br = gcr_explicit_estimate(g, np.zeros(6), draw, c, p, beta=1)
+        d = bernoulli_gcr(c, p)
+        draw = draw_from_w(d, [1, 0, 1])
+        br = estimate(g, np.zeros(6), draw, d, "gcr_explicit", 1)
         w = draw.w
         assign = c.assignment
         for i in range(6):
@@ -76,7 +73,7 @@ class TestFrozenWeights:
         g = cycle_power(6, 1)
         d = bernoulli_unit(6, 0.25)
         draw = draw_from_w(d, [1, 1, 1, 0, 0, 0])
-        br = ht_estimate(g, np.ones(6), draw, d)
+        br = estimate(g, np.ones(6), draw, d, "ht")
         # unit 1 fully treated (nbhd {0,1,2}), unit 4 fully control
         assert br.weights[1] == pytest.approx(1 / 0.25**3)
         assert br.weights[4] == pytest.approx(-1 / 0.75**3)
@@ -86,9 +83,8 @@ class TestFrozenWeights:
         # two clusters, every unit touching both, one treated: weight 2/3
         g = cycle_power(4, 1)
         c = Clustering.from_labels([0, 1, 0, 1])
-        br = crd_beta1_estimate(
-            g, np.ones(4), draw_from_w(complete_gcr(c, 1), [1, 0]), c, k=1
-        )
+        d = complete_gcr(c, 1)
+        br = estimate(g, np.ones(4), draw_from_w(d, [1, 0]), d, "crd1")
         assert np.allclose(br.weights, 2.0 / 3.0, atol=1e-14)
 
 
@@ -105,8 +101,8 @@ class TestRouteEquivalence:
             Y = gen.standard_normal(n)
             for r in range(5):
                 draw = sample(d, trial, r)
-                a = pinv_estimate(g, Y, draw, d, beta)
-                b = gcr_explicit_estimate(g, Y, draw, c, p, beta)
+                a = estimate(g, Y, draw, d, "pinv", beta)
+                b = estimate(g, Y, draw, d, "gcr_explicit", beta)
                 assert np.allclose(a.weights, b.weights, atol=1e-10)
                 assert a.tte_hat == pytest.approx(b.tte_hat, abs=1e-10)
 
@@ -120,8 +116,8 @@ class TestRouteEquivalence:
             beta = max(g.degrees)
             for r in range(6):
                 draw = sample(d, trial, r)
-                a = pinv_estimate(g, Y, draw, d, beta)
-                b = ht_estimate(g, Y, draw, d)
+                a = estimate(g, Y, draw, d, "pinv", beta)
+                b = estimate(g, Y, draw, d, "ht")
                 assert np.allclose(a.weights, b.weights, atol=1e-9)
 
     def test_crd_closed_form_matches_pinv_interior(self, rng):
@@ -132,8 +128,8 @@ class TestRouteEquivalence:
         Y = rng.standard_normal(8)
         for r in range(8):
             draw = sample(d, 5, r)
-            a = crd_beta1_estimate(g, Y, draw, c, k=2)
-            b = pinv_estimate(g, Y, draw, d, beta=1)
+            a = estimate(g, Y, draw, d, "crd1")
+            b = estimate(g, Y, draw, d, "pinv", 1)
             assert np.allclose(a.weights, b.weights, atol=1e-9)
 
     def test_crd_closed_form_matches_pinv_full_contact(self, rng):
@@ -143,8 +139,8 @@ class TestRouteEquivalence:
         Y = rng.standard_normal(4)
         for _, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
-            a = crd_beta1_estimate(g, Y, draw, c, k=1)
-            b = pinv_estimate(g, Y, draw, d, beta=1)
+            a = estimate(g, Y, draw, d, "crd1")
+            b = estimate(g, Y, draw, d, "pinv", 1)
             assert np.allclose(a.weights, b.weights, atol=1e-9)
 
 
@@ -157,8 +153,8 @@ class TestUnbiasedness:
         d = bernoulli_gcr(c, 0.3)
         mean = math.fsum(
             prob
-            * pinv_estimate(
-                g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d, 2
+            * estimate(
+                g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d, "pinv", 2
             ).tte_hat
             for prob, w in zip(*enumerate_support(d))
         )
@@ -171,7 +167,9 @@ class TestUnbiasedness:
         d = bernoulli_unit(5, 0.4)
         mean = math.fsum(
             prob
-            * ht_estimate(g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d).tte_hat
+            * estimate(
+                g, evaluate(model, g, draw_from_w(d, w).z), draw_from_w(d, w), d, "ht"
+            ).tte_hat
             for prob, w in zip(*enumerate_support(d))
         )
         assert mean == pytest.approx(true_tte(model), abs=1e-10)
@@ -184,7 +182,7 @@ class TestPositivity:
         d = complete_gcr(c, 1)
         draw = sample(d, 0, 0)
         with pytest.raises(PositivityError, match="unit 0"):
-            ht_estimate(g, np.ones(4), draw, d)
+            estimate(g, np.ones(4), draw, d, "ht")
 
     def test_error_names_failing_side(self):
         g = from_edge_list([(1, 0), (2, 0)], 3)
@@ -193,7 +191,7 @@ class TestPositivity:
         draw = sample(d, 0, 0)
         # unit 0 touches all 3 clusters; with k=1 it can never be fully treated
         with pytest.raises(PositivityError, match="fully treated"):
-            ht_estimate(g, np.ones(3), draw, d)
+            estimate(g, np.ones(3), draw, d, "ht")
 
 
 class TestBatchKernels:
@@ -275,8 +273,8 @@ class TestLargeNeighborhoods:
         Y = np.ones(150)
         for r in range(3):
             draw = sample(d, 0, r)
-            a = pinv_estimate(g, Y, draw, d, 4).weights
-            b = gcr_explicit_estimate(g, Y, draw, d.clustering, 0.5, 4).weights
+            a = estimate(g, Y, draw, d, "pinv", 4).weights
+            b = estimate(g, Y, draw, d, "gcr_explicit", 4).weights
             assert np.all(np.isfinite(a))
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
@@ -286,14 +284,14 @@ class TestLargeNeighborhoods:
         g = self.star(600)
         d = bernoulli_unit(600, 0.25)
         with pytest.raises(CapacityError, match=r"unit 0\b.*c=600.*underflows"):
-            ht_estimate(g, np.ones(600), sample(d, 0, 0), d)
+            estimate(g, np.ones(600), sample(d, 0, 0), d, "ht")
 
     def test_gcr_explicit_tiny_p_overflow(self):
         g = cycle_power(12, 1)
         d = bernoulli_unit(12, 1e-300)
         message = r"p=1e-300: the order-2 explicit weights of a neighborhood of c=3"
         with pytest.raises(CapacityError, match=message):
-            gcr_explicit_estimate(g, np.ones(12), sample(d, 0, 0), d.clustering, 1e-300, 2)
+            estimate(g, np.ones(12), sample(d, 0, 0), d, "gcr_explicit", 2)
 
     def test_pinv_table_matches_product_form_at_p09(self):
         # a numeric solve of the size-class system misses here by ~1e-6
@@ -311,7 +309,7 @@ class TestContracts:
         d = bernoulli_gcr(singleton_clustering(10), 0.25)
         draw = sample(d, 3, 0)
         Y = evaluate(model, g, draw.z)
-        br = pinv_estimate(g, Y, draw, d, 2)
+        br = estimate(g, Y, draw, d, "pinv", 2)
         assert br.tte_hat == pytest.approx(float(np.mean(Y * br.weights)), abs=1e-12)
         assert br.kind == "pinv" and br.beta == 2
 
@@ -319,8 +317,8 @@ class TestContracts:
         g = cycle_power(8, 1)
         d = bernoulli_unit(8, 0.5)
         draw = sample(d, 0, 0)
-        a = pinv_estimate(g, rng.standard_normal(8), draw, d, 1)
-        b = pinv_estimate(g, rng.standard_normal(8), draw, d, 1)
+        a = estimate(g, rng.standard_normal(8), draw, d, "pinv", 1)
+        b = estimate(g, rng.standard_normal(8), draw, d, "pinv", 1)
         assert np.array_equal(a.weights, b.weights)
 
     def test_linearity_in_outcomes(self, rng):
@@ -328,9 +326,9 @@ class TestContracts:
         d = bernoulli_unit(8, 0.5)
         draw = sample(d, 0, 1)
         Y1, Y2 = rng.standard_normal(8), rng.standard_normal(8)
-        t1 = pinv_estimate(g, Y1, draw, d, 1).tte_hat
-        t2 = pinv_estimate(g, Y2, draw, d, 1).tte_hat
-        tsum = pinv_estimate(g, 2.0 * Y1 + Y2, draw, d, 1).tte_hat
+        t1 = estimate(g, Y1, draw, d, "pinv", 1).tte_hat
+        t2 = estimate(g, Y2, draw, d, "pinv", 1).tte_hat
+        tsum = estimate(g, 2.0 * Y1 + Y2, draw, d, "pinv", 1).tte_hat
         assert tsum == pytest.approx(2.0 * t1 + t2, abs=1e-10)
 
     def test_validation_errors(self):
@@ -338,23 +336,25 @@ class TestContracts:
         d = bernoulli_unit(4, 0.5)
         draw = sample(d, 0, 0)
         with pytest.raises(InputError, match="Y has shape"):
-            pinv_estimate(g, [1.0, 2.0], draw, d, 1)
+            estimate(g, [1.0, 2.0], draw, d, "pinv", 1)
         with pytest.raises(InputError, match="beta"):
-            pinv_estimate(g, np.ones(4), draw, d, 0)
+            estimate(g, np.ones(4), draw, d, "pinv", 0)
         with pytest.raises(InputError, match="covers"):
-            pinv_estimate(cycle_power(6, 1), np.ones(6), draw, d, 1)
+            estimate(cycle_power(6, 1), np.ones(6), draw, d, "pinv", 1)
         other = bernoulli_unit(6, 0.5)
         with pytest.raises(InputError, match="clusters"):
-            pinv_estimate(g, np.ones(4), sample(other, 0, 0), d, 1)
+            estimate(g, np.ones(4), sample(other, 0, 0), d, "pinv", 1)
         # checked before the int8 cast, which would truncate 0.5 and wrap 257
         for bad in (0.5, 2, 257):
             w = np.array([bad, 0, 1, 0], dtype=np.float64)
             with pytest.raises(InputError, match="0 or 1"):
-                pinv_estimate(g, np.ones(4), AssignmentDraw(w, w), d, 1)
+                estimate(g, np.ones(4), AssignmentDraw(w, w), d, "pinv", 1)
         with pytest.raises(InputError, match="p="):
-            gcr_explicit_estimate(g, np.ones(4), draw, singleton_clustering(4), 1.5, 1)
+            estimate(
+                g, np.ones(4), draw, bernoulli_gcr(singleton_clustering(4), 1.5), "gcr_explicit", 1
+            )
         with pytest.raises(InputError, match="k="):
-            crd_beta1_estimate(g, np.ones(4), draw, singleton_clustering(4), 0)
+            estimate(g, np.ones(4), draw, complete_gcr(singleton_clustering(4), 0), "crd1")
 
     def test_estimate_takes_kind_and_order_from_estimator_spec(self):
         g = cycle_power(4, 1)
@@ -384,6 +384,6 @@ def test_route_agreement_property(seed):
     d = bernoulli_gcr(c, p)
     Y = gen.standard_normal(n)
     draw = sample(d, int(gen.integers(0, 1000)), 0)
-    a = pinv_estimate(g, Y, draw, d, beta)
-    b = gcr_explicit_estimate(g, Y, draw, c, p, beta)
+    a = estimate(g, Y, draw, d, "pinv", beta)
+    b = estimate(g, Y, draw, d, "gcr_explicit", beta)
     assert np.allclose(a.weights, b.weights, atol=1e-9)

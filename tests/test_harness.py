@@ -21,6 +21,7 @@ from pinvtte import (
     cycle_power,
     draw_from_w,
     enumerate_support,
+    estimate,
     evaluate,
     exhaustive_expectation,
     gen_cycle_model,
@@ -28,7 +29,6 @@ from pinvtte import (
     mc_convergence_report,
     monte_carlo_moments,
     outcome_bound,
-    pinv_estimate,
     replicate_estimates,
     report_rows,
     rmse_ratio,
@@ -135,7 +135,7 @@ class TestReplicateEstimates:
         for r in range(10):
             draw = draw_from_w(cfg.design, W[r])
             Y = evaluate(cfg.model, cfg.graph, draw.z)
-            expect = pinv_estimate(cfg.graph, Y, draw, cfg.design, 1).tte_hat
+            expect = estimate(cfg.graph, Y, draw, cfg.design, "pinv", 1).tte_hat
             assert ests[r] == pytest.approx(expect, abs=1e-12)
 
     def test_estimator_design_compatibility(self):
@@ -379,7 +379,7 @@ class TestExhaustiveExpectation:
         for prob, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
             Y = evaluate(model, g, draw.z)
-            est = pinv_estimate(g, Y, draw, d, 1).tte_hat
+            est = estimate(g, Y, draw, d, "pinv", 1).tte_hat
             acc += prob * est
         assert mean == pytest.approx(acc, abs=1e-12)
         assert mean == pytest.approx(true_tte(model), abs=1e-10)

@@ -12,25 +12,23 @@ from hypothesis import strategies as st
 from pinvtte import (
     CapacityError,
     Clustering,
+    DesignMoments,
     InputError,
     InterferenceGraph,
     SubsetIndex,
     analytic_cluster_moments,
-    bern_cluster_moments,
     bernoulli_gcr,
     complete_gcr,
-    crd_cluster_moments,
     cycle_power,
-    enumerate_subsets,
     enumerate_support,
     from_edge_list,
+    gamma_quadform,
     joint_treat_prob,
     monte_carlo_moments,
     numeric_pinv,
     singleton_clustering,
     size_class_pinv,
     size_class_sums,
-    theta_vector,
 )
 from conftest import (
     crd_determinant,
@@ -55,41 +53,47 @@ def penrose_holds(M, P, atol=1e-10):
 
 class TestSubsetIndex:
     def test_canonical_order(self):
-        idx = enumerate_subsets((3, 7), 2)
+        idx = SubsetIndex((3, 7), 2)
         assert idx.subsets == ((), (3,), (7,), (3, 7))
         assert idx.subsets.index((3, 7)) == 3
         assert list(idx.sizes) == [0, 1, 1, 2]
 
     def test_beta_beyond_ground_gives_power_set(self):
-        idx = enumerate_subsets((0, 1), 5)
+        idx = SubsetIndex((0, 1), 5)
         assert len(idx) == 4
 
     def test_beta_zero(self):
-        idx = enumerate_subsets((0, 1, 2), 0)
+        idx = SubsetIndex((0, 1, 2), 0)
         assert idx.subsets == ((),)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            enumerate_subsets((0, 1), -1)
+            SubsetIndex((0, 1), -1)
         with pytest.raises(InputError):
-            enumerate_subsets((1, 0), 1)
+            SubsetIndex((1, 0), 1)
         with pytest.raises(InputError):
-            enumerate_subsets((0, 0, 1), 1)
+            SubsetIndex((0, 0, 1), 1)
+
+    def test_ground_from_any_iterable(self):
+        # a generator is read once, before the order check
+        idx = SubsetIndex((x for x in (1, 2)), 1)
+        assert idx.ground == (1, 2)
+        assert idx.subsets == ((), (1,), (2,))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            enumerate_subsets(tuple(range(40)), 40)
+            SubsetIndex(tuple(range(40)), 40)
 
     def test_parent_links_drop_largest_element(self):
         # every non-empty subset minus its largest element is itself a row,
         # and an earlier one
-        idx = enumerate_subsets((2, 5, 9), 3)
+        idx = SubsetIndex((2, 5, 9), 3)
         for r, s in enumerate(idx.subsets):
             if s:
                 assert idx.subsets.index(s[:-1]) < r
 
     def test_union_sizes_hand_values(self):
-        idx = enumerate_subsets((0, 1), 2)
+        idx = SubsetIndex((0, 1), 2)
         expect = np.array(
             [[0, 1, 1, 2], [1, 1, 2, 2], [1, 2, 1, 2], [2, 2, 2, 2]]
         )
@@ -97,27 +101,28 @@ class TestSubsetIndex:
 
 
 def test_theta_vector():
-    assert list(theta_vector(4)) == [0.0, 1.0, 1.0, 1.0]
+    # gamma_quadform's theta is zero on the empty subset row, one elsewhere
+    idx = SubsetIndex((0, 1), 2)
+    P = np.diag([5.0, 1.0, 2.0, 4.0])
+    assert gamma_quadform(DesignMoments(idx, np.eye(4), P, "numeric")) == 7.0
 
 
 class TestBernoulliMoments:
     def test_single_cluster_half(self):
-        dm = bern_cluster_moments(enumerate_subsets((0,), 1), 0.5)
+        dm = analytic_cluster_moments(bernoulli_gcr(singleton_clustering(1), 0.5), (0,), 1)
         assert np.allclose(dm.M, [[1.0, 0.5], [0.5, 0.5]])
         assert np.allclose(dm.M_pinv, [[2.0, -2.0], [-2.0, 4.0]])
         assert dm.provenance == "analytic"
 
     def test_entries_are_union_powers(self):
-        idx = enumerate_subsets((0, 1, 2), 2)
-        dm = bern_cluster_moments(idx, 0.3)
-        assert np.allclose(dm.M, 0.3 ** idx.union_sizes())
+        dm = analytic_cluster_moments(bernoulli_gcr(singleton_clustering(3), 0.3), (0, 1, 2), 2)
+        assert np.allclose(dm.M, 0.3 ** dm.index.union_sizes())
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4])
     @pytest.mark.parametrize("beta", [1, 2, 3])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_closed_pinv_matches_numeric(self, c, beta, p):
-        idx = enumerate_subsets(tuple(range(c)), beta)
-        dm = bern_cluster_moments(idx, p)
+        dm = analytic_cluster_moments(bernoulli_gcr(singleton_clustering(c), p), range(c), beta)
         # entries grow like p^-beta so compare at a scale-aware tolerance
         scale = max(1.0, float(np.max(np.abs(dm.M_pinv))))
         assert np.allclose(dm.M_pinv, numeric_pinv(dm.M), atol=1e-12 * scale + 1e-9)
@@ -125,23 +130,22 @@ class TestBernoulliMoments:
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_tiny_p_overflow_names_p_order_and_c(self, beta):
-        idx = enumerate_subsets((0, 1, 2), beta)
+        d = bernoulli_gcr(singleton_clustering(3), 1e-300)
         message = f"p=1e-300: the order-{beta} pseudoinverse entries of a neighborhood of c=3"
         with pytest.raises(CapacityError, match=message):
-            bern_cluster_moments(idx, 1e-300)
+            analytic_cluster_moments(d, (0, 1, 2), beta)
 
     def test_invalid_p(self):
-        idx = enumerate_subsets((0,), 1)
+        # the design owns the check of p
         for p in (0.0, 1.0, -0.5):
             with pytest.raises(InputError):
-                bern_cluster_moments(idx, p)
+                bernoulli_gcr(singleton_clustering(1), p)
 
 
 class TestCrdMoments:
     def test_entries_are_falling_factorial_ratios(self):
-        idx = enumerate_subsets((0, 1), 2)
-        dm = crd_cluster_moments(idx, m=5, k=2)
-        u = idx.union_sizes()
+        dm = analytic_cluster_moments(complete_gcr(singleton_clustering(5), 2), (0, 1), 2)
+        u = dm.index.union_sizes()
         expect = np.zeros_like(dm.M)
         for a in range(u.shape[0]):
             for b in range(u.shape[1]):
@@ -151,8 +155,7 @@ class TestCrdMoments:
         assert np.allclose(dm.M, expect)
 
     def test_full_contact_pinv_two_clusters(self):
-        idx = enumerate_subsets((0, 1), 1)
-        dm = crd_cluster_moments(idx, m=2, k=1)
+        dm = analytic_cluster_moments(complete_gcr(singleton_clustering(2), 1), (0, 1), 1)
         expect = (2.0 / 9.0) * np.array(
             [[2.0, 1.0, 1.0], [1.0, 5.0, -4.0], [1.0, -4.0, 5.0]]
         )
@@ -162,35 +165,34 @@ class TestCrdMoments:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_beta1_closed_matches_numeric(self, m):
         for k in range(1, m):
+            d = complete_gcr(singleton_clustering(m), k)
             for c in range(1, m + 1):
-                idx = enumerate_subsets(tuple(range(c)), 1)
-                dm = crd_cluster_moments(idx, m=m, k=k)
+                dm = analytic_cluster_moments(d, range(c), 1)
                 assert np.allclose(
                     dm.M_pinv, numeric_pinv(dm.M), atol=1e-9
                 ), (m, k, c)
                 assert penrose_holds(dm.M, dm.M_pinv, atol=1e-9)
 
     def test_higher_order_falls_back_to_numeric(self):
-        idx = enumerate_subsets((0, 1), 2)
-        dm = crd_cluster_moments(idx, m=5, k=2)
+        dm = analytic_cluster_moments(complete_gcr(singleton_clustering(5), 2), (0, 1), 2)
         assert dm.provenance == "numeric"
         assert penrose_holds(dm.M, dm.M_pinv, atol=1e-9)
 
     def test_validation(self):
-        idx = enumerate_subsets((0, 1, 2), 1)
+        # the design owns the check of k
         with pytest.raises(InputError, match="k="):
-            crd_cluster_moments(idx, m=4, k=0)
+            complete_gcr(singleton_clustering(4), 0)
         with pytest.raises(InputError, match="ground set"):
-            crd_cluster_moments(idx, m=2, k=1)
+            analytic_cluster_moments(complete_gcr(singleton_clustering(2), 1), (0, 1, 2), 1)
 
 
 class TestCrdDeterminant:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_numpy_det(self, m):
         for k in range(1, m):
+            d = complete_gcr(singleton_clustering(m), k)
             for c in range(0, m + 1):
-                idx = enumerate_subsets(tuple(range(c)), 1)
-                dm = crd_cluster_moments(idx, m=m, k=k)
+                dm = analytic_cluster_moments(d, range(c), 1)
                 assert crd_determinant(m, k, c) == pytest.approx(
                     float(np.linalg.det(dm.M)), abs=1e-12
                 ), (m, k, c)
@@ -313,7 +315,7 @@ class TestSizeClass:
                 for c in range(m + 1):
                     for beta in (1, 2, 3):
                         dense = analytic_cluster_moments(d, tuple(range(c)), beta)
-                        v = dense.M_pinv @ theta_vector(len(dense.index))
+                        v = dense.M_pinv @ (dense.index.sizes > 0)
                         a = size_class_pinv(d, c, beta)
                         assert a.size == min(beta, c) + 1
                         err = np.max(np.abs(a[dense.index.sizes] - v))
@@ -332,7 +334,7 @@ class TestCaches:
         for t in range(3):
             assert np.allclose(ana.M[:, sizes == t].sum(axis=1), K[sizes, t])
         a = size_class_pinv(d, 3, 2)
-        assert np.allclose(a[sizes], ana.M_pinv @ theta_vector(len(ana.index)))
+        assert np.allclose(a[sizes], ana.M_pinv @ (ana.index.sizes > 0))
 
     def test_distinct_designs_do_not_collide(self):
         a = bernoulli_gcr(singleton_clustering(4), 0.25)
@@ -340,7 +342,7 @@ class TestCaches:
         assert not np.allclose(size_class_pinv(a, 2, 1), size_class_pinv(b, 2, 1))
         for d in (a, b):
             ana = analytic_cluster_moments(d, (0, 1), 1)
-            v = ana.M_pinv @ theta_vector(len(ana.index))
+            v = ana.M_pinv @ (ana.index.sizes > 0)
             assert np.allclose(size_class_pinv(d, 2, 1)[ana.index.sizes], v)
 
 
@@ -381,8 +383,8 @@ def block_lift(
     assign = c.assignment
     nbrs = neighbors(g)[i]
     ground = tuple(sorted({assign[j] for j in nbrs}))
-    unit_index = enumerate_subsets(nbrs, beta)
-    cluster_index = enumerate_subsets(ground, beta)
+    unit_index = SubsetIndex(nbrs, beta)
+    cluster_index = SubsetIndex(ground, beta)
     row_map = np.array(
         [
             cluster_index.subsets.index(tuple(sorted({assign[j] for j in s})))
@@ -521,8 +523,7 @@ class TestLiftedSystems:
     p=st.floats(0.05, 0.95),
 )
 def test_bern_pinv_is_moore_penrose(c, beta, p):
-    idx = enumerate_subsets(tuple(range(c)), beta)
-    dm = bern_cluster_moments(idx, p)
+    dm = analytic_cluster_moments(bernoulli_gcr(singleton_clustering(c), p), range(c), beta)
     assert penrose_holds(dm.M, dm.M_pinv, atol=1e-7)
 
 
@@ -532,6 +533,5 @@ def test_crd_beta1_pinv_is_moore_penrose(data):
     m = data.draw(st.integers(2, 8))
     k = data.draw(st.integers(1, m - 1))
     c = data.draw(st.integers(1, m))
-    idx = enumerate_subsets(tuple(range(c)), 1)
-    dm = crd_cluster_moments(idx, m=m, k=k)
+    dm = analytic_cluster_moments(complete_gcr(singleton_clustering(m), k), range(c), 1)
     assert penrose_holds(dm.M, dm.M_pinv, atol=1e-8)

@@ -1,16 +1,20 @@
 """The package's public surface: pinvtte.__all__ re-exports exactly what the
 library modules export, so a deletion cannot leave a stale name behind, and
 no public function takes a graph or a model beside a lift that already holds
-it."""
+it; and the README's examples run."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
+import shlex
 import typing
 
 import pinvtte
+import pinvtte.cli
 
 # the CLI module exports only its entry point, which the package does not
 # re-export
@@ -66,3 +70,26 @@ def test_no_function_takes_a_graph_beside_its_lift():
 def test_no_function_takes_a_model_beside_its_lift():
     lift = {pinvtte.ClusterAggregatedModel}
     assert _functions_taking({pinvtte.LowOrderModel}, lift) == []
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _fenced(lang: str) -> list[str]:
+    """The bodies of README's ```lang blocks."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    for block in _fenced("python"):
+        exec(compile(block, str(README), "exec"), {})
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)[1:]
+        for block in _fenced("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("pinvtte ")
+    ]
+    assert commands
+    for argv in commands:
+        assert pinvtte.cli.main(argv) == 0, argv
