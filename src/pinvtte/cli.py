@@ -4,10 +4,12 @@ Report subcommands: ``simulate`` (replicated experiments), ``bounds`` (one
 variance/bias bound report), ``select`` (rank candidate clusterings),
 ``mc-moments`` (Monte Carlo moment estimation), and ``oracle``
 (exhaustive expectation over a design's support). Artifact subcommands:
-``cluster`` and ``model gen`` write clustering/model text files, and
-``estimate`` runs one estimator on one sampled draw. Every option can also
-be given in a flat key=value config file via --config; explicit flags win.
-Reports are CSV, to --out or stdout.
+``cluster`` and ``model gen`` write the clustering/model that the report
+subcommands would build from the same options, and ``estimate`` runs one
+estimator on one sampled draw. Each input has one spelling, parsed by one
+shared builder, so an option means the same in every subcommand that takes
+it. Every option can also be given in a flat key=value config file via
+--config; explicit flags win. Reports are CSV, to --out or stdout.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     PositivityError,
     PreconditionError,
 )
-from .estimator import _ORDERED, EstimatorSpec, estimate
+from .estimator import EstimatorSpec, estimate
 from .graph import InterferenceGraph, _read_lines, cycle_power, load_edge_list, sbm_sample
 from .harness import (
     ExperimentConfig,
@@ -144,13 +146,8 @@ def _specs(raw: str) -> list[EstimatorSpec]:
 
 
 def _gamma(raw: str) -> str:
-    # "mc" is the short CLI spelling of the Monte Carlo source
-    names = {
-        "closed": "closed",
-        "quadform": "quadform",
-        "mc": "monte_carlo",
-        "monte_carlo": "monte_carlo",
-    }
+    # "mc" is the CLI spelling of the Monte Carlo source
+    names = {"closed": "closed", "quadform": "quadform", "mc": "monte_carlo"}
     if raw not in names:
         raise InputError(f"gamma source must be closed, quadform, or mc; got {raw!r}")
     return names[raw]
@@ -207,14 +204,7 @@ def _build_model(o: _Opts, g: InterferenceGraph, required: bool = True) -> LowOr
     return load_model(kind, g.n)
 
 
-_DESIGN_NAMES = {
-    "bern": "bernoulli_unit",
-    "bernoulli_unit": "bernoulli_unit",
-    "gcr": "bernoulli_gcr",
-    "bernoulli_gcr": "bernoulli_gcr",
-    "crd": "complete_gcr",
-    "complete_gcr": "complete_gcr",
-}
+_DESIGN_NAMES = {"bern": "bernoulli_unit", "gcr": "bernoulli_gcr", "crd": "complete_gcr"}
 
 
 def _design_kind(o: _Opts) -> str:
@@ -409,32 +399,12 @@ def _cmd_mc_moments(o: _Opts) -> None:
 
 def _cmd_cluster(o: _Opts) -> None:
     g = _build_graph(o)
-    method = o.get("method", _str, default="louvain")
-    if method == "louvain":
-        c = louvain(
-            g, o.get("resolution", _float, default=1.0), o.get("seed", _int, default=0)
-        )
-    elif method == "cycle":
-        c = contiguous_cycle_clusters(g.n, o.get("width", _int, required=True))
-    elif method == "singleton":
-        c = singleton_clustering(g.n)
-    elif method == "file":
-        c = load_clustering(o.get("in", _str, required=True), g.n)
-    else:
-        raise InputError(f"unknown clustering method {method!r}")
-    save_clustering(c, o.get("out", _str) or sys.stdout)
+    save_clustering(_build_clustering(o, g), o.get("out", _str) or sys.stdout)
 
 
 def _cmd_model(o: _Opts) -> None:
     g = _build_graph(o)
-    kind = o.get("kind", _str, required=True)
-    if kind == "cycle":
-        model = gen_cycle_model(g, o.get("beta_star", _int, default=1))
-    elif kind in ("null", "weak", "strong"):
-        model = gen_named_model(g, kind, o.get("seed", _int, default=0))
-    else:
-        raise InputError(f"unknown model kind {kind!r}")
-    save_model(model, o.get("out", _str) or sys.stdout)
+    save_model(_build_model(o, g), o.get("out", _str) or sys.stdout)
 
 
 def _cmd_estimate(o: _Opts) -> None:
@@ -442,14 +412,7 @@ def _cmd_estimate(o: _Opts) -> None:
     model = _build_model(o, g)
     c = _build_clustering(o, g)
     d = _build_design(o, g, c)
-    text = o.get("estimator", _str, default="pinv")
-    beta = o.get("beta", _int)
-    if ":" in text:
-        spec = EstimatorSpec.parse(text)
-        if beta is not None and beta != spec.beta:
-            raise InputError(f"--estimator {text} gives order {spec.beta} but --beta gives {beta}")
-    else:
-        spec = EstimatorSpec(text, 1 if beta is None and text in _ORDERED else beta)
+    spec = o.get("estimator", EstimatorSpec.parse, default=EstimatorSpec("pinv", 1))
     seed = o.get("seed", _int, default=0)
     draw = sample(d, seed, o.get("replicate", _int, default=0))
     Y = evaluate(model, g, draw.z)
@@ -507,18 +470,18 @@ _SUBCOMMANDS = {
     ),
     "cluster": (
         _cmd_cluster,
-        _GRAPH_OPTS + _IO_OPTS + ["method", "resolution", "width", "seed", "in"],
-        "build a clustering and write the unit/label file",
+        _GRAPH_OPTS + _CLUSTER_OPTS + _IO_OPTS,
+        "write the --clustering partition as a unit/label file",
     ),
     "model": (
         _cmd_model,
-        _GRAPH_OPTS + _IO_OPTS + ["kind", "beta-star", "seed"],
-        "generate a response model and write the coefficient file",
+        _GRAPH_OPTS + _MODEL_OPTS + _IO_OPTS,
+        "write the --model response model as a coefficient file",
     ),
     "estimate": (
         _cmd_estimate,
         _GRAPH_OPTS + _CLUSTER_OPTS + _MODEL_OPTS + _DESIGN_OPTS + _IO_OPTS
-        + ["estimator", "beta", "seed", "replicate", "weights"],
+        + ["estimator", "seed", "replicate", "weights"],
         "run one estimator on one sampled draw",
     ),
 }
@@ -531,7 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, opts, help_text) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        # no prefix abbreviations: "--beta" must not become "--beta-star"
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if name == "model":
             sp.add_argument("action", choices=["gen"])
         for opt in opts:

@@ -195,9 +195,15 @@ def _symmetrized(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
     return _csr(np.unique(np.concatenate([i * g.n + j, j * g.n + i])), g.n, g.n)
 
 
+def _check_resolution(resolution: float) -> None:
+    if not 0 < resolution < np.inf:
+        raise InputError(f"resolution must be positive and finite, got {resolution}")
+
+
 def modularity(g: InterferenceGraph, c: Clustering, resolution: float = 1.0) -> float:
     """Newman modularity of the partition on the symmetrized graph, with
     self-loops ignored and a resolution multiplier on the null-model term."""
+    _check_resolution(resolution)
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     indptr, nbr = _symmetrized(g)
@@ -222,8 +228,7 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
 
     Isolated units (no symmetric edges) stay in their own clusters.
     """
-    if not 0 < resolution < np.inf:
-        raise InputError(f"resolution must be positive and finite, got {resolution}")
+    _check_resolution(resolution)
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
     indptr, nbr = _symmetrized(g)

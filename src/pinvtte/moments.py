@@ -192,11 +192,16 @@ def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
     (CapacityError once it overflows). Complete-design entries are the
     probability that |U union V| given clusters are all treated; the
     pseudoinverse is explicit at beta = 1 (rank-deficient when the ground
-    set spans all m clusters) and numeric above. A ground set wider than
-    the complete design's m clusters raises InputError.
+    set spans all m clusters) and numeric above. A ground set holding a
+    cluster id outside [0, m) of the design raises InputError.
     """
     index = SubsetIndex(ground, beta)
     c = len(index.ground)
+    if c and (index.ground[0] < 0 or index.ground[-1] >= d.m):
+        raise InputError(
+            f"ground set spans cluster ids {index.ground[0]}..{index.ground[-1]}"
+            f" but the design has clusters 0..{d.m - 1}"
+        )
     usize = index.union_sizes()
     if d.is_bernoulli:
         p = d.p
@@ -213,8 +218,6 @@ def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
                 lambda: np.outer(sign, sign) * T[usize], p, beta, c, "pseudoinverse entries"
             )
         return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
-    if c > d.m:
-        raise InputError(f"ground set has {c} clusters but the design only {d.m}")
     ff = np.array([_falling_ratio(d.k, d.m, t) for t in range(usize.max() + 1)])
     M = ff[usize]
     if index.sizes.max(initial=0) <= 1:

@@ -10,6 +10,7 @@ import pytest
 from pinvtte import (
     cycle_power,
     gen_cycle_model,
+    gen_named_model,
     load_clustering,
     load_model,
     louvain,
@@ -168,9 +169,8 @@ class TestInputFiles:
 
     def test_louvain_and_clustering_file(self, tmp_path):
         path = tmp_path / "c.tsv"
-        cluster = ["cluster", "--method", "louvain", "--resolution", "0.5", "--seed", "1"]
-        assert main(cluster + self.SBM + ["--out", str(path)]) == 0
         flags = ["--clustering", "louvain", "--resolution", "0.5", "--cluster-seed", "1"]
+        assert main(["cluster"] + flags + self.SBM + ["--out", str(path)]) == 0
         _, direct, _ = run_csv(tmp_path, self.BOUNDS + self.SBM + flags, "a.csv")
         _, from_file, _ = run_csv(
             tmp_path, self.BOUNDS + self.SBM + ["--clustering", str(path)], "b.csv"
@@ -371,7 +371,8 @@ class TestLiftOnce:
 
 class TestClusterCommand:
     def test_stdout_listing(self, capsys):
-        rc = main(["cluster", "--n", "6", "--radius", "1", "--method", "cycle", "--width", "2"])
+        argv = ["cluster", "--n", "6", "--radius", "1", "--clustering", "contiguous", "--width", "2"]
+        rc = main(argv)
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert out[:6] == ["0\t0", "1\t0", "2\t1", "3\t1", "4\t2", "5\t2"]
@@ -380,7 +381,7 @@ class TestClusterCommand:
         path = tmp_path / "c.tsv"
         rc = main([
             "cluster", "--n", "8", "--radius", "1",
-            "--method", "cycle", "--width", "4", "--out", str(path),
+            "--clustering", "contiguous", "--width", "4", "--out", str(path),
         ])
         assert rc == 0
         c = load_clustering(str(path), 8)
@@ -389,18 +390,19 @@ class TestClusterCommand:
 
     def test_singleton_and_file_methods(self, tmp_path, capsys):
         path = tmp_path / "c.tsv"
-        assert main(["cluster", "--n", "4", "--radius", "1", "--method", "singleton"]) == 0
+        assert main(["cluster", "--n", "4", "--radius", "1", "--clustering", "singleton"]) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t0", "1\t1", "2\t2", "3\t3"]
         path.write_text("0\t5\n1\t5\n2\t9\n3\t9\n")
-        argv = ["cluster", "--n", "4", "--radius", "1", "--method", "file", "--in", str(path)]
+        argv = ["cluster", "--n", "4", "--radius", "1", "--clustering", str(path)]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines() == ["0\t0", "1\t0", "2\t1", "3\t1"]
 
     def test_louvain_default(self, tmp_path):
+        # louvain at its default resolution and seed
         path = tmp_path / "c.tsv"
         rc = main([
             "cluster", "--graph", "sbm", "--n", "30", "--blocks", "3",
-            "--pi-in", "0.9", "--out", str(path),
+            "--pi-in", "0.9", "--clustering", "louvain", "--out", str(path),
         ])
         assert rc == 0
         c = load_clustering(str(path), 30)
@@ -411,7 +413,7 @@ class TestModelCommand:
     def test_gen_to_file_round_trip(self, tmp_path):
         path = tmp_path / "m.tsv"
         rc = main([
-            "model", "gen", "--kind", "cycle", "--beta-star", "2",
+            "model", "gen", "--model", "cycle", "--beta-star", "2",
             "--n", "10", "--radius", "1", "--out", str(path),
         ])
         assert rc == 0
@@ -419,16 +421,17 @@ class TestModelCommand:
         assert model.coeffs == gen_cycle_model(cycle_power(10, 1), 2).coeffs
 
     def test_stdout_tsv(self, capsys):
-        rc = main(["model", "gen", "--kind", "null", "--n", "4", "--radius", "1"])
+        rc = main(["model", "gen", "--model", "null", "--n", "4", "--radius", "1"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert all(len(l.split("\t")) == 3 for l in lines)
 
     def test_unknown_kind(self, capsys):
-        rc = main(["model", "gen", "--kind", "cubic", "--n", "4", "--radius", "1"])
+        # a name that is no model kind is read as a model file, as in simulate
+        rc = main(["model", "gen", "--model", "cubic", "--n", "4", "--radius", "1"])
         assert rc == 2
-        assert "unknown model kind" in capsys.readouterr().err
+        assert "No such file or directory: 'cubic'" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -476,22 +479,15 @@ class TestEstimate:
         assert rc == 2
         assert "complete" in capsys.readouterr().err
 
-    def test_conflicting_orders_rejected(self, capsys):
-        argv = ["estimate", "--n", "12", "--radius", "1", "--model", "cycle"]
-        assert main(argv + ["--estimator", "pinv:2", "--beta", "3"]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: --estimator pinv:2 gives order 2 but --beta gives 3\n"
-
     def test_agreeing_orders_pass(self, tmp_path):
         argv = ["estimate", "--n", "12", "--radius", "1", "--model", "cycle"]
         _, alone, _ = run_csv(tmp_path, argv + ["--estimator", "pinv:2"], "a.csv")
-        _, both, _ = run_csv(tmp_path, argv + ["--estimator", "pinv:2", "--beta", "2"], "b.csv")
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("beta = 2\n")
         _, shared, _ = run_csv(
             tmp_path, argv + ["--estimator", "pinv:2", "--config", str(cfg)], "c.csv"
         )
-        assert alone == both == shared and alone[0]["beta"] == "2"
+        assert alone == shared and alone[0]["beta"] == "2"
 
 
 class TestConfigFile:
@@ -529,6 +525,10 @@ class TestConfigFile:
         cfg.write_text("replication = 7\ndesgin = crd\nmodel = cycle\nn = 12\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: unknown keys desgin, replication\n"
+        # the private spellings that cluster and model gen once took
+        cfg.write_text("method = louvain\nkind = weak\nin = c.tsv\nn = 12\n")
+        assert main(["cluster", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown keys in, kind, method\n"
 
     def test_keys_of_other_subcommands_allowed(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
@@ -540,6 +540,41 @@ class TestConfigFile:
         _, bounds, _ = run_csv(tmp_path, ["bounds", "--config", str(cfg)], "b.csv")
         assert {r["replications"] for r in sim} == {"5"}
         assert bounds[0]["B"] == "2.0"
+
+
+class TestSharedConfig:
+    """One key=value file gives every subcommand the same inputs: cluster and
+    model gen write exactly the clustering and model that simulate and
+    estimate build from it."""
+
+    CFG = (
+        "graph = sbm\nn = 60\nblocks = 3\npi-in = 0.2\npi-out = 0.05\ngraph-seed = 1\n"
+        "clustering = louvain\ncluster-seed = 5\nmodel = weak\nmodel-seed = 7\n"
+        "design = gcr\np = 0.3\nreplications = 5\n"
+    )
+
+    def test_artifacts_match_report_inputs(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(self.CFG)
+        config = ["--config", str(cfg)]
+        c_path, m_path = tmp_path / "c.tsv", tmp_path / "m.tsv"
+        assert main(["cluster", *config, "--out", str(c_path)]) == 0
+        assert main(["model", "gen", *config, "--out", str(m_path)]) == 0
+        g = sbm_sample(60, 3, 0.2, 0.05, 1)
+        clusters = load_clustering(str(c_path), g.n)
+        assert clusters == louvain(g, 1.0, 5) and clusters != louvain(g, 1.0, 0)
+        assert load_model(str(m_path), g.n).coeffs == gen_named_model(g, "weak", 7).coeffs
+        files = ["--clustering", str(c_path), "--model", str(m_path)]
+        for command in ("simulate", "estimate"):
+            built, loaded = (
+                [r for r in run_csv(tmp_path, argv, "out.csv")[1] if r["metric"] != "wall_time_s"]
+                for argv in ([command, *config], [command, *config, *files])
+            )
+            # a loaded model may sum its terms in another order: values agree
+            # to rounding, every other field exactly
+            assert [dict(r, value=None) for r in built] == [dict(r, value=None) for r in loaded]
+            values = [float(r["value"]) for r in built]
+            assert values and [float(r["value"]) for r in loaded] == pytest.approx(values, rel=1e-12)
 
 
 class TestErrorSurface:
@@ -578,18 +613,18 @@ class TestErrorSurface:
             (BOUNDS + ["--B-bound", "inf"], "B=inf must be positive and finite"),
             (["select", "--n", "12", "--radius", "1", "--resolution-grid", "nan,1",
               "--B-bound", "1"], "resolution must be positive and finite, got nan"),
-            (["cluster", "--n", "12", "--radius", "1", "--method", "louvain",
+            (["cluster", "--n", "12", "--radius", "1", "--clustering", "louvain",
               "--resolution", "inf"], "resolution must be positive and finite, got inf"),
             # negative seeds
-            (["cluster", "--n", "12", "--radius", "1", "--method", "louvain", "--seed", "-1"],
-             "seed must be nonnegative, got -1"),
+            (["cluster", "--n", "12", "--radius", "1", "--clustering", "louvain",
+              "--cluster-seed", "-1"], "seed must be nonnegative, got -1"),
             (["select", "--n", "12", "--radius", "1", "--cluster-seed", "-1", "--B-bound", "1"],
              "seed must be nonnegative, got -1"),
             (["bounds", "--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.3",
               "--graph-seed", "-2", "--design", "gcr", "--p", "0.25", "--B-bound", "1"],
              "seed must be nonnegative, got -2"),
-            (["model", "gen", "--kind", "weak", "--n", "12", "--radius", "1", "--seed", "-1"],
-             "seed must be nonnegative, got -1"),
+            (["model", "gen", "--model", "weak", "--n", "12", "--radius", "1",
+              "--model-seed", "-1"], "seed must be nonnegative, got -1"),
             # powers of 1/p past double precision
             (["bounds"] + TINY_P + ["1e-320", "--B-bound", "1"],
              "p=1e-320: the order-1 pseudoinverse weights of a neighborhood of c=3"),
@@ -617,14 +652,14 @@ class TestErrorSurface:
             (["bounds"] + TINY_P + ["x", "--B-bound", "1"], "expected a number, got 'x'"),
             (BOUNDS + ["--B-bound", "1", "--monotone", "maybe"], "expected true/false, got 'maybe'"),
             (["simulate", "--n", "12", "--radius", "1"], "missing required option --model"),
-            (["cluster", "--n", "12", "--radius", "1", "--method", "spectral"],
-             "unknown clustering method 'spectral'"),
+            (["cluster", "--n", "12", "--radius", "1", "--clustering", "spectral"],
+             "No such file or directory"),
             # estimator kinds and orders, checked by EstimatorSpec alone
-            (["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--estimator", "ht",
-              "--beta", "2"], "ht takes no beta"),
+            (["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--estimator",
+              "ht:2"], "ht takes no beta"),
             (["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--clustering",
-              "contiguous", "--width", "2", "--design", "crd", "--k", "2", "--estimator", "crd1",
-              "--beta", "3"], "crd1 is a beta=1 estimator, got beta=3"),
+              "contiguous", "--width", "2", "--design", "crd", "--k", "2", "--estimator",
+              "crd1:3"], "crd1 is a beta=1 estimator, got beta=3"),
             (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--estimator", ","],
              "an oracle needs at least one estimator"),
             # empty grid options
@@ -637,6 +672,15 @@ class TestErrorSurface:
               "--mc-seeds", "0"], "empty units"),
             (["mc-moments", "--n", "12", "--radius", "1", "--units", "0", "--r-grid", "50",
               "--mc-seeds", ","], "empty seeds"),
+            # library names are not CLI spellings
+            (["bounds", "--n", "12", "--radius", "1", "--design", "bernoulli_unit",
+              "--B-bound", "1"], "unknown design 'bernoulli_unit' (expected bern, gcr, or crd)"),
+            (["bounds", "--n", "12", "--radius", "1", "--design", "bernoulli_gcr",
+              "--B-bound", "1"], "unknown design 'bernoulli_gcr' (expected bern, gcr, or crd)"),
+            (["bounds", "--n", "12", "--radius", "1", "--design", "complete_gcr", "--k", "2",
+              "--B-bound", "1"], "unknown design 'complete_gcr' (expected bern, gcr, or crd)"),
+            (BOUNDS + ["--B-bound", "1", "--gamma", "monte_carlo"],
+             "gamma source must be closed, quadform, or mc; got 'monte_carlo'"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):
@@ -644,6 +688,21 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--n", "12", "--radius", "1", "--method", "louvain"],
+            ["cluster", "--n", "12", "--radius", "1", "--in", "c.tsv"],
+            ["model", "gen", "--n", "12", "--radius", "1", "--kind", "weak"],
+            ["estimate", "--n", "12", "--radius", "1", "--model", "cycle", "--beta", "1"],
+        ],
+    )
+    def test_removed_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_unwritable_out_and_undecodable_config(self, tmp_path, capsys):
         argv = ["bounds", "--n", "12", "--radius", "1", "--B-bound", "1"]
@@ -758,13 +817,14 @@ GOLDEN_CASES = {
     ],
     "cluster_louvain": [
         "cluster", "--graph", "sbm", "--n", "120", "--blocks", "6", "--pi-in", "0.2",
-        "--pi-out", "0.01", "--graph-seed", "8", "--method", "louvain",
-        "--resolution", "1.0", "--seed", "5",
+        "--pi-out", "0.01", "--graph-seed", "8", "--clustering", "louvain",
+        "--resolution", "1.0", "--cluster-seed", "5",
     ],
-    "model_gen_cycle": ["model", "gen", "--n", "9", "--radius", "2", "--kind", "cycle",
+    "model_gen_cycle": ["model", "gen", "--n", "9", "--radius", "2", "--model", "cycle",
                         "--beta-star", "2"],
     "model_gen_weak": ["model", "gen", "--graph", "sbm", "--n", "30", "--blocks", "3",
-                       "--pi-in", "0.3", "--pi-out", "0.05", "--kind", "weak", "--seed", "4"],
+                       "--pi-in", "0.3", "--pi-out", "0.05", "--model", "weak",
+                       "--model-seed", "4"],
 }
 
 

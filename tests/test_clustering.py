@@ -126,6 +126,10 @@ class TestModularity:
         g = two_triangles()
         c = Clustering.from_labels([0, 0, 0, 1, 1, 1])
         assert modularity(g, c, resolution=2.0) < modularity(g, c, resolution=0.5)
+        # the resolution louvain accepts, and no other
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="resolution must be positive and finite"):
+                modularity(g, c, resolution=bad)
 
     def test_unit_count_mismatch_rejected(self):
         with pytest.raises(InputError, match="clustering over 6 units but graph has 8"):

@@ -184,6 +184,13 @@ class TestCrdMoments:
             complete_gcr(singleton_clustering(4), 0)
         with pytest.raises(InputError, match="ground set"):
             analytic_cluster_moments(complete_gcr(singleton_clustering(2), 1), (0, 1, 2), 1)
+        # every ground id must name a cluster of the design, under either design
+        with pytest.raises(InputError, match="ground set spans cluster ids 0..2"):
+            analytic_cluster_moments(bernoulli_gcr(singleton_clustering(1), 0.5), (0, 1, 2), 1)
+        with pytest.raises(InputError, match="ground set spans cluster ids 5..9"):
+            analytic_cluster_moments(complete_gcr(singleton_clustering(3), 1), (5, 9), 1)
+        with pytest.raises(InputError, match="ground set spans cluster ids -1..0"):
+            analytic_cluster_moments(bernoulli_gcr(singleton_clustering(2), 0.5), (-1, 0), 1)
 
 
 class TestCrdDeterminant:
