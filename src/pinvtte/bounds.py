@@ -27,10 +27,9 @@ size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c, and gathers it at
 pairs by cluster_aggregate, with the baseline at |U| = 0. bias_bound_gcr
 reduces the same keys with |U| > beta, which only subsets of order > beta
 reach: their |x_{i,U}|, and one bincount by (owner, |U|). Callers lift once:
-the bias and gamma profile functions take that re-keyed model and
-cluster_stats' neighborhoods; only variance_bound re-keys a model itself,
-on stats.graph. clustering._same_lift rejects lifted inputs of two graphs
-or of another clustering than the design's.
+the bias, gamma profile and variance bound functions take that re-keyed
+model and cluster_stats' neighborhoods. clustering._same_lift rejects
+lifted inputs of two graphs or of another clustering than the design's.
 """
 
 from __future__ import annotations
@@ -51,13 +50,7 @@ from .moments import (
     size_class_pinv,
     size_class_sums,
 )
-from .outcomes import (
-    ClusterAggregatedModel,
-    LowOrderModel,
-    _sequential_sum,
-    cluster_aggregate,
-    mixed_signs,
-)
+from .outcomes import ClusterAggregatedModel, _sequential_sum, mixed_signs
 
 __all__ = [
     "GammaProfile",
@@ -105,14 +98,16 @@ def _check_closed(c_size: int, beta: int, p: float) -> None:
 class GammaProfile:
     """Per-unit variance contributions.
 
-    gamma_sq holds theta' M^+ theta per unit. scaled is only set for the
-    complete design, where the first-order variance analysis multiplies the
-    quadform by (c+1); the two conventions are both reported rather than
-    reconciled. provenance is "closed_form" or "quadform".
+    gamma_sq holds theta' M^+ theta per unit. bound_sq holds the term the
+    pairwise variance bound multiplies over dependent pairs: under the
+    closed source the dominating closed form (Bernoulli: the min envelope;
+    complete: the first-order quadform scaled by (c+1), as its variance
+    analysis does), otherwise gamma_sq itself. provenance is "closed_form"
+    or "quadform".
     """
 
     gamma_sq: np.ndarray
-    scaled: np.ndarray | None
+    bound_sq: np.ndarray
     provenance: str
 
 
@@ -194,25 +189,28 @@ def gamma_profile(
 ) -> GammaProfile:
     """Per-unit gamma terms under the requested source.
 
-    "closed" uses the exact closed forms (Bernoulli any order; complete
-    design requires beta = 1 and also fills the scaled values). "quadform"
-    computes theta' M^+ theta from analytic moment matrices, any design and
-    order. "monte_carlo" does the same from moments estimated on each
-    unit's cluster neighborhood in stats.
+    "closed" uses the exact closed forms (Bernoulli any order, with the
+    envelope as bound_sq; complete design requires beta = 1, with the
+    (c+1)-scaled form as bound_sq). "quadform" computes theta' M^+ theta
+    from analytic moment matrices, any design and order. "monte_carlo" does
+    the same from moments estimated on each unit's cluster neighborhood in
+    stats. Both set bound_sq to gamma_sq.
     """
     _check_order(beta)
     _same_lift(d.clustering, stats)
-    scaled: np.ndarray | None = None
     if gamma_source == "closed":
         if d.is_bernoulli:
+            # every quadform before any envelope, so an overflow is reported
+            # for the closed-form terms first
             gamma_sq = _by_size(stats, lambda c: gamma_gcr_closed(c, beta, d.p))
+            bound_sq = _by_size(stats, lambda c: gamma_gcr_envelope(c, beta, d.p))
         else:
             if beta != 1:
                 raise InputError(
                     "closed-form gamma for the complete design is first-order only"
                 )
-            gamma_sq, scaled = _by_size(stats, lambda c: gamma_crd(c, d.m, d.k)).T
-        provenance = "closed_form"
+            gamma_sq, bound_sq = _by_size(stats, lambda c: gamma_crd(c, d.m, d.k)).T
+        return GammaProfile(gamma_sq, bound_sq, "closed_form")
     elif gamma_source == "quadform":
 
         def quadform(c: int) -> float:
@@ -221,7 +219,6 @@ def gamma_profile(
             return math.fsum(math.comb(c, s) * a[s] for s in range(1, a.size))
 
         gamma_sq = _by_size(stats, quadform)
-        provenance = "quadform"
     elif gamma_source == "monte_carlo":
         # monte_carlo_moments per unit, with the draws built once
         W = _sample_draws(d, mc_seed, mc_samples)
@@ -231,10 +228,9 @@ def gamma_profile(
                 for a, b in zip(stats.indptr[:-1], stats.indptr[1:])
             ]
         )
-        provenance = "quadform"
     else:
         raise InputError(f"unknown gamma_source {gamma_source!r}")
-    return GammaProfile(gamma_sq=gamma_sq, scaled=scaled, provenance=provenance)
+    return GammaProfile(gamma_sq, gamma_sq, "quadform")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ def _dependent_sums(stats: ClusterStats, gam: np.ndarray) -> np.ndarray:
 class BoundReport:
     """Everything the variance bound knows about one configuration.
 
-    bias_exact and bias_bound are filled only when a model was supplied.
+    bias_exact and bias_bound are filled only when agg was supplied.
     var_bound_pairwise sums per-pair gamma terms over dependent pairs;
     var_bound_simplified is the closed summary-statistic form (infinite for
     a complete design whose widest neighborhood spans all clusters).
@@ -402,11 +398,12 @@ def variance_bound(
     B: float,
     gamma_source: str = "closed",
     *,
-    model: LowOrderModel | None = None,
+    agg: ClusterAggregatedModel | None = None,
     monotone: bool = False,
 ) -> BoundReport:
     """Worst-case variance bound for outcomes bounded by B, on the graph
-    stats was lifted from (its d_max, and the graph a model is lifted on).
+    stats was lifted from (its d_max). agg, the model re-keyed by
+    cluster_aggregate on that graph and d's clustering, adds the bias.
 
     The pairwise term is (B^2/n^2) sum over dependent ordered pairs (i, j) of
     gamma_i gamma_j. Under Bernoulli designs i and j are dependent when
@@ -415,36 +412,30 @@ def variance_bound(
     negative-covariance screen on disjoint cluster neighborhoods. Screened
     sums come from one blocked product of 0/1 cluster-incidence matrices over
     stats' neighborhoods (units by clusters against the units touching those
-    clusters), with no per-unit loop. Per-pair gamma values follow
-    gamma_source: the closed source uses the dominating closed forms
-    (Bernoulli: the min envelope; complete: the (c+1)-scaled first-order
-    form), while quadform and monte_carlo use theta' M^+ theta directly.
+    clusters), with no per-unit loop. Per-pair gamma values are the square
+    roots of gamma_profile's bound_sq under gamma_source.
 
     Raises
     ------
+    InputError
+        If agg and stats were not lifted from one graph and d's clustering.
     PreconditionError
-        If monotone is asserted, a model is supplied, and its aggregated
-        coefficients carry mixed signs.
+        If monotone is asserted, agg is supplied, and its coefficients carry
+        mixed signs.
     CapacityError
         If B^2 times a finite product overflows; the error names B and it.
     """
     _check_B(B)
     g, n = stats.graph, stats.n
-    agg = None if model is None else cluster_aggregate(model, g, d.clustering)
-    if monotone and agg is not None and mixed_signs(agg):
-        raise PreconditionError(
-            "monotone effects asserted but aggregated coefficients have mixed signs"
-        )
+    if agg is not None:
+        _same_lift(d.clustering, agg, stats)
+        if monotone and mixed_signs(agg):
+            raise PreconditionError(
+                "monotone effects asserted but aggregated coefficients have mixed signs"
+            )
 
     profile = gamma_profile(stats, d, beta, gamma_source)
-    if gamma_source == "closed" and d.is_bernoulli:
-        eff = _by_size(stats, lambda c: gamma_gcr_envelope(c, beta, d.p))
-    elif gamma_source == "closed":
-        assert profile.scaled is not None
-        eff = profile.scaled
-    else:
-        eff = profile.gamma_sq
-    gam = np.sqrt(eff)
+    gam = np.sqrt(profile.bound_sq)
 
     if d.is_bernoulli or monotone:
         per_unit = _dependent_sums(stats, gam)
@@ -478,11 +469,11 @@ def variance_bound(
 
     bias_val: float | None = None
     bias_bound_val: float | None = None
-    if model is not None:
+    if agg is not None:
         bias_val = bias_exact(agg, stats, d, beta)
         if d.is_bernoulli:
             bias_bound_val = bias_bound_gcr(agg, beta).x_norm
-        elif beta == 1 and model.beta_star == 1:
+        elif beta == 1 and agg.beta_star == 1:
             bias_bound_val = bias_crd(agg, stats, d, B)[1]
 
     return BoundReport(

@@ -52,6 +52,7 @@ from .harness import (
 from .moments import analytic_cluster_moments, monte_carlo_moments
 from .outcomes import (
     LowOrderModel,
+    cluster_aggregate,
     evaluate,
     gen_cycle_model,
     gen_named_model,
@@ -283,7 +284,7 @@ def _cmd_bounds(o: _Opts) -> None:
         beta,
         B,
         gamma_source=o.get("gamma", _gamma, default="quadform"),
-        model=model,
+        agg=None if model is None else cluster_aggregate(model, g, d.clustering),
         monotone=o.get("monotone", _bool, default=False),
     )
     row = asdict(rep)
@@ -301,7 +302,12 @@ def _cmd_select(o: _Opts) -> None:
     )
     cluster_seed = o.get("cluster_seed", _int, default=0)
     candidates = [louvain(g, res, cluster_seed) for res in grid]
-    designs = [_build_design(o, g, c) for c in candidates]
+    designs = []
+    for res, c in zip(grid, candidates):
+        try:
+            designs.append(_build_design(o, g, c))
+        except InputError as exc:
+            raise InputError(f"resolution {res}: {exc}") from None
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
     chosen, ranking = select_clustering(g, designs, beta, B)

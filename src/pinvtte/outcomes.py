@@ -420,12 +420,13 @@ def mixed_signs(agg: ClusterAggregatedModel) -> bool:
 
 
 def save_model(model: LowOrderModel, out: str | TextIO) -> None:
-    """Write the model to a path, or to an open text stream."""
+    """Write the model to a path, or to an open text stream: per unit, the
+    baseline, then its rows in the model's order, which load_model keeps."""
     _write_lines(
         (
-            f"{i}\t{','.join(str(j) for j in s) if s else '-'}\t{cmap[s]!r}\n"
+            f"{i}\t{','.join(str(j) for j in s) if s else '-'}\t{v!r}\n"
             for i, cmap in enumerate(model.coeffs)
-            for s in sorted(cmap, key=lambda t: (len(t), t))
+            for s, v in cmap.items()
         ),
         out,
     )
@@ -455,6 +456,10 @@ def load_model(path: str, n: int) -> LowOrderModel:
             raise InputError(f"{where}: malformed field")
         if not (0 <= unit < n):
             raise InputError(f"{where}: unit {unit} out of range for n={n}")
+        if any(a == b for a, b in zip(subset, subset[1:])):
+            raise InputError(f"{where}: unit {unit}: subset {subset} repeats a member")
+        if subset and not (0 <= subset[0] and subset[-1] < n):
+            raise InputError(f"{where}: unit {unit}: subset {subset} outside [0, {n})")
         if subset in coeffs[unit]:
             raise InputError(f"{where}: duplicate subset for unit {unit}")
         coeffs[unit][subset] = value

@@ -193,7 +193,7 @@ class TestGammaProfile:
         assert np.allclose(closed.gamma_sq, quad.gamma_sq, atol=1e-9)
         assert closed.provenance == "closed_form"
         assert quad.provenance == "quadform"
-        assert closed.scaled is None
+        assert np.all(closed.bound_sq >= closed.gamma_sq)
 
     def test_crd_quadform_third_order_exact(self):
         # theta' M^+ theta at c=23, beta=3, m=2000, k=1000, solved in exact
@@ -209,8 +209,24 @@ class TestGammaProfile:
         stats = cluster_stats(g, c)
         d = complete_gcr(c, 2)
         prof = gamma_profile(stats, d, 1, "closed")
-        assert prof.scaled is not None
-        assert np.all(prof.scaled >= prof.gamma_sq)
+        assert np.all(prof.bound_sq >= prof.gamma_sq)
+
+    def test_bound_sq_per_source(self):
+        # the per-pair term: the envelope (Bernoulli) or the (c+1)-scaled
+        # form (complete) under closed, the quadform itself otherwise
+        g = cycle_power(12, 2)
+        c = Clustering.from_labels([i // 3 for i in range(12)])
+        stats = cluster_stats(g, c)
+        sizes = [len(nb) for nb in cluster_rows(stats)]
+        gcr, crd = bernoulli_gcr(c, 0.3), complete_gcr(c, 2)
+        closed = gamma_profile(stats, gcr, 2, "closed").bound_sq
+        assert closed.tolist() == [gamma_gcr_envelope(k, 2, 0.3) for k in sizes]
+        closed = gamma_profile(stats, crd, 1, "closed").bound_sq
+        assert closed.tolist() == [gamma_crd(k, 4, 2)[1] for k in sizes]
+        for d in (gcr, crd):
+            for source in ("quadform", "monte_carlo"):
+                prof = gamma_profile(stats, d, 1, source, mc_samples=200)
+                assert prof.bound_sq.tolist() == prof.gamma_sq.tolist()
 
     def test_crd_closed_second_order_rejected(self):
         g = cycle_power(8, 1)
@@ -544,12 +560,15 @@ class TestLiftedClustering:
         return g, gen_cycle_model(g, 1), d, shifted_blocks(24, 4)
 
     def test_variance_bound(self):
-        g, _, d, shifted = self.instance()
-        rep = variance_bound(cluster_stats(g, d.clustering), d, 1, 1.0)
+        g, model, d, shifted = self.instance()
+        stats = cluster_stats(g, d.clustering)
+        rep = variance_bound(stats, d, 1, 1.0)
         assert rep.var_bound_pairwise == pytest.approx(3.515792847081217, rel=1e-12)
         for other in (contiguous_cycle_clusters(24, 2), shifted):
             with pytest.raises(InputError, match="clustering"):
                 variance_bound(cluster_stats(g, other), d, 1, 1.0)
+        with pytest.raises(InputError, match="clustering"):
+            variance_bound(stats, d, 1, 1.0, agg=cluster_aggregate(model, g, shifted))
 
     def test_gamma_profile(self):
         g, _, d, shifted = self.instance()
@@ -679,7 +698,7 @@ class TestVarianceBound:
         )
         with pytest.raises(PreconditionError, match="mixed signs"):
             variance_bound(
-                cluster_stats(g, c), d, 1, 1.0, model=mixed, monotone=True
+                cluster_stats(g, c), d, 1, 1.0, agg=cluster_aggregate(mixed, g, c), monotone=True
             )
 
     def test_rejects_nonpositive_B(self):
@@ -709,7 +728,7 @@ class TestVarianceBound:
         c = Clustering.from_labels([i // 2 for i in range(6)])
         d = bernoulli_gcr(c, 0.25)
         model = gen_cycle_model(g, 1)
-        rep = variance_bound(cluster_stats(g, c), d, 1, 1.5, model=model)
+        rep = variance_bound(cluster_stats(g, c), d, 1, 1.5, agg=cluster_aggregate(model, g, c))
         assert rep.design_variant == d.variant
         assert rep.p == 0.25 and rep.k is None
         assert rep.n == 6 and rep.m == 3 and rep.beta == 1

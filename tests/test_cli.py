@@ -563,18 +563,14 @@ class TestSharedConfig:
         g = sbm_sample(60, 3, 0.2, 0.05, 1)
         clusters = load_clustering(str(c_path), g.n)
         assert clusters == louvain(g, 1.0, 5) and clusters != louvain(g, 1.0, 0)
-        assert load_model(str(m_path), g.n).coeffs == gen_named_model(g, "weak", 7).coeffs
+        assert load_model(str(m_path), g.n) == gen_named_model(g, "weak", 7)
         files = ["--clustering", str(c_path), "--model", str(m_path)]
         for command in ("simulate", "estimate"):
             built, loaded = (
                 [r for r in run_csv(tmp_path, argv, "out.csv")[1] if r["metric"] != "wall_time_s"]
                 for argv in ([command, *config], [command, *config, *files])
             )
-            # a loaded model may sum its terms in another order: values agree
-            # to rounding, every other field exactly
-            assert [dict(r, value=None) for r in built] == [dict(r, value=None) for r in loaded]
-            values = [float(r["value"]) for r in built]
-            assert values and [float(r["value"]) for r in loaded] == pytest.approx(values, rel=1e-12)
+            assert built and built == loaded
 
 
 class TestErrorSurface:
@@ -681,6 +677,10 @@ class TestErrorSurface:
               "--B-bound", "1"], "unknown design 'complete_gcr' (expected bern, gcr, or crd)"),
             (BOUNDS + ["--B-bound", "1", "--gamma", "monte_carlo"],
              "gamma source must be closed, quadform, or mc; got 'monte_carlo'"),
+            # the one Louvain candidate too coarse for the complete design
+            (["select", "--graph", "sbm", "--n", "200", "--blocks", "10", "--pi-in", "0.1",
+              "--pi-out", "0.005", "--graph-seed", "3", "--design", "crd", "--k", "7",
+              "--B-bound", "1"], "error: resolution 0.25: k=7 outside [1, m-1] for m=7 clusters"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):
@@ -732,6 +732,8 @@ class TestErrorSurface:
             ("--graph", "# edges\nn=12\n0 1\n", "line 3: expected 'src<TAB>dst'"),
             ("--clustering", "0\t0\n0\t1\n", "line 2: duplicate unit 0"),
             ("--model", "0\t-\t1.0\n0\t-\t2.0\n", "line 2: duplicate subset for unit 0"),
+            ("--model", "0\t0,0\t2.0\n", "line 1: unit 0: subset (0, 0) repeats a member"),
+            ("--model", "0\t12\t2.0\n", "line 1: unit 0: subset (12,) outside [0, 12)"),
         ],
     )
     def test_malformed_line_names_file(self, tmp_path, capsys, flag, text, message):

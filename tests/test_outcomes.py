@@ -436,6 +436,17 @@ class TestModelFiles:
         assert back.coeffs == model.coeffs
         assert back.beta_star <= model.beta_star
 
+    def test_round_trip_keeps_row_order(self, tmp_path):
+        # each unit's rows come back in the model's order, not sorted
+        g = sbm_sample(30, 3, 0.3, 0.05, seed=4)
+        path = tmp_path / "m.tsv"
+        for model in [
+            *(gen_named_model(g, kind, 4) for kind in ("weak", "strong", "null")),
+            gen_cycle_model(cycle_power(9, 2), 2),
+        ]:
+            save_model(model, str(path))
+            assert load_model(str(path), model.n) == model
+
     def test_empty_subset_dash(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("0\t-\t2.5\n0\t0\t1.0\n")
