@@ -27,9 +27,9 @@ size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c, and gathers it at
 pairs by cluster_aggregate, with the baseline at |U| = 0. bias_bound_gcr
 reduces the same keys with |U| > beta, which only subsets of order > beta
 reach: their |x_{i,U}|, and one bincount by (owner, |U|). Callers lift once:
-the bias, gamma profile and variance bound functions take that re-keyed
-model and cluster_stats' neighborhoods. clustering._same_lift rejects
-lifted inputs of two graphs or of another clustering than the design's.
+the bias functions take that re-keyed model, which carries the cluster_stats
+it was keyed on, and clustering._same_lift rejects another clustering than
+the design's. variance_bound takes both and checks that they are one lift.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def gamma_profile(
 # ---------------------------------------------------------------------------
 
 
-def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta: int) -> float:
+def bias_exact(agg: ClusterAggregatedModel, d: Design, beta: int) -> float:
     """Exact bias of the order-beta pseudoinverse estimator under design d.
 
     Evaluated at the cluster level by one gather (see module docstring).
@@ -246,7 +246,7 @@ def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta
     so this never enumerates the assignment support.
     """
     _check_order(beta)
-    _same_lift(d.clustering, agg, stats)
+    _same_lift(d.clustering, agg.stats)
 
     def row(c: int, unit: int) -> np.ndarray:
         # (M v)_k on a size-k cluster subset, k = 0..c, minus theta_k
@@ -255,9 +255,9 @@ def bias_exact(agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, beta
         Mv = size_class_sums(probs, c, c, a.size - 1) @ a
         return Mv - (np.arange(c + 1) > 0)
 
-    table, base = _size_rows(np.diff(stats.indptr), row)
+    table, base = _size_rows(np.diff(agg.stats.indptr), row)
     total = agg.baseline @ table[base] + agg.values @ table[base[agg.owner] + agg.order]
-    return float(total) / stats.n
+    return float(total) / agg.stats.n
 
 
 class BiasBoundGCR(NamedTuple):
@@ -293,9 +293,7 @@ def bias_bound_gcr(agg: ClusterAggregatedModel, beta: int) -> BiasBoundGCR:
     )
 
 
-def bias_crd(
-    agg: ClusterAggregatedModel, stats: ClusterStats, d: Design, B: float
-) -> tuple[float, float]:
+def bias_crd(agg: ClusterAggregatedModel, d: Design, B: float) -> tuple[float, float]:
     """Exact bias and worst-case bound of the first-order estimator under
     the complete design d for a first-order model.
 
@@ -308,7 +306,8 @@ def bias_crd(
         raise InputError("complete-design bias formula needs a first-order model")
     if d.is_bernoulli:
         raise InputError("bias_crd needs a complete cluster design")
-    _same_lift(d.clustering, agg, stats)
+    stats = agg.stats
+    _same_lift(d.clustering, stats)
     n, m, k = stats.n, d.m, d.k
     full = np.diff(stats.indptr) == m
     single = (agg.order == 1) & full[agg.owner]
@@ -402,8 +401,8 @@ def variance_bound(
     monotone: bool = False,
 ) -> BoundReport:
     """Worst-case variance bound for outcomes bounded by B, on the graph
-    stats was lifted from (its d_max). agg, the model re-keyed by
-    cluster_aggregate on that graph and d's clustering, adds the bias.
+    stats was lifted from (its d_max). agg, the model re-keyed on stats
+    itself by cluster_aggregate, adds the bias.
 
     The pairwise term is (B^2/n^2) sum over dependent ordered pairs (i, j) of
     gamma_i gamma_j. Under Bernoulli designs i and j are dependent when
@@ -418,7 +417,7 @@ def variance_bound(
     Raises
     ------
     InputError
-        If agg and stats were not lifted from one graph and d's clustering.
+        If stats was not lifted on d's clustering, or agg not on stats.
     PreconditionError
         If monotone is asserted, agg is supplied, and its coefficients carry
         mixed signs.
@@ -428,7 +427,9 @@ def variance_bound(
     _check_B(B)
     g, n = stats.graph, stats.n
     if agg is not None:
-        _same_lift(d.clustering, agg, stats)
+        if agg.stats is not stats:
+            raise InputError("agg was keyed on another graph or clustering than stats")
+        _same_lift(d.clustering, stats)
         if monotone and mixed_signs(agg):
             raise PreconditionError(
                 "monotone effects asserted but aggregated coefficients have mixed signs"
@@ -470,11 +471,11 @@ def variance_bound(
     bias_val: float | None = None
     bias_bound_val: float | None = None
     if agg is not None:
-        bias_val = bias_exact(agg, stats, d, beta)
+        bias_val = bias_exact(agg, d, beta)
         if d.is_bernoulli:
             bias_bound_val = bias_bound_gcr(agg, beta).x_norm
         elif beta == 1 and agg.beta_star == 1:
-            bias_bound_val = bias_crd(agg, stats, d, B)[1]
+            bias_bound_val = bias_crd(agg, d, B)[1]
 
     return BoundReport(
         var_bound_pairwise=pairwise,

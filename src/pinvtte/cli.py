@@ -218,6 +218,9 @@ def _design_kind(o: _Opts) -> str:
 def _build_design(o: _Opts, g: InterferenceGraph, c: Clustering) -> Design:
     kind = _design_kind(o)
     if kind == "bernoulli_unit":
+        clustering = o.get("clustering", _str, default="singleton")
+        if clustering != "singleton":
+            raise InputError(f"--design bern treats units: it takes no --clustering {clustering}")
         return bernoulli_unit(g.n, o.get("p", _float, default=0.25))
     if kind == "bernoulli_gcr":
         return bernoulli_gcr(c, o.get("p", _float, default=0.25))
@@ -278,13 +281,11 @@ def _cmd_bounds(o: _Opts) -> None:
     model = _build_model(o, g, required=False)
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
+    stats = cluster_stats(g, d.clustering)
     rep = variance_bound(
-        cluster_stats(g, d.clustering),
-        d,
-        beta,
-        B,
+        stats, d, beta, B,
         gamma_source=o.get("gamma", _gamma, default="quadform"),
-        agg=None if model is None else cluster_aggregate(model, g, d.clustering),
+        agg=None if model is None else cluster_aggregate(model, stats),
         monotone=o.get("monotone", _bool, default=False),
     )
     row = asdict(rep)
@@ -354,11 +355,17 @@ def _cmd_oracle(o: _Opts) -> None:
 
 
 def _cmd_mc_moments(o: _Opts) -> None:
+    samples = o.get("samples", _int)
+    # each mode rejects the other's options rather than ignore them
+    other = ["units", "r_grid", "mc_seeds"] if samples is not None else ["unit"]
+    given = [f"--{key.replace('_', '-')}" for key in other if o.get(key, _str) is not None]
+    if given:
+        mode = "with" if samples is not None else "without"
+        raise InputError(f"mc-moments {mode} --samples takes no {', '.join(given)}")
     g = _build_graph(o)
     c = _build_clustering(o, g)
     d = _build_design(o, g, c)
     beta = o.get("beta", _int, default=1)
-    samples = o.get("samples", _int)
     if samples is not None:
         # single-shot mode: one unit, one R, one seed; emit the estimated
         # matrix, its pseudoinverse, and the Frobenius error vs analytic

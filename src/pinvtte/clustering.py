@@ -81,8 +81,8 @@ class Clustering:
 @dataclass(frozen=True, eq=False)
 class ClusterStats:
     """Per-unit cluster neighborhoods of graph under clustering, the lift
-    that only cluster_stats builds and _same_lift checks, and the summaries
-    that estimator weights, bias and bounds consume.
+    that only cluster_stats builds and cluster_aggregate keys models on, and
+    the summaries that estimator weights, bias and bounds consume.
 
     The cluster neighborhood of unit i, the sorted distinct ids of the
     clusters touching N_i, is cluster_ids[indptr[i]:indptr[i + 1]], never
@@ -109,15 +109,10 @@ class ClusterStats:
         return self.clustering.m
 
 
-def _same_lift(c: Clustering, *lifted) -> None:
-    """Raise InputError unless every lifted input was built from clustering
-    c, and all of them from one graph."""
-    g = lifted[0].graph
-    for x in lifted:
-        if x.clustering != c:
-            raise InputError(f"{type(x).__name__} and design must agree on the clustering")
-        if x.graph != g:
-            raise InputError("model and cluster statistics must be lifted from one graph")
+def _same_lift(c: Clustering, stats: ClusterStats) -> None:
+    """Raise InputError unless stats was lifted on the design's clustering c."""
+    if stats.clustering != c:
+        raise InputError("the lift and the design must agree on the clustering")
 
 
 def singleton_clustering(n: int) -> Clustering:

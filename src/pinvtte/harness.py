@@ -7,11 +7,11 @@ so parallel or repeated runs produce identical numbers.
 
 An ExperimentConfig is one cell: a graph, model and design, the
 estimators compared on it, R and a seed. Replicated runs (run_experiment,
-rmse_ratio) and the exhaustive oracle share one path: the graph and model
-lifted to clusters once (cluster_stats, cluster_aggregate), a matrix of
-cluster draws (the (seed, r) streams, or the design's whole support), one
-walk over its blocks (replicate_estimates), then one fsum reduction per
-estimator (_mean_var, weighted by probability on a non-uniform support).
+rmse_ratio) and the exhaustive oracle share one path: the model keyed once
+on the graph's lift to clusters (cluster_aggregate on cluster_stats), a
+matrix of cluster draws (the (seed, r) streams, or the design's whole
+support), one walk over its blocks (replicate_estimates), then one fsum
+reduction per estimator (_mean_var, weighted on a non-uniform support).
 The walk takes one of two routes. When the P = 2**C_max treated-cluster
 patterns of a neighborhood number at most the draws and n * P fits the
 _BLOCK budget, each estimator's term Y_i * w_i is tabled once per unit and
@@ -135,13 +135,12 @@ def _slot(stats: ClusterStats) -> np.ndarray:
     return np.arange(stats.cluster_ids.size) - np.repeat(stats.indptr[:-1], np.diff(stats.indptr))
 
 
-def _row_positions(
-    agg: ClusterAggregatedModel, stats: ClusterStats
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_positions(agg: ClusterAggregatedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, pos): each cluster agg.members[rows, cols] of a re-keyed
     model row and its position pos in the cluster neighborhood of the row's
-    unit. agg and stats come from one lift (_same_lift), so every row's
-    clusters lie in its unit's neighborhood."""
+    unit. agg was keyed on agg.stats, so every row's clusters lie in its
+    unit's neighborhood."""
+    stats = agg.stats
     keys = np.repeat(np.arange(stats.n), np.diff(stats.indptr)) * stats.m + stats.cluster_ids
     rows, cols = np.nonzero(agg.members < agg.m)
     at = np.searchsorted(keys, agg.owner[rows] * stats.m + agg.members[rows, cols])
@@ -150,7 +149,6 @@ def _row_positions(
 
 def _pattern_estimates(
     agg: ClusterAggregatedModel,
-    stats: ClusterStats,
     tables: list[tuple[np.ndarray, np.ndarray]],
     W: np.ndarray,
     step: int,
@@ -164,12 +162,13 @@ def _pattern_estimates(
     rows a draw treats. Each draw then gathers every unit's term at the
     pattern its clusters take and averages them.
     """
+    stats = agg.stats
     n, C, P = stats.n, stats.C_max, 1 << stats.C_max
     sizes = np.diff(stats.indptr)
     low = (1 << sizes) - 1
     ones = sum((np.arange(P) >> j) & 1 for j in range(C))
     # each model row's clusters as bits, bit j for the j-th neighborhood slot
-    rows, cols, pos = _row_positions(agg, stats)
+    rows, cols, pos = _row_positions(agg)
     bits = np.zeros(agg.members.shape, dtype=np.int64)
     bits[rows, cols] = 1 << pos
     masks = bits.sum(axis=1)
@@ -206,14 +205,13 @@ def _pattern_estimates(
 
 def replicate_estimates(
     agg: ClusterAggregatedModel,
-    stats: ClusterStats,
     d: Design,
     specs: Sequence[EstimatorSpec],
     W: np.ndarray,
 ) -> list[np.ndarray]:
     """Each spec's estimates for a batch of cluster assignments, one per row
-    of W, from agg and stats lifted to d's clustering from one graph, as
-    _same_lift checks.
+    of W, from agg, the model re-keyed on its lift agg.stats to d's
+    clustering, as _same_lift checks.
 
     Each spec's weight table is built once. Unit i's term Y_i * w_i depends
     on a draw only through which of its c_i neighborhood clusters are
@@ -229,13 +227,14 @@ def replicate_estimates(
     work in blocks under the _BLOCK element budget, no (R, n) array is
     held, and estimate r depends only on draw r.
     """
-    _same_lift(d.clustering, agg, stats)
+    stats = agg.stats
+    _same_lift(d.clustering, stats)
     tables = [_table(stats, d, spec) for spec in specs]
     W = np.asarray(W)
     step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
     P = 1 << stats.C_max
     if P <= W.shape[0] and stats.n * P <= _BLOCK:
-        return _pattern_estimates(agg, stats, tables, W, step)
+        return _pattern_estimates(agg, tables, W, step)
     out = [np.empty(W.shape[0]) for _ in specs]
     for start in range(0, W.shape[0], step):
         block = slice(start, start + step)
@@ -269,19 +268,16 @@ def _summary(est: np.ndarray, tte: float) -> tuple[float, float, float, float]:
     return mean_est, bias, var, bias * bias + var
 
 
-def _cell(
-    cfg: ExperimentConfig,
-) -> tuple[ClusterAggregatedModel, ClusterStats, list[np.ndarray], float]:
-    """The shared replication cell of cfg: its graph and model lifted to
-    clusters, its R draws, and each estimator's estimates on them, with the
-    seconds all of that took. The draws are freed on return."""
-    g, d = cfg.graph, cfg.design
+def _cell(cfg: ExperimentConfig) -> tuple[ClusterAggregatedModel, list[np.ndarray], float]:
+    """The shared replication cell of cfg: its model re-keyed on the lift of
+    its graph to clusters, its R draws, and each estimator's estimates on
+    them, with the seconds all of that took. The draws are freed on return."""
+    d = cfg.design
     t0 = time.perf_counter()
-    agg = cluster_aggregate(cfg.model, g, d.clustering)
-    stats = cluster_stats(g, d.clustering)
+    agg = cluster_aggregate(cfg.model, cluster_stats(cfg.graph, d.clustering))
     W = _sample_draws(d, cfg.seed, cfg.replications)
-    estimates = replicate_estimates(agg, stats, d, cfg.estimators, W)
-    return agg, stats, estimates, time.perf_counter() - t0
+    estimates = replicate_estimates(agg, d, cfg.estimators, W)
+    return agg, estimates, time.perf_counter() - t0
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
@@ -295,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
     Empirical variance uses the population convention (divide by R).
     """
     g, model, d = cfg.graph, cfg.model, cfg.design
-    agg, stats, estimates, wall = _cell(cfg)
+    agg, estimates, wall = _cell(cfg)
     tte = true_tte(model)
     # (analytic bias, variance bound) by order. Horvitz-Thompson (None) is
     # unbiased under a Bernoulli design; full-contact units can bias it under
@@ -304,8 +300,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentReport]:
     orders = dict.fromkeys(spec.order for spec in cfg.estimators if spec.order)
     B = outcome_bound(model, g) if orders else 0.0
     for order in orders:
-        exact = bias_exact(agg, stats, d, order)
-        rep = variance_bound(stats, d, order, B, cfg.gamma_source) if B > 0.0 else None
+        exact = bias_exact(agg, d, order)
+        rep = variance_bound(agg.stats, d, order, B, cfg.gamma_source) if B > 0.0 else None
         analytic[order] = exact, None if rep is None else rep.var_bound_pairwise
     reports = []
     for spec, est in zip(cfg.estimators, estimates):
@@ -381,8 +377,8 @@ def exhaustive_expectation(
     probs = probs.tolist()
     if all(pr == probs[0] for pr in probs):
         probs = None
-    lifted = cluster_aggregate(model, g, d.clustering), cluster_stats(g, d.clustering)
-    return [_mean_var(est, probs) for est in replicate_estimates(*lifted, d, specs, W)]
+    agg = cluster_aggregate(model, cluster_stats(g, d.clustering))
+    return [_mean_var(est, probs) for est in replicate_estimates(agg, d, specs, W)]
 
 
 def select_clustering(
@@ -438,7 +434,7 @@ def rmse_ratio(
     tte = true_tte(model)
     rmses = []
     for d in designs:
-        [est] = _cell(ExperimentConfig(g, model, d, (spec,), replications, seed))[2]
+        [est] = _cell(ExperimentConfig(g, model, d, (spec,), replications, seed))[1]
         rmses.append(math.sqrt(_summary(est, tte)[3]))
     return rmses[chosen] / min(rmses), rmses
 

@@ -7,7 +7,8 @@ with subset order capped at beta_star. The empty subset carries the baseline
 
 A model is stored flat, one row per non-empty subset, so evaluation and
 every reduction run as array operations. cluster_aggregate validates it and
-re-keys it by clusters, once, for evaluate_draws and the bias in bounds.
+re-keys it by the clusters of a ClusterStats, once, into one lifted value
+that carries that ClusterStats, for evaluate_draws and the bias in bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .clustering import Clustering
+from .clustering import ClusterStats
 from .design import _draws
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph, _frozen, _read_lines, _write_lines
@@ -182,17 +183,16 @@ class ClusterAggregatedModel:
     Row r holds x_{i,U} = values[r] for i = owner[r] and U the entries of
     members[r] other than the pad index m: the sum of c_{i,S} over keyed
     non-empty subsets S whose members' clusters are exactly U. Rows are
-    sorted by (owner, U); x_{i,()} is baseline[i]. model, graph and
-    clustering are the lift's, set only by cluster_aggregate; _same_lift
-    checks the last two.
+    sorted by (owner, U); x_{i,()} is baseline[i]. model is the unit-level
+    model and stats the cluster neighborhoods it was keyed on, both set only
+    by cluster_aggregate: the model and stats of one lift, in one value.
     """
 
     owner: np.ndarray
     members: np.ndarray
     values: np.ndarray
     model: LowOrderModel
-    graph: InterferenceGraph
-    clustering: Clustering
+    stats: ClusterStats
 
     @property
     def beta_star(self) -> int:
@@ -204,7 +204,7 @@ class ClusterAggregatedModel:
 
     @property
     def m(self) -> int:
-        return self.clustering.m
+        return self.stats.m
 
     @property
     def order(self) -> np.ndarray:
@@ -229,9 +229,7 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     return y
 
 
-def _cluster_keys(
-    model: LowOrderModel, g: InterferenceGraph, c: Clustering
-) -> ClusterAggregatedModel:
+def _cluster_keys(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregatedModel:
     """Re-key the model's subsets by the clusters their members fall in.
     This is the one map from unit subsets S to their cluster images U.
 
@@ -242,6 +240,7 @@ def _cluster_keys(
     sorts last. Rows come back sorted by (owner, U), trailing all-pad
     columns dropped.
     """
+    c = stats.clustering
     cmap = np.append(c.assignment, c.m)[model.members]
     cmap.sort(axis=1)
     cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = c.m
@@ -254,7 +253,7 @@ def _cluster_keys(
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
     keys = rows[first]
-    return ClusterAggregatedModel(keys[:, 0], keys[:, 1:], values, model, g, c)
+    return ClusterAggregatedModel(keys[:, 0], keys[:, 1:], values, model, stats)
 
 
 def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:
@@ -372,19 +371,15 @@ def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel
     return LowOrderModel(1, owner[keep], members[keep, None], values[keep], baseline)
 
 
-def cluster_aggregate(
-    model: LowOrderModel, g: InterferenceGraph, c: Clustering
-) -> ClusterAggregatedModel:
+def cluster_aggregate(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregatedModel:
     """Sum coefficients over subsets with the same cluster image.
 
-    x_{i,U} collects every keyed c_{i,S} whose members' clusters are exactly
-    the set U, after the model is checked against the graph. The result
-    records model, g and c.
+    x_{i,U} collects every keyed c_{i,S} whose members' clusters under
+    stats.clustering are exactly the set U, after the model is checked
+    against stats.graph (its n first). The result carries model and stats.
     """
-    if c.n != g.n or model.n != g.n:
-        raise InputError("model, graph, and clustering must agree on n")
-    model._validate(g)
-    return _cluster_keys(model, g, c)
+    model._validate(stats.graph)
+    return _cluster_keys(model, stats)
 
 
 def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:
@@ -421,7 +416,12 @@ def mixed_signs(agg: ClusterAggregatedModel) -> bool:
 
 def save_model(model: LowOrderModel, out: str | TextIO) -> None:
     """Write the model to a path, or to an open text stream: per unit, the
-    baseline, then its rows in the model's order, which load_model keeps."""
+    baseline, then its rows in the model's order, which load_model keeps.
+    The file records no order, which load_model reads as the widest row's
+    (at least 1), so a model of any other order is an InputError."""
+    widest = max(1, int(model.order.max(initial=0)))
+    if model.beta_star != widest:
+        raise InputError(f"model of order {model.beta_star} would read back at order {widest}")
     _write_lines(
         (
             f"{i}\t{','.join(str(j) for j in s) if s else '-'}\t{v!r}\n"

@@ -302,12 +302,11 @@ def oracle_cluster_aggregate(
     return rows
 
 
-def lift(
-    model: LowOrderModel, g: InterferenceGraph, c: Clustering
-) -> tuple[ClusterAggregatedModel, ClusterStats]:
-    """The re-keyed model and the cluster neighborhoods of (model, g) under
-    c: the two cluster-level inputs of evaluation, weights, bias and bounds."""
-    return cluster_aggregate(model, g, c), cluster_stats(g, c)
+def lift(model: LowOrderModel, g: InterferenceGraph, c: Clustering) -> ClusterAggregatedModel:
+    """model re-keyed on the cluster neighborhoods of g under c, which it
+    carries as agg.stats: the one cluster-level input of evaluation,
+    weights, bias and bounds."""
+    return cluster_aggregate(model, cluster_stats(g, c))
 
 
 def shifted_blocks(n: int, w: int) -> Clustering:

@@ -25,7 +25,6 @@ from pinvtte import (
     bias_bound_gcr,
     bias_crd,
     bias_exact,
-    cluster_aggregate,
     cluster_stats,
     complete_gcr,
     contiguous_cycle_clusters,
@@ -152,7 +151,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         model = _random_model(rng, g, 2)
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
-        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
+        exact = bias_exact(lift(model, g, d.clustering), d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
             failures.append(f"bern trial {trial}: gap {gap:.2e}")
@@ -165,7 +164,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
         model = _random_model(rng, g, 2)
         d = complete_gcr(c, k)
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
-        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
+        exact = bias_exact(lift(model, g, d.clustering), d, 1)
         gap = abs(exact - (mean - true_tte(model)))
         if gap >= 1e-9:
             failures.append(f"crd trial {trial}: gap {gap:.2e}")
@@ -176,7 +175,7 @@ def test_acceptance_02_exact_bias_oracle(announce):
     )
     for p in (0.25, 0.4, 0.5):
         d = bernoulli_gcr(singleton_clustering(2), p)
-        exact = bias_exact(*lift(pair_model, pair_graph, d.clustering), d, 1)
+        exact = bias_exact(lift(pair_model, pair_graph, d.clustering), d, 1)
         if abs(exact - (2 * p - 1)) >= 1e-12:
             failures.append(f"delta pair p={p}: {exact}")
     _verdict(2, failures, time.monotonic() - t0, 30.0, announce)
@@ -195,7 +194,7 @@ def test_acceptance_03_bias_bound_chain(announce):
         d = bernoulli_gcr(c, (0.2, 0.5)[trial % 2])
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         bias = abs(mean - true_tte(model))
-        bound = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
+        bound = bias_bound_gcr(lift(model, g, c), 1)
         slack = 1e-12
         if not (bias <= bound.x_norm + slack and bound.x_norm <= bound.c_norm + slack):
             failures.append(
@@ -280,9 +279,7 @@ def test_acceptance_06_crd_structure(announce):
         left, right = (i - 1) % 4, (i + 1) % 4
         coeffs.append({(): 0.0, (i,): 0.5, tuple(sorted((left,))): 0.25, (right,): 0.25})
     model = LowOrderModel.from_dicts(beta_star=1, coeffs=tuple(coeffs))
-    agg = cluster_aggregate(model, g, c)
-    stats = cluster_stats(g, c)
-    exact, _ = bias_crd(agg, stats, complete_gcr(c, 1), outcome_bound(model, g))
+    exact, _ = bias_crd(lift(model, g, c), complete_gcr(c, 1), outcome_bound(model, g))
     if exact != -2 / 3:
         failures.append(f"full-contact bias {exact}")
     d = complete_gcr(c, 1)
@@ -301,9 +298,8 @@ def test_acceptance_06_crd_structure(announce):
         g2 = _random_graph(rng, n)
         c2 = _random_clustering(rng, n, m)
         model2 = _random_model(rng, g2, 1)
-        agg2 = cluster_aggregate(model2, g2, c2)
         exact2, bound2 = bias_crd(
-            agg2, cluster_stats(g2, c2), complete_gcr(c2, k), outcome_bound(model2, g2)
+            lift(model2, g2, c2), complete_gcr(c2, k), outcome_bound(model2, g2)
         )
         if abs(exact2) > bound2 + 1e-12:
             failures.append(f"trial {trial}: |{exact2:.3e}| > {bound2:.3e}")
@@ -367,7 +363,7 @@ def test_acceptance_08_low_order_truncation_grid(announce):
         mse_full = reports[(width, 4, "pinv")].empirical_mse
         if not mse_low < mse_full:
             failures.append(f"w={width}: {mse_low:.4e} !< {mse_full:.4e}")
-        bound = bias_bound_gcr(cluster_aggregate(model, g, clustering), 1)
+        bound = bias_bound_gcr(lift(model, g, clustering), 1)
         # the unit-level tail norm does not depend on the clustering; the
         # refined cluster-level bound only tightens it
         if bound.c_norm != pytest.approx(0.4375, abs=1e-12):

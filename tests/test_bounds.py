@@ -285,7 +285,7 @@ class TestBiasExact:
     def test_pair_interaction_closed_form(self, p):
         g, model = delta_pair_instance()
         d = bernoulli_unit(2, p)
-        exact = bias_exact(*lift(model, g, d.clustering), d, 1)
+        exact = bias_exact(lift(model, g, d.clustering), d, 1)
         assert exact == pytest.approx(2.0 * p - 1.0, abs=1e-12)
 
     def test_zero_when_well_specified(self, rng):
@@ -295,7 +295,7 @@ class TestBiasExact:
             c = random_clustering(gen, 7, 3)
             model = random_model(gen, g, 2)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
-            assert bias_exact(*lift(model, g, d.clustering), d, 2) == pytest.approx(0.0, abs=1e-10)
+            assert bias_exact(lift(model, g, d.clustering), d, 2) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_exhaustive_bernoulli(self, rng):
         for trial in range(8):
@@ -305,7 +305,7 @@ class TestBiasExact:
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
             mean, _ = exhaustive_moments(g, model, d, 1)
-            assert bias_exact(*lift(model, g, d.clustering), d, 1) == pytest.approx(
+            assert bias_exact(lift(model, g, d.clustering), d, 1) == pytest.approx(
                 mean - true_tte(model), abs=1e-10
             )
 
@@ -318,7 +318,7 @@ class TestBiasExact:
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = complete_gcr(c, int(gen.integers(1, m)))
             mean, _ = exhaustive_moments(g, model, d, 1)
-            assert bias_exact(*lift(model, g, d.clustering), d, 1) == pytest.approx(
+            assert bias_exact(lift(model, g, d.clustering), d, 1) == pytest.approx(
                 mean - true_tte(model), abs=1e-10
             )
 
@@ -326,16 +326,16 @@ class TestBiasExact:
         g, model = delta_pair_instance()
         d = bernoulli_unit(2, 0.5)
         with pytest.raises(InputError, match="beta"):
-            bias_exact(*lift(model, g, d.clustering), d, 0)
+            bias_exact(lift(model, g, d.clustering), d, 0)
         with pytest.raises(InputError, match="agree"):
-            bias_exact(*lift(model, g, d.clustering), bernoulli_unit(4, 0.5), 1)
+            bias_exact(lift(model, g, d.clustering), bernoulli_unit(4, 0.5), 1)
 
 
 class TestBiasBoundGcr:
     def test_cycle_tail_mass(self):
         g = cycle_power(120, 3)
         model = gen_cycle_model(g, 4)
-        bb = bias_bound_gcr(cluster_aggregate(model, g, singleton_clustering(120)), 1)
+        bb = bias_bound_gcr(lift(model, g, singleton_clustering(120)), 1)
         assert bb.c_norm == pytest.approx(0.4375, abs=1e-12)
         # singleton clusters leave nothing to aggregate or cancel
         assert bb.x_norm == pytest.approx(bb.c_norm, abs=1e-12)
@@ -347,7 +347,7 @@ class TestBiasBoundGcr:
         g = cycle_power(8, 1)
         c = contiguous_cycle_clusters(8, 2)
         model = gen_cycle_model(g, 2)
-        agg = cluster_aggregate(model, g, c)
+        agg = lift(model, g, c)
         assert agg.model is model
         bb = bias_bound_gcr(agg, 1)
         assert bb.x_norm == pytest.approx(1 / 6) and bb.c_norm == pytest.approx(0.25)
@@ -356,7 +356,7 @@ class TestBiasBoundGcr:
     def test_rejects_order_below_one(self):
         # no estimator has these orders, yet the tail sums would read 0.75
         g = cycle_power(8, 1)
-        agg = cluster_aggregate(gen_cycle_model(g, 2), g, contiguous_cycle_clusters(8, 2))
+        agg = lift(gen_cycle_model(g, 2), g, contiguous_cycle_clusters(8, 2))
         for beta in (0, -3):
             with pytest.raises(InputError, match=f"at least 1, got beta={beta}"):
                 bias_bound_gcr(agg, beta)
@@ -368,8 +368,8 @@ class TestBiasBoundGcr:
             c = random_clustering(gen, 7, 3)
             model = ensure_tail(gen, random_model(gen, g, 1), g, 1)
             d = bernoulli_gcr(c, float(gen.uniform(0.2, 0.8)))
-            bb = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
-            assert abs(bias_exact(*lift(model, g, d.clustering), d, 1)) <= bb.refined + 1e-12
+            bb = bias_bound_gcr(lift(model, g, c), 1)
+            assert abs(bias_exact(lift(model, g, d.clustering), d, 1)) <= bb.refined + 1e-12
             assert bb.refined <= bb.x_norm + 1e-12
             assert bb.x_norm <= bb.c_norm + 1e-12
 
@@ -385,7 +385,7 @@ class TestBiasBoundGcr:
             ),
         )
         c = Clustering.from_labels([0, 1, 1])
-        bb = bias_bound_gcr(cluster_aggregate(model, g, c), 1)
+        bb = bias_bound_gcr(lift(model, g, c), 1)
         assert bb.c_norm == pytest.approx(2.0 / 3.0)
         assert bb.x_norm == 0.0
 
@@ -401,7 +401,7 @@ class TestBiasBoundGcr:
                 {(): 0.0},
             ),
         )
-        bb = bias_bound_gcr(cluster_aggregate(model, g, singleton_clustering(3)), 1)
+        bb = bias_bound_gcr(lift(model, g, singleton_clustering(3)), 1)
         assert bb.x_norm == pytest.approx(2.0 / 3.0)
         assert bb.refined == 0.0
 
@@ -440,12 +440,12 @@ class TestPerKeyOracles:
 
             want = oracle_cluster_aggregate(model, g, c)
             seen.add(("merged", any(len(x) < len(cm) for x, cm in zip(want, model.coeffs))))
-            for got_i, want_i in zip(agg_dicts(cluster_aggregate(model, g, c)), want):
+            for got_i, want_i in zip(agg_dicts(lift(model, g, c)), want):
                 assert got_i.keys() == want_i.keys()
                 assert all(close(got_i[u], val) for u, val in want_i.items())
-            exact = bias_exact(*lift(model, g, d.clustering), d, beta)
+            exact = bias_exact(lift(model, g, d.clustering), d, beta)
             assert close(exact, oracle_bias_exact(model, g, d, beta))
-            bb = bias_bound_gcr(cluster_aggregate(model, g, c), beta)
+            bb = bias_bound_gcr(lift(model, g, c), beta)
             assert all(map(close, bb, oracle_bias_bound_gcr(model, g, c, beta)))
         assert seen == {
             ("design", "bernoulli_gcr"),
@@ -477,9 +477,8 @@ class TestBiasCrd:
 
     def test_frozen_full_contact_values(self):
         g, c, model = self.crd_instance()
-        agg = cluster_aggregate(model, g, c)
-        stats = cluster_stats(g, c)
-        exact, bound = bias_crd(agg, stats, complete_gcr(c, 1), B=outcome_bound(model, g))
+        agg = lift(model, g, c)
+        exact, bound = bias_crd(agg, complete_gcr(c, 1), B=outcome_bound(model, g))
         assert exact == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert bound == pytest.approx(2.0, abs=1e-12)
 
@@ -489,8 +488,8 @@ class TestBiasCrd:
 
         d = complete_gcr(c, 1)
         mean, _ = exhaustive_moments(g, model, d, 1)
-        agg = cluster_aggregate(model, g, c)
-        exact, bound = bias_crd(agg, cluster_stats(g, c), d, 1.0)
+        agg = lift(model, g, c)
+        exact, bound = bias_crd(agg, d, 1.0)
         assert exact == pytest.approx(mean - true_tte(model), abs=1e-12)
         assert abs(exact) <= bound
 
@@ -504,9 +503,9 @@ class TestBiasCrd:
             k = int(gen.integers(1, m))
             d = complete_gcr(c, k)
             mean, _ = exhaustive_moments(g, model, d, 1)
-            agg = cluster_aggregate(model, g, c)
+            agg = lift(model, g, c)
             B = max(outcome_bound(model, g), 1e-9)
-            exact, bound = bias_crd(agg, cluster_stats(g, c), d, B)
+            exact, bound = bias_crd(agg, d, B)
             assert exact == pytest.approx(mean - true_tte(model), abs=1e-10)
             assert abs(exact) <= bound + 1e-12
 
@@ -515,44 +514,41 @@ class TestBiasCrd:
         g = cycle_power(8, 1)
         c = Clustering.from_labels([i // 2 for i in range(8)])
         model = random_model(rng, g, 1)
-        agg = cluster_aggregate(model, g, c)
-        exact, bound = bias_crd(agg, cluster_stats(g, c), complete_gcr(c, 2), 1.0)
+        agg = lift(model, g, c)
+        exact, bound = bias_crd(agg, complete_gcr(c, 2), 1.0)
         assert exact == 0.0
         assert bound == 0.0
 
     def test_validation(self):
         g, c, model = self.crd_instance()
-        agg = cluster_aggregate(model, g, c)
-        stats = cluster_stats(g, c)
+        agg = lift(model, g, c)
         with pytest.raises(InputError, match="first-order"):
             two = LowOrderModel.from_dicts(
                 beta_star=2, coeffs=tuple({(): 0.0} for _ in range(4))
             )
-            bias_crd(cluster_aggregate(two, g, c), stats, complete_gcr(c, 1), 1.0)
+            bias_crd(lift(two, g, c), complete_gcr(c, 1), 1.0)
         with pytest.raises(InputError, match="k="):
-            bias_crd(agg, stats, complete_gcr(c, 2), 1.0)
+            bias_crd(agg, complete_gcr(c, 2), 1.0)
         with pytest.raises(InputError, match="complete cluster design"):
-            bias_crd(agg, stats, bernoulli_gcr(c, 0.5), 1.0)
+            bias_crd(agg, bernoulli_gcr(c, 0.5), 1.0)
         d = complete_gcr(c, 1)
         with pytest.raises(InputError, match="clustering"):
-            bias_crd(agg, cluster_stats(g, Clustering.from_labels([0, 0, 1, 1])), d, 1.0)
-        with pytest.raises(InputError, match="lifted from one graph"):
-            bias_crd(agg, cluster_stats(from_edge_list([], 4), c), d, 1.0)
+            bias_crd(lift(model, g, Clustering.from_labels([0, 0, 1, 1])), d, 1.0)
 
     def test_rejects_nonpositive_B(self):
         # the bound scales with B, so B = -1 would read -0.0 and B = nan nan
         g = cycle_power(8, 1)
         c = contiguous_cycle_clusters(8, 2)
-        agg = cluster_aggregate(gen_cycle_model(g, 1), g, c)
+        agg = lift(gen_cycle_model(g, 1), g, c)
         for B in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InputError, match="B="):
-                bias_crd(agg, cluster_stats(g, c), complete_gcr(c, 2), B)
+                bias_crd(agg, complete_gcr(c, 2), B)
 
 
 class TestLiftedClustering:
     """bias_exact, gamma_profile and variance_bound reject lifted inputs
-    built from another clustering than the design's, and bias_exact a
-    model and stats lifted from two graphs."""
+    built from another clustering than the design's, and variance_bound a
+    model re-keyed on another ClusterStats than its own."""
 
     def instance(self):
         g = cycle_power(24, 1)
@@ -568,7 +564,21 @@ class TestLiftedClustering:
             with pytest.raises(InputError, match="clustering"):
                 variance_bound(cluster_stats(g, other), d, 1, 1.0)
         with pytest.raises(InputError, match="clustering"):
-            variance_bound(stats, d, 1, 1.0, agg=cluster_aggregate(model, g, shifted))
+            variance_bound(stats, d, 1, 1.0, agg=lift(model, g, shifted))
+        # another ClusterStats of the same lift, of a wider graph, and a
+        # consistent pair on another clustering than the design's
+        wide = cycle_power(24, 2)
+        for agg in (
+            lift(model, g, d.clustering),
+            lift(gen_cycle_model(wide, 1), wide, d.clustering),
+        ):
+            with pytest.raises(InputError, match="graph or clustering"):
+                variance_bound(stats, d, 1, 1.0, agg=agg)
+        other = lift(model, g, shifted)
+        with pytest.raises(InputError, match="agree on the clustering"):
+            variance_bound(other.stats, d, 1, 1.0, agg=other)
+        rep = variance_bound(stats, d, 1, 1.0, agg=cluster_aggregate(model, stats))
+        assert rep.bias_exact == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_profile(self):
         g, _, d, shifted = self.instance()
@@ -577,17 +587,9 @@ class TestLiftedClustering:
 
     def test_bias_exact(self):
         g, model, d, shifted = self.instance()
-        agg, stats = lift(model, g, d.clustering)
-        other_agg, other_stats = lift(model, g, shifted)
-        assert bias_exact(agg, stats, d, 1) == pytest.approx(0.0, abs=1e-12)
-        for pair in ((other_agg, stats), (agg, other_stats), (other_agg, other_stats)):
-            with pytest.raises(InputError, match="clustering"):
-                bias_exact(*pair, d, 1)
-        wide = cycle_power(24, 2)
-        wide_agg, wide_stats = lift(gen_cycle_model(wide, 1), wide, d.clustering)
-        for pair in ((agg, wide_stats), (wide_agg, stats)):
-            with pytest.raises(InputError, match="lifted from one graph"):
-                bias_exact(*pair, d, 1)
+        assert bias_exact(lift(model, g, d.clustering), d, 1) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(InputError, match="clustering"):
+            bias_exact(lift(model, g, shifted), d, 1)
 
 
 class TestVarianceBound:
@@ -697,9 +699,8 @@ class TestVarianceBound:
             beta_star=1, coeffs=({(): 0.0, (0,): -1.0, (1,): 1.0}, {(): 0.0})
         )
         with pytest.raises(PreconditionError, match="mixed signs"):
-            variance_bound(
-                cluster_stats(g, c), d, 1, 1.0, agg=cluster_aggregate(mixed, g, c), monotone=True
-            )
+            agg = lift(mixed, g, c)
+            variance_bound(agg.stats, d, 1, 1.0, agg=agg, monotone=True)
 
     def test_rejects_nonpositive_B(self):
         g = cycle_power(4, 1)
@@ -728,7 +729,8 @@ class TestVarianceBound:
         c = Clustering.from_labels([i // 2 for i in range(6)])
         d = bernoulli_gcr(c, 0.25)
         model = gen_cycle_model(g, 1)
-        rep = variance_bound(cluster_stats(g, c), d, 1, 1.5, agg=cluster_aggregate(model, g, c))
+        agg = lift(model, g, c)
+        rep = variance_bound(agg.stats, d, 1, 1.5, agg=agg)
         assert rep.design_variant == d.variant
         assert rep.p == 0.25 and rep.k is None
         assert rep.n == 6 and rep.m == 3 and rep.beta == 1

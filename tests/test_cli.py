@@ -148,12 +148,19 @@ class TestBounds:
         assert rows[0]["k"] == "2"
         assert rows[0]["p"] == ""
 
-    def test_unit_design_ignores_clustering(self, tmp_path):
-        # a bern design is always on singletons, as in simulate and oracle
+    def test_unit_design_rejects_clustering(self, tmp_path, capsys):
+        # a bern design is always on singletons: another clustering, given
+        # by flag or config key, is an error rather than ignored
         args = ["bounds", "--n", "12", "--radius", "1", "--design", "bern", "--B-bound", "1"]
-        _, wide, _ = run_csv(tmp_path, args + ["--clustering", "contiguous", "--width", "4"], "a.csv")
+        _, default, _ = run_csv(tmp_path, args, "a.csv")
         _, single, _ = run_csv(tmp_path, args + ["--clustering", "singleton"], "b.csv")
-        assert wide == single
+        assert single == default and default[0]["m"] == "12"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("clustering = contiguous\nwidth = 4\n")
+        for extra in (["--clustering", "contiguous", "--width", "4"], ["--config", str(cfg)]):
+            assert main(args + extra) == 2
+            err = capsys.readouterr().err
+            assert err == "error: --design bern treats units: it takes no --clustering contiguous\n"
 
 
 class TestInputFiles:
@@ -295,11 +302,12 @@ class TestMcMoments:
 
     @pytest.mark.parametrize(
         "flags", [["--samples", "100", "--unit", "99"], ["--samples", "100", "--unit", "-1"],
-                  ["--units", "0,-1"], ["--units", "0,50"]],
+                  ["--units", "0,-1", "--r-grid", "10", "--mc-seeds", "0"],
+                  ["--units", "0,50", "--r-grid", "10", "--mc-seeds", "0"]],
     )
     def test_unit_outside_graph(self, capsys, flags):
         argv = ["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3"]
-        assert main(argv + ["--r-grid", "10", "--mc-seeds", "0"] + flags) == 2
+        assert main(argv + flags) == 2
         assert capsys.readouterr().err.startswith("error: unit")
 
 
@@ -681,6 +689,16 @@ class TestErrorSurface:
             (["select", "--graph", "sbm", "--n", "200", "--blocks", "10", "--pi-in", "0.1",
               "--pi-out", "0.005", "--graph-seed", "3", "--design", "crd", "--k", "7",
               "--B-bound", "1"], "error: resolution 0.25: k=7 outside [1, m-1] for m=7 clusters"),
+            # options that the chosen design or mode would ignore
+            (["simulate", "--n", "24", "--radius", "1", "--model", "weak", "--design", "bern",
+              "--clustering", "contiguous", "--width", "2,4", "--replications", "20"],
+             "error: --design bern treats units: it takes no --clustering contiguous"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
+              "--samples", "50", "--units", "5", "--mc-seeds", "3"],
+             "error: mc-moments with --samples takes no --units, --mc-seeds"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
+              "--unit", "5", "--seed", "3", "--r-grid", "50", "--mc-seeds", "0"],
+             "error: mc-moments without --samples takes no --unit"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):

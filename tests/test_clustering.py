@@ -238,7 +238,7 @@ def test_equal_partitions_equal_whatever_built_them(labels):
     g = from_edge_list([], len(canon))
     for c in built:
         assert c == built[0] and hash(c) == hash(built[0])
-    _same_lift(built[0], *(cluster_stats(g, c) for c in built))
+        _same_lift(built[0], cluster_stats(g, c))
 
 
 @settings(max_examples=30, deadline=None)

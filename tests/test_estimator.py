@@ -16,7 +16,6 @@ from pinvtte import (
     PositivityError,
     bernoulli_gcr,
     bernoulli_unit,
-    cluster_stats,
     complete_gcr,
     cycle_power,
     draw_from_w,
@@ -202,7 +201,7 @@ class TestBatchKernels:
         model = random_model(gen, g, 2)
         W = np.stack([sample(d, seed, r).w for r in range(12)])
         lifted = lift(model, g, d.clustering)
-        [batch] = replicate_estimates(*lifted, d, [EstimatorSpec(kind, beta)], W)
+        [batch] = replicate_estimates(lifted, d, [EstimatorSpec(kind, beta)], W)
         for r in range(12):
             draw = draw_from_w(d, W[r])
             per = estimate(g, evaluate(model, g, draw.z), draw, d, kind, beta)
@@ -236,7 +235,7 @@ class TestBatchKernels:
         d = complete_gcr(c, 1)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
         with pytest.raises(PositivityError, match="unit 0"):
-            replicate_estimates(*lift(gen_cycle_model(g, 1), g, c), d, [EstimatorSpec("ht")], W)
+            replicate_estimates(lift(gen_cycle_model(g, 1), g, c), d, [EstimatorSpec("ht")], W)
 
     def test_batch_kind_checks(self):
         g = cycle_power(4, 1)
@@ -245,20 +244,19 @@ class TestBatchKernels:
         W = np.zeros((2, 4), dtype=np.int8)
         lifted = lift(gen_cycle_model(g, 1), g, c)
         with pytest.raises(InputError, match="gcr_explicit needs a Bernoulli"):
-            replicate_estimates(*lifted, crd, [EstimatorSpec("gcr_explicit", 1)], W)
+            replicate_estimates(lifted, crd, [EstimatorSpec("gcr_explicit", 1)], W)
         with pytest.raises(InputError, match="crd1 needs a complete"):
-            replicate_estimates(*lifted, gcr, [EstimatorSpec("crd1")], W)
+            replicate_estimates(lifted, gcr, [EstimatorSpec("crd1")], W)
         with pytest.raises(InputError, match="0 or 1"):
-            replicate_estimates(*lifted, gcr, [EstimatorSpec("pinv", 1)], W + 2)
+            replicate_estimates(lifted, gcr, [EstimatorSpec("pinv", 1)], W + 2)
 
     def test_batch_rejects_stats_of_another_clustering(self):
         g = cycle_power(12, 1)
         d = bernoulli_gcr(Clustering.from_labels([i // 4 for i in range(12)]), 0.5)
         W = np.stack([sample(d, 0, r).w for r in range(3)])
-        agg = lift(gen_cycle_model(g, 1), g, d.clustering)[0]
-        stats = cluster_stats(g, shifted_blocks(12, 4))
+        agg = lift(gen_cycle_model(g, 1), g, shifted_blocks(12, 4))
         with pytest.raises(InputError, match="clustering"):
-            replicate_estimates(agg, stats, d, [EstimatorSpec("pinv", 1)], W)
+            replicate_estimates(agg, d, [EstimatorSpec("pinv", 1)], W)
 
 
 class TestLargeNeighborhoods:

@@ -131,7 +131,7 @@ class TestReplicateEstimates:
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(10)])
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
-        ests = replicate_estimates(*lifted, cfg.design, cfg.estimators, W)[0]
+        ests = replicate_estimates(lifted, cfg.design, cfg.estimators, W)[0]
         for r in range(10):
             draw = draw_from_w(cfg.design, W[r])
             Y = evaluate(cfg.model, cfg.graph, draw.z)
@@ -143,23 +143,23 @@ class TestReplicateEstimates:
         W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
         with pytest.raises(InputError, match="complete"):
-            replicate_estimates(*lifted, cfg.design, [EstimatorSpec("crd1")], W)
+            replicate_estimates(lifted, cfg.design, [EstimatorSpec("crd1")], W)
         crd = complete_gcr(blocks(12, 2), 2)
         Wc = np.stack([sample(crd, 0, r).w for r in range(3)])
         with pytest.raises(InputError, match="Bernoulli"):
-            replicate_estimates(*lifted, crd, [EstimatorSpec("gcr_explicit", 1)], Wc)
+            replicate_estimates(lifted, crd, [EstimatorSpec("gcr_explicit", 1)], Wc)
 
     def test_shape_guard(self):
         cfg = small_cfg()
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
         with pytest.raises(InputError, match="W has shape"):
-            replicate_estimates(*lifted, cfg.design, cfg.estimators, np.zeros((4, 3)))
+            replicate_estimates(lifted, cfg.design, cfg.estimators, np.zeros((4, 3)))
         # both routes (P = 4) check every block, up to the last draw
         for R in (3, 64):
             W = _sample_draws(cfg.design, 0, R)
             W[-1, 0] = 2
             with pytest.raises(InputError, match="0 or 1"):
-                replicate_estimates(*lifted, cfg.design, cfg.estimators, W)
+                replicate_estimates(lifted, cfg.design, cfg.estimators, W)
 
     def test_blocks_do_not_change_estimates(self, monkeypatch):
         # one element per block forces the per-draw route, one draw at a
@@ -185,18 +185,18 @@ class TestReplicateEstimates:
         for g, d, C, W, labels in cases:
             specs = [EstimatorSpec.parse(text) for text in labels]
             lifted = lift(gen_cycle_model(g, 2), g, d.clustering)
-            assert lifted[1].C_max == C
+            assert lifted.stats.C_max == C
             tabled = []
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_evaluate_hits", spied(harness._evaluate_hits, tabled))
-                default = replicate_estimates(*lifted, d, specs, W)
+                default = replicate_estimates(lifted, d, specs, W)
                 assert len(tabled) == (W.shape[0] >= 2**C)
                 tabled.clear()
-                patch.setattr(harness, "_BLOCK", lifted[1].n * 2**C)
-                split = replicate_estimates(*lifted, d, specs, W)
+                patch.setattr(harness, "_BLOCK", lifted.stats.n * 2**C)
+                split = replicate_estimates(lifted, d, specs, W)
                 fills.append(len(tabled))
                 patch.setattr(harness, "_BLOCK", 1)
-                single = replicate_estimates(*lifted, d, specs, W)
+                single = replicate_estimates(lifted, d, specs, W)
             assert len(single) == len(split) == len(default) == len(specs)
             for a, b, c in zip(default, split, single):
                 assert a.shape == (W.shape[0],)
@@ -212,7 +212,8 @@ class TestReplicateEstimates:
         # route evaluates each of its P = 2**C_max patterns once, and only
         # when its n * P terms per table fit the budget
         cfg = small_cfg()
-        agg, stats = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        agg = lift(cfg.model, cfg.graph, cfg.design.clustering)
+        stats = agg.stats
         width = max(agg.values.size, stats.cluster_ids.size)
         P = 2**stats.C_max
         W = _sample_draws(cfg.design, 0, 50)
@@ -220,12 +221,12 @@ class TestReplicateEstimates:
         monkeypatch.setattr(harness, "evaluate_draws", spied(harness.evaluate_draws, draws))
         monkeypatch.setattr(harness, "_evaluate_hits", spied(harness._evaluate_hits, patterns))
         routes = set()
-        default = replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
+        default = replicate_estimates(agg, cfg.design, cfg.estimators, W)
         for budget in (1, width, 3 * width + 1, stats.n * P, harness._BLOCK):
             draws.clear()
             patterns.clear()
             monkeypatch.setattr(harness, "_BLOCK", budget)
-            ests = replicate_estimates(agg, stats, cfg.design, cfg.estimators, W)
+            ests = replicate_estimates(agg, cfg.design, cfg.estimators, W)
             assert all(np.array_equal(a, b) for a, b in zip(ests, default))
             if patterns:
                 assert not draws and stats.n * P <= budget
@@ -239,27 +240,9 @@ class TestReplicateEstimates:
     def test_rejects_lifted_inputs_of_another_clustering(self):
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])
-        agg, stats = lift(cfg.model, cfg.graph, cfg.design.clustering)
-        other_agg, other_stats = lift(cfg.model, cfg.graph, shifted_blocks(12, 2))
-        for pair in ((other_agg, stats), (agg, other_stats)):
-            with pytest.raises(InputError, match="clustering"):
-                replicate_estimates(*pair, cfg.design, cfg.estimators, W)
-
-    def test_rejects_lifted_inputs_of_another_graph(self):
-        # a model lifted on radius-2 neighborhoods names clusters outside
-        # the radius-1 ones of stats; one lifted on radius-1 neighborhoods
-        # names only clusters inside the radius-2 ones. Both routes reject
-        # both pairs (P = 4 and 16)
-        clustering = blocks(12, 2)
-        g1, g2 = cycle_power(12, 1), cycle_power(12, 2)
-        d = bernoulli_gcr(clustering, 0.3)
-        for model_graph, stats_graph in ((g2, g1), (g1, g2)):
-            agg = lift(gen_cycle_model(model_graph, 2), model_graph, clustering)[0]
-            stats = cluster_stats(stats_graph, clustering)
-            for R in (3, 64):
-                W = _sample_draws(d, 0, R)
-                with pytest.raises(InputError, match="lifted from one graph"):
-                    replicate_estimates(agg, stats, d, [EstimatorSpec("ht")], W)
+        other = lift(cfg.model, cfg.graph, shifted_blocks(12, 2))
+        with pytest.raises(InputError, match="clustering"):
+            replicate_estimates(other, cfg.design, cfg.estimators, W)
 
 
 class TestRunExperiment:
@@ -289,7 +272,7 @@ class TestRunExperiment:
         cfg = small_cfg(replications=128)
         W = np.stack([sample(cfg.design, cfg.seed, r).w for r in range(128)])
         lifted = lift(cfg.model, cfg.graph, cfg.design.clustering)
-        ests = replicate_estimates(*lifted, cfg.design, cfg.estimators, W)[0]
+        ests = replicate_estimates(lifted, cfg.design, cfg.estimators, W)[0]
         direct = float(np.mean((ests - rep.true_tte) ** 2))
         assert rep.empirical_mse == pytest.approx(direct, rel=1e-9)
         assert rep.empirical_rmse == pytest.approx(math.sqrt(rep.empirical_mse))
@@ -365,7 +348,7 @@ class TestExhaustiveExpectation:
         spec = EstimatorSpec("pinv", 1)
         mean, var = exhaustive_expectation(g, model, d, [spec])[0]
         _, W = enumerate_support(d)
-        vals = replicate_estimates(*lift(model, g, d.clustering), d, [spec], W)[0].tolist()
+        vals = replicate_estimates(lift(model, g, d.clustering), d, [spec], W)[0].tolist()
         assert mean == math.fsum(vals) / len(vals)
         assert var == math.fsum((e - mean) ** 2 for e in vals) / len(vals)
 
@@ -424,7 +407,7 @@ class TestExhaustiveExpectation:
         d = bernoulli_gcr(c, 0.4)
         mean, _ = exhaustive_expectation(g, model, d, [EstimatorSpec("pinv", 1)])[0]
         assert mean - true_tte(model) == pytest.approx(
-            bias_exact(*lift(model, g, d.clustering), d, 1), abs=1e-10
+            bias_exact(lift(model, g, d.clustering), d, 1), abs=1e-10
         )
 
 

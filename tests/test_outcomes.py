@@ -160,7 +160,7 @@ class TestEvaluateDraws:
             beta_star = 1 + trial % 3
             model = random_model(rng, g, beta_star, keep=0.0 if trial % 10 == 0 else 0.6)
             W = rng.integers(0, 2, size=(7, m)).astype(np.int8)
-            Y = evaluate_draws(cluster_aggregate(model, g, c), W)
+            Y = evaluate_draws(lift(model, g, c), W)
             assert Y.shape == (7, n)
             for w, y in zip(W, Y):
                 expect = evaluate(model, g, w[np.asarray(c.assignment)])
@@ -170,7 +170,7 @@ class TestEvaluateDraws:
         g = cycle_power(6, 1)
         model = LowOrderModel.from_dicts(1, tuple({(): float(i)} for i in range(6)))
         W = np.array([[0, 1, 0], [1, 1, 1]], dtype=np.int8)
-        agg = cluster_aggregate(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]))
+        agg = lift(model, g, Clustering.from_labels([0, 0, 1, 1, 2, 2]))
         Y = evaluate_draws(agg, W)
         assert np.array_equal(Y, np.tile(np.arange(6.0), (2, 1)))
 
@@ -179,7 +179,7 @@ class TestEvaluateDraws:
         c = random_clustering(rng, 12, 5)
         model = random_model(rng, g, 3)
         W = rng.integers(0, 2, size=(9, 5)).astype(np.int8)
-        agg = cluster_aggregate(model, g, c)
+        agg = lift(model, g, c)
         Y = evaluate_draws(agg, W)
         for r in range(9):
             assert np.array_equal(evaluate_draws(agg, W[r : r + 1])[0], Y[r])
@@ -190,15 +190,15 @@ class TestEvaluateDraws:
         g, model = pair_unit_model()
         c = Clustering.from_labels([0, 1, 1])
         with pytest.raises(InputError, match="W has shape"):
-            evaluate_draws(cluster_aggregate(model, g, c), np.zeros((2, 3), dtype=np.int8))
+            evaluate_draws(lift(model, g, c), np.zeros((2, 3), dtype=np.int8))
         with pytest.raises(InputError, match="W has shape"):
-            evaluate_draws(cluster_aggregate(model, g, c), np.zeros(2, dtype=np.int8))
+            evaluate_draws(lift(model, g, c), np.zeros(2, dtype=np.int8))
         for bad in ([[0, 2]], [[0.5, 1.0]], [[-1, 0]], [[256, 0]]):
             with pytest.raises(InputError, match="0 or 1"):
-                evaluate_draws(cluster_aggregate(model, g, c), np.array(bad))
+                evaluate_draws(lift(model, g, c), np.array(bad))
         with pytest.raises(InputError, match="clustering"):
             evaluate_draws(
-                cluster_aggregate(model, g, Clustering.from_labels([0, 1])), np.zeros((1, 2))
+                lift(model, g, Clustering.from_labels([0, 1])), np.zeros((1, 2))
             )
 
 
@@ -295,7 +295,7 @@ class TestClusterAggregate:
     def test_singleton_identity(self, rng):
         g = random_graph(rng, 8)
         model = random_model(rng, g, 2)
-        agg = cluster_aggregate(model, g, singleton_clustering(8))
+        agg = lift(model, g, singleton_clustering(8))
         for i in range(8):
             assert agg_dicts(agg)[i] == model.coeffs[i]
 
@@ -306,7 +306,7 @@ class TestClusterAggregate:
             coeffs=({(): 0.0, (1,): 0.25, (2,): 0.25}, {(): 0.0}, {(): 0.0}),
         )
         c = Clustering.from_labels([0, 1, 1])
-        agg = cluster_aggregate(model, g, c)
+        agg = lift(model, g, c)
         assert agg_dicts(agg)[0][(1,)] == pytest.approx(0.5)
 
     def test_mixed_cluster_pair_subsets(self):
@@ -322,7 +322,7 @@ class TestClusterAggregate:
             ),
         )
         c = Clustering.from_labels([0, 0, 1])
-        agg = cluster_aggregate(model, g, c)
+        agg = lift(model, g, c)
         assert agg_dicts(agg)[0][()] == 1.0
         assert agg_dicts(agg)[0][(0,)] == pytest.approx(1.0 + 2.0 + 4.0)
         assert agg_dicts(agg)[0][(1,)] == pytest.approx(8.0)
@@ -338,7 +338,7 @@ class TestClusterAggregate:
         model = random_model(rng, g, 2)
         agg = oracle_cluster_aggregate(model, g, c)
         W = rng.integers(0, 2, size=(8, 4))
-        for w, y in zip(W, evaluate_draws(cluster_aggregate(model, g, c), W)):
+        for w, y in zip(W, evaluate_draws(lift(model, g, c), W)):
             expect = [
                 sum(val * math.prod(w[cid] for cid in u) for u, val in xmap.items())
                 for xmap in agg
@@ -414,16 +414,16 @@ class TestMixedSigns:
         g = from_edge_list([(1, 0)], 2)
         c = singleton_clustering(2)
         pos = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): 0.0, (1,): 1.0}, {(): 0.0}))
-        assert not mixed_signs(cluster_aggregate(pos, g, c))
+        assert not mixed_signs(lift(pos, g, c))
         mixed = LowOrderModel.from_dicts(
             beta_star=1, coeffs=({(): 0.0, (0,): -1.0, (1,): 1.0}, {(): 0.0})
         )
-        assert mixed_signs(cluster_aggregate(mixed, g, c))
+        assert mixed_signs(lift(mixed, g, c))
 
     def test_baseline_sign_irrelevant(self):
         g = from_edge_list([], 1)
         model = LowOrderModel.from_dicts(beta_star=1, coeffs=({(): -5.0, (0,): 1.0},))
-        assert not mixed_signs(cluster_aggregate(model, g, singleton_clustering(1)))
+        assert not mixed_signs(lift(model, g, singleton_clustering(1)))
 
 
 class TestModelFiles:
@@ -437,15 +437,28 @@ class TestModelFiles:
         assert back.beta_star <= model.beta_star
 
     def test_round_trip_keeps_row_order(self, tmp_path):
-        # each unit's rows come back in the model's order, not sorted
+        # each unit's rows come back in the model's order, not sorted, and
+        # the model's order with them (1 for a baseline-only model)
         g = sbm_sample(30, 3, 0.3, 0.05, seed=4)
         path = tmp_path / "m.tsv"
         for model in [
             *(gen_named_model(g, kind, 4) for kind in ("weak", "strong", "null")),
             gen_cycle_model(cycle_power(9, 2), 2),
+            LowOrderModel.from_dicts(2, [{(): 1.0, (0, 1): 0.5}, {(): 0.0}]),
+            LowOrderModel.from_dicts(1, [{(): 1.0}, {(): 0.0}]),
         ]:
             save_model(model, str(path))
             assert load_model(str(path), model.n) == model
+
+    def test_save_rejects_an_order_the_file_drops(self, tmp_path):
+        # the file records no order, and load_model reads the widest subset's
+        path = tmp_path / "m.tsv"
+        model = LowOrderModel.from_dicts(2, [{(): 1.0, (i,): 0.5} for i in range(6)])
+        with pytest.raises(InputError, match="order 2 would read back at order 1"):
+            save_model(model, str(path))
+        with pytest.raises(InputError, match="order 0 would read back at order 1"):
+            save_model(LowOrderModel.from_dicts(0, [{(): 1.0}, {(): 0.0}]), str(path))
+        assert not path.exists()
 
     def test_empty_subset_dash(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -517,10 +530,10 @@ class TestArrayRoutesMatchDictOracles:
             assert true_tte(model) == oracle_true_tte(coeffs)
             assert outcome_bound(model, g) == oracle_outcome_bound(coeffs)
             x = oracle_cluster_aggregate(model, g, c)
-            agg = cluster_aggregate(model, g, c)
+            agg = lift(model, g, c)
             assert agg_dicts(agg) == [dict(sorted(xm.items())) for xm in x]
             assert mixed_signs(agg) == oracle_mixed_signs(x)
-            stats = cluster_stats(g, c)
+            stats = agg.stats
             nbhds = oracle_cluster_nbhd(g, c)
             assert cluster_rows(stats) == nbhds
             assert stats.C_max == max(map(len, nbhds))
@@ -530,12 +543,12 @@ class TestArrayRoutesMatchDictOracles:
             else:
                 d = bernoulli_gcr(c, float(gen.uniform(0.1, 0.9)))
             beta = 1 + (trial // 3) % 2
-            assert bias_exact(*lift(model, g, d.clustering), d, beta) == pytest.approx(
+            assert bias_exact(lift(model, g, d.clustering), d, beta) == pytest.approx(
                 oracle_bias_exact(model, g, d, beta), rel=1e-12, abs=1e-12
             )
             if beta_star == 1 and not d.is_bernoulli:
                 B = max(outcome_bound(model, g), 1.0)
-                got_crd = bias_crd(agg, stats, d, B)
+                got_crd = bias_crd(agg, d, B)
                 want_crd = oracle_bias_crd(x, nbhds, d.m, d.k, B)
                 assert got_crd == pytest.approx(want_crd, rel=1e-12, abs=1e-12)
                 seen.add("bias_crd")
@@ -617,11 +630,12 @@ class TestArrayRoutesMatchDictOracles:
         g = cycle_power(9, 1)
         model = gen_cycle_model(g, 1)
         evaluate(model, g, np.zeros(9, dtype=int))
+        stats = cluster_stats(g, singleton_clustering(9))
         # validation reads the graph's degrees; later uses of g must not
         reads = []
         degrees = property(lambda self: reads.append(1) or np.diff(self.indptr))
         monkeypatch.setattr(type(g), "degrees", degrees)
-        agg = cluster_aggregate(model, g, singleton_clustering(9))
+        agg = cluster_aggregate(model, stats)
         evaluate_draws(agg, np.ones((2, 9), dtype=np.int8))
         assert outcome_bound(model, g) == pytest.approx(1.5)
         assert reads == []

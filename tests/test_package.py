@@ -1,7 +1,8 @@
 """The package's public surface: pinvtte.__all__ re-exports exactly what the
 library modules export, so a deletion cannot leave a stale name behind, and
 no public function takes a graph or a model beside a lift that already holds
-it; and the README's examples run."""
+it, nor cluster statistics beside a re-keyed model that carries them but
+variance_bound; and the README's examples run."""
 
 from __future__ import annotations
 
@@ -70,6 +71,13 @@ def test_no_function_takes_a_graph_beside_its_lift():
 def test_no_function_takes_a_model_beside_its_lift():
     lift = {pinvtte.ClusterAggregatedModel}
     assert _functions_taking({pinvtte.LowOrderModel}, lift) == []
+
+
+def test_only_variance_bound_takes_both_lifts():
+    # a re-keyed model carries its ClusterStats; variance_bound takes the
+    # model only as its optional bias input, and checks it is of that lift
+    both = _functions_taking({pinvtte.ClusterStats}, {pinvtte.ClusterAggregatedModel})
+    assert both == ["variance_bound"]
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
