@@ -15,6 +15,7 @@ it. Every option can also be given in a flat key=value config file via
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -521,10 +522,20 @@ def main(argv: list[str] | None = None) -> int:
     handler = _SUBCOMMANDS[args.command][0]
     # the package's own errors (undecodable input files among them) and files
     # that cannot be opened or written end in one "error:" line and exit
-    # status 2
+    # status 2; a reader that closed stdout early (`| head`) ends the run
+    # quietly with status 1, stdout pointed at os.devnull so the flush at
+    # exit raises nothing
+    to_stdout = False
     try:
-        handler(_Opts(args))
+        opts = _Opts(args)
+        to_stdout = opts.get("out", _str) is None
+        handler(opts)
+        if to_stdout:
+            sys.stdout.flush()
     except (*_ERRORS, OSError) as exc:
+        if to_stdout and isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

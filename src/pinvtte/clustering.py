@@ -14,7 +14,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .graph import InterferenceGraph, _csr, _frozen, _read_lines, _write_lines
+from .graph import InterferenceGraph, _csr, _frozen, _read_lines, _unique, _write_lines
 
 __all__ = [
     "Clustering",
@@ -154,7 +154,7 @@ def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
     if c.n != g.n:
         raise InputError(f"clustering over {c.n} units but graph has {g.n}")
     units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-    keys = np.unique(units * c.m + c.assignment[g.indices])
+    keys = _unique(units * c.m + c.assignment[g.indices])
     indptr, ids = _csr(keys, g.n, c.m)
     sizes = np.diff(indptr)
     return ClusterStats(
@@ -187,7 +187,7 @@ def _symmetrized(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
     units = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     off = g.indices != units
     i, j = units[off], g.indices[off]
-    return _csr(np.unique(np.concatenate([i * g.n + j, j * g.n + i])), g.n, g.n)
+    return _csr(_unique(np.concatenate([i * g.n + j, j * g.n + i])), g.n, g.n)
 
 
 def _check_resolution(resolution: float) -> None:

@@ -97,6 +97,17 @@ class InterferenceGraph:
         return np.diff(self.indptr)
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of keys, ascending: np.unique's values by one sort
+    and a neighbour compare (numpy 2's flagless np.unique hashes instead,
+    which is slower on these CSR keys and imports numpy.ma)."""
+    s = np.sort(keys, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _csr(keys: np.ndarray, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays (indptr, cols) of the sorted unique keys row * width + col:
     row i holds cols[indptr[i]:indptr[i + 1]], ascending."""
@@ -109,7 +120,7 @@ def _from_pairs(n: int, dst: np.ndarray, src: np.ndarray) -> InterferenceGraph:
     """The graph with src in N_dst for every pair, plus the implicit self
     loops (forced here, so callers never have to remember them); repeated
     pairs collapse."""
-    keys = np.unique(np.concatenate([dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]))
+    keys = _unique(np.concatenate([dst * n + src, np.arange(n, dtype=np.int64) * (n + 1)]))
     return InterferenceGraph(*_csr(keys, n, n))
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +21,13 @@ from pinvtte import (
     sbm_sample,
 )
 from pinvtte.cli import main
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this pinvtte."""
+    src = str(Path(sys.modules["pinvtte"].__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -733,6 +743,41 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode") and err.count("\n") == 1
 
+    # about 636 KB of CSV, ten times the 64 KiB pipe buffer, so the writes
+    # still under way meet a pipe whose reader has gone
+    BIG_CSV = [
+        sys.executable, "-c", "import sys; from pinvtte.cli import main; sys.exit(main())",
+        "estimate", "--n", "20000", "--radius", "1", "--model", "cycle", "--design", "gcr",
+        "--p", "0.25", "--estimator", "pinv:1", "--seed", "4", "--weights", "true",
+    ]
+
+    def test_closed_stdout_ends_quietly(self):
+        proc = subprocess.Popen(
+            self.BIG_CSV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+        )
+        assert proc.stdout.readline() == b"estimator,beta,metric,unit,value\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("stdout", ["open", "closed"])
+    def test_out_to_closed_pipe_is_an_error(self, stdout):
+        # a pipe named by --out is a file like any other, also when the run
+        # has no stdout at all (`>&-`)
+        r, w = os.pipe()
+        proc = subprocess.Popen(
+            [*self.BIG_CSV, "--out", f"/dev/fd/{w}"], pass_fds=(w,), env=_child_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
+        )
+        os.close(w)
+        with os.fdopen(r, "rb") as reader:
+            assert reader.readline() == b"estimator,beta,metric,unit,value\n"
+        assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+        proc.stderr.close()
+
     @pytest.mark.parametrize("flag", ["--config", "--graph", "--clustering", "--model"])
     def test_undecodable_file_named(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.txt"
@@ -862,6 +907,33 @@ def test_golden_output(tmp_path, name):
     assert main(GOLDEN_CASES[name] + ["--out", str(path)]) == 0
     golden = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
     assert _stable_lines(path.read_text(encoding="utf-8")) == _stable_lines(golden)
+
+
+# the golden argvs of the four benchmarked commands, at golden size
+BENCHMARKED = ["simulate_cycle", "select_sbm", "oracle_crd", "bounds_crd_singleton"]
+
+
+def test_benchmarked_commands_skip_numpy_ma(tmp_path):
+    # numpy 2's flagless np.unique imports numpy.ma on first use, about 8 ms
+    # of each run; numpy 1.x imports it with numpy itself, where there is
+    # nothing to check
+    code = """
+import json, sys
+from pinvtte.cli import main
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+for name, argv in json.loads(sys.argv[1]).items():
+    assert main(argv + ["--out", sys.argv[2] + "/" + name + ".csv"]) == 0, name
+sys.exit(4 if "numpy.ma" in sys.modules else 0)
+"""
+    cases = {name: GOLDEN_CASES[name] for name in BENCHMARKED}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases), str(tmp_path)],
+        env=_child_env(), capture_output=True, text=True, timeout=300,
+    )
+    if proc.returncode == 3:
+        pytest.skip("numpy imports numpy.ma with itself")
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":

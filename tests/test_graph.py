@@ -16,6 +16,7 @@ from pinvtte import (
     sbm_sample,
     to_edge_list,
 )
+from pinvtte.graph import _unique
 from conftest import csr_graph, neighbors, oracle_graph_check, random_graph, traced_peak
 
 
@@ -251,3 +252,14 @@ class TestCsrArrays:
             g.indices[0] = 3
         assert g == cycle_power(9, 2) and g != cycle_power(9, 1) and g != "graph"
         assert from_edge_list(to_edge_list(g), 9) == g
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_unique_matches_numpy(self, rng, dtype):
+        cases = [np.array([], dtype=dtype), np.array([7], dtype=dtype), np.full(9, -3, dtype=dtype)]
+        for size in (2, 17, 1000):
+            cases.append(rng.integers(-50, 50, size=size).astype(dtype))
+            cases.append(rng.integers(-(2**30), 2**30, size=size).astype(dtype))
+        cases.append(rng.integers(0, 5, size=(4, 6)).astype(dtype))
+        for keys in cases:
+            got, want = _unique(keys), np.unique(keys)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
