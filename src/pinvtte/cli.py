@@ -28,6 +28,7 @@ from .clustering import (
     contiguous_cycle_clusters,
     load_clustering,
     louvain,
+    louvain_grid,
     save_clustering,
     singleton_clustering,
 )
@@ -303,7 +304,7 @@ def _cmd_select(o: _Opts) -> None:
         "resolution_grid", _floats, default=[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
     )
     cluster_seed = o.get("cluster_seed", _int, default=0)
-    candidates = [louvain(g, res, cluster_seed) for res in grid]
+    candidates = louvain_grid(g, grid, cluster_seed)
     designs = []
     for res, c in zip(grid, candidates):
         try:

@@ -8,8 +8,9 @@ constructor only validates, so tests can build explicit labelings.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "singleton_clustering",
     "contiguous_cycle_clusters",
     "louvain",
+    "louvain_grid",
     "modularity",
     "cluster_stats",
     "load_clustering",
@@ -223,63 +225,97 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
 
     Isolated units (no symmetric edges) stay in their own clusters.
     """
-    _check_resolution(resolution)
+    return louvain_grid(g, [resolution], seed)[0]
+
+
+def louvain_grid(g: InterferenceGraph, resolutions, seed: int = 0) -> list[Clustering]:
+    """[louvain(g, r, seed) for r in resolutions], from one shared pass.
+
+    Runs at different resolutions make the same moves until some visit's
+    decision differs between them. So one run carries a group of
+    resolutions (sorted, repeats merged) and, at the first visit where
+    their decisions differ, forks into one run per decision. Each fork
+    takes its own copy of the communities and of the shuffle generator and
+    resumes at the next visit, so every partition is the one a lone run at
+    its resolution returns. Every resolution and the seed are checked
+    before any work.
+    """
+    resolutions = list(resolutions)
+    for resolution in resolutions:
+        _check_resolution(resolution)
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
+    if not resolutions:
+        return []
     indptr, nbr = _symmetrized(g)
     two_w = float(nbr.size)  # twice the total weight, the same at every level
     if two_w == 0:
-        return singleton_clustering(g.n)
-    wts = np.ones(nbr.size)
-    k = np.diff(indptr).astype(np.float64).tolist()
-    mapping = np.arange(g.n)  # original unit -> current level node
+        return [singleton_clustering(g.n)] * len(resolutions)
+    level = _level(indptr, nbr, np.ones(nbr.size), np.diff(indptr).astype(np.float64).tolist())
+    links = [0.0] * g.n  # the visited node's link weight into each community
     rng = np.random.default_rng(seed) if seed != 0 else None
+    runs = [(sorted(set(resolutions)), level, np.arange(g.n), rng, _fresh(level))]
+    found = {}
+    while runs:
+        group, level, mapping, rng, state = runs.pop()
+        mapping, forks = _run(group, level, mapping, rng, state, two_w, links)
+        runs += forks
+        if mapping is not None:
+            c = Clustering.from_labels(mapping.tolist())
+            found.update(dict.fromkeys(group, c))
+    return [found[resolution] for resolution in resolutions]
 
+
+class _Level(NamedTuple):
+    """One level, shared by every run that reaches it: its CSR arrays, node
+    strengths k, and each node's (neighbor, weight) list."""
+
+    indptr: np.ndarray
+    nbr: np.ndarray
+    wts: np.ndarray
+    k: list
+    adj: list
+
+
+def _level(indptr, nbr, wts, k) -> _Level:
+    bounds, flat, flat_w = indptr.tolist(), nbr.tolist(), wts.tolist()
+    adj = [list(zip(flat[a:b], flat_w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _Level(indptr, nbr, wts, k, adj)
+
+
+def _fresh(level: _Level) -> tuple:
+    """A level's sweep state before its first visit: (com, tot, order, next
+    position, moved), each node its own community and no order drawn yet."""
+    return list(range(len(level.k))), level.k[:], None, 0, False
+
+
+def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
+    """Continue one run from state to its end, returning (unit -> community
+    map, []), or to its first fork, returning (None, the forked runs)."""
+    com, tot, order, pos, moved = state
     while True:
+        indptr, nbr, wts, k, adj = level
         nn = len(k)
-        bounds, flat, flat_w = indptr.tolist(), nbr.tolist(), wts.tolist()
-        adj = [list(zip(flat[a:b], flat_w[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
-        com = list(range(nn))
-        tot = k[:]
-        links = [0.0] * nn  # the visited node's link weight into each community
         while True:
-            moved = False
-            order = list(range(nn))
-            if rng is not None:
-                rng.shuffle(order)
-            for v in order:
-                cv, kv = com[v], k[v]
-                tot[cv] -= kv
-                touched = []
-                for u, wt in adj[v]:
-                    cu = com[u]
-                    if not links[cu]:
-                        touched.append(cu)
-                    links[cu] += wt
-                # Gain of joining community c, up to a shared affine shift:
-                # links into c minus the resolution-weighted degree product,
-                # grouped as (resolution * k_v) * tot_c / 2w: other groupings
-                # round differently. cv's own gain never beats best_gain.
-                rk = resolution * kv
-                best_c = cv
-                best_gain = links[cv] - rk * tot[cv] / two_w
-                touched.sort()
-                for cu in touched:
-                    gain = links[cu] - rk * tot[cu] / two_w
-                    if gain > best_gain + 1e-12:
-                        best_c, best_gain = cu, gain
-                    links[cu] = 0.0
-                com[v] = best_c
-                tot[best_c] += kv
-                if best_c != cv:
-                    moved = True
+            if order is None:
+                order = list(range(nn))
+                if rng is not None:
+                    rng.shuffle(order)
+            if len(group) == 1:
+                moved = _sweep(group[0], adj, k, two_w, com, tot, links, order[pos:]) or moved
+            else:
+                pos, picks, moved_here = _sweep_group(group, adj, k, two_w, com, tot, links, order, pos)
+                moved = moved or moved_here
+                if picks is not None:
+                    return None, _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved)
             if not moved:
                 break
+            order, pos, moved = None, 0, False
         # A node only joins a community holding a neighbor, so the level
         # shrinks exactly when some node moved.
         labels, com = np.unique(com, return_inverse=True)
         if labels.size == nn:
-            break
+            return mapping, []
         # Supernodes for the next level: links between two communities sum
         # per pair, links inside one drop out, and tot carries the strengths.
         k = [tot[c] for c in labels.tolist()]
@@ -287,9 +323,128 @@ def louvain(g: InterferenceGraph, resolution: float = 1.0, seed: int = 0) -> Clu
         cross = cv != cu
         keys, pair = np.unique(cv[cross] * len(k) + cu[cross], return_inverse=True)
         wts = np.bincount(pair, weights=wts[cross], minlength=keys.size)
-        indptr, nbr = _csr(keys, len(k), len(k))
+        level = _level(*_csr(keys, len(k), len(k)), wts, k)
         mapping = com[mapping]
-    return Clustering.from_labels(mapping.tolist())
+        com, tot, order, pos, moved = _fresh(level)
+
+
+def _sweep(resolution, adj, k, two_w, com, tot, links, order) -> bool:
+    """One resolution's local moves over the nodes of order, in place;
+    whether any node moved. Runs left with one resolution after their forks
+    make most visits, so they keep this loop, free of _pick's bookkeeping."""
+    moved = False
+    for v in order:
+        cv, kv = com[v], k[v]
+        tot[cv] -= kv
+        touched = []
+        for u, wt in adj[v]:
+            cu = com[u]
+            if not links[cu]:
+                touched.append(cu)
+            links[cu] += wt
+        # Gain of joining community c, up to a shared affine shift:
+        # links into c minus the resolution-weighted degree product,
+        # grouped as (resolution * k_v) * tot_c / 2w: other groupings
+        # round differently. cv's own gain never beats best_gain.
+        rk = resolution * kv
+        best_c = cv
+        best_gain = links[cv] - rk * tot[cv] / two_w
+        touched.sort()
+        for cu in touched:
+            gain = links[cu] - rk * tot[cu] / two_w
+            if gain > best_gain + 1e-12:
+                best_c, best_gain = cu, gain
+            links[cu] = 0.0
+        com[v] = best_c
+        tot[best_c] += kv
+        if best_c != cv:
+            moved = True
+    return moved
+
+
+def _sweep_group(group, adj, k, two_w, com, tot, links, order, pos) -> tuple:
+    """_sweep for every resolution of the sorted group at once, from order's
+    position pos, while their decisions agree. Returns (position, picks,
+    moved): position len(order) and picks None at the sweep's end, or the
+    visit where decisions first differ, with one pick per resolution and
+    that visit not yet applied."""
+    lo, hi = group[0], group[-1]
+    moved = False
+    for i in range(pos, len(order)):
+        v = order[i]
+        cv, kv = com[v], k[v]
+        tot[cv] -= kv
+        touched = []
+        for u, wt in adj[v]:
+            cu = com[u]
+            if not links[cu]:
+                touched.append(cu)
+            links[cu] += wt
+        touched.sort()
+        own = (links[cv], tot[cv])
+        others = [(cu, links[cu], tot[cu]) for cu in touched if cu != cv]
+        for cu in touched:
+            links[cu] = 0.0
+        best_c, lead_lo = _pick(cv, own, others, lo * kv, two_w)
+        best_hi, lead_hi = _pick(cv, own, others, hi * kv, two_w)
+        # Endpoint shortcut. With links_c, k_v and tot_c whole numbers, each
+        # exact gain links_c - r k_v tot_c / 2w is linear in r, and so is
+        # each difference of two gains. If the scans at lo and hi both pick
+        # c, and c's computed gain leads every other candidate's by more than
+        # the slack at both ends, then at every r between them c leads each
+        # other candidate by at least its smaller end lead, and the scan at r
+        # picks c too. The slack is the move rule's 1e-12 plus rounding: each
+        # computed gain is within 5 ulps of the terms' magnitude, at most
+        # k_v (1 + hi) since links_c <= k_v and tot_c <= 2w, so 2^-46 of it
+        # (128 ulps) covers the errors at both ends, at r, and in
+        # best + 1e-12 several times over. Otherwise every resolution is
+        # scanned.
+        slack = 1e-12 + 2.0**-46 * kv * (1.0 + hi)
+        if best_hi != best_c or lead_lo <= slack or lead_hi <= slack:
+            inner = [_pick(cv, own, others, r * kv, two_w)[0] for r in group[1:-1]]
+            picks = [best_c, *inner, best_hi]
+            if picks.count(best_c) != len(picks):
+                return i, picks, moved
+        com[v] = best_c
+        tot[best_c] += kv
+        if best_c != cv:
+            moved = True
+    return len(order), None, moved
+
+
+def _pick(cv, own, others, rk, two_w) -> tuple:
+    """_sweep's choice at rk = resolution * k_v, from the node's own
+    community cv with its (links, tot) own and the others' (c, links, tot)
+    in ascending c, and how far the chosen gain leads every other gain."""
+    best_c = cv
+    best_gain = own[0] - rk * own[1] / two_w
+    runner_up = -np.inf
+    for cu, lnk, t in others:
+        gain = lnk - rk * t / two_w
+        if gain > best_gain + 1e-12:
+            best_c, best_gain, gain = cu, gain, best_gain
+        if gain > runner_up:
+            runner_up = gain
+    return best_c, best_gain - runner_up
+
+
+def _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved) -> list:
+    """One run per distinct pick at the visit order[pos]: each applies its
+    pick to its own copy of com and tot, takes a copy of the generator, and
+    resumes at the next position."""
+    v = order[pos]
+    cv, kv = com[v], level.k[v]
+    by_pick: dict[int, list] = {}
+    for resolution, c in zip(group, picks):
+        by_pick.setdefault(c, []).append(resolution)
+    forks = []
+    for c, sub in by_pick.items():
+        com_c, tot_c = com[:], tot[:]
+        com_c[v] = c
+        tot_c[c] += kv
+        state = (com_c, tot_c, order, pos + 1, moved or c != cv)
+        forks.append((sub, level, mapping, copy.deepcopy(rng), state))
+    return forks
 
 
 # ---------------------------------------------------------------------------

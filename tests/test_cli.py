@@ -239,7 +239,7 @@ class TestSelect:
         import pinvtte.cli as cli
 
         calls = []
-        monkeypatch.setattr(cli, "louvain", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "louvain_grid", lambda *args: calls.append(args))
         argv = [
             "select", "--graph", "sbm", "--n", "2000", "--blocks", "20", "--pi-in", "0.05",
             "--pi-out", "0.001", "--design", "bern", "--p", "0.25", "--B-bound", "1",
@@ -709,6 +709,9 @@ class TestErrorSurface:
             (["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
               "--unit", "5", "--seed", "3", "--r-grid", "50", "--mc-seeds", "0"],
              "error: mc-moments without --samples takes no --unit"),
+            # every resolution of the grid is checked before Louvain runs
+            (["select", "--n", "12", "--radius", "1", "--resolution-grid", "0.5,-1",
+              "--B-bound", "1"], "resolution must be positive and finite, got -1.0"),
         ],
     )
     def test_degenerate_inputs_rejected(self, capsys, argv, message):

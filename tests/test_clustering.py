@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +18,13 @@ from pinvtte import (
     from_edge_list,
     load_clustering,
     louvain,
+    louvain_grid,
     modularity,
     save_clustering,
     sbm_sample,
     singleton_clustering,
 )
+import pinvtte.clustering as clustering
 from pinvtte.clustering import _same_lift
 from conftest import (
     cluster_rows,
@@ -197,6 +200,92 @@ class TestLouvain:
         g = sbm_sample(40, 4, 0.7, 0.05, seed=2)
         c = louvain(g)
         assert modularity(g, c) > modularity(g, singleton_clustering(40))
+
+
+class TestLouvainGrid:
+    # sorted, unsorted with repeats, one, none, and close resolutions
+    GRIDS = (DEFAULT_GRID, (2.0, 0.5, 1.0, 0.5, 0.25, 2.0), (1.25,), (), (0.3, 0.25, 1.0, 0.5))
+
+    @staticmethod
+    def fork_levels(monkeypatch) -> list:
+        """Record (level nodes, group, picks) at every fork."""
+        seen = []
+        fork = clustering._forks
+
+        def spy(group, picks, level, *rest):
+            seen.append((len(level.k), list(group), list(picks)))
+            return fork(group, picks, level, *rest)
+
+        monkeypatch.setattr(clustering, "_forks", spy)
+        return seen
+
+    def test_matches_lone_dict_oracle_runs(self, monkeypatch):
+        # each grid's partitions are the lone runs' ones, seeded shuffles included
+        seen = self.fork_levels(monkeypatch)
+        gen = np.random.default_rng(23)
+        graphs = [
+            random_graph(gen, int(gen.integers(2, 60)), int(gen.integers(1, 8)))
+            for _ in range(50)
+        ]
+        # these fork at the first level and deeper, and only above the first
+        sbm = [sbm_sample(120, 6, 0.2, 0.01, 8), sbm_sample(300, 10, 0.1, 0.005, 2)]
+        first_fork = []
+        for g in graphs + sbm:
+            for seed in (0, 7):
+                lone: dict[float, object] = {}
+                for grid in self.GRIDS:
+                    seen.clear()
+                    got = louvain_grid(g, grid, seed)
+                    want = [lone.setdefault(r, oracle_louvain(g, r, seed)) for r in grid]
+                    assert got == want, (g.n, grid, seed)
+                    if grid == DEFAULT_GRID:
+                        first_fork.append([n == g.n for n, _, _ in seen])
+        sbm_forks = first_fork[-4:]
+        assert True in sbm_forks[0] and False in sbm_forks[0]
+        assert sbm_forks[2] and True not in sbm_forks[2]
+
+    def test_crossing_between_end_resolutions(self, monkeypatch):
+        # Cliques A = 0..5 and B = 6..8 form before node 9's first visit at
+        # every resolution here. Node 9 (k = 5) links 3 times into A (tot 33)
+        # and twice into B (tot 8), and 2w = 46: its gains 3 - 165 r / 46 and
+        # 2 - 40 r / 46 cross at r = 0.368, strictly between the group's
+        # ends. So the ends pick differently, every resolution is scanned,
+        # and the run forks there into {0.25, 0.3} and {0.5, 1.0}.
+        seen = self.fork_levels(monkeypatch)
+        edges = list(itertools.combinations(range(6), 2))
+        edges += list(itertools.combinations(range(6, 9), 2))
+        edges += [(9, 0), (9, 1), (9, 2), (9, 6), (9, 7)]
+        g = from_edge_list(edges + [(j, i) for i, j in edges], 10)
+        grid = [0.25, 0.3, 0.5, 1.0]
+        got = louvain_grid(g, grid, 0)
+        assert got == [oracle_louvain(g, r, 0) for r in grid]
+        assert got[0] == got[1] != got[2] == got[3]
+        [(nodes, group, picks)] = seen
+        assert nodes == 10 and group == grid
+        assert picks[0] == picks[1] != picks[2] == picks[3]
+
+    def test_empty_and_repeated(self):
+        g = sbm_sample(40, 4, 0.6, 0.1, seed=1)
+        assert louvain_grid(g, [], 7) == []
+        assert louvain_grid(g, iter([1.0, 1, 1.0]), 7) == [louvain(g, 1.0, 7)] * 3
+        assert louvain_grid(from_edge_list([], 3), [0.5, 2.0]) == [singleton_clustering(3)] * 2
+
+    @pytest.mark.parametrize(
+        "grid, seed, message",
+        [
+            ([0.5, -1.0], 0, "resolution must be positive and finite, got -1.0"),
+            ([0.5, math.nan], 0, "resolution must be positive and finite, got nan"),
+            ([0.5], -1, "seed must be nonnegative, got -1"),
+            ([], -1, "seed must be nonnegative, got -1"),
+        ],
+    )
+    def test_checked_before_any_work(self, monkeypatch, grid, seed, message):
+        def no_work(g):
+            raise AssertionError("louvain_grid began work before rejecting its input")
+
+        monkeypatch.setattr(clustering, "_symmetrized", no_work)
+        with pytest.raises(InputError, match=message):
+            louvain_grid(two_triangles(), grid, seed)
 
 
 class TestClusteringFiles:
