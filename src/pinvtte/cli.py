@@ -87,10 +87,13 @@ class _Opts:
     """Merge parsed flags over config-file values over defaults.
 
     A config file may hold any key that some subcommand accepts, so one file
-    can serve several subcommands; any other key is an error."""
+    can serve several subcommands; any other key is an error. A flag given
+    on the command line must be read by the run: out() names the ones that
+    were not."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
+        self._read = {"command", "action", "config"}
         cfg_path = self._args.get("config")
         self._file = _parse_config_file(cfg_path) if cfg_path else {}
         known = {opt.replace("-", "_") for _, opts, _ in _SUBCOMMANDS.values() for opt in opts}
@@ -99,6 +102,7 @@ class _Opts:
             raise InputError(f"{cfg_path}: unknown keys {', '.join(unknown)}")
 
     def get(self, name, parse, default=None, required=False):
+        self._read.add(name)
         raw = self._args.get(name)
         if raw is None:
             raw = self._file.get(name)
@@ -107,6 +111,19 @@ class _Opts:
                 raise InputError(f"missing required option --{name.replace('_', '-')}")
             return default
         return parse(raw)
+
+    def out(self) -> str | None:
+        """The --out path (None for stdout), asked for once every other
+        option is read and before any output is written."""
+        path = self.get("out", _str)
+        unread = [
+            f"--{key.replace('_', '-')}"
+            for key, raw in self._args.items()
+            if raw is not None and key not in self._read
+        ]
+        if unread:
+            raise InputError(f"this run does not read {', '.join(unread)}")
+        return path
 
 
 def _int(raw: str) -> int:
@@ -273,7 +290,7 @@ def _cmd_simulate(o: _Opts) -> None:
         for report in run_experiment(cfg):
             rows.extend(report_rows(report))
     names = ["estimator", "beta", "tag", "replications", "true_tte", "metric", "value"]
-    write_csv(rows, names, o.get("out", _str), seed=seed)
+    write_csv(rows, names, o.out(), seed=seed)
 
 
 def _cmd_bounds(o: _Opts) -> None:
@@ -291,7 +308,7 @@ def _cmd_bounds(o: _Opts) -> None:
         monotone=o.get("monotone", _bool, default=False),
     )
     row = asdict(rep)
-    write_csv([row], list(row), o.get("out", _str))
+    write_csv([row], list(row), o.out())
 
 
 def _cmd_select(o: _Opts) -> None:
@@ -330,7 +347,7 @@ def _cmd_select(o: _Opts) -> None:
             }
         )
     names = list(rows[0].keys())
-    write_csv(rows, names, o.get("out", _str), seed=cluster_seed)
+    write_csv(rows, names, o.out(), seed=cluster_seed)
 
 
 def _cmd_oracle(o: _Opts) -> None:
@@ -353,7 +370,7 @@ def _cmd_oracle(o: _Opts) -> None:
             }
         )
     names = ["estimator", "beta", "true_tte", "mean", "variance", "bias"]
-    write_csv(rows, names, o.get("out", _str))
+    write_csv(rows, names, o.out())
 
 
 def _cmd_mc_moments(o: _Opts) -> None:
@@ -382,7 +399,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
                 for col in range(mat.shape[1]):
                     rows.append({"section": section, "row": r, "col": col, "value": mat[r, col]})
         rows.append({"section": "fro_error", "value": err})
-        write_csv(rows, ["section", "row", "col", "value"], o.get("out", _str), seed=seed)
+        write_csv(rows, ["section", "row", "col", "value"], o.out(), seed=seed)
         return
     tables = mc_convergence_report(
         d,
@@ -404,7 +421,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
         "log10_median_fro_error",
     ]
     rows = [dict(row, table=table) for table in ("detail", "summary") for row in tables[table]]
-    write_csv(rows, names, o.get("out", _str))
+    write_csv(rows, names, o.out())
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +431,12 @@ def _cmd_mc_moments(o: _Opts) -> None:
 
 def _cmd_cluster(o: _Opts) -> None:
     g = _build_graph(o)
-    save_clustering(_build_clustering(o, g), o.get("out", _str) or sys.stdout)
+    save_clustering(_build_clustering(o, g), o.out() or sys.stdout)
 
 
 def _cmd_model(o: _Opts) -> None:
     g = _build_graph(o)
-    save_model(_build_model(o, g), o.get("out", _str) or sys.stdout)
+    save_model(_build_model(o, g), o.out() or sys.stdout)
 
 
 def _cmd_estimate(o: _Opts) -> None:
@@ -439,7 +456,7 @@ def _cmd_estimate(o: _Opts) -> None:
             dict(base, metric="weight", unit=i, value=wi) for i, wi in enumerate(breakdown.weights)
         ]
     names = ["estimator", "beta", "metric", "unit", "value"]
-    write_csv(rows, names, o.get("out", _str), seed=seed)
+    write_csv(rows, names, o.out(), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -301,13 +301,9 @@ def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
                 order = list(range(nn))
                 if rng is not None:
                     rng.shuffle(order)
-            if len(group) == 1:
-                moved = _sweep(group[0], adj, k, two_w, com, tot, links, order[pos:]) or moved
-            else:
-                pos, picks, moved_here = _sweep_group(group, adj, k, two_w, com, tot, links, order, pos)
-                moved = moved or moved_here
-                if picks is not None:
-                    return None, _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved)
+            pos, picks, moved = _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved)
+            if picks is not None:
+                return None, _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved)
             if not moved:
                 break
             order, pos, moved = None, 0, False
@@ -328,48 +324,14 @@ def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
         com, tot, order, pos, moved = _fresh(level)
 
 
-def _sweep(resolution, adj, k, two_w, com, tot, links, order) -> bool:
-    """One resolution's local moves over the nodes of order, in place;
-    whether any node moved. Runs left with one resolution after their forks
-    make most visits, so they keep this loop, free of _pick's bookkeeping."""
-    moved = False
-    for v in order:
-        cv, kv = com[v], k[v]
-        tot[cv] -= kv
-        touched = []
-        for u, wt in adj[v]:
-            cu = com[u]
-            if not links[cu]:
-                touched.append(cu)
-            links[cu] += wt
-        # Gain of joining community c, up to a shared affine shift:
-        # links into c minus the resolution-weighted degree product,
-        # grouped as (resolution * k_v) * tot_c / 2w: other groupings
-        # round differently. cv's own gain never beats best_gain.
-        rk = resolution * kv
-        best_c = cv
-        best_gain = links[cv] - rk * tot[cv] / two_w
-        touched.sort()
-        for cu in touched:
-            gain = links[cu] - rk * tot[cu] / two_w
-            if gain > best_gain + 1e-12:
-                best_c, best_gain = cu, gain
-            links[cu] = 0.0
-        com[v] = best_c
-        tot[best_c] += kv
-        if best_c != cv:
-            moved = True
-    return moved
-
-
-def _sweep_group(group, adj, k, two_w, com, tot, links, order, pos) -> tuple:
-    """_sweep for every resolution of the sorted group at once, from order's
-    position pos, while their decisions agree. Returns (position, picks,
-    moved): position len(order) and picks None at the sweep's end, or the
-    visit where decisions first differ, with one pick per resolution and
-    that visit not yet applied."""
-    lo, hi = group[0], group[-1]
-    moved = False
+def _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved) -> tuple:
+    """Local moves for every resolution of the sorted group at once, in
+    place, from order's position pos while their decisions agree. Returns
+    (position, picks, moved): position len(order) and picks None at the
+    sweep's end, or the visit where decisions first differ, with one pick
+    per resolution and that visit not yet applied; moved is whether any
+    node of this sweep moved, the visits before pos included."""
+    lo, hi, lone = group[0], group[-1], len(group) == 1
     for i in range(pos, len(order)):
         v = order[i]
         cv, kv = com[v], k[v]
@@ -381,29 +343,45 @@ def _sweep_group(group, adj, k, two_w, com, tot, links, order, pos) -> tuple:
                 touched.append(cu)
             links[cu] += wt
         touched.sort()
-        own = (links[cv], tot[cv])
-        others = [(cu, links[cu], tot[cu]) for cu in touched if cu != cv]
-        for cu in touched:
-            links[cu] = 0.0
-        best_c, lead_lo = _pick(cv, own, others, lo * kv, two_w)
-        best_hi, lead_hi = _pick(cv, own, others, hi * kv, two_w)
-        # Endpoint shortcut. With links_c, k_v and tot_c whole numbers, each
-        # exact gain links_c - r k_v tot_c / 2w is linear in r, and so is
-        # each difference of two gains. If the scans at lo and hi both pick
-        # c, and c's computed gain leads every other candidate's by more than
-        # the slack at both ends, then at every r between them c leads each
-        # other candidate by at least its smaller end lead, and the scan at r
-        # picks c too. The slack is the move rule's 1e-12 plus rounding: each
-        # computed gain is within 5 ulps of the terms' magnitude, at most
-        # k_v (1 + hi) since links_c <= k_v and tot_c <= 2w, so 2^-46 of it
-        # (128 ulps) covers the errors at both ends, at r, and in
-        # best + 1e-12 several times over. Otherwise every resolution is
-        # scanned.
-        slack = 1e-12 + 2.0**-46 * kv * (1.0 + hi)
-        if best_hi != best_c or lead_lo <= slack or lead_hi <= slack:
-            inner = [_pick(cv, own, others, r * kv, two_w)[0] for r in group[1:-1]]
-            picks = [best_c, *inner, best_hi]
-            if picks.count(best_c) != len(picks):
+        # Gain of joining community c, up to a shared affine shift: links
+        # into c minus the resolution-weighted degree product, grouped as
+        # (resolution * k_v) * tot_c / 2w: other groupings round
+        # differently. cv's own gain never beats best_gain.
+        if lone:
+            # runs left with one resolution after their forks make most
+            # visits, so they scan inline, free of _pick's bookkeeping
+            rk = lo * kv
+            best_c = cv
+            best_gain = links[cv] - rk * tot[cv] / two_w
+            for cu in touched:
+                gain = links[cu] - rk * tot[cu] / two_w
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = cu, gain
+                links[cu] = 0.0
+        else:
+            best_c, lead_lo = _pick(cv, touched, links, tot, lo * kv, two_w)
+            best_hi, lead_hi = _pick(cv, touched, links, tot, hi * kv, two_w)
+            # Endpoint shortcut. With links_c, k_v and tot_c whole numbers,
+            # each exact gain links_c - r k_v tot_c / 2w is linear in r, and
+            # so is each difference of two gains. If the scans at lo and hi
+            # both pick c, and c's computed gain leads every other
+            # candidate's by more than the slack at both ends, then at every
+            # r between them c leads each other candidate by at least its
+            # smaller end lead, and the scan at r picks c too. The slack is
+            # the move rule's 1e-12 plus rounding: each computed gain is
+            # within 5 ulps of the terms' magnitude, at most k_v (1 + hi)
+            # since links_c <= k_v and tot_c <= 2w, so 2^-46 of it (128
+            # ulps) covers the errors at both ends, at r, and in best +
+            # 1e-12 several times over. Otherwise every resolution is
+            # scanned.
+            slack = 1e-12 + 2.0**-46 * kv * (1.0 + hi)
+            picks = None
+            if best_hi != best_c or lead_lo <= slack or lead_hi <= slack:
+                inner = [_pick(cv, touched, links, tot, r * kv, two_w)[0] for r in group[1:-1]]
+                picks = [best_c, *inner, best_hi]
+            for cu in touched:  # every run shares links
+                links[cu] = 0.0
+            if picks is not None and picks.count(best_c) != len(picks):
                 return i, picks, moved
         com[v] = best_c
         tot[best_c] += kv
@@ -412,15 +390,17 @@ def _sweep_group(group, adj, k, two_w, com, tot, links, order, pos) -> tuple:
     return len(order), None, moved
 
 
-def _pick(cv, own, others, rk, two_w) -> tuple:
-    """_sweep's choice at rk = resolution * k_v, from the node's own
-    community cv with its (links, tot) own and the others' (c, links, tot)
-    in ascending c, and how far the chosen gain leads every other gain."""
+def _pick(cv, touched, links, tot, rk, two_w) -> tuple:
+    """The inline scan's choice at rk = resolution * k_v, from the link
+    counts into the node's own community cv and the touched communities
+    (in ascending order), and how far the chosen gain leads every other."""
     best_c = cv
-    best_gain = own[0] - rk * own[1] / two_w
+    best_gain = links[cv] - rk * tot[cv] / two_w
     runner_up = -np.inf
-    for cu, lnk, t in others:
-        gain = lnk - rk * t / two_w
+    for cu in touched:
+        if cu == cv:
+            continue
+        gain = links[cu] - rk * tot[cu] / two_w
         if gain > best_gain + 1e-12:
             best_c, best_gain, gain = cu, gain, best_gain
         if gain > runner_up:

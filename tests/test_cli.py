@@ -559,6 +559,19 @@ class TestConfigFile:
         assert {r["replications"] for r in sim} == {"5"}
         assert bounds[0]["B"] == "2.0"
 
+    def test_unread_keys_shared_but_unread_flags_rejected(self, tmp_path, capsys):
+        # --design gcr reads neither k nor width: a config file may hold
+        # them for other runs, a command-line flag may not
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n = 12\nradius = 1\ndesign = gcr\np = 0.3\nk = 5\nwidth = 4\n")
+        argv = ["bounds", "--config", str(cfg), "--B-bound", "1"]
+        _, rows, _ = run_csv(tmp_path, argv)
+        assert rows[0]["C_max"] == "3"
+        out = tmp_path / "flag.csv"
+        assert main(argv + ["--k", "5", "--width", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: this run does not read --width, --k\n"
+        assert not out.exists()
+
 
 class TestSharedConfig:
     """One key=value file gives every subcommand the same inputs: cluster and
@@ -712,13 +725,23 @@ class TestErrorSurface:
             # every resolution of the grid is checked before Louvain runs
             (["select", "--n", "12", "--radius", "1", "--resolution-grid", "0.5,-1",
               "--B-bound", "1"], "resolution must be positive and finite, got -1.0"),
+            # flags given on the command line that the run does not read
+            (BOUNDS + ["--k", "5", "--B-bound", "1"], "error: this run does not read --k\n"),
+            (BOUNDS + ["--width", "4", "--B-bound", "1"],
+             "error: this run does not read --width\n"),
+            (["bounds", "--n", "12", "--radius", "1", "--design", "crd", "--k", "3", "--p", "0.9",
+              "--B-bound", "1"], "error: this run does not read --p\n"),
+            (["simulate", "--n", "12", "--radius", "1", "--model", "weak", "--beta-star", "3",
+              "--replications", "5"], "error: this run does not read --beta-star\n"),
         ],
     )
-    def test_degenerate_inputs_rejected(self, capsys, argv, message):
-        assert main(argv) == 2
+    def test_degenerate_inputs_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -800,6 +823,13 @@ class TestErrorSurface:
             ("--model", "0\t-\t1.0\n0\t-\t2.0\n", "line 2: duplicate subset for unit 0"),
             ("--model", "0\t0,0\t2.0\n", "line 1: unit 0: subset (0, 0) repeats a member"),
             ("--model", "0\t12\t2.0\n", "line 1: unit 0: subset (12,) outside [0, 12)"),
+            ("--graph", "n=twelve\n0\t1\n", "line 1: bad unit count 'twelve'"),
+            ("--graph", "# edges\n0\t1\n", "line 2: expected 'n=<count>' header"),
+            ("--graph", "# no payload\n", "missing 'n=<count>' header"),
+            ("--clustering", "0\t0\t1\n", "line 1: expected 'unit<TAB>label'"),
+            ("--clustering", "0\tx\n", "line 1: non-integer field"),
+            ("--model", "0\t-\n", "line 1: expected 'unit<TAB>subset<TAB>value'"),
+            ("--model", "0\t-\tone\n", "line 1: malformed field"),
         ],
     )
     def test_malformed_line_names_file(self, tmp_path, capsys, flag, text, message):

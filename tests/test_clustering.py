@@ -264,6 +264,24 @@ class TestLouvainGrid:
         assert nodes == 10 and group == grid
         assert picks[0] == picks[1] != picks[2] == picks[3]
 
+    def test_lone_runs_scan_inline(self, monkeypatch):
+        # a run carrying one resolution never calls _pick; a forking grid does
+        calls = []
+        pick = clustering._pick
+
+        def spy(*args):
+            calls.append(args)
+            return pick(*args)
+
+        monkeypatch.setattr(clustering, "_pick", spy)
+        g = sbm_sample(120, 6, 0.2, 0.01, 8)
+        for seed in (0, 7):
+            assert louvain(g, 1.0, seed) == oracle_louvain(g, 1.0, seed)
+        assert calls == []
+        seen = self.fork_levels(monkeypatch)
+        louvain_grid(g, DEFAULT_GRID, 0)
+        assert seen and calls
+
     def test_empty_and_repeated(self):
         g = sbm_sample(40, 4, 0.6, 0.1, seed=1)
         assert louvain_grid(g, [], 7) == []

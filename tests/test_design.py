@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pinvtte import (
     CapacityError,
     Clustering,
+    Design,
     InputError,
     bernoulli_gcr,
     bernoulli_unit,
@@ -65,6 +66,19 @@ class TestDesignValidation:
                 complete_gcr(c, k)
         complete_gcr(c, 1)
         complete_gcr(c, 3)
+
+    @pytest.mark.parametrize(
+        "variant, p, k, message",
+        [
+            ("bernoulli_gcr", 0.3, 2, "bernoulli designs take no k"),
+            ("bernoulli_unit", 0.3, 1, "bernoulli designs take no k"),
+            ("complete_gcr", 0.3, 2, "complete design takes no p"),
+            ("latin", None, 2, "unknown design variant 'latin'"),
+        ],
+    )
+    def test_variant_takes_only_its_parameter(self, variant, p, k, message):
+        with pytest.raises(InputError, match=message):
+            Design(variant, singleton_clustering(4), p, k)
 
     def test_unit_design_is_singleton_gcr(self):
         d = bernoulli_unit(5, 0.3)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,11 @@ class TestFromEdgeList:
     def test_endpoint_out_of_range_names_edge(self):
         with pytest.raises(InputError, match="edge 1"):
             from_edge_list([(0, 1), (0, 5)], 2)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_unit(self, n):
+        with pytest.raises(InputError, match=f"graph needs at least one unit, got n={n}"):
+            from_edge_list([], n)
 
     def test_round_trip_with_to_edge_list(self):
         g = from_edge_list([(0, 1), (2, 0), (1, 2)], 3)
@@ -122,6 +129,18 @@ class TestSbmSample:
         if budget is not None:
             monkeypatch.setattr("pinvtte.graph._PAIRS", budget)
         assert neighbors(sbm_sample(*args)) == neighbors(dense_sbm_sample(*args))
+
+    @pytest.mark.parametrize(
+        "pi_in, pi_out, message",
+        [
+            (1.5, 0.0, "pi_in=1.5 is not a probability"),
+            (0.5, -0.1, "pi_out=-0.1 is not a probability"),
+            (math.nan, 0.0, "pi_in=nan is not a probability"),
+        ],
+    )
+    def test_probabilities_checked(self, pi_in, pi_out, message):
+        with pytest.raises(InputError, match=message):
+            sbm_sample(12, 3, pi_in, pi_out, 0)
 
     def test_scratch_memory_is_bounded(self):
         # about 2M candidate pairs, 15,818 kept: only kept pairs are mapped to

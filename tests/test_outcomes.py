@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinvtte import (
+    CapacityError,
     Clustering,
     InputError,
     LowOrderModel,
@@ -32,6 +33,7 @@ from pinvtte import (
     singleton_clustering,
     true_tte,
 )
+from pinvtte import outcomes
 from conftest import (
     agg_dicts,
     cluster_rows,
@@ -94,6 +96,26 @@ class TestLowOrderModel:
     def test_unsorted_key_rejected(self):
         with pytest.raises(InputError):
             LowOrderModel.from_dicts(beta_star=2, coeffs=({(): 0.0, (1, 0): 1.0},))
+
+    @pytest.mark.parametrize(
+        "owner, members, values, message",
+        [
+            ([0], [[0], [1]], [1.0], "owner, members and values disagree in shape"),
+            ([0], [0], [1.0], "owner, members and values disagree in shape"),
+            ([0, 1], [[0], [1]], [1.0], "owner, members and values disagree in shape"),
+            ([2], [[0]], [1.0], r"row owner outside \[0, 2\)"),
+            ([-1], [[0]], [1.0], r"row owner outside \[0, 2\)"),
+        ],
+    )
+    def test_array_fields_checked(self, owner, members, values, message):
+        with pytest.raises(InputError, match=message):
+            LowOrderModel(1, owner, members, values, [0.0, 0.0])
+
+    def test_key_guard(self, monkeypatch):
+        monkeypatch.setattr(outcomes, "_MAX_KEYS", 3)
+        LowOrderModel.from_dicts(1, ({(): 0.0, (1,): 1.0}, {(): 0.0}))
+        with pytest.raises(CapacityError, match="model holds 4 subset keys, over the 3 guard"):
+            LowOrderModel.from_dicts(1, ({(): 0.0, (1,): 1.0}, {(): 0.0, (0,): 1.0}))
 
     def test_subset_outside_neighborhood_rejected_on_use(self):
         g = from_edge_list([], 2)
@@ -240,6 +262,15 @@ class TestGenCycleModel:
         g = cycle_power(9, 1)
         with pytest.raises(InputError):
             gen_cycle_model(g, 4)
+
+    def test_key_guard(self, monkeypatch):
+        # cycle_power(6, 1) at order 1: 6 baselines and 18 singleton keys
+        g = cycle_power(6, 1)
+        monkeypatch.setattr(outcomes, "_MAX_KEYS", 24)
+        gen_cycle_model(g, 1)
+        monkeypatch.setattr(outcomes, "_MAX_KEYS", 23)
+        with pytest.raises(CapacityError, match="exceed the 23 subset-key guard"):
+            gen_cycle_model(g, 1)
 
 
 class TestGenNamedModel:
