@@ -195,13 +195,12 @@ def _build_graph(o: _Opts) -> InterferenceGraph:
     return load_edge_list(kind)
 
 
-def _build_clustering(o: _Opts, g: InterferenceGraph, width: int | None = None) -> Clustering:
+def _build_clustering(o: _Opts, g: InterferenceGraph) -> Clustering:
     kind = o.get("clustering", _str, default="singleton")
     if kind == "singleton":
         return singleton_clustering(g.n)
     if kind == "contiguous":
-        w = width if width is not None else o.get("width", _int, default=1)
-        return contiguous_cycle_clusters(g.n, w)
+        return contiguous_cycle_clusters(g.n, o.get("width", _int, default=1))
     if kind == "louvain":
         return louvain(
             g,
@@ -234,13 +233,17 @@ def _design_kind(o: _Opts) -> str:
     return _DESIGN_NAMES[raw]
 
 
-def _build_design(o: _Opts, g: InterferenceGraph, c: Clustering) -> Design:
+def _build_design(o: _Opts, g: InterferenceGraph, c: Clustering | None = None) -> Design:
+    """The --design over clustering c, built from the options when not
+    given; a unit design builds none."""
     kind = _design_kind(o)
     if kind == "bernoulli_unit":
         clustering = o.get("clustering", _str, default="singleton")
         if clustering != "singleton":
             raise InputError(f"--design bern treats units: it takes no --clustering {clustering}")
         return bernoulli_unit(g.n, o.get("p", _float, default=0.25))
+    if c is None:
+        c = _build_clustering(o, g)
     if kind == "bernoulli_gcr":
         return bernoulli_gcr(c, o.get("p", _float, default=0.25))
     return complete_gcr(c, o.get("k", _int, required=True))
@@ -255,6 +258,11 @@ def _resolve_B(o: _Opts, g: InterferenceGraph, model: LowOrderModel | None) -> f
     return outcome_bound(model, g)
 
 
+def _emit(o: _Opts, rows: list[dict], seed: int | None = None) -> None:
+    """Write a report whose columns are its rows' keys in first-seen order."""
+    write_csv(rows, list(dict.fromkeys(k for row in rows for k in row)), o.out(), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # report subcommands
 # ---------------------------------------------------------------------------
@@ -267,14 +275,13 @@ def _cmd_simulate(o: _Opts) -> None:
     replications = o.get("replications", _int, default=500)
     seed = o.get("seed", _int, default=0)
     gamma = o.get("gamma", _gamma, default="quadform")
-    clustering_kind = o.get("clustering", _str, default="singleton")
-    if clustering_kind == "contiguous":
+    if o.get("clustering", _str, default="singleton") == "contiguous":
         widths = o.get("width", _ints, default=[1])
         if not widths:
             raise InputError("--width needs at least one cluster width")
-        cells = [(f"w={w}", _build_clustering(o, g, width=w)) for w in widths]
+        cells = [(f"w={w}", contiguous_cycle_clusters(g.n, w)) for w in widths]
     else:
-        cells = [("", _build_clustering(o, g))]
+        cells = [("", None)]
     rows = []
     for tag, c in cells:
         cfg = ExperimentConfig(
@@ -289,14 +296,12 @@ def _cmd_simulate(o: _Opts) -> None:
         )
         for report in run_experiment(cfg):
             rows.extend(report_rows(report))
-    names = ["estimator", "beta", "tag", "replications", "true_tte", "metric", "value"]
-    write_csv(rows, names, o.out(), seed=seed)
+    _emit(o, rows, seed)
 
 
 def _cmd_bounds(o: _Opts) -> None:
     g = _build_graph(o)
-    c = _build_clustering(o, g)
-    d = _build_design(o, g, c)
+    d = _build_design(o, g)
     model = _build_model(o, g, required=False)
     beta = o.get("beta", _int, default=1)
     B = _resolve_B(o, g, model)
@@ -307,8 +312,7 @@ def _cmd_bounds(o: _Opts) -> None:
         agg=None if model is None else cluster_aggregate(model, stats),
         monotone=o.get("monotone", _bool, default=False),
     )
-    row = asdict(rep)
-    write_csv([row], list(row), o.out())
+    _emit(o, [asdict(rep)])
 
 
 def _cmd_select(o: _Opts) -> None:
@@ -316,7 +320,8 @@ def _cmd_select(o: _Opts) -> None:
     if _design_kind(o) == "bernoulli_unit":
         raise InputError("select needs a cluster design (gcr or crd)")
     g = _build_graph(o)
-    model = _build_model(o, g, required=False)
+    # the model serves only to derive B, so with --B-bound it is not read
+    model = _build_model(o, g, required=False) if o.get("B_bound", _float) is None else None
     grid = o.get(
         "resolution_grid", _floats, default=[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
     )
@@ -346,15 +351,13 @@ def _cmd_select(o: _Opts) -> None:
                 "chosen": int(idx == chosen),
             }
         )
-    names = list(rows[0].keys())
-    write_csv(rows, names, o.out(), seed=cluster_seed)
+    _emit(o, rows, cluster_seed)
 
 
 def _cmd_oracle(o: _Opts) -> None:
     g = _build_graph(o)
     model = _build_model(o, g)
-    c = _build_clustering(o, g)
-    d = _build_design(o, g, c)
+    d = _build_design(o, g)
     specs = o.get("estimator", _specs, default=[EstimatorSpec("pinv", 1)])
     tte = true_tte(model)
     rows = []
@@ -369,21 +372,13 @@ def _cmd_oracle(o: _Opts) -> None:
                 "bias": mean - tte,
             }
         )
-    names = ["estimator", "beta", "true_tte", "mean", "variance", "bias"]
-    write_csv(rows, names, o.out())
+    _emit(o, rows)
 
 
 def _cmd_mc_moments(o: _Opts) -> None:
     samples = o.get("samples", _int)
-    # each mode rejects the other's options rather than ignore them
-    other = ["units", "r_grid", "mc_seeds"] if samples is not None else ["unit"]
-    given = [f"--{key.replace('_', '-')}" for key in other if o.get(key, _str) is not None]
-    if given:
-        mode = "with" if samples is not None else "without"
-        raise InputError(f"mc-moments {mode} --samples takes no {', '.join(given)}")
     g = _build_graph(o)
-    c = _build_clustering(o, g)
-    d = _build_design(o, g, c)
+    d = _build_design(o, g)
     beta = o.get("beta", _int, default=1)
     if samples is not None:
         # single-shot mode: one unit, one R, one seed; emit the estimated
@@ -399,7 +394,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
                 for col in range(mat.shape[1]):
                     rows.append({"section": section, "row": r, "col": col, "value": mat[r, col]})
         rows.append({"section": "fro_error", "value": err})
-        write_csv(rows, ["section", "row", "col", "value"], o.out(), seed=seed)
+        _emit(o, rows, seed)
         return
     tables = mc_convergence_report(
         d,
@@ -409,19 +404,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
         o.get("r_grid", _ints, default=[400, 4000, 40000]),
         o.get("mc_seeds", _ints, default=[0, 1, 2, 3, 4]),
     )
-    names = [
-        "table",
-        "R",
-        "seed",
-        "unit",
-        "fro_error",
-        "median_fro_error",
-        "std_fro_error",
-        "log10_R",
-        "log10_median_fro_error",
-    ]
-    rows = [dict(row, table=table) for table in ("detail", "summary") for row in tables[table]]
-    write_csv(rows, names, o.out())
+    _emit(o, [{"table": table, **row} for table in ("detail", "summary") for row in tables[table]])
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +425,19 @@ def _cmd_model(o: _Opts) -> None:
 def _cmd_estimate(o: _Opts) -> None:
     g = _build_graph(o)
     model = _build_model(o, g)
-    c = _build_clustering(o, g)
-    d = _build_design(o, g, c)
+    d = _build_design(o, g)
     spec = o.get("estimator", EstimatorSpec.parse, default=EstimatorSpec("pinv", 1))
     seed = o.get("seed", _int, default=0)
     draw = sample(d, seed, o.get("replicate", _int, default=0))
     Y = evaluate(model, g, draw.z)
     breakdown = estimate(g, Y, draw, d, spec.kind, spec.beta)
     base = {"estimator": breakdown.kind, "beta": spec.beta}
-    rows = [dict(base, metric="tte_hat", value=breakdown.tte_hat)]
+    rows = [dict(base, metric="tte_hat", unit=None, value=breakdown.tte_hat)]
     if o.get("weights", _bool, default=False):
         rows += [
             dict(base, metric="weight", unit=i, value=wi) for i, wi in enumerate(breakdown.weights)
         ]
-    names = ["estimator", "beta", "metric", "unit", "value"]
-    write_csv(rows, names, o.out(), seed=seed)
+    _emit(o, rows, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,20 @@ class TestBounds:
             err = capsys.readouterr().err
             assert err == "error: --design bern treats units: it takes no --clustering contiguous\n"
 
+    def test_unit_design_rejected_before_clustering(self, monkeypatch, capsys):
+        import pinvtte.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "louvain", lambda *args: calls.append(args))
+        argv = [
+            "bounds", "--n", "12", "--radius", "1", "--design", "bern",
+            "--clustering", "louvain", "--B-bound", "1",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --design bern treats units: it takes no --clustering louvain\n"
+        assert calls == []
+
 
 class TestInputFiles:
     SBM = ["--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.4", "--graph-seed", "2"]
@@ -289,7 +303,7 @@ class TestMcMoments:
         assert {r["R"] for r in summary} == {"50", "500"}
 
     def test_single_shot_mode(self, tmp_path):
-        _, rows, _ = run_csv(
+        header, rows, _ = run_csv(
             tmp_path,
             [
                 "mc-moments",
@@ -300,6 +314,7 @@ class TestMcMoments:
                 "--beta", "1",
             ],
         )
+        assert header == ["section", "row", "col", "value"]
         sections = {r["section"] for r in rows}
         assert sections == {"M", "M_pinv", "fro_error"}
         m_rows = [r for r in rows if r["section"] == "M"]
@@ -454,7 +469,7 @@ class TestModelCommand:
 
 class TestEstimate:
     def test_single_draw_value(self, tmp_path):
-        _, rows, comments = run_csv(
+        header, rows, comments = run_csv(
             tmp_path,
             [
                 "estimate",
@@ -465,13 +480,14 @@ class TestEstimate:
                 "--seed", "4",
             ],
         )
+        assert header == ["estimator", "beta", "metric", "unit", "value"]
         assert len(rows) == 1
-        assert rows[0]["metric"] == "tte_hat"
+        assert rows[0]["metric"] == "tte_hat" and rows[0]["unit"] == ""
         float(rows[0]["value"])
         assert "# seed=4" in comments
 
     def test_weight_rows(self, tmp_path):
-        _, rows, _ = run_csv(
+        header, rows, _ = run_csv(
             tmp_path,
             [
                 "estimate",
@@ -481,6 +497,7 @@ class TestEstimate:
                 "--weights", "true",
             ],
         )
+        assert header == ["estimator", "beta", "metric", "unit", "value"]
         weights = [r for r in rows if r["metric"] == "weight"]
         assert len(weights) == 6
         assert [r["unit"] for r in weights] == [str(i) for i in range(6)]
@@ -488,6 +505,12 @@ class TestEstimate:
         w = [float(r["value"]) for r in weights]
         # cycle outcomes under this seed reproduce the reported estimate
         assert len(tte_rows) == 1
+
+    @pytest.mark.parametrize("flag", ["false", "0", "NO"])
+    def test_weights_off(self, tmp_path, flag):
+        argv = ["estimate", "--n", "6", "--radius", "1", "--model", "cycle"]
+        _, rows, _ = run_csv(tmp_path, argv + ["--weights", flag])
+        assert [r["metric"] for r in rows] == ["tte_hat"]
 
     def test_design_mismatch(self, capsys):
         rc = main([
@@ -558,6 +581,15 @@ class TestConfigFile:
         _, bounds, _ = run_csv(tmp_path, ["bounds", "--config", str(cfg)], "b.csv")
         assert {r["replications"] for r in sim} == {"5"}
         assert bounds[0]["B"] == "2.0"
+
+    def test_grid_keys_shared_with_a_samples_run(self, tmp_path):
+        # units is a key of the grid mode of mc-moments; a --samples run
+        # does not read it, and a config file may still hold it
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n = 12\nradius = 1\ndesign = gcr\np = 0.3\nunits = 0,5\n")
+        argv = ["mc-moments", "--config", str(cfg), "--samples", "50", "--unit", "5"]
+        _, rows, _ = run_csv(tmp_path, argv)
+        assert rows[-1]["section"] == "fro_error"
 
     def test_unread_keys_shared_but_unread_flags_rejected(self, tmp_path, capsys):
         # --design gcr reads neither k nor width: a config file may hold
@@ -716,12 +748,22 @@ class TestErrorSurface:
             (["simulate", "--n", "24", "--radius", "1", "--model", "weak", "--design", "bern",
               "--clustering", "contiguous", "--width", "2,4", "--replications", "20"],
              "error: --design bern treats units: it takes no --clustering contiguous"),
-            (["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
-              "--samples", "50", "--units", "5", "--mc-seeds", "3"],
-             "error: mc-moments with --samples takes no --units, --mc-seeds"),
-            (["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
-              "--unit", "5", "--seed", "3", "--r-grid", "50", "--mc-seeds", "0"],
-             "error: mc-moments without --samples takes no --unit"),
+            # an option of the other mc-moments mode is an unread flag; the
+            # ids name the mode
+            pytest.param(
+                ["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
+                 "--samples", "50", "--units", "5", "--mc-seeds", "3"],
+                "error: this run does not read --units, --mc-seeds\n",
+                id="argv38-error: mc-moments with --samples: this run does not read --units, "
+                "--mc-seeds",
+            ),
+            pytest.param(
+                ["mc-moments", "--n", "12", "--radius", "1", "--design", "gcr", "--p", "0.3",
+                 "--unit", "5", "--seed", "3", "--r-grid", "50", "--mc-seeds", "0"],
+                "error: this run does not read --unit, --seed\n",
+                id="argv39-error: mc-moments without --samples: this run does not read --unit, "
+                "--seed",
+            ),
             # every resolution of the grid is checked before Louvain runs
             (["select", "--n", "12", "--radius", "1", "--resolution-grid", "0.5,-1",
               "--B-bound", "1"], "resolution must be positive and finite, got -1.0"),
@@ -733,6 +775,13 @@ class TestErrorSurface:
               "--B-bound", "1"], "error: this run does not read --p\n"),
             (["simulate", "--n", "12", "--radius", "1", "--model", "weak", "--beta-star", "3",
               "--replications", "5"], "error: this run does not read --beta-star\n"),
+            # select builds a model only to derive B
+            (["select", "--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.5",
+              "--design", "gcr", "--p", "0.3", "--model", "weak", "--B-bound", "1"],
+             "error: this run does not read --model\n"),
+            (["select", "--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.5",
+              "--design", "gcr", "--p", "0.3", "--model", "/nonexistent", "--B-bound", "1"],
+             "error: this run does not read --model\n"),
         ],
     )
     def test_degenerate_inputs_rejected(self, tmp_path, capsys, argv, message):

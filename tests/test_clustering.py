@@ -78,6 +78,11 @@ class TestClustering:
         assert list(np.flatnonzero(c.assignment == 1)) == [1, 3, 4]
         assert list(c.sizes()) == [2, 3]
 
+    def test_equality_only_with_clusterings(self):
+        c = singleton_clustering(3)
+        assert c.__eq__((0, 1, 2)) is NotImplemented
+        assert c != (0, 1, 2) and c != [0, 1, 2]
+
     def test_singleton(self):
         c = singleton_clustering(4)
         assert c.m == 4
@@ -312,6 +317,14 @@ class TestClusteringFiles:
         path = tmp_path / "c.tsv"
         save_clustering(c, str(path))
         assert load_clustering(str(path), 13) == c
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, rng):
+        c = random_clustering(rng, 7, 3)
+        path = tmp_path / "c.tsv"
+        save_clustering(c, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("# unit\tlabel\n\n" + "".join(lines[:3]) + "  \n" + "".join(lines[3:]))
+        assert load_clustering(str(path), 7) == c
 
     def test_labels_compacted_on_load(self, tmp_path):
         path = tmp_path / "c.tsv"

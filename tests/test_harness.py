@@ -638,6 +638,18 @@ class TestWriteCsv:
         assert not any(line.startswith("# seed=") for line in out)
         assert out[-1].startswith("# git_describe=")
 
+    @pytest.mark.parametrize("result", ["raise", "empty"])
+    def test_git_describe_unknown(self, monkeypatch, result):
+        # no git to run, or a describe that prints nothing
+        def run(*args, **kwargs):
+            if result == "raise":
+                raise OSError("no git")
+            return harness.subprocess.CompletedProcess(args, 0, stdout="\n", stderr="")
+
+        monkeypatch.setattr(harness, "_GIT_DESCRIBE", None)
+        monkeypatch.setattr(harness.subprocess, "run", run)
+        assert harness.git_describe() == "unknown"
+
     def test_missing_fields_blank(self, tmp_path):
         path = tmp_path / "out.csv"
         write_csv([{"a": 1}], ["a", "b"], str(path))

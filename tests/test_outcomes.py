@@ -481,6 +481,15 @@ class TestModelFiles:
             save_model(model, str(path))
             assert load_model(str(path), model.n) == model
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        model = gen_cycle_model(cycle_power(6, 1), 2)
+        path = tmp_path / "m.tsv"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = "".join(lines[:4]) + "\n" + "".join(lines[4:])
+        path.write_text("# unit\tsubset\tvalue\n\n" + body)
+        assert load_model(str(path), model.n) == model
+
     def test_save_rejects_an_order_the_file_drops(self, tmp_path):
         # the file records no order, and load_model reads the widest subset's
         path = tmp_path / "m.tsv"
