@@ -50,7 +50,7 @@ class Clustering:
             raise InputError(f"expected one integer cluster id per unit, got {a.dtype} {a.shape}")
         if a.min() < 0 or a.max() >= a.size:
             raise InputError(f"cluster ids {a.min()}..{a.max()} outside [0, {a.size})")
-        a = _frozen(a, np.int64)
+        a = _frozen(a, np.int64, "assignment")
         sizes = np.bincount(a)
         if not sizes.all():
             raise InputError(f"empty cluster ids {np.flatnonzero(sizes == 0).tolist()}")

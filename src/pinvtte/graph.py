@@ -29,8 +29,16 @@ __all__ = [
 _PAIRS = 1 << 16
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    """A read-only copy of a as an array of dtype."""
+def _frozen(a, dtype, name: str) -> np.ndarray:
+    """a as a read-only array of dtype: a itself when it already is one and
+    owns its data (a builder's fresh array), else a copy, so no writable
+    array of a caller is ever kept. A non-empty array named name that is to
+    hold integers must hold them already: its values are not truncated."""
+    a = np.asarray(a)
+    if a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
+        return a
+    if np.dtype(dtype).kind == "i" and a.size and a.dtype.kind not in "iu":
+        raise InputError(f"{name} must hold integers, got {a.dtype}")
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -54,7 +62,8 @@ class InterferenceGraph:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        indptr, indices = _frozen(self.indptr, np.int64), _frozen(self.indices, np.int64)
+        indptr = _frozen(self.indptr, np.int64, "indptr")
+        indices = _frozen(self.indices, np.int64, "indices")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         n = indptr.size - 1

@@ -37,6 +37,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import outcomes
 from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import ClusterStats, _same_lift, cluster_stats
 from .design import Design, _draws, _sample_draws, enumerate_support
@@ -68,9 +69,16 @@ __all__ = [
     "git_describe",
 ]
 
-# elements held at once: a block of draws or patterns times the larger of
-# model keys and neighborhood entries, or one pattern table's n * 2**C_max
+# the terms of one pattern table, n * 2**C_max, which int32 indexes; a block
+# of draws or patterns holds at most the model path's outcomes._BLOCK
+# elements, and never more than this
 _BLOCK = 1 << 18
+
+
+def _step(width: int) -> int:
+    """Draws or patterns per block when each holds width elements: at least
+    one, and at most min(_BLOCK, outcomes._BLOCK) elements in all."""
+    return max(1, min(_BLOCK, outcomes._BLOCK) // width)
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,7 @@ def _pattern_estimates(
     offs = np.arange(n, dtype=np.int32) * P
     out = [np.empty(W.shape[0]) for _ in tables]
     # a block holds (draws, n) codes and terms and (draws, m + 1) padded draws
-    step = max(1, _BLOCK // (n + 1))
+    step = _step(n + 1)
     for start in range(0, W.shape[0], step):
         block = slice(start, start + step)
         Wb = _draws(W[block], agg.m)
@@ -224,14 +232,15 @@ def replicate_estimates(
     the draws, and past n * P > _BLOCK they would not fit one block.
     Both routes multiply the same outcome by the same weight and average
     the same (draws, n) rows, so they agree bit for bit. Both walk their
-    work in blocks under the _BLOCK element budget, no (R, n) array is
-    held, and estimate r depends only on draw r.
+    work in blocks under the model path's outcomes._BLOCK element budget
+    (_step), which leaves the route unchanged; no (R, n) array is held, and
+    estimate r depends only on draw r.
     """
     stats = agg.stats
     _same_lift(d.clustering, stats)
     tables = [_table(stats, d, spec) for spec in specs]
     W = np.asarray(W)
-    step = max(1, _BLOCK // max(agg.values.size, stats.cluster_ids.size))
+    step = _step(max(agg.values.size, stats.cluster_ids.size))
     P = 1 << stats.C_max
     if P <= W.shape[0] and stats.n * P <= _BLOCK:
         return _pattern_estimates(agg, tables, W, step)

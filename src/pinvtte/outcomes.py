@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -48,6 +48,20 @@ _MAX_KEYS = 2_000_000
 _BLOCK = 1 << 16
 
 
+def _row_blocks(members: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, rows) of members, a block of at least one row and at
+    most _BLOCK entries at a time."""
+    step = max(1, _BLOCK // max(1, members.shape[1]))
+    return ((a, members[a : a + step]) for a in range(0, members.shape[0], step))
+
+
+def _sealed(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A builder's fresh arrays, read-only, so the model adopts them uncopied."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class LowOrderModel:
     """Sparse potential-outcome model of order beta_star, stored flat.
@@ -73,7 +87,7 @@ class LowOrderModel:
             raise InputError(f"beta_star must be nonnegative, got {self.beta_star}")
         for name in ("owner", "members", "values", "baseline"):
             dtype = np.int64 if name in ("owner", "members") else np.float64
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, name))
         n, rows, members = self.n, self.owner.size, self.members
         if members.ndim != 2 or members.shape[0] != rows or self.values.shape != (rows,):
             raise InputError("owner, members and values disagree in shape")
@@ -84,14 +98,16 @@ class LowOrderModel:
             units = np.append(self.owner[~finite], np.flatnonzero(~base_finite))
             raise InputError(f"unit {units.min()}: coefficients must be finite")
         # per row, in the order checked: order, then sorted and unique
-        unsorted = np.any((members[:, :-1] >= members[:, 1:]) & (members[:, 1:] != n), axis=1)
-        bad = np.stack([self.order > self.beta_star, (self.order == 0) | unsorted])
-        if bad.any():
-            r = int(np.flatnonzero(bad.any(axis=0))[0])
-            i, s = int(self.owner[r]), self._key(r)
-            if bad[0, r]:
-                raise InputError(f"unit {i}: subset {s} exceeds beta_star={self.beta_star}")
-            raise InputError(f"unit {i}: subset key {s} not sorted unique")
+        for a, m in _row_blocks(members):
+            order = (m != n).sum(axis=1)
+            unsorted = np.any((m[:, :-1] >= m[:, 1:]) & (m[:, 1:] != n), axis=1)
+            bad = np.stack([order > self.beta_star, (order == 0) | unsorted])
+            if bad.any():
+                r = a + int(np.flatnonzero(bad.any(axis=0))[0])
+                i, s = int(self.owner[r]), self._key(r)
+                if bad[0, r - a]:
+                    raise InputError(f"unit {i}: subset {s} exceeds beta_star={self.beta_star}")
+                raise InputError(f"unit {i}: subset key {s} not sorted unique")
 
     @classmethod
     def from_dicts(
@@ -124,7 +140,7 @@ class LowOrderModel:
         members[rows, np.arange(flat.size) - (np.cumsum(lens) - lens)[rows]] = flat
         baseline = np.zeros(n)
         baseline[owner[base]] = values[base]
-        return cls(beta_star, owner[~base], members[~base], values[~base], baseline)
+        return cls(beta_star, *_sealed(owner[~base], members[~base], values[~base], baseline))
 
     @property
     def n(self) -> int:
@@ -162,10 +178,8 @@ class LowOrderModel:
             raise InputError(f"model has {self.n} units but graph has {g.n}")
         # CSR rows are sorted, so (unit, neighbor) keys are too
         keys = np.repeat(np.arange(g.n), g.degrees) * g.n + g.indices
-        step = max(1, _BLOCK // max(1, self.members.shape[1]))
-        for a in range(0, self.owner.size, step):
-            member = self.members[a : a + step]
-            want = self.owner[a : a + step, None] * g.n + member
+        for a, member in _row_blocks(self.members):
+            want = self.owner[a : a + member.shape[0], None] * g.n + member
             at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
             bad = (member != g.n) & ((keys[at] != want) | (member < 0) | (member > g.n))
             if bad.any():
@@ -241,19 +255,31 @@ def _cluster_keys(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregate
     columns dropped.
     """
     c = stats.clustering
-    cmap = np.append(c.assignment, c.m)[model.members]
-    cmap.sort(axis=1)
-    cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = c.m
-    cmap.sort(axis=1)
-    width = int((cmap < c.m).sum(axis=1).max(initial=0))
-    rows = np.column_stack([model.owner, cmap[:, :width]])
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
-    keys = rows[first]
-    return ClusterAggregatedModel(keys[:, 0], keys[:, 1:], values, model, stats)
+    # cmap[j] is every row's j-th cluster, one contiguous sort key per column
+    lut = np.append(c.assignment, c.m)
+    cmap = np.empty(model.members.shape[::-1], dtype=np.int64)
+    for j, col in enumerate(model.members.T):
+        cmap[j] = lut[col]
+    cmap.sort(axis=0)
+    cmap[1:][cmap[1:] == cmap[:-1]] = c.m
+    cmap.sort(axis=0)
+    # each row's clusters come first, so the first all-pad column ends them all
+    width = sum(bool((col < c.m).any()) for col in cmap)
+    columns = [model.owner, *cmap[:width]]
+    order = np.lexsort(columns[::-1])
+    # a row starts a run when any of its keys differs from the row before
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    key = np.empty_like(order)
+    for col in columns:
+        key[:] = col[order]
+        first[1:] |= key[1:] != key[:-1]
+    # each sorted row's run, numbered from 0 in the key buffer
+    np.cumsum(first, out=key)
+    key -= 1
+    values = np.bincount(key, weights=model.values[order])
+    at = order[first]
+    return ClusterAggregatedModel(model.owner[at], cmap[:width, at].T, values, model, stats)
 
 
 def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:
@@ -296,7 +322,10 @@ def _sequential_sum(x: np.ndarray) -> float:
 def true_tte(model: LowOrderModel) -> float:
     """Exact total treatment effect: the average over units of the sum of
     non-empty coefficients."""
-    return _sequential_sum(np.bincount(model.owner, model.values, model.n)) / model.n
+    # added in place, in row order: np.bincount would copy the read-only rows
+    per_unit = np.zeros(model.n)
+    np.add.at(per_unit, model.owner, model.values)
+    return _sequential_sum(per_unit) / model.n
 
 
 def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
@@ -335,7 +364,7 @@ def gen_cycle_model(g: InterferenceGraph, beta_star: int) -> LowOrderModel:
             rows = (first[units][:, None] + np.arange(len(combos))).ravel()
             members[rows] = gather[at].reshape(-1, beta_star)
             values[rows] = np.tile(coef, units.size)
-    return LowOrderModel(beta_star, owner, members, values, np.ones(g.n))
+    return LowOrderModel(beta_star, *_sealed(owner, members, values, np.ones(g.n)))
 
 
 def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel:
@@ -361,14 +390,15 @@ def gen_named_model(g: InterferenceGraph, kind: str, seed: int) -> LowOrderModel
     baseline = (0.5 + 0.1 * noise) * deg / int(deg.max())
     owner = np.repeat(np.arange(g.n), deg)
     order = np.argsort(2 * owner + (g.indices != owner), kind="stable")
-    owner, members = owner[order], g.indices[order]
-    own, d = members == owner, deg[owner]
+    if kind == "null":
+        order = order[:0]
+    owner, members = owner[order], g.indices[order[:, None]]
+    own, d = members[:, 0] == owner, deg[owner]
     if kind == "weak":
         values = np.where(own, 0.5, 1.0 / (2.0 * np.maximum(d - 1, 1)))
     else:
         values = np.where(own, d / 2.0, 0.5)
-    keep = slice(0 if kind == "null" else None)
-    return LowOrderModel(1, owner[keep], members[keep, None], values[keep], baseline)
+    return LowOrderModel(1, *_sealed(owner, members, values, baseline))
 
 
 def cluster_aggregate(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregatedModel:
@@ -393,12 +423,12 @@ def outcome_bound(model: LowOrderModel, g: InterferenceGraph) -> float:
     model).
     """
     model._validate(g)
-    n = model.n
-    # per unit, summed in row order after the baseline
-    every = np.concatenate([model.baseline, model.values])
-    owners = np.concatenate([np.arange(n), model.owner])
-    pos = np.bincount(owners, np.where(every > 0, every, 0.0), n)
-    neg = np.bincount(model.owner, np.where(model.values < 0, model.values, 0.0), n)
+    # per unit, added in place in row order (np.bincount would copy the
+    # read-only rows), the positive part after the baseline
+    pos = np.where(model.baseline > 0, model.baseline, 0.0)
+    np.add.at(pos, model.owner, np.where(model.values > 0, model.values, 0.0))
+    neg = np.zeros(model.n)
+    np.add.at(neg, model.owner, np.where(model.values < 0, model.values, 0.0))
     return float(max(0.0, pos.max(), np.abs(model.baseline + neg).max()))
 
 

@@ -212,6 +212,40 @@ def oracle_outcome_bound(coeffs) -> float:
     return float(best)
 
 
+def reference_cluster_keys(
+    model: LowOrderModel, stats: ClusterStats
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, members, values) of the lift of model on stats, keyed on
+    stacked (owner, cluster...) rows, which the lift's column-at-a-time
+    keys must match to the last bit."""
+    c = stats.clustering
+    cmap = np.append(c.assignment, c.m)[model.members]
+    cmap.sort(axis=1)
+    cmap[:, 1:][cmap[:, 1:] == cmap[:, :-1]] = c.m
+    cmap.sort(axis=1)
+    width = int((cmap < c.m).sum(axis=1).max(initial=0))
+    rows = np.column_stack([model.owner, cmap[:, :width]])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    values = np.bincount(np.cumsum(first) - 1, weights=model.values[order])
+    keys = rows[first]
+    return keys[:, 0], keys[:, 1:], values
+
+
+def reference_outcome_bound(model: LowOrderModel) -> float:
+    """outcome_bound with each unit's positive part summed by one bincount
+    over the baselines and rows concatenated: the same sums, in the same
+    order, as adding the rows onto the baselines in place."""
+    n = model.n
+    every = np.concatenate([model.baseline, model.values])
+    owners = np.concatenate([np.arange(n), model.owner])
+    pos = np.bincount(owners, np.where(every > 0, every, 0.0), n)
+    neg = np.bincount(model.owner, np.where(model.values < 0, model.values, 0.0), n)
+    return float(max(0.0, pos.max(), np.abs(model.baseline + neg).max()))
+
+
 def oracle_mixed_signs(x) -> bool:
     """mixed_signs over per-unit aggregate dicts x[i][U]."""
     has_pos = has_neg = False

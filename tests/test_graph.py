@@ -252,6 +252,15 @@ class TestCsrArrays:
             with pytest.raises(InputError, match="indptr"):
                 InterferenceGraph(np.array(indptr), np.array([0, 1]))
 
+    def test_non_integer_arrays_rejected(self):
+        # 1.5, 0.2 and 1.9 are not positions or units: nothing truncates them
+        with pytest.raises(InputError, match="indptr must hold integers, got float64"):
+            InterferenceGraph(np.array([0, 1.5, 2]), np.array([0, 1]))
+        with pytest.raises(InputError, match="indices must hold integers, got float64"):
+            InterferenceGraph(np.array([0, 1, 2]), np.array([0.2, 1.9]))
+        with pytest.raises(InputError, match="indptr must hold integers"):
+            InterferenceGraph(np.array([0, 1.5, 2]), np.array([0.2, 1.9]))
+
     def test_random_graphs_keep_their_rows(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 15))

@@ -237,6 +237,31 @@ class TestReplicateEstimates:
             routes.add(bool(patterns))
         assert routes == {False, True}
 
+    def test_routes_agree_under_model_block_budgets(self, monkeypatch):
+        # budgets of 1 and 7 elements for the model path's blocks split the
+        # pattern fill, the draw walk of the table route and the blocks of
+        # the per-draw route (taken below R = P) at many points; each route
+        # still gives the default's estimates bit for bit
+        specs = [EstimatorSpec.parse(text) for text in ("pinv:2", "gcr_explicit:1", "ht")]
+        for radius in (1, 2, 3):
+            g, d = cycle_power(12, radius), bernoulli_gcr(blocks(12, 2), 0.3)
+            lifted = lift(gen_cycle_model(g, 2), g, d.clustering)
+            P = 2**lifted.stats.C_max
+            W = _sample_draws(d, 4, 40)
+            want = replicate_estimates(lifted, d, specs, W)
+            for budget in (1, 7):
+                tabled = []
+                with monkeypatch.context() as patch:
+                    patch.setattr("pinvtte.outcomes._BLOCK", budget)
+                    patch.setattr(harness, "_evaluate_hits", spied(harness._evaluate_hits, tabled))
+                    table = replicate_estimates(lifted, d, specs, W)
+                    per_draw = replicate_estimates(lifted, d, specs, W[: P - 1])
+                # over 7 model keys: the table route fills one pattern a
+                # block, and the per-draw route fills none
+                assert lifted.values.size > 7 and len(tabled) == P
+                for a, b, c in zip(want, table, per_draw):
+                    assert np.array_equal(a, b) and np.array_equal(a[: P - 1], c)
+
     def test_rejects_lifted_inputs_of_another_clustering(self):
         cfg = small_cfg()
         W = np.stack([sample(cfg.design, 0, r).w for r in range(3)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pinvtte import (
     CapacityError,
     Clustering,
+    EstimatorSpec,
     InputError,
     LowOrderModel,
     bernoulli_gcr,
@@ -19,6 +20,7 @@ from pinvtte import (
     cluster_aggregate,
     cluster_stats,
     complete_gcr,
+    contiguous_cycle_clusters,
     cycle_power,
     evaluate,
     evaluate_draws,
@@ -28,12 +30,14 @@ from pinvtte import (
     load_model,
     mixed_signs,
     outcome_bound,
+    replicate_estimates,
     save_model,
     sbm_sample,
     singleton_clustering,
     true_tte,
 )
 from pinvtte import outcomes
+from pinvtte.design import _sample_draws
 from conftest import (
     agg_dicts,
     cluster_rows,
@@ -54,6 +58,8 @@ from conftest import (
     random_coeffs,
     random_graph,
     random_model,
+    reference_cluster_keys,
+    reference_outcome_bound,
     traced_peak,
 )
 
@@ -110,6 +116,16 @@ class TestLowOrderModel:
     def test_array_fields_checked(self, owner, members, values, message):
         with pytest.raises(InputError, match=message):
             LowOrderModel(1, owner, members, values, [0.0, 0.0])
+
+    def test_non_integer_index_arrays_rejected(self):
+        # 0.7 and 1.2 are not unit indices: nothing truncates them to 0 and 1
+        with pytest.raises(InputError, match="owner must hold integers, got float64"):
+            LowOrderModel(1, np.array([0.7, 1.2]), [[0], [1]], np.ones(2), np.zeros(2))
+        with pytest.raises(InputError, match="members must hold integers, got float64"):
+            LowOrderModel(1, [0, 1], np.array([[0.9], [1.0]]), np.ones(2), np.zeros(2))
+        # an empty array of any dtype holds no value to truncate
+        empty = LowOrderModel(1, np.array([]), np.empty((0, 1)), np.array([]), np.zeros(2))
+        assert empty.owner.dtype == empty.members.dtype == np.int64
 
     def test_key_guard(self, monkeypatch):
         monkeypatch.setattr(outcomes, "_MAX_KEYS", 3)
@@ -666,6 +682,63 @@ class TestArrayRoutesMatchDictOracles:
         model = gen_cycle_model(g, 2)
         assert traced_peak(lambda: model._validate(g)) <= 5e6
 
+    @pytest.mark.parametrize(
+        "stage, bound",
+        [
+            ("build", 8.5e6),
+            ("lift", 7.5e6),
+            ("outcome bound", 3e6),
+            ("true TTE", 0.5e6),
+            ("replicate", 4.5e6),
+        ],
+    )
+    def test_stage_memory_is_bounded(self, stage, bound):
+        # the 168k-row model takes 5.4 MB. Its builder hands its arrays over
+        # uncopied and checks them a block of rows at a time; no stage
+        # copies them, and beside them the lift holds one 2.7 MB cluster map
+        g = cycle_power(6000, 3)
+        model = gen_cycle_model(g, 2)
+        stats = cluster_stats(g, contiguous_cycle_clusters(6000, 4))
+        agg = cluster_aggregate(model, stats)  # checks model against g, once
+        d = bernoulli_gcr(stats.clustering, 0.25)
+        specs = [EstimatorSpec("pinv", 2), EstimatorSpec("ht")]
+        W = _sample_draws(d, 0, 500)
+        run = {
+            "build": lambda: gen_cycle_model(g, 2),
+            "lift": lambda: cluster_aggregate(model, stats),
+            "outcome bound": lambda: outcome_bound(model, g),
+            "true TTE": lambda: true_tte(model),
+            "replicate": lambda: replicate_estimates(agg, d, specs, W),
+        }[stage]
+        assert traced_peak(run) <= bound
+
+    def test_lift_and_bound_match_stacked_references(self):
+        # rows in shuffled order, values of either sign from 1e-8 to 1e8:
+        # the same keys, sums and bound as the stacked-row forms, bit for bit
+        for trial in range(240):
+            gen = np.random.default_rng(9000 + trial)
+            n = int(gen.integers(1, 30))
+            g = random_graph(gen, n)
+            c = random_clustering(gen, n, int(gen.integers(1, n + 1)))
+            beta_star = 1 + trial % 3
+            base = random_model(gen, g, beta_star)
+            rows = gen.permutation(base.owner.size)
+            sign = gen.choice([-1.0, 1.0], rows.size + n)
+            scale = sign * 10.0 ** gen.uniform(-8.0, 8.0, rows.size + n)
+            model = LowOrderModel(
+                beta_star,
+                base.owner[rows],
+                base.members[rows],
+                scale[: rows.size],
+                scale[rows.size :],
+            )
+            stats = cluster_stats(g, c)
+            agg = cluster_aggregate(model, stats)
+            got = (agg.owner, agg.members, agg.values)
+            for a, b in zip(got, reference_cluster_keys(model, stats)):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert outcome_bound(model, g) == reference_outcome_bound(model)
+
     def test_validated_once_per_graph(self, monkeypatch):
         g = cycle_power(9, 1)
         model = gen_cycle_model(g, 1)
@@ -683,7 +756,7 @@ class TestArrayRoutesMatchDictOracles:
             outcome_bound(model, cycle_power(9, 0))
         assert reads == [1]
 
-    def test_arrays_read_only_and_equality(self):
+    def test_arrays_read_only_and_equality(self, tmp_path):
         g = cycle_power(12, 1)
         a, b = gen_named_model(g, "weak", 5), gen_named_model(g, "weak", 5)
         assert a == b and a != gen_named_model(g, "weak", 6) and a != "weak"
@@ -691,6 +764,32 @@ class TestArrayRoutesMatchDictOracles:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             a.values[0] = 1.0
+        # every builder's arrays, handed over uncopied, are read-only
+        path = tmp_path / "model.tsv"
+        save_model(gen_cycle_model(g, 1), str(path))
+        built = [gen_cycle_model(g, 1), load_model(str(path), 12)]
+        built += [gen_named_model(g, kind, 3) for kind in ("null", "strong")]
+        built.append(LowOrderModel.from_dicts(1, [{(): 1.0, (1,): 2.0}, {(): 0.5}]))
+        fields = ("owner", "members", "values", "baseline")
+        for model in built:
+            assert not any(getattr(model, f).flags.writeable for f in fields)
+        # a caller's writable arrays are copied: changing them later leaves
+        # the model as it was
+        given = (np.array([0, 1]), np.array([[1], [0]]), np.ones(2), np.zeros(2))
+        model = LowOrderModel(1, *given)
+        before = LowOrderModel(1, *(a.copy() for a in given))
+        for f, arr in zip(fields, given):
+            assert not np.shares_memory(arr, getattr(model, f))
+            arr[...] = 7
+        assert model == before
+        # a read-only view of a writable array is copied too; a read-only
+        # array that owns its data is kept as it is
+        view = np.ones(4)[:2]
+        view.setflags(write=False)
+        owned = np.zeros(2)
+        owned.setflags(write=False)
+        model = LowOrderModel(1, [0, 1], [[1], [0]], view, owned)
+        assert not np.shares_memory(view, model.values) and model.baseline is owned
 
     def test_save_load_save_bytes(self, tmp_path, rng):
         g = random_graph(rng, 11)
