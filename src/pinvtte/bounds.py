@@ -4,8 +4,9 @@ The variance side revolves around the quadratic form theta' M^+ theta over a
 unit's cluster moment matrix. Three sources are supported: closed forms
 (exact for Bernoulli designs at any order, first-order only for the complete
 design, where the closed value also carries the (c+1) scale factor its
-variance analysis uses), numeric quadforms from analytic moment matrices,
-and quadforms from Monte Carlo moment estimates.
+variance analysis uses), quadforms from size_class_pinv's per-size
+coefficients of M^+ theta (any design and order), and quadforms from Monte
+Carlo moment estimates.
 
 The bias side evaluates the exact bias identity at the cluster level: with
 x the cluster-aggregated coefficients, psi the non-empty-row selector, M_w
@@ -191,10 +192,10 @@ def gamma_profile(
 
     "closed" uses the exact closed forms (Bernoulli any order, with the
     envelope as bound_sq; complete design requires beta = 1, with the
-    (c+1)-scaled form as bound_sq). "quadform" computes theta' M^+ theta
-    from analytic moment matrices, any design and order. "monte_carlo" does
-    the same from moments estimated on each unit's cluster neighborhood in
-    stats. Both set bound_sq to gamma_sq.
+    (c+1)-scaled form as bound_sq). "quadform" sums theta' M^+ theta from
+    size_class_pinv's per-size coefficients, any design and order.
+    "monte_carlo" computes it from moments estimated on each unit's cluster
+    neighborhood in stats. Both set bound_sq to gamma_sq.
     """
     _check_order(beta)
     _same_lift(d.clustering, stats)

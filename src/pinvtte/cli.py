@@ -6,10 +6,12 @@ variance/bias bound report), ``select`` (rank candidate clusterings),
 (exhaustive expectation over a design's support). Artifact subcommands:
 ``cluster`` and ``model gen`` write the clustering/model that the report
 subcommands would build from the same options, and ``estimate`` runs one
-estimator on one sampled draw. Each input has one spelling, parsed by one
+estimator on one sampled draw. Each input has one spelling, read by one
 shared builder, so an option means the same in every subcommand that takes
 it. Every option can also be given in a flat key=value config file via
---config; explicit flags win. Reports are CSV, to --out or stdout.
+--config; explicit flags win. Reports are CSV, to --out or stdout. A run
+reads and checks every option, unread flags last, before it builds a graph,
+clustering or model or opens an input file other than --config.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -114,8 +118,8 @@ class _Opts:
 
     def out(self) -> str | None:
         """The --out path (None for stdout), asked for once every other
-        option is read and before any output is written."""
-        path = self.get("out", _str)
+        option is read and before anything is built or written."""
+        path = self.get("out", str)
         unread = [
             f"--{key.replace('_', '-')}"
             for key, raw in self._args.items()
@@ -140,10 +144,6 @@ def _float(raw: str) -> float:
         raise InputError(f"expected a number, got {raw!r}")
 
 
-def _str(raw: str) -> str:
-    return raw
-
-
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes"):
@@ -153,16 +153,9 @@ def _bool(raw: str) -> bool:
     raise InputError(f"expected true/false, got {raw!r}")
 
 
-def _ints(raw: str) -> list[int]:
-    return [_int(part) for part in raw.split(",") if part.strip()]
-
-
-def _floats(raw: str) -> list[float]:
-    return [_float(part) for part in raw.split(",") if part.strip()]
-
-
-def _specs(raw: str) -> list[EstimatorSpec]:
-    return [EstimatorSpec.parse(part) for part in raw.split(",") if part.strip()]
+def _list(parse: Callable[[str], object]) -> Callable[[str], list]:
+    """A comma-separated list of parse's values; empty parts are skipped."""
+    return lambda raw: [parse(part) for part in raw.split(",") if part.strip()]
 
 
 def _gamma(raw: str) -> str:
@@ -174,120 +167,120 @@ def _gamma(raw: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders shared by the subcommands
+# builders shared by the subcommands: each reads its options, returns a builder
 # ---------------------------------------------------------------------------
 
 
-def _build_graph(o: _Opts) -> InterferenceGraph:
-    kind = o.get("graph", _str, default="cycle")
+def _graph(o: _Opts) -> Callable[[], InterferenceGraph]:
+    kind = o.get("graph", str, default="cycle")
     if kind == "cycle":
         n = o.get("n", _int, default=120)
-        return cycle_power(n, o.get("radius", _int, default=3))
+        return partial(cycle_power, n, o.get("radius", _int, default=3))
     if kind == "sbm":
-        n = o.get("n", _int, default=200)
-        return sbm_sample(
-            n,
+        return partial(
+            sbm_sample,
+            o.get("n", _int, default=200),
             o.get("blocks", _int, default=8),
             o.get("pi_in", _float, default=0.5),
             o.get("pi_out", _float, default=0.0),
             o.get("graph_seed", _int, default=0),
         )
-    return load_edge_list(kind)
+    return partial(load_edge_list, kind)
 
 
-def _build_clustering(o: _Opts, g: InterferenceGraph) -> Clustering:
-    kind = o.get("clustering", _str, default="singleton")
+def _clustering(o: _Opts) -> Callable[[InterferenceGraph], Clustering]:
+    kind = o.get("clustering", str, default="singleton")
     if kind == "singleton":
-        return singleton_clustering(g.n)
+        return lambda g: singleton_clustering(g.n)
     if kind == "contiguous":
-        return contiguous_cycle_clusters(g.n, o.get("width", _int, default=1))
+        width = o.get("width", _int, default=1)
+        return lambda g: contiguous_cycle_clusters(g.n, width)
     if kind == "louvain":
-        return louvain(
-            g,
-            o.get("resolution", _float, default=1.0),
-            o.get("cluster_seed", _int, default=0),
-        )
-    return load_clustering(kind, g.n)
+        resolution = o.get("resolution", _float, default=1.0)
+        seed = o.get("cluster_seed", _int, default=0)
+        return lambda g: louvain(g, resolution, seed)
+    return lambda g: load_clustering(kind, g.n)
 
 
-def _build_model(o: _Opts, g: InterferenceGraph, required: bool = True) -> LowOrderModel | None:
-    kind = o.get("model", _str)
+def _model(o: _Opts, required: bool = True) -> Callable[[InterferenceGraph], LowOrderModel] | None:
+    """The --model builder; None when the model is optional and not given."""
+    kind = o.get("model", str, required=required)
     if kind is None:
-        if required:
-            raise InputError("missing required option --model")
         return None
     if kind == "cycle":
-        return gen_cycle_model(g, o.get("beta_star", _int, default=1))
+        return partial(gen_cycle_model, beta_star=o.get("beta_star", _int, default=1))
     if kind in ("null", "weak", "strong"):
-        return gen_named_model(g, kind, o.get("model_seed", _int, default=0))
-    return load_model(kind, g.n)
+        return partial(gen_named_model, kind=kind, seed=o.get("model_seed", _int, default=0))
+    return lambda g: load_model(kind, g.n)
 
 
-_DESIGN_NAMES = {"bern": "bernoulli_unit", "gcr": "bernoulli_gcr", "crd": "complete_gcr"}
-
-
-def _design_kind(o: _Opts) -> str:
-    raw = o.get("design", _str, default="gcr")
-    if raw not in _DESIGN_NAMES:
-        raise InputError(f"unknown design {raw!r} (expected bern, gcr, or crd)")
-    return _DESIGN_NAMES[raw]
-
-
-def _build_design(o: _Opts, g: InterferenceGraph, c: Clustering | None = None) -> Design:
-    """The --design over clustering c, built from the options when not
-    given; a unit design builds none."""
-    kind = _design_kind(o)
-    if kind == "bernoulli_unit":
-        clustering = o.get("clustering", _str, default="singleton")
+def _design(o: _Opts, own: bool = True) -> Callable[..., Design]:
+    """The --design builder (g, c=None): a cluster design on c, or on --clustering's
+    when c is None; own=False leaves --clustering to a caller that passes c."""
+    kind = o.get("design", str, default="gcr")
+    if kind == "bern":
+        clustering = o.get("clustering", str, default="singleton")
         if clustering != "singleton":
             raise InputError(f"--design bern treats units: it takes no --clustering {clustering}")
-        return bernoulli_unit(g.n, o.get("p", _float, default=0.25))
-    if c is None:
-        c = _build_clustering(o, g)
-    if kind == "bernoulli_gcr":
-        return bernoulli_gcr(c, o.get("p", _float, default=0.25))
-    return complete_gcr(c, o.get("k", _int, required=True))
+        p = o.get("p", _float, default=0.25)
+        return lambda g, c=None: bernoulli_unit(g.n, p)
+    if kind not in ("gcr", "crd"):
+        raise InputError(f"unknown design {kind!r} (expected bern, gcr, or crd)")
+    clustering = _clustering(o) if own else None
+    if kind == "gcr":
+        make, arg = bernoulli_gcr, o.get("p", _float, default=0.25)
+    else:
+        make, arg = complete_gcr, o.get("k", _int, required=True)
+    return lambda g, c=None: make(clustering(g) if c is None else c, arg)
 
 
-def _resolve_B(o: _Opts, g: InterferenceGraph, model: LowOrderModel | None) -> float:
+def _bound(o: _Opts, need_model: bool) -> tuple[float | None, Callable | None]:
+    """(--B-bound, --model builder); the model is read if needed or if B is not
+    given, and a B of None is derived from it."""
     B = o.get("B_bound", _float)
-    if B is not None:
-        return B
-    if model is None:
+    model = _model(o, required=False) if need_model or B is None else None
+    if B is None and model is None:
         raise InputError("give --B-bound or a --model to derive the outcome bound from")
-    return outcome_bound(model, g)
+    return B, model
 
 
-def _emit(o: _Opts, rows: list[dict], seed: int | None = None) -> None:
+def _emit(path: str | None, rows: list[dict], seed: int | None = None) -> None:
     """Write a report whose columns are its rows' keys in first-seen order."""
-    write_csv(rows, list(dict.fromkeys(k for row in rows for k in row)), o.out(), seed=seed)
+    write_csv(rows, list(dict.fromkeys(k for row in rows for k in row)), path, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# report subcommands
+# report subcommands: each reads every option, asks o.out(), then builds
 # ---------------------------------------------------------------------------
 
 
 def _cmd_simulate(o: _Opts) -> None:
-    g = _build_graph(o)
-    model = _build_model(o, g)
-    specs = o.get("estimator", _specs, default=[EstimatorSpec("pinv", 1)])
+    graph = _graph(o)
+    model = _model(o)
+    if o.get("clustering", str, default="singleton") == "contiguous":
+        widths = o.get("width", _list(_int), default=[1])
+        if not widths:
+            raise InputError("--width needs at least one cluster width")
+        design = _design(o, own=False)
+        cells = [
+            (f"w={w}", lambda g, w=w: design(g, contiguous_cycle_clusters(g.n, w)))
+            for w in widths
+        ]
+    else:
+        cells = [("", _design(o))]
+    specs = o.get("estimator", _list(EstimatorSpec.parse), default=[EstimatorSpec("pinv", 1)])
     replications = o.get("replications", _int, default=500)
     seed = o.get("seed", _int, default=0)
     gamma = o.get("gamma", _gamma, default="quadform")
-    if o.get("clustering", _str, default="singleton") == "contiguous":
-        widths = o.get("width", _ints, default=[1])
-        if not widths:
-            raise InputError("--width needs at least one cluster width")
-        cells = [(f"w={w}", contiguous_cycle_clusters(g.n, w)) for w in widths]
-    else:
-        cells = [("", None)]
+    path = o.out()
+    g = graph()
+    m = model(g)
     rows = []
-    for tag, c in cells:
+    for tag, cell in cells:
         cfg = ExperimentConfig(
             graph=g,
-            model=model,
-            design=_build_design(o, g, c),
+            model=m,
+            design=cell(g),
             estimators=tuple(specs),
             replications=replications,
             seed=seed,
@@ -296,45 +289,52 @@ def _cmd_simulate(o: _Opts) -> None:
         )
         for report in run_experiment(cfg):
             rows.extend(report_rows(report))
-    _emit(o, rows, seed)
+    _emit(path, rows, seed)
 
 
 def _cmd_bounds(o: _Opts) -> None:
-    g = _build_graph(o)
-    d = _build_design(o, g)
-    model = _build_model(o, g, required=False)
+    graph = _graph(o)
+    design = _design(o)
+    B, model = _bound(o, need_model=True)
     beta = o.get("beta", _int, default=1)
-    B = _resolve_B(o, g, model)
+    gamma = o.get("gamma", _gamma, default="quadform")
+    monotone = o.get("monotone", _bool, default=False)
+    path = o.out()
+    g = graph()
+    d = design(g)
+    m = None if model is None else model(g)
     stats = cluster_stats(g, d.clustering)
     rep = variance_bound(
-        stats, d, beta, B,
-        gamma_source=o.get("gamma", _gamma, default="quadform"),
-        agg=None if model is None else cluster_aggregate(model, stats),
-        monotone=o.get("monotone", _bool, default=False),
+        stats, d, beta, outcome_bound(m, g) if B is None else B,
+        gamma_source=gamma,
+        agg=None if m is None else cluster_aggregate(m, stats),
+        monotone=monotone,
     )
-    _emit(o, [asdict(rep)])
+    _emit(path, [asdict(rep)])
 
 
 def _cmd_select(o: _Opts) -> None:
-    # checked before the graph is built and clustered
-    if _design_kind(o) == "bernoulli_unit":
+    if o.get("design", str, default="gcr") == "bern":
         raise InputError("select needs a cluster design (gcr or crd)")
-    g = _build_graph(o)
-    # the model serves only to derive B, so with --B-bound it is not read
-    model = _build_model(o, g, required=False) if o.get("B_bound", _float) is None else None
-    grid = o.get(
-        "resolution_grid", _floats, default=[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
-    )
+    graph = _graph(o)
+    B, model = _bound(o, need_model=False)  # --model only derives B
+    grid = o.get("resolution_grid", _list(_float), default=[0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0])
+    if not grid:
+        raise InputError("--resolution-grid needs at least one resolution")
     cluster_seed = o.get("cluster_seed", _int, default=0)
+    design = _design(o, own=False)
+    beta = o.get("beta", _int, default=1)
+    path = o.out()
+    g = graph()
+    if B is None:
+        B = outcome_bound(model(g), g)
     candidates = louvain_grid(g, grid, cluster_seed)
     designs = []
     for res, c in zip(grid, candidates):
         try:
-            designs.append(_build_design(o, g, c))
+            designs.append(design(g, c))
         except InputError as exc:
             raise InputError(f"resolution {res}: {exc}") from None
-    beta = o.get("beta", _int, default=1)
-    B = _resolve_B(o, g, model)
     chosen, ranking = select_clustering(g, designs, beta, B)
     rows = []
     for rank, (idx, rep) in enumerate(ranking):
@@ -351,17 +351,20 @@ def _cmd_select(o: _Opts) -> None:
                 "chosen": int(idx == chosen),
             }
         )
-    _emit(o, rows, cluster_seed)
+    _emit(path, rows, cluster_seed)
 
 
 def _cmd_oracle(o: _Opts) -> None:
-    g = _build_graph(o)
-    model = _build_model(o, g)
-    d = _build_design(o, g)
-    specs = o.get("estimator", _specs, default=[EstimatorSpec("pinv", 1)])
-    tte = true_tte(model)
+    graph = _graph(o)
+    model = _model(o)
+    design = _design(o)
+    specs = o.get("estimator", _list(EstimatorSpec.parse), default=[EstimatorSpec("pinv", 1)])
+    path = o.out()
+    g = graph()
+    m = model(g)
+    tte = true_tte(m)
     rows = []
-    for spec, (mean, var) in zip(specs, exhaustive_expectation(g, model, d, specs)):
+    for spec, (mean, var) in zip(specs, exhaustive_expectation(g, m, design(g), specs)):
         rows.append(
             {
                 "estimator": spec.kind,
@@ -372,19 +375,31 @@ def _cmd_oracle(o: _Opts) -> None:
                 "bias": mean - tte,
             }
         )
-    _emit(o, rows)
+    _emit(path, rows)
 
 
 def _cmd_mc_moments(o: _Opts) -> None:
     samples = o.get("samples", _int)
-    g = _build_graph(o)
-    d = _build_design(o, g)
+    graph = _graph(o)
+    design = _design(o)
     beta = o.get("beta", _int, default=1)
-    if samples is not None:
-        # single-shot mode: one unit, one R, one seed; emit the estimated
-        # matrix, its pseudoinverse, and the Frobenius error vs analytic
+    if samples is None:
+        units = o.get("units", _list(_int), default=[0])
+        r_grid = o.get("r_grid", _list(_int), default=[400, 4000, 40000])
+        mc_seeds = o.get("mc_seeds", _list(_int), default=[0, 1, 2, 3, 4])
+        seed = None
+    else:
         unit = o.get("unit", _int, default=0)
         seed = o.get("seed", _int, default=0)
+    path = o.out()
+    g = graph()
+    d = design(g)
+    if samples is None:
+        tables = mc_convergence_report(d, g, units, beta, r_grid, mc_seeds)
+        rows = [{"table": t, **row} for t in ("detail", "summary") for row in tables[t]]
+    else:
+        # single-shot mode: one unit, one R, one seed; emit the estimated
+        # matrix, its pseudoinverse, and the Frobenius error vs analytic
         mc = monte_carlo_moments(d, g, unit, beta, samples, seed)
         analytic = analytic_cluster_moments(d, mc.index.ground, beta)
         err = float(np.linalg.norm(mc.M_pinv - analytic.M_pinv))
@@ -394,17 +409,7 @@ def _cmd_mc_moments(o: _Opts) -> None:
                 for col in range(mat.shape[1]):
                     rows.append({"section": section, "row": r, "col": col, "value": mat[r, col]})
         rows.append({"section": "fro_error", "value": err})
-        _emit(o, rows, seed)
-        return
-    tables = mc_convergence_report(
-        d,
-        g,
-        o.get("units", _ints, default=[0]),
-        beta,
-        o.get("r_grid", _ints, default=[400, 4000, 40000]),
-        o.get("mc_seeds", _ints, default=[0, 1, 2, 3, 4]),
-    )
-    _emit(o, [{"table": table, **row} for table in ("detail", "summary") for row in tables[table]])
+    _emit(path, rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +418,40 @@ def _cmd_mc_moments(o: _Opts) -> None:
 
 
 def _cmd_cluster(o: _Opts) -> None:
-    g = _build_graph(o)
-    save_clustering(_build_clustering(o, g), o.out() or sys.stdout)
+    graph = _graph(o)
+    clustering = _clustering(o)
+    path = o.out()
+    save_clustering(clustering(graph()), path or sys.stdout)
 
 
 def _cmd_model(o: _Opts) -> None:
-    g = _build_graph(o)
-    save_model(_build_model(o, g), o.out() or sys.stdout)
+    graph = _graph(o)
+    model = _model(o)
+    path = o.out()
+    save_model(model(graph()), path or sys.stdout)
 
 
 def _cmd_estimate(o: _Opts) -> None:
-    g = _build_graph(o)
-    model = _build_model(o, g)
-    d = _build_design(o, g)
+    graph = _graph(o)
+    model = _model(o)
+    design = _design(o)
     spec = o.get("estimator", EstimatorSpec.parse, default=EstimatorSpec("pinv", 1))
     seed = o.get("seed", _int, default=0)
-    draw = sample(d, seed, o.get("replicate", _int, default=0))
-    Y = evaluate(model, g, draw.z)
-    breakdown = estimate(g, Y, draw, d, spec.kind, spec.beta)
+    replicate = o.get("replicate", _int, default=0)
+    weights = o.get("weights", _bool, default=False)
+    path = o.out()
+    g = graph()
+    m = model(g)
+    d = design(g)
+    draw = sample(d, seed, replicate)
+    breakdown = estimate(g, evaluate(m, g, draw.z), draw, d, spec.kind, spec.beta)
     base = {"estimator": breakdown.kind, "beta": spec.beta}
     rows = [dict(base, metric="tte_hat", unit=None, value=breakdown.tte_hat)]
-    if o.get("weights", _bool, default=False):
+    if weights:
         rows += [
             dict(base, metric="weight", unit=i, value=wi) for i, wi in enumerate(breakdown.weights)
         ]
-    _emit(o, rows, seed)
+    _emit(path, rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     to_stdout = False
     try:
         opts = _Opts(args)
-        to_stdout = opts.get("out", _str) is None
+        to_stdout = opts.get("out", str) is None
         handler(opts)
         if to_stdout:
             sys.stdout.flush()

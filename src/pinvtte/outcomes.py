@@ -238,8 +238,13 @@ def evaluate(model: LowOrderModel, g: InterferenceGraph, z) -> np.ndarray:
     y = model.baseline.copy()
     if model.values.size:
         zpad = np.append(zf, 1.0)
-        prods = zpad[model.members].prod(axis=1)
-        y += np.bincount(model.owner, weights=model.values * prods, minlength=g.n)
+        # a block of rows at a time, added into zeros in row order, the sums
+        # np.bincount gives; it would copy the read-only owner array
+        terms = np.zeros(g.n)
+        for a, members in _row_blocks(model.members):
+            rows = slice(a, a + members.shape[0])
+            np.add.at(terms, model.owner[rows], model.values[rows] * zpad[members].prod(axis=1))
+        y += terms
     return y
 
 

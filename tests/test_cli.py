@@ -782,6 +782,12 @@ class TestErrorSurface:
             (["select", "--graph", "sbm", "--n", "40", "--blocks", "4", "--pi-in", "0.5",
               "--design", "gcr", "--p", "0.3", "--model", "/nonexistent", "--B-bound", "1"],
              "error: this run does not read --model\n"),
+            # an empty grid is named before the graph is sampled
+            (["select", "--graph", "sbm", "--n", "40", "--blocks", "4", "--resolution-grid", ",",
+              "--B-bound", "1"], "error: --resolution-grid needs at least one resolution\n"),
+            # a flag of the other mode fails before the default convergence grid runs
+            (["mc-moments", "--n", "12", "--radius", "1", "--unit", "5"],
+             "error: this run does not read --unit\n"),
         ],
     )
     def test_degenerate_inputs_rejected(self, tmp_path, capsys, argv, message):
@@ -790,6 +796,52 @@ class TestErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    # every graph, clustering and model entry point the CLI calls
+    BUILDERS = [
+        "cycle_power", "sbm_sample", "load_edge_list", "singleton_clustering",
+        "contiguous_cycle_clusters", "louvain", "louvain_grid", "load_clustering",
+        "gen_cycle_model", "gen_named_model", "load_model",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--n", "12", "--radius", "1", "--model", "cycle", "--clustering",
+              "contiguous", "--width", "2,4", "--replications", "5", "--k", "3"], "--k"),
+            (["bounds", "--n", "12", "--radius", "1", "--model", "weak", "--clustering",
+              "louvain", "--design", "crd", "--k", "2", "--beta-star", "2"], "--beta-star"),
+            (["select", "--graph", "sbm", "--n", "40", "--blocks", "4", "--design", "gcr",
+              "--B-bound", "1", "--model-seed", "3"], "--model-seed"),
+            (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--clustering",
+              "contiguous", "--width", "2", "--design", "crd", "--k", "2", "--p", "0.5"], "--p"),
+            (["mc-moments", "--n", "12", "--radius", "1", "--unit", "5"], "--unit"),
+            (["cluster", "--graph", "g.txt", "--clustering", "c.tsv", "--radius", "2"],
+             "--radius"),
+            (["model", "gen", "--n", "12", "--radius", "1", "--model", "m.tsv", "--model-seed",
+              "1"], "--model-seed"),
+            (["estimate", "--n", "12", "--radius", "1", "--model", "strong", "--design", "bern",
+              "--replicate", "1", "--graph-seed", "2"], "--graph-seed"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_unread_flag_rejected_before_any_build(
+        self, monkeypatch, tmp_path, capsys, argv, flag
+    ):
+        import pinvtte.cli as cli
+
+        def spy(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called before the options were checked")
+
+            return called
+
+        for name in self.BUILDERS:
+            monkeypatch.setattr(cli, name, spy(name))
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: this run does not read {flag}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -857,7 +909,9 @@ class TestErrorSurface:
     def test_undecodable_file_named(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"0\t\xff\n")
-        argv = ["simulate", "--n", "12", "--radius", "1", "--model", "cycle", flag, str(path)]
+        # a file graph reads no --n or --radius
+        size = [] if flag == "--graph" else ["--n", "12", "--radius", "1"]
+        argv = ["simulate", *size, "--model", "cycle", flag, str(path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
@@ -884,7 +938,9 @@ class TestErrorSurface:
     def test_malformed_line_names_file(self, tmp_path, capsys, flag, text, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        argv = ["simulate", "--n", "12", "--radius", "1", "--model", "cycle", flag, str(path)]
+        # a file graph reads no --n or --radius
+        size = [] if flag == "--graph" else ["--n", "12", "--radius", "1"]
+        argv = ["simulate", *size, "--model", "cycle", flag, str(path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 

@@ -690,12 +690,14 @@ class TestArrayRoutesMatchDictOracles:
             ("outcome bound", 3e6),
             ("true TTE", 0.5e6),
             ("replicate", 4.5e6),
+            ("evaluate", 1.5e6),
         ],
     )
     def test_stage_memory_is_bounded(self, stage, bound):
         # the 168k-row model takes 5.4 MB. Its builder hands its arrays over
         # uncopied and checks them a block of rows at a time; no stage
-        # copies them, and beside them the lift holds one 2.7 MB cluster map
+        # copies them, and beside them the lift holds one 2.7 MB cluster map.
+        # evaluate gathers members a block of rows at a time
         g = cycle_power(6000, 3)
         model = gen_cycle_model(g, 2)
         stats = cluster_stats(g, contiguous_cycle_clusters(6000, 4))
@@ -709,6 +711,7 @@ class TestArrayRoutesMatchDictOracles:
             "outcome bound": lambda: outcome_bound(model, g),
             "true TTE": lambda: true_tte(model),
             "replicate": lambda: replicate_estimates(agg, d, specs, W),
+            "evaluate": lambda: evaluate(model, g, np.arange(6000) % 2),
         }[stage]
         assert traced_peak(run) <= bound
 
