@@ -6,7 +6,7 @@ unit's cluster moment matrix. Three sources are supported: closed forms
 design, where the closed value also carries the (c+1) scale factor its
 variance analysis uses), quadforms from size_class_pinv's per-size
 coefficients of M^+ theta (any design and order), and quadforms from Monte
-Carlo moment estimates.
+Carlo moment estimates, the one route here that takes a numeric SVD.
 
 The bias side evaluates the exact bias identity at the cluster level: with
 x the cluster-aggregated coefficients, psi the non-empty-row selector, M_w
@@ -23,14 +23,15 @@ Both vectors on the right depend on a cluster subset U only through its size
 k (moments.size_class_pinv), and both equal (M v)_k - 1 for k >= 1, with
 v = M_w^+ psi; they differ only at U = (), which only the baseline reaches.
 So the split by order drops out: bias_exact builds one row per neighborhood
-size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c, and gathers it at
-(c of the owner, |U|) over the model re-keyed to (unit, cluster subset)
-pairs by cluster_aggregate, with the baseline at |U| = 0. bias_bound_gcr
-reduces the same keys with |U| > beta, which only subsets of order > beta
-reach: their |x_{i,U}|, and one bincount by (owner, |U|). Callers lift once:
-the bias functions take that re-keyed model, which carries the cluster_stats
-it was keyed on, and clustering._same_lift rejects another clustering than
-the design's. variance_bound takes both and checks that they are one lift.
+size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c (in exact rationals, rounded
+once, under the complete design), and gathers it at (c of the owner, |U|)
+over the model re-keyed to (unit, cluster subset) pairs by cluster_aggregate,
+the baseline at |U| = 0. bias_bound_gcr reduces the same keys with
+|U| > beta, which only subsets of order > beta reach: their |x_{i,U}|, and
+one bincount by (owner, |U|). Callers lift once: the bias functions take that
+re-keyed model, which carries the cluster_stats it was keyed on, and
+clustering._same_lift rejects another clustering than the design's.
+variance_bound takes both and checks that they are one lift.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .errors import CapacityError, InputError, PreconditionError
 from .moments import (
     DesignMoments,
     _bernoulli_finite,
+    _exact_crd_pinv,
+    _exact_treat_probs,
     _mc_moments,
     size_class_pinv,
     size_class_sums,
@@ -250,10 +253,12 @@ def bias_exact(agg: ClusterAggregatedModel, d: Design, beta: int) -> float:
     _same_lift(d.clustering, agg.stats)
 
     def row(c: int, unit: int) -> np.ndarray:
-        # (M v)_k on a size-k cluster subset, k = 0..c, minus theta_k
-        a = size_class_pinv(d, c, beta)
-        probs = [joint_treat_prob(d, u) for u in range(c + 1)]
-        Mv = size_class_sums(probs, c, c, a.size - 1) @ a
+        # (M v)_k - theta_k on a size-k subset, k = 0..c; exact for the complete design
+        if d.is_bernoulli:
+            a, probs = size_class_pinv(d, c, beta), [joint_treat_prob(d, u) for u in range(c + 1)]
+        else:
+            a, probs = _exact_crd_pinv(d, c, beta), _exact_treat_probs(d, c + 1)
+        Mv = size_class_sums(probs, c, c, len(a) - 1) @ a
         return Mv - (np.arange(c + 1) > 0)
 
     table, base = _size_rows(np.diff(agg.stats.indptr), row)

@@ -9,17 +9,18 @@ Each weight depends on a draw only through (c_i, t_i): the number of clusters
 in unit i's cluster neighborhood and how many of them are treated. So every
 estimator is a table of weights by (c, t), built only for the c present, and
 one gather applies any table to the treated counts t of a whole matrix of
-draws; both read only the ClusterStats of clustering.cluster_stats. The four
-tables are derived independently and cross-checked in tests:
+draws; both read only the ClusterStats of clustering.cluster_stats. Two
+routes build the tables:
 
-  pinv          moment-matrix route, any design: sum_s a_s(c) C(t, s), where
-                v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
-                (moments.size_class_pinv) and C(t, s) counts the treated ones
-  gcr_explicit  product route for Bernoulli cluster designs: two truncated
-                elementary symmetric sums of t treated and c - t untreated
-                centered values
-  ht            Horvitz-Thompson full-neighborhood route
-  crd1          closed first-order weights for the complete design
+  pinv  moment-matrix route, any design: sum_s a_s(c) C(t, s), where
+        v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
+        (moments.size_class_pinv) and C(t, s) counts the treated ones
+  ht    Horvitz-Thompson full-neighborhood route
+
+and two kinds name pinv tables: gcr_explicit, the paper's explicit product
+form for Bernoulli cluster designs, is pinv at its beta, and crd1, the
+first-order complete-design estimator, is pinv at beta = 1. Their closed
+forms are test oracles.
 
 An EstimatorSpec names one of these kinds and its order; its constructor is
 the only check of which kinds take an order.
@@ -36,7 +37,7 @@ from .clustering import ClusterStats, _size_rows, cluster_stats
 from .design import AssignmentDraw, Design, _draws, joint_control_prob, joint_treat_prob
 from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
-from .moments import _bernoulli_finite, size_class_pinv
+from .moments import size_class_pinv
 
 __all__ = ["EstimatorSpec", "EstimateBreakdown", "estimate"]
 
@@ -56,37 +57,10 @@ class EstimateBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _binomials(c: int, top: int) -> np.ndarray:
-    """B[t, s] = C(t, s) for t <= c and s <= top, as floats."""
-    return np.array(
-        [[math.comb(t, s) for s in range(top + 1)] for t in range(c + 1)],
-        dtype=np.float64,
-    )
-
-
 def _pinv_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
     a = size_class_pinv(d, c, beta)
-    return _binomials(c, a.size - 1) @ a
-
-
-def _gcr_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
-    # sum_{|U| <= beta} [prod_U (w - p)/p - prod_U (w - p)/(p - 1)]: the
-    # elementary symmetric sum e_k of t copies of x and c - t copies of y is
-    # sum_{i + j = k} C(t, i) C(c - t, j) x^i y^j
-    p = d.p
-    top = min(beta, c)
-    B = _binomials(c, top)
-    treated, control = B, B[::-1]  # C(t, i) and C(c - t, j)
-
-    def row() -> np.ndarray:
-        out = np.zeros(c + 1)
-        for i in range(top + 1):
-            for j in range(top + 1 - i):
-                coef = ((1.0 - p) / p) ** i * (-1.0) ** j - (-1.0) ** i * (p / (1.0 - p)) ** j
-                out += coef * treated[:, i] * control[:, j]
-        return out
-
-    return _bernoulli_finite(row, p, beta, c, "explicit weights")
+    binomials = [[math.comb(t, s) for s in range(a.size)] for t in range(c + 1)]
+    return np.array(binomials, dtype=np.float64) @ a
 
 
 def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
@@ -113,21 +87,10 @@ def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
     return row
 
 
-def _crd1_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
-    # units in contact with every cluster use the rank-deficient
-    # pseudoinverse form
-    m, k = d.m, d.k
-    t = np.arange(c + 1, dtype=np.float64)
-    if c < m:
-        return m * m * (m - 1) / (k * (m - k) * (m - c)) * (t - c * k / m)
-    return m * k * k / (k * k + m) ** 2 * (t + c / k)
-
-
-_ROWS = {"pinv": _pinv_row, "gcr_explicit": _gcr_row, "ht": _ht_row, "crd1": _crd1_row}
-
-
-# the kinds whose order is the caller's to choose; crd1 is first order and
-# ht takes none
+_ROWS = {"pinv": _pinv_row, "ht": _ht_row}
+# gcr_explicit and crd1 name pinv tables (see the module docstring). The
+# _ORDERED kinds take the caller's order; crd1 is first order, ht takes none
+_KINDS = (*_ROWS, "gcr_explicit", "crd1")
 _ORDERED = ("pinv", "gcr_explicit")
 
 
@@ -135,16 +98,16 @@ _ORDERED = ("pinv", "gcr_explicit")
 class EstimatorSpec:
     """Which estimator to run, and at what interaction order.
 
-    kind is one of "pinv", "gcr_explicit", "ht", "crd1". The two
-    pseudoinverse routes need beta >= 1; "ht" takes no order and "crd1" is
-    pinned at beta = 1.
+    kind is one of "pinv", "gcr_explicit", "ht", "crd1". "pinv" and
+    "gcr_explicit" need beta >= 1; "ht" takes no order and "crd1" is pinned
+    at beta = 1.
     """
 
     kind: str
     beta: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _ROWS:
+        if self.kind not in _KINDS:
             raise InputError(f"unknown estimator kind {self.kind!r}")
         if self.kind in _ORDERED:
             if self.beta is None or self.beta < 1:
@@ -181,8 +144,8 @@ def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
         raise InputError("gcr_explicit needs a Bernoulli design")
     if spec.kind == "crd1" and d.is_bernoulli:
         raise InputError("crd1 needs a complete cluster design")
-    row = _ROWS[spec.kind]
-    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, spec.beta, c, unit))
+    row = _ROWS.get(spec.kind, _pinv_row)
+    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, spec.order, c, unit))
     return values, base.astype(np.int32)
 
 
@@ -219,8 +182,8 @@ def estimate(
     CapacityError
         For ht, if such a probability is positive but too small for its
         inverse to be represented in double precision; for pinv and
-        gcr_explicit under a Bernoulli design, if a closed-form weight
-        overflows double precision.
+        gcr_explicit under a Bernoulli design, if a closed-form pseudoinverse
+        weight overflows double precision.
     """
     spec = EstimatorSpec(kind, beta)
     Y = np.asarray(Y, dtype=np.float64)

@@ -1,28 +1,23 @@
 """Design moment matrices over subset indexes and their pseudoinverses.
 
 Everything here lives at the cluster level. For a unit with cluster
-neighborhood of size c, the relevant matrix is indexed by the subsets of
+neighborhood of size c, the relevant matrix M is indexed by the subsets of
 those c clusters up to size beta, in canonical order (empty set first, then
 size ascending, lexicographic within a size). Entries are joint treatment
 probabilities E[prod_{C in U union V} w_C], which depend only on |U union V|
-for both designs in the package, so closed forms are available, and
-analytic_cluster_moments picks the one of its design:
+for both designs in the package: p^{|U union V|} under Bernoulli(p), the
+falling-factorial ratio prod_{l<|U union V|} (k-l)/(m-l) under the complete
+design. analytic_cluster_moments builds M with a closed-form pseudoinverse.
 
-  Bernoulli(p):  entry p^{|U union V|}; the pseudoinverse has entries
-                 (-1/p)^{|V|+|W|} sum over indexed supersets X of V union W
-                 of (p/(1-p))^{|X|}.
-  Complete(m,k): entry is the falling-factorial ratio
-                 prod_{l<|U union V|} (k-l)/(m-l); at beta = 1 the inverse
-                 (or pseudoinverse, when the neighborhood spans all clusters)
-                 is written out explicitly.
+So M^+ theta is constant on each subset-size class, v[U] = a_{|U|}, and
+size_class_pinv returns a_0..a_beta without the dense system: in closed form
+for Bernoulli designs, by an exact rational solve for the complete design.
+The dense SubsetIndex systems serve as the reference it is tested against
+and for the Monte Carlo estimate.
 
-Since entries depend only on |U union V|, M^+ theta is constant on each
-subset-size class, v[U] = a_{|U|}, and size_class_pinv returns a_0..a_beta
-without the dense system. The dense SubsetIndex systems serve as the
-reference it is tested against and for the Monte Carlo estimate.
-
-Numeric SVD pseudoinversion and Monte Carlo moment estimation cover designs
-or orders with no closed form, and double as cross-checks in tests.
+Numeric SVD pseudoinversion serves the Monte Carlo estimates and the dense
+complete-design systems above beta = 1; no estimator weight, exact bias or
+quadform bound reads it.
 """
 
 from __future__ import annotations
@@ -30,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .clustering import cluster_stats
-from .design import Design, _falling_ratio, _sample_draws, joint_treat_prob
+from .design import Design, _falling_ratio, _sample_draws
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
 
@@ -232,9 +228,10 @@ def size_class_sums(values, c: int, rows: int, cols: int) -> np.ndarray:
     K[s, t] = sum_i C(s, i) C(c-s, t-i) values[s+t-i] for s <= rows and
     t <= cols: the sum of values[|U union V|] over all size-t subsets V, for
     any fixed size-s subset U (i counts the shared elements). values must
-    cover union sizes up to min(c, rows + cols).
+    cover union sizes up to min(c, rows + cols). K takes the dtype of values:
+    float, or object for exact sums of Fractions.
     """
-    K = np.zeros((rows + 1, cols + 1))
+    K = np.zeros((rows + 1, cols + 1), dtype=np.asarray(values[:1]).dtype)
     for s in range(rows + 1):
         for t in range(cols + 1):
             K[s, t] = sum(
@@ -259,15 +256,55 @@ def _bernoulli_finite(f, p: float, beta: int, c: int, what: str):
     return out
 
 
+def _rref(R: list) -> list:
+    """R, a list of rows of Fractions, brought to reduced row echelon form in place."""
+    r = 0
+    for col in range(len(R[0])):
+        hit = next((i for i in range(r, len(R)) if R[i][col]), None)
+        if hit is not None:
+            R[r], R[hit] = R[hit], R[r]
+            R[r] = [x / R[r][col] for x in R[r]]
+            for i in range(len(R)):
+                if i != r and R[i][col]:
+                    R[i] = [x - R[i][col] * y for x, y in zip(R[i], R[r])]
+            r += 1
+    return R
+
+
+def _exact_treat_probs(d: Design, length: int) -> list[Fraction]:
+    """The complete design's pi(u) = prod_{l<u} (k-l)/(m-l), u < length."""
+    steps = (Fraction(max(d.k - off, 0), d.m - off) for off in range(length - 1))
+    return list(itertools.accumulate(steps, lambda x, y: x * y, initial=Fraction(1)))
+
+
+def _exact_crd_pinv(d: Design, c: int, beta: int) -> list[Fraction]:
+    """size_class_pinv's a_s under the complete design, in exact rationals.
+
+    K = size_class_sums of the exact pi is self-adjoint under D = diag C(c, s),
+    so null(K) = D^-1 Y' for the rows Y K = 0, D-orthogonal to range(K). The
+    bordered system K a + D^-1 Y' l = e, Y a = 0 splits e = [s >= 1] along
+    them, so a = K^+ e: the a of (K + Q)^-1 e - Q e, Q the D-orthogonal
+    projector onto null(K).
+    """
+    size = range(min(beta, c) + 1)
+    K = size_class_sums(_exact_treat_probs(d, min(c, 2 * size[-1]) + 1), c, size[-1], size[-1])
+    # rows of [K | I] reduced to [0 | Y] hold a basis Y of the left null space
+    R = _rref([row + [Fraction(s == t) for t in size] for s, row in enumerate(K.tolist())])
+    Y = [row[len(size) :] for row in R if not any(row[: len(size)])]
+    A = [[*K[s], *(y[s] / math.comb(c, s) for y in Y), int(s > 0)] for s in size]
+    return [row[-1] for row in _rref(A + [y + [0] * (len(Y) + 1) for y in Y])[: len(size)]]
+
+
 def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     """Per-size coefficients a_0..a_min(beta, c) of M^+ theta for a cluster
     neighborhood of c clusters under design d: v[U] = a_{|U|}.
 
     Bernoulli designs sum the closed-form pseudoinverse entries over the size
-    classes of V, with no numeric solve. The complete design pseudo-inverts
-    the (beta+1)-square restriction of M to the size-class indicators, on
-    their orthonormal basis: M is symmetric and maps that subspace to itself,
-    so M^+ restricted there is the pseudoinverse of the restriction.
+    classes of V, with no numeric solve. The complete design solves the
+    (beta+1)-square restriction of M to the size-class indicators, which M
+    maps to itself, in exact rationals from (m, k, c, beta) and rounds each
+    a_s once: the float system's condition number passes 1e15 at m = 1000,
+    k = 500, c = 300, beta = 4.
     """
     if c < 0 or beta < 0:
         raise InputError(f"c and beta must be nonnegative, got c={c}, beta={beta}")
@@ -293,9 +330,4 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
             ),
             p, beta, c, "pseudoinverse weights",
         )
-    length = min(c, 2 * top) + 1  # largest union of two indexed subsets
-    probs = [joint_treat_prob(d, u) for u in range(length)]
-    root = np.sqrt([float(math.comb(c, s)) for s in range(top + 1)])
-    reduced = size_class_sums(probs, c, top, top) * root[:, None] / root[None, :]
-    return (numeric_pinv(reduced)[:, 1:] @ root[1:]) / root
-
+    return np.array(_exact_crd_pinv(d, c, beta), dtype=np.float64)

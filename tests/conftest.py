@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -570,6 +571,109 @@ def crd_determinant(m: int, k: int, c_size: int) -> float:
         raise InputError(f"c_size={c_size} outside [0, m]")
     c = c_size
     return (k**c * (m - k) ** c * (m - c)) / (m ** (c + 1) * (m - 1) ** c)
+
+
+def reference_gcr_row(p: float, beta: int, c: int) -> np.ndarray:
+    """The explicit GCR estimator's weights by t = 0..c treated clusters:
+    sum_{|U| <= beta} [prod_U (w - p)/p - prod_U (w - p)/(p - 1)], the
+    paper's product form. The elementary symmetric sum e_k of t copies of x
+    and c - t copies of y is sum_{i + j = k} C(t, i) C(c - t, j) x^i y^j."""
+    top = min(beta, c)
+    t = np.arange(c + 1)
+    out = np.zeros(c + 1)
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            coef = ((1.0 - p) / p) ** i * (-1.0) ** j - (-1.0) ** i * (p / (1.0 - p)) ** j
+            treated = np.array([math.comb(x, i) for x in t], dtype=np.float64)
+            control = np.array([math.comb(c - x, j) for x in t], dtype=np.float64)
+            out += coef * treated * control
+    return out
+
+
+def reference_crd1_row(m: int, k: int, c: int) -> np.ndarray:
+    """The first-order complete-design weights by t = 0..c treated clusters,
+    in closed form; units in contact with every cluster take the
+    rank-deficient pseudoinverse form."""
+    t = np.arange(c + 1, dtype=np.float64)
+    if c < m:
+        return m * m * (m - 1) / (k * (m - k) * (m - c)) * (t - c * k / m)
+    return m * k * k / (k * k + m) ** 2 * (t + c / k)
+
+
+def reference_weights(g: InterferenceGraph, draw, d: Design, beta: int) -> np.ndarray:
+    """Per-unit weights of one draw from the closed-form rows: the explicit
+    GCR row under a Bernoulli design, the first-order row (beta = 1) under
+    the complete design."""
+    assert d.is_bernoulli or beta == 1
+    w = np.asarray(draw.w)
+    table: dict[int, np.ndarray] = {}
+    out = np.empty(g.n)
+    for i, ground in enumerate(cluster_rows(cluster_stats(g, d.clustering))):
+        c = len(ground)
+        if c not in table:
+            table[c] = (
+                reference_gcr_row(d.p, beta, c)
+                if d.is_bernoulli
+                else reference_crd1_row(d.m, d.k, c)
+            )
+        out[i] = table[c][int(w[list(ground)].sum())]
+    return out
+
+
+def _gauss_jordan(rows):
+    """Reduced row echelon form of Fraction rows, with its pivot columns."""
+    R = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(R[0])):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(R)) if R[i][col] != 0), None)
+        if hit is None:
+            continue
+        R[r], R[hit] = R[hit], R[r]
+        head = R[r][col]
+        R[r] = [x / head for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][col] != 0:
+                f = R[i][col]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(col)
+    return R, pivots
+
+
+def exact_pinv_times(M, b) -> list[Fraction]:
+    """M^+ b in exact rationals for a symmetric Fraction matrix M (list of
+    rows): with N a basis of null(M) and Q = N (N'N)^-1 N' the orthogonal
+    projector onto it, M^+ = (M + Q)^-1 - Q."""
+    q = len(M)
+    R, pivots = _gauss_jordan(M)
+    null = []
+    for f in (f for f in range(q) if f not in pivots):
+        x = [Fraction(i == f) for i in range(q)]
+        for r, col in enumerate(pivots):
+            x[col] = -R[r][f]
+        null.append(x)
+    Q = [[Fraction(0)] * q for _ in range(q)]
+    if null:
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in null] for u in null]
+        G, _ = _gauss_jordan([row + u for row, u in zip(gram, null)])
+        X = [row[len(null) :] for row in G]
+        Q = [[sum(u[i] * x[j] for u, x in zip(null, X)) for j in range(q)] for i in range(q)]
+    A, _ = _gauss_jordan(
+        [[M[i][j] + Q[i][j] for j in range(q)] + [b[i]] for i in range(q)]
+    )
+    return [A[i][-1] - sum(Q[i][j] * b[j] for j in range(q)) for i in range(q)]
+
+
+def exact_crd_theta_pinv(m: int, k: int, c: int, beta: int) -> tuple[SubsetIndex, list[Fraction]]:
+    """M^+ theta over SubsetIndex(range(c), beta) under the complete design
+    of k treated out of m clusters, from the dense subset system in exact
+    rationals: M[U, V] = C(m - u, k - u) / C(m, k) for u = |U union V|."""
+    index = SubsetIndex(tuple(range(c)), beta)
+    usize = index.union_sizes().tolist()
+    total = math.comb(m, k)
+    M = [[Fraction(math.comb(m - u, k - u) if u <= k else 0, total) for u in row] for row in usize]
+    theta = [Fraction(int(s > 0)) for s in index.sizes.tolist()]
+    return index, exact_pinv_times(M, theta)
 
 
 def support_moments(

@@ -695,7 +695,7 @@ class TestErrorSurface:
              "p=1e-300: the order-2 pseudoinverse weights of a neighborhood of c=3"),
             (["estimate"] + TINY_P
              + ["1e-300", "--model", "cycle", "--estimator", "gcr_explicit:2"],
-             "p=1e-300: the order-2 explicit weights of a neighborhood of c=3"),
+             "p=1e-300: the order-2 pseudoinverse weights of a neighborhood of c=3"),
             (["simulate"] + TINY_P + ["1e-320", "--model", "cycle", "--replications", "5"],
              "p=1e-320: the order-1 pseudoinverse weights of a neighborhood of c=3"),
             (["oracle", "--n", "8", "--radius", "1", "--model", "cycle", "--design", "gcr",
@@ -1045,6 +1045,47 @@ def test_golden_output(tmp_path, name):
     assert main(GOLDEN_CASES[name] + ["--out", str(path)]) == 0
     golden = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
     assert _stable_lines(path.read_text(encoding="utf-8")) == _stable_lines(golden)
+
+
+def test_complete_design_bias_is_exact_at_c201(tmp_path):
+    # the weak model has order 1, so pinv:4 is unbiased for it; a float
+    # solve of the (beta+1)-square size-class system printed 8.4e-6 here
+    _, rows, _ = run_csv(tmp_path, [
+        "simulate", "--n", "400", "--radius", "100", "--model", "weak", "--design", "crd",
+        "--k", "200", "--estimator", "pinv:4", "--replications", "50",
+    ])
+    [bias] = [float(r["value"]) for r in rows if r["metric"] == "analytic_bias"]
+    assert abs(bias) <= 1e-12
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_complete_design_goldens_do_not_depend_on_blas_kernel(tmp_path, core):
+    # OPENBLAS_CORETYPE acts only on OpenBLAS builds with DYNAMIC_ARCH, which
+    # name the kernel they picked on OPENBLAS_VERBOSE=2
+    env = {**_child_env(), "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    if f"Core: {core}" not in probe.stdout + probe.stderr:
+        pytest.skip(f"numpy's BLAS does not take OPENBLAS_CORETYPE={core}")
+    code = """
+import json, sys
+from pinvtte.cli import main
+for name, argv in json.loads(sys.argv[1]).items():
+    assert main(argv + ["--out", sys.argv[2] + "/" + name + ".csv"]) == 0, name
+"""
+    names = ["bounds_crd_singleton", "oracle_crd"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps({n: GOLDEN_CASES[n] for n in names}),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in names:
+        golden = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+        out = (tmp_path / f"{name}.csv").read_text(encoding="utf-8")
+        assert _stable_lines(out) == _stable_lines(golden), name
 
 
 # the golden argvs of the four benchmarked commands, at golden size

@@ -16,7 +16,9 @@ from pinvtte import (
     PositivityError,
     bernoulli_gcr,
     bernoulli_unit,
+    bias_exact,
     complete_gcr,
+    contiguous_cycle_clusters,
     cycle_power,
     draw_from_w,
     enumerate_support,
@@ -28,14 +30,19 @@ from pinvtte import (
     sample,
     singleton_clustering,
     true_tte,
+    variance_bound,
 )
-from pinvtte.estimator import _gcr_row, _pinv_row
+from pinvtte import moments
+from pinvtte.estimator import _pinv_row
 from conftest import (
     lift,
     neighbors,
     random_clustering,
     random_graph,
     random_model,
+    reference_crd1_row,
+    reference_gcr_row,
+    reference_weights,
     shifted_blocks,
 )
 
@@ -101,9 +108,11 @@ class TestRouteEquivalence:
             for r in range(5):
                 draw = sample(d, trial, r)
                 a = estimate(g, Y, draw, d, "pinv", beta)
-                b = estimate(g, Y, draw, d, "gcr_explicit", beta)
-                assert np.allclose(a.weights, b.weights, atol=1e-10)
-                assert a.tte_hat == pytest.approx(b.tte_hat, abs=1e-10)
+                b = reference_weights(g, draw, d, beta)
+                assert np.allclose(a.weights, b, atol=1e-10)
+                assert a.tte_hat == pytest.approx(float(np.mean(Y * b)), abs=1e-10)
+                named = estimate(g, Y, draw, d, "gcr_explicit", beta)
+                assert np.array_equal(named.weights, a.weights)
 
     def test_pinv_saturated_order_equals_ht(self, rng):
         for trial in range(6):
@@ -127,9 +136,10 @@ class TestRouteEquivalence:
         Y = rng.standard_normal(8)
         for r in range(8):
             draw = sample(d, 5, r)
-            a = estimate(g, Y, draw, d, "crd1")
+            a = reference_weights(g, draw, d, 1)
             b = estimate(g, Y, draw, d, "pinv", 1)
-            assert np.allclose(a.weights, b.weights, atol=1e-9)
+            assert np.allclose(a, b.weights, atol=1e-9)
+            assert np.array_equal(estimate(g, Y, draw, d, "crd1").weights, b.weights)
 
     def test_crd_closed_form_matches_pinv_full_contact(self, rng):
         g = cycle_power(4, 1)
@@ -138,9 +148,10 @@ class TestRouteEquivalence:
         Y = rng.standard_normal(4)
         for _, w in zip(*enumerate_support(d)):
             draw = draw_from_w(d, w)
-            a = estimate(g, Y, draw, d, "crd1")
+            a = reference_weights(g, draw, d, 1)
             b = estimate(g, Y, draw, d, "pinv", 1)
-            assert np.allclose(a.weights, b.weights, atol=1e-9)
+            assert np.allclose(a, b.weights, atol=1e-9)
+            assert np.array_equal(estimate(g, Y, draw, d, "crd1").weights, b.weights)
 
 
 class TestUnbiasedness:
@@ -272,7 +283,7 @@ class TestLargeNeighborhoods:
         for r in range(3):
             draw = sample(d, 0, r)
             a = estimate(g, Y, draw, d, "pinv", 4).weights
-            b = estimate(g, Y, draw, d, "gcr_explicit", 4).weights
+            b = reference_weights(g, draw, d, 4)
             assert np.all(np.isfinite(a))
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
@@ -287,7 +298,7 @@ class TestLargeNeighborhoods:
     def test_gcr_explicit_tiny_p_overflow(self):
         g = cycle_power(12, 1)
         d = bernoulli_unit(12, 1e-300)
-        message = r"p=1e-300: the order-2 explicit weights of a neighborhood of c=3"
+        message = r"p=1e-300: the order-2 pseudoinverse weights of a neighborhood of c=3"
         with pytest.raises(CapacityError, match=message):
             estimate(g, np.ones(12), sample(d, 0, 0), d, "gcr_explicit", 2)
 
@@ -296,8 +307,50 @@ class TestLargeNeighborhoods:
         d = bernoulli_unit(2, 0.9)
         for c in range(61):
             a = _pinv_row(d, 3, c, 0)
-            b = _gcr_row(d, 3, c, 0)
+            b = reference_gcr_row(0.9, 3, c)
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b))), c
+
+
+class TestOneWeightEngine:
+    """gcr_explicit and crd1 read pinv's tables; their closed forms are the
+    oracles."""
+
+    def test_crd1_table_matches_closed_form(self):
+        for m in (2, 3, 5, 17, 100, 999, 2000):
+            for k in sorted({1, m // 2, m - 1}):
+                d = complete_gcr(singleton_clustering(m), k)
+                for c in sorted({0, 1, 2, m // 3, m - 1, m}):
+                    a = _pinv_row(d, 1, c, 0)
+                    b = reference_crd1_row(m, k, c)
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (m, k, c)
+
+    def test_gcr_explicit_table_matches_product_form(self):
+        for p in (0.01, 0.05, 0.25, 0.5, 0.75, 0.9):
+            d = bernoulli_unit(2, p)
+            for beta in range(1, 5):
+                for c in [*range(30), 50, 100, 150, 200]:
+                    a = _pinv_row(d, beta, c, 0)
+                    b = reference_gcr_row(p, beta, c)
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (p, beta, c)
+
+    def test_no_route_calls_numeric_pinv(self, monkeypatch):
+        def spy(M):
+            raise AssertionError("numeric_pinv called")
+
+        monkeypatch.setattr(moments, "numeric_pinv", spy)
+        g = cycle_power(12, 2)
+        clus = contiguous_cycle_clusters(12, 2)
+        agg = lift(gen_cycle_model(g, 2), g, clus)
+        for d in (bernoulli_gcr(clus, 0.3), complete_gcr(clus, 3)):
+            W = np.stack([sample(d, 0, r).w for r in range(6)])
+            for beta in (1, 2, 3):
+                kind = "gcr_explicit" if d.is_bernoulli else "crd1"
+                named = EstimatorSpec(kind, beta if d.is_bernoulli else None)
+                specs = [EstimatorSpec("pinv", beta), EstimatorSpec("pinv", named.order), named]
+                _, pinv, by_name = replicate_estimates(agg, d, specs, W)
+                assert np.array_equal(pinv, by_name)
+                bias_exact(agg, d, beta)
+                variance_bound(agg.stats, d, beta, 1.0, "quadform", agg=agg)
 
 
 class TestContracts:
@@ -383,5 +436,4 @@ def test_route_agreement_property(seed):
     Y = gen.standard_normal(n)
     draw = sample(d, int(gen.integers(0, 1000)), 0)
     a = estimate(g, Y, draw, d, "pinv", beta)
-    b = estimate(g, Y, draw, d, "gcr_explicit", beta)
-    assert np.allclose(a.weights, b.weights, atol=1e-9)
+    assert np.allclose(a.weights, reference_weights(g, draw, d, beta), atol=1e-9)

@@ -30,8 +30,10 @@ from pinvtte import (
     size_class_pinv,
     size_class_sums,
 )
+from pinvtte.moments import _exact_crd_pinv, _exact_treat_probs
 from conftest import (
     crd_determinant,
+    exact_crd_theta_pinv,
     neighbors,
     random_clustering,
     random_graph,
@@ -327,6 +329,46 @@ class TestSizeClass:
                         assert a.size == min(beta, c) + 1
                         err = np.max(np.abs(a[dense.index.sizes] - v))
                         assert err <= 1e-10 * max(1.0, np.max(np.abs(v))), (d, c, beta)
+
+    def test_exact_complete_design_matches_dense_exact_pinv(self):
+        # Fraction equality with the dense M^+ theta over SubsetIndex rows.
+        # K, the size-class system, is singular when the treated count t of
+        # a size-c neighborhood takes at most beta' = min(beta, c) values:
+        # full contact (c = m), k < beta, and every |supp t| <= beta'
+        cases = singular = 0
+        for m in range(2, 9):
+            for k in range(1, m):
+                d = complete_gcr(singleton_clustering(m), k)
+                for c in range(m + 1):
+                    for beta in range(1, 5):
+                        top = min(beta, c)
+                        if sum(math.comb(c, x) for x in range(top + 1)) > 11:
+                            continue
+                        index, v = exact_crd_theta_pinv(m, k, c, beta)
+                        a = _exact_crd_pinv(d, c, beta)
+                        assert len(a) == top + 1
+                        assert all(x == a[s] for x, s in zip(v, index.sizes.tolist())), (
+                            m, k, c, beta,
+                        )
+                        support = min(k, c) - max(0, k - m + c) + 1
+                        cases += 1
+                        singular += support <= top
+        assert cases >= 300 and singular >= 100
+
+    def test_complete_design_rounds_the_exact_solve_once(self):
+        # ill-conditioned systems: condition numbers up to 2.4e15, where an
+        # SVD of the float system loses a true singular value
+        for m, k, c, beta in [(1000, 500, 100, 4), (1000, 500, 300, 4), (1000, 500, 998, 2),
+                              (2000, 1999, 1999, 1), (1000, 500, 1000, 3), (50, 2, 30, 4)]:
+            d = complete_gcr(singleton_clustering(m), k)
+            exact = _exact_crd_pinv(d, c, beta)
+            assert size_class_pinv(d, c, beta).tolist() == [float(x) for x in exact]
+            # and the exact a solves the normal equations K' D K a = K' D e
+            probs = _exact_treat_probs(d, min(c, 2 * beta) + 1)
+            K = size_class_sums(probs, c, beta, beta)
+            D = np.array([math.comb(c, s) for s in range(beta + 1)], dtype=object)
+            e = np.array([int(s > 0) for s in range(beta + 1)], dtype=object)
+            assert np.all(K.T @ (D * (K @ np.array(exact) - e)) == 0)
 
 
 class TestCaches:
