@@ -23,15 +23,17 @@ Both vectors on the right depend on a cluster subset U only through its size
 k (moments.size_class_pinv), and both equal (M v)_k - 1 for k >= 1, with
 v = M_w^+ psi; they differ only at U = (), which only the baseline reaches.
 So the split by order drops out: bias_exact builds one row per neighborhood
-size c, r_c[k] = (M v)_k - [k > 0] for k = 0..c (in exact rationals, rounded
-once, under the complete design), and gathers it at (c of the owner, |U|)
-over the model re-keyed to (unit, cluster subset) pairs by cluster_aggregate,
-the baseline at |U| = 0. bias_bound_gcr reduces the same keys with
-|U| > beta, which only subsets of order > beta reach: their |x_{i,U}|, and
-one bincount by (owner, |U|). Callers lift once: the bias functions take that
-re-keyed model, which carries the cluster_stats it was keyed on, and
-clustering._same_lift rejects another clustering than the design's.
-variance_bound takes both and checks that they are one lift.
+size c, r_c[k] = (M v)_k - [k > 0] for k = 0..min(c, model order), the only
+entries its gather reads, in exact rationals from the design's law and
+moments._exact_pinv and rounded once for either design, and gathers it at
+(c of the owner, |U|) over the model re-keyed to (unit, cluster subset)
+pairs by cluster_aggregate, the baseline at |U| = 0. bias_bound_gcr reduces
+the same keys with |U| > beta, which only subsets of order > beta reach:
+their |x_{i,U}|, and one bincount by (owner, |U|); bias_crd reports
+bias_exact at order 1 beside its full-contact bound. Callers lift once: the
+bias functions take that re-keyed model, which carries the cluster_stats it
+was keyed on, and clustering._same_lift rejects another clustering than the
+design's. variance_bound takes both and checks that they are one lift.
 """
 
 from __future__ import annotations
@@ -43,18 +45,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterStats, _same_lift, _size_rows
-from .design import Design, _sample_draws, joint_treat_prob
+from .design import Design, _exact_probs, _sample_draws
 from .errors import CapacityError, InputError, PreconditionError
 from .moments import (
     DesignMoments,
     _bernoulli_finite,
-    _exact_crd_pinv,
-    _exact_treat_probs,
+    _exact_pinv,
     _mc_moments,
     size_class_pinv,
     size_class_sums,
 )
-from .outcomes import ClusterAggregatedModel, _sequential_sum, mixed_signs
+from .outcomes import ClusterAggregatedModel, mixed_signs
 
 __all__ = [
     "GammaProfile",
@@ -245,21 +246,22 @@ def gamma_profile(
 def bias_exact(agg: ClusterAggregatedModel, d: Design, beta: int) -> float:
     """Exact bias of the order-beta pseudoinverse estimator under design d.
 
-    Evaluated at the cluster level by one gather (see module docstring).
-    The moment and cross matrices are analytic for both supported designs,
-    so this never enumerates the assignment support.
+    Evaluated at the cluster level by one gather (see module docstring),
+    over rows taken in exact rationals from the design's law and rounded
+    once, for either design: exactly 0.0 when beta covers the model's order
+    and every neighborhood's M is invertible, as it always is under a
+    Bernoulli design. This never enumerates the assignment support.
     """
     _check_order(beta)
     _same_lift(d.clustering, agg.stats)
 
-    def row(c: int, unit: int) -> np.ndarray:
-        # (M v)_k - theta_k on a size-k subset, k = 0..c; exact for the complete design
-        if d.is_bernoulli:
-            a, probs = size_class_pinv(d, c, beta), [joint_treat_prob(d, u) for u in range(c + 1)]
-        else:
-            a, probs = _exact_crd_pinv(d, c, beta), _exact_treat_probs(d, c + 1)
-        Mv = size_class_sums(probs, c, c, len(a) - 1) @ a
-        return Mv - (np.arange(c + 1) > 0)
+    def row(c: int, unit: int) -> list[float]:
+        # (M v)_k - theta_k on a size-k subset, k = 0..min(c, model order),
+        # the only entries the gather reads; exact, rounded once
+        a, top = _exact_pinv(d, c, beta), min(c, agg.beta_star)
+        probs = _exact_probs(d, range(min(c, top + len(a) - 1) + 1))
+        Mv = size_class_sums(probs, c, top, len(a) - 1) @ a
+        return [float(x - (k > 0)) for k, x in enumerate(Mv)]
 
     table, base = _size_rows(np.diff(agg.stats.indptr), row)
     total = agg.baseline @ table[base] + agg.values @ table[base[agg.owner] + agg.order]
@@ -303,24 +305,18 @@ def bias_crd(agg: ClusterAggregatedModel, d: Design, B: float) -> tuple[float, f
     """Exact bias and worst-case bound of the first-order estimator under
     the complete design d for a first-order model.
 
-    Only units in contact with every cluster contribute: for those,
-    bias_i = m (k x_{i,empty} - sum_C x_{i,{C}}) / (k^2 + m). The bound
-    multiplies the full-contact fraction by m (k+2) B / (k^2 + m).
+    The exact bias is bias_exact(agg, d, 1). Only units in contact with every
+    cluster contribute to it, so the bound multiplies the full-contact
+    fraction by m (k+2) B / (k^2 + m).
     """
     _check_B(B)
     if agg.beta_star != 1:
         raise InputError("complete-design bias formula needs a first-order model")
     if d.is_bernoulli:
         raise InputError("bias_crd needs a complete cluster design")
-    stats = agg.stats
-    _same_lift(d.clustering, stats)
-    n, m, k = stats.n, d.m, d.k
-    full = np.diff(stats.indptr) == m
-    single = (agg.order == 1) & full[agg.owner]
-    x1 = np.bincount(agg.owner[single], agg.values[single], n)
-    exact = m * _sequential_sum(k * agg.baseline[full] - x1[full]) / ((k**2 + m) * n)
-    bound = (stats.full_contact_count / n) * (m * (k + 2) * B / (k**2 + m))
-    return exact, bound
+    m, k = d.m, d.k
+    bound = (agg.stats.full_contact_count / agg.stats.n) * (m * (k + 2) * B / (k**2 + m))
+    return bias_exact(agg, d, 1), bound
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +473,12 @@ def variance_bound(
     bias_val: float | None = None
     bias_bound_val: float | None = None
     if agg is not None:
-        bias_val = bias_exact(agg, d, beta)
         if d.is_bernoulli:
-            bias_bound_val = bias_bound_gcr(agg, beta).x_norm
+            bias_val, bias_bound_val = bias_exact(agg, d, beta), bias_bound_gcr(agg, beta).x_norm
         elif beta == 1 and agg.beta_star == 1:
-            bias_bound_val = bias_crd(agg, d, B)[1]
+            bias_val, bias_bound_val = bias_crd(agg, d, B)
+        else:
+            bias_val = bias_exact(agg, d, beta)
 
     return BoundReport(
         var_bound_pairwise=pairwise,

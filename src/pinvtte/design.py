@@ -5,6 +5,12 @@ broadcast it to units; unit-level Bernoulli randomization is the singleton
 clustering as a special case. Draws are indexed by (seed, replicate) through
 counter-style generator construction, so replicate r of a run can be
 regenerated in isolation.
+
+_exact_probs states each design's law once, in exact rationals: pi(u), the
+probability that u given clusters are all treated, is p^u under Bernoulli(p)
+and C(k, u) / C(m, u) under the complete design; the all-untreated law puts
+1-p or m-k in their place. The joint probabilities below and the pinv, HT
+and exact-bias rows of the package are rounded once from it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -189,30 +196,26 @@ def enumerate_support(d: Design) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_treat_prob(d: Design, t: int) -> float:
-    """Probability that t specific clusters are all treated."""
+    """Probability that t specific clusters are all treated: pi(t), rounded once."""
     if t < 0:
         raise InputError("subset size must be nonnegative")
-    if d.is_bernoulli:
-        return d.p**t
-    return _falling_ratio(d.k, d.m, t)
+    return float(_exact_probs(d, [t])[0])
 
 
 def joint_control_prob(d: Design, t: int) -> float:
-    """Probability that t specific clusters are all untreated."""
+    """Probability that t specific clusters are all untreated, rounded once."""
     if t < 0:
         raise InputError("subset size must be nonnegative")
+    return float(_exact_probs(d, [t], treated=False)[0])
+
+
+def _exact_probs(d: Design, sizes, treated: bool = True) -> list[Fraction]:
+    """The law of the module docstring at each u of sizes, in exact
+    rationals: pi(u), or with treated=False the all-untreated law. p is the
+    exact value of its float."""
     if d.is_bernoulli:
-        return (1.0 - d.p) ** t
-    return _falling_ratio(d.m - d.k, d.m, t)
-
-
-def _falling_ratio(a: int, b: int, t: int) -> float:
-    """prod_{l<t} (a-l)/(b-l): the probability that t specific items out of
-    b all fall in a uniformly drawn a-subset. Multiplying ratios rather than
-    dividing two falling factorials keeps large t from overflowing."""
-    out = 1.0
-    for off in range(t):
-        if off >= a:
-            return 0.0
-        out *= (a - off) / (b - off)
-    return out
+        q = Fraction(d.p) if treated else 1 - Fraction(d.p)
+        return [q**u for u in sizes]
+    room = d.k if treated else d.m - d.k
+    # C(room, u) = 0 past room, also past m, where C(m, u) = 0 as well
+    return [Fraction(math.comb(room, u), math.comb(d.m, u) or 1) for u in sizes]

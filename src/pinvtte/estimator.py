@@ -15,9 +15,11 @@ routes build the tables:
   pinv  moment-matrix route, any design: sum_s a_s(c) C(t, s), where
         v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
         (moments.size_class_pinv) and C(t, s) counts the treated ones
-  ht    Horvitz-Thompson full-neighborhood route
+  ht    Horvitz-Thompson full-neighborhood route: 1/pi(c) at t = c and
+        -1/pi-bar(c) at t = 0
 
-and two kinds name pinv tables: gcr_explicit, the paper's explicit product
+Both take a_s and pi in exact rationals from the design's law and round
+once. Two kinds name pinv tables: gcr_explicit, the paper's explicit product
 form for Bernoulli cluster designs, is pinv at its beta, and crd1, the
 first-order complete-design estimator, is pinv at beta = 1. Their closed
 forms are test oracles.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterStats, _size_rows, cluster_stats
-from .design import AssignmentDraw, Design, _draws, joint_control_prob, joint_treat_prob
+from .design import AssignmentDraw, Design, _draws, _exact_probs
 from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
 from .moments import size_class_pinv
@@ -64,26 +66,23 @@ def _pinv_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
 
 
 def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:
-    # a complete design treats exactly k clusters, so a neighborhood wider
-    # than k (or than m - k) can never be fully treated (or untreated)
-    if not d.is_bernoulli:
-        for side, room in (("treated", d.k), ("untreated", d.m - d.k)):
-            if c > room:
-                raise PositivityError(
-                    f"unit {unit} has zero probability of a fully {side} neighborhood"
-                )
+    # 1/pi(c) at t = c and -1/pi-bar(c) at t = 0, each rounded once from the
+    # design's exact law; a complete design treats exactly k clusters, so a
+    # neighborhood wider than k (or than m - k) has probability 0
     row = np.zeros(c + 1)
-    for side, t, sign, prob in (
-        ("treated", c, 1.0, joint_treat_prob(d, c)),
-        ("untreated", 0, -1.0, joint_control_prob(d, c)),
-    ):
-        inv = 1.0 / prob if prob > 0.0 else math.inf
-        if not math.isfinite(inv):
-            raise CapacityError(
-                f"unit {unit}: the probability {prob!r} of a fully {side} "
-                f"neighborhood of c={c} clusters underflows in double precision"
+    for side, t, sign, treated in (("treated", c, 1.0, True), ("untreated", 0, -1.0, False)):
+        [prob] = _exact_probs(d, [c], treated)
+        if not prob:
+            raise PositivityError(
+                f"unit {unit} has zero probability of a fully {side} neighborhood"
             )
-        row[t] += sign * inv
+        try:
+            row[t] += sign * float(1 / prob)
+        except OverflowError:
+            raise CapacityError(
+                f"unit {unit}: the probability {float(prob)!r} of a fully {side} "
+                f"neighborhood of c={c} clusters underflows in double precision"
+            ) from None
     return row
 
 
@@ -137,16 +136,22 @@ class EstimatorSpec:
         return 1 if self.kind == "crd1" else self.beta
 
 
-def _table(stats: ClusterStats, d: Design, spec: EstimatorSpec):
-    """Flat weight table for every unit of stats: unit i's weight when t of
-    its clusters are treated is values[base[i] + t]. Returns (values, base)."""
-    if spec.kind == "gcr_explicit" and not d.is_bernoulli:
-        raise InputError("gcr_explicit needs a Bernoulli design")
-    if spec.kind == "crd1" and d.is_bernoulli:
-        raise InputError("crd1 needs a complete cluster design")
-    row = _ROWS.get(spec.kind, _pinv_row)
-    values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, spec.order, c, unit))
-    return values, base.astype(np.int32)
+def _tables(stats: ClusterStats, d: Design, specs) -> list:
+    """One flat weight table (values, base) per spec for every unit of stats:
+    unit i's weight with t of its clusters treated is values[base[i] + t].
+    Specs of one row route and order (pinv:1 and crd1) share one table."""
+    routes = []
+    for spec in specs:
+        if spec.kind == "gcr_explicit" and not d.is_bernoulli:
+            raise InputError("gcr_explicit needs a Bernoulli design")
+        if spec.kind == "crd1" and d.is_bernoulli:
+            raise InputError("crd1 needs a complete cluster design")
+        routes.append((_ROWS.get(spec.kind, _pinv_row), spec.order))
+    built = {}
+    for row, order in dict.fromkeys(routes):
+        values, base = _size_rows(np.diff(stats.indptr), lambda c, unit: row(d, order, c, unit))
+        built[row, order] = values, base.astype(np.int32)
+    return [built[route] for route in routes]
 
 
 def _treated(stats: ClusterStats, W) -> np.ndarray:
@@ -181,9 +186,9 @@ def estimate(
         design).
     CapacityError
         For ht, if such a probability is positive but too small for its
-        inverse to be represented in double precision; for pinv and
-        gcr_explicit under a Bernoulli design, if a closed-form pseudoinverse
-        weight overflows double precision.
+        inverse to be represented in double precision; for pinv,
+        gcr_explicit and crd1, if a pseudoinverse weight overflows double
+        precision (Bernoulli designs with p or 1-p tiny).
     """
     spec = EstimatorSpec(kind, beta)
     Y = np.asarray(Y, dtype=np.float64)
@@ -193,7 +198,7 @@ def estimate(
         raise InputError(f"design covers {d.n} units but graph has {g.n}")
     w = _draws(np.asarray(draw.w)[None], d.m)
     stats = cluster_stats(g, d.clustering)
-    values, base = _table(stats, d, spec)
+    [(values, base)] = _tables(stats, d, [spec])
     weights = values[base + _treated(stats, w)[0]]
     return EstimateBreakdown(kind, spec.order, float(np.mean(Y * weights)), weights)
 

@@ -42,7 +42,7 @@ from .bounds import BoundReport, bias_exact, variance_bound
 from .clustering import ClusterStats, _same_lift, cluster_stats
 from .design import Design, _draws, _sample_draws, enumerate_support
 from .errors import CapacityError, InputError
-from .estimator import EstimatorSpec, _table, _treated
+from .estimator import EstimatorSpec, _tables, _treated
 from .graph import InterferenceGraph
 from .moments import _mc_moments, analytic_cluster_moments
 from .outcomes import (
@@ -221,12 +221,12 @@ def replicate_estimates(
     of W, from agg, the model re-keyed on its lift agg.stats to d's
     clustering, as _same_lift checks.
 
-    Each spec's weight table is built once. Unit i's term Y_i * w_i depends
-    on a draw only through which of its c_i neighborhood clusters are
-    treated, a pattern of c_i bits. When the P = 2**C_max patterns number at
-    most the draws and n * P fits the _BLOCK budget, the table route takes
-    every term once per pattern, and each draw gathers its units' terms by
-    pattern. Otherwise the per-draw route takes each block's outcomes
+    Each distinct weight table is built once (pinv:1 and crd1 share one).
+    Unit i's term Y_i * w_i depends on a draw only through which of its c_i
+    neighborhood clusters are treated, a pattern of c_i bits. When the
+    P = 2**C_max patterns number at most the draws and n * P fits the _BLOCK
+    budget, the table route takes every term once per pattern, and each draw
+    gathers its units' terms by pattern. Otherwise the per-draw route takes each block's outcomes
     (evaluate_draws) and treated counts once and gathers every weight table
     on them: below R = P, filling the tables takes longer than evaluating
     the draws, and past n * P > _BLOCK they would not fit one block.
@@ -238,7 +238,7 @@ def replicate_estimates(
     """
     stats = agg.stats
     _same_lift(d.clustering, stats)
-    tables = [_table(stats, d, spec) for spec in specs]
+    tables = _tables(stats, d, specs)
     W = np.asarray(W)
     step = _step(max(agg.values.size, stats.cluster_ids.size))
     P = 1 << stats.C_max

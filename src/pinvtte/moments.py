@@ -5,15 +5,17 @@ neighborhood of size c, the relevant matrix M is indexed by the subsets of
 those c clusters up to size beta, in canonical order (empty set first, then
 size ascending, lexicographic within a size). Entries are joint treatment
 probabilities E[prod_{C in U union V} w_C], which depend only on |U union V|
-for both designs in the package: p^{|U union V|} under Bernoulli(p), the
-falling-factorial ratio prod_{l<|U union V|} (k-l)/(m-l) under the complete
-design. analytic_cluster_moments builds M with a closed-form pseudoinverse.
+for both designs in the package: pi(|U union V|) of the design's exact law
+(design._exact_probs), p^u under Bernoulli(p) and C(k, u) / C(m, u) under
+the complete design. analytic_cluster_moments builds M from that law with a
+closed-form pseudoinverse.
 
 So M^+ theta is constant on each subset-size class, v[U] = a_{|U|}, and
-size_class_pinv returns a_0..a_beta without the dense system: in closed form
-for Bernoulli designs, by an exact rational solve for the complete design.
-The dense SubsetIndex systems serve as the reference it is tested against
-and for the Monte Carlo estimate.
+_exact_pinv returns a_0..a_beta in exact rationals without the dense system:
+in closed form for Bernoulli designs, by a rational solve for the complete
+design. size_class_pinv rounds each a_s once, for either design. The dense
+SubsetIndex systems serve as the reference it is tested against and for the
+Monte Carlo estimate.
 
 Numeric SVD pseudoinversion serves the Monte Carlo estimates and the dense
 complete-design systems above beta = 1; no estimator weight, exact bias or
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clustering import cluster_stats
-from .design import Design, _falling_ratio, _sample_draws
+from .design import Design, _exact_probs, _sample_draws
 from .errors import CapacityError, InputError
 from .graph import InterferenceGraph
 
@@ -184,12 +186,12 @@ def _mc_moments(W: np.ndarray, ground: tuple[int, ...], beta: int) -> DesignMome
 def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
     """Closed-form moments for design d over SubsetIndex(ground, beta).
 
-    Bernoulli entries are p^{|U union V|}, with a closed-form pseudoinverse
-    (CapacityError once it overflows). Complete-design entries are the
-    probability that |U union V| given clusters are all treated; the
-    pseudoinverse is explicit at beta = 1 (rank-deficient when the ground
-    set spans all m clusters) and numeric above. A ground set holding a
-    cluster id outside [0, m) of the design raises InputError.
+    Entries are pi(|U union V|) of the design's exact law, rounded once.
+    Bernoulli designs take a closed-form pseudoinverse (CapacityError once
+    it overflows); the complete design's is explicit at beta = 1
+    (rank-deficient when the ground set spans all m clusters) and numeric
+    above. A ground set holding a cluster id outside [0, m) of the design
+    raises InputError.
     """
     index = SubsetIndex(ground, beta)
     c = len(index.ground)
@@ -199,10 +201,10 @@ def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
             f" but the design has clusters 0..{d.m - 1}"
         )
     usize = index.union_sizes()
+    M = np.array([float(x) for x in _exact_probs(d, range(usize.max() + 1))])[usize]
     if d.is_bernoulli:
         p = d.p
         top = min(beta, c)
-        M = p**usize.astype(np.float64)
         # T[u] = sum over indexed supersets X of a size-u subset of (p/(1-p))^|X|
         r = p / (1.0 - p)
         T = np.zeros(usize.max() + 1)
@@ -214,8 +216,6 @@ def analytic_cluster_moments(d: Design, ground, beta: int) -> DesignMoments:
                 lambda: np.outer(sign, sign) * T[usize], p, beta, c, "pseudoinverse entries"
             )
         return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
-    ff = np.array([_falling_ratio(d.k, d.m, t) for t in range(usize.max() + 1)])
-    M = ff[usize]
     if index.sizes.max(initial=0) <= 1:
         P = _crd_beta1_pinv(c, d.m, d.k)
         return DesignMoments(index=index, M=M, M_pinv=P, provenance="analytic")
@@ -271,23 +271,34 @@ def _rref(R: list) -> list:
     return R
 
 
-def _exact_treat_probs(d: Design, length: int) -> list[Fraction]:
-    """The complete design's pi(u) = prod_{l<u} (k-l)/(m-l), u < length."""
-    steps = (Fraction(max(d.k - off, 0), d.m - off) for off in range(length - 1))
-    return list(itertools.accumulate(steps, lambda x, y: x * y, initial=Fraction(1)))
+def _exact_pinv(d: Design, c: int, beta: int) -> list[Fraction]:
+    """size_class_pinv's a_0..a_min(beta, c) in exact rationals.
 
+    Bernoulli designs sum the closed-form pseudoinverse entries over the
+    size classes of V: v[U] = sum_{V nonempty} (-1/p)^{|U|+|V|} T[|U union V|];
+    writing T as a sum over supersets X of U union V and summing V over the
+    subsets of X first, with (p/(1-p)) (1 - 1/p) = -1, leaves (-1/p)^s sum
+    over X containing U, |X| <= beta, of (-1)^|X| - (p/(1-p))^|X|, here over
+    the common denominator of p = a/b.
 
-def _exact_crd_pinv(d: Design, c: int, beta: int) -> list[Fraction]:
-    """size_class_pinv's a_s under the complete design, in exact rationals.
-
-    K = size_class_sums of the exact pi is self-adjoint under D = diag C(c, s),
-    so null(K) = D^-1 Y' for the rows Y K = 0, D-orthogonal to range(K). The
-    bordered system K a + D^-1 Y' l = e, Y a = 0 splits e = [s >= 1] along
-    them, so a = K^+ e: the a of (K + Q)^-1 e - Q e, Q the D-orthogonal
-    projector onto null(K).
+    The complete design solves the size-class system K = size_class_sums of
+    pi. K is self-adjoint under D = diag C(c, s), so null(K) = D^-1 Y' for
+    the rows Y K = 0, D-orthogonal to range(K). The bordered system
+    K a + D^-1 Y' l = e, Y a = 0 splits e = [s >= 1] along them, so
+    a = K^+ e: the a of (K + Q)^-1 e - Q e, Q the D-orthogonal projector
+    onto null(K). InputError for a neighborhood of more than m clusters.
     """
-    size = range(min(beta, c) + 1)
-    K = size_class_sums(_exact_treat_probs(d, min(c, 2 * size[-1]) + 1), c, size[-1], size[-1])
+    top = int(min(beta, c))  # exact integer powers, also for a numpy beta
+    size = range(top + 1)
+    if d.is_bernoulli:
+        a, b = Fraction(d.p).as_integer_ratio()
+        q = b - a
+        S = (sum(math.comb(c - s, x - s) * ((-q) ** x - a**x) * q ** (top - x) for x in size[s:])
+             for s in size)
+        return [Fraction((-b) ** s * S_s, a**s * q**top) for s, S_s in zip(size, S)]
+    if c > d.m:
+        raise InputError(f"a neighborhood of c={c} clusters is wider than the design's m={d.m}")
+    K = size_class_sums(_exact_probs(d, range(min(c, 2 * top) + 1)), c, top, top)
     # rows of [K | I] reduced to [0 | Y] hold a basis Y of the left null space
     R = _rref([row + [Fraction(s == t) for t in size] for s, row in enumerate(K.tolist())])
     Y = [row[len(size) :] for row in R if not any(row[: len(size)])]
@@ -299,35 +310,15 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     """Per-size coefficients a_0..a_min(beta, c) of M^+ theta for a cluster
     neighborhood of c clusters under design d: v[U] = a_{|U|}.
 
-    Bernoulli designs sum the closed-form pseudoinverse entries over the size
-    classes of V, with no numeric solve. The complete design solves the
-    (beta+1)-square restriction of M to the size-class indicators, which M
-    maps to itself, in exact rationals from (m, k, c, beta) and rounds each
-    a_s once: the float system's condition number passes 1e15 at m = 1000,
-    k = 500, c = 300, beta = 4.
+    _exact_pinv takes them in exact rationals from the design's law, for
+    either design, and each a_s is rounded once: the float size-class system
+    of the complete design has condition numbers past 1e15 (m = 1000,
+    k = 500, c = 300, beta = 4). CapacityError if one overflows double
+    precision; InputError if c passes the complete design's m.
     """
     if c < 0 or beta < 0:
         raise InputError(f"c and beta must be nonnegative, got c={c}, beta={beta}")
-    top = min(beta, c)
-    if d.is_bernoulli:
-        # v[U] = sum_{V nonempty} (-1/p)^{|U|+|V|} T[|U union V|]; writing T
-        # as a sum over supersets X of U union V and summing V over the
-        # subsets of X first, with (p/(1-p)) (1 - 1/p) = -1, leaves
-        # (-1/p)^s sum over X containing U, |X| <= beta, of
-        # (-1)^|X| - (p/(1-p))^|X|, free of cancellation between entries
-        p = d.p
-        r = p / (1.0 - p)
-        return _bernoulli_finite(
-            lambda: np.array(
-                [
-                    (-1.0 / p) ** s
-                    * sum(
-                        math.comb(c - s, x - s) * ((-1.0) ** x - r**x)
-                        for x in range(s, top + 1)
-                    )
-                    for s in range(top + 1)
-                ]
-            ),
-            p, beta, c, "pseudoinverse weights",
-        )
-    return np.array(_exact_crd_pinv(d, c, beta), dtype=np.float64)
+    a = _exact_pinv(d, c, beta)
+    return _bernoulli_finite(
+        lambda: np.array([float(x) for x in a]), d.p, beta, c, "pseudoinverse weights"
+    )

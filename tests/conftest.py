@@ -664,16 +664,27 @@ def exact_pinv_times(M, b) -> list[Fraction]:
     return [A[i][-1] - sum(Q[i][j] * b[j] for j in range(q)) for i in range(q)]
 
 
-def exact_crd_theta_pinv(m: int, k: int, c: int, beta: int) -> tuple[SubsetIndex, list[Fraction]]:
-    """M^+ theta over SubsetIndex(range(c), beta) under the complete design
-    of k treated out of m clusters, from the dense subset system in exact
-    rationals: M[U, V] = C(m - u, k - u) / C(m, k) for u = |U union V|."""
+def exact_theta_pinv(probs, c: int, beta: int) -> tuple[SubsetIndex, list[Fraction]]:
+    """M^+ theta over SubsetIndex(range(c), beta) from the dense subset system
+    in exact rationals: M[U, V] = probs[|U union V|]."""
     index = SubsetIndex(tuple(range(c)), beta)
-    usize = index.union_sizes().tolist()
-    total = math.comb(m, k)
-    M = [[Fraction(math.comb(m - u, k - u) if u <= k else 0, total) for u in row] for row in usize]
+    M = [[probs[u] for u in row] for row in index.union_sizes().tolist()]
     theta = [Fraction(int(s > 0)) for s in index.sizes.tolist()]
     return index, exact_pinv_times(M, theta)
+
+
+def exact_crd_theta_pinv(m: int, k: int, c: int, beta: int) -> tuple[SubsetIndex, list[Fraction]]:
+    """exact_theta_pinv under the complete design of k treated out of m
+    clusters: probs[u] = C(m - u, k - u) / C(m, k)."""
+    total = math.comb(m, k)
+    probs = [Fraction(math.comb(m - u, k - u) if u <= k else 0, total) for u in range(c + 1)]
+    return exact_theta_pinv(probs, c, beta)
+
+
+def exact_bernoulli_theta_pinv(p, c: int, beta: int) -> tuple[SubsetIndex, list[Fraction]]:
+    """exact_theta_pinv under Bernoulli(p) cluster treatment, p the exact
+    value of the given float or Fraction: probs[u] = p^u."""
+    return exact_theta_pinv([Fraction(p) ** u for u in range(c + 1)], c, beta)
 
 
 def support_moments(

@@ -392,7 +392,7 @@ class TestLiftOnce:
         }
         for estimator in ("pinv", "gcr_explicit"):
             value = {r["metric"]: r["value"] for r in rows if r["estimator"] == estimator}
-            assert value["analytic_bias"] == "-2.636779683484747e-16"
+            assert value["analytic_bias"] == "0.0"
             assert value["var_bound"] == "5.692416520604741"
 
     @pytest.mark.parametrize("name", ["bounds", "oracle"])
@@ -1059,7 +1059,7 @@ def test_complete_design_bias_is_exact_at_c201(tmp_path):
 
 
 @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-def test_complete_design_goldens_do_not_depend_on_blas_kernel(tmp_path, core):
+def test_exact_goldens_do_not_depend_on_blas_kernel(tmp_path, core):
     # OPENBLAS_CORETYPE acts only on OpenBLAS builds with DYNAMIC_ARCH, which
     # name the kernel they picked on OPENBLAS_VERBOSE=2
     env = {**_child_env(), "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2"}
@@ -1075,7 +1075,9 @@ from pinvtte.cli import main
 for name, argv in json.loads(sys.argv[1]).items():
     assert main(argv + ["--out", sys.argv[2] + "/" + name + ".csv"]) == 0, name
 """
-    names = ["bounds_crd_singleton", "oracle_crd"]
+    # every weight, HT row and exact bias in these is rounded once from
+    # exact rationals, so no LAPACK or BLAS kernel reaches their digits
+    names = ["bounds_crd_singleton", "oracle_crd", "oracle_gcr", "simulate_crd", "simulate_cycle"]
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps({n: GOLDEN_CASES[n] for n in names}),
          str(tmp_path)],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pinvtte import (
     singleton_clustering,
 )
 from conftest import pair_dependence
+from pinvtte.design import _exact_probs
 
 
 def oracle_support(d):
@@ -250,6 +252,28 @@ class TestJointProbabilities:
             ctrl = math.fsum(p for p, w in support if all(w[c] == 0 for c in clusters))
             assert joint_treat_prob(d, t) == pytest.approx(treat, abs=1e-12)
             assert joint_control_prob(d, t) == pytest.approx(ctrl, abs=1e-12)
+
+    def test_more_clusters_than_the_design_has(self):
+        # pi(t) is 0 past k (or m - k), also past m, with no division by C(m, t) = 0
+        d = complete_gcr(Clustering([0, 1, 2]), 1)
+        for t in (4, 5):
+            assert joint_treat_prob(d, t) == 0.0
+            assert joint_control_prob(d, t) == 0.0
+
+    def test_exact_law_rounded_once(self):
+        # Bernoulli: the exact value of the float p, raised to u
+        d = bernoulli_gcr(blocks(8, 2), 0.3)
+        assert _exact_probs(d, range(4)) == [Fraction(0.3) ** u for u in range(4)]
+        assert _exact_probs(d, [5], treated=False) == [(1 - Fraction(0.3)) ** 5]
+        # complete: C(k, u) / C(m, u), and C(m - k, u) / C(m, u) untreated
+        d = complete_gcr(singleton_clustering(7), 3)
+        assert _exact_probs(d, range(6)) == [Fraction(1), Fraction(3, 7), Fraction(1, 7),
+                                             Fraction(1, 35), 0, 0]
+        assert _exact_probs(d, [2, 4, 5], treated=False) == [Fraction(2, 7), Fraction(1, 35), 0]
+        for d in (bernoulli_gcr(blocks(8, 2), 0.3), complete_gcr(singleton_clustering(40), 17)):
+            for t in range(41):
+                assert joint_treat_prob(d, t) == float(_exact_probs(d, [t])[0])
+                assert joint_control_prob(d, t) == float(_exact_probs(d, [t], False)[0])
 
     def test_negative_size_rejected(self):
         d = bernoulli_unit(3, 0.5)

@@ -32,8 +32,9 @@ from pinvtte import (
     true_tte,
     variance_bound,
 )
-from pinvtte import moments
-from pinvtte.estimator import _pinv_row
+from pinvtte import estimator, moments
+from pinvtte.design import _exact_probs
+from pinvtte.estimator import _ht_row, _pinv_row
 from conftest import (
     lift,
     neighbors,
@@ -84,6 +85,15 @@ class TestFrozenWeights:
         assert br.weights[1] == pytest.approx(1 / 0.25**3)
         assert br.weights[4] == pytest.approx(-1 / 0.75**3)
         assert br.weights[0] == 0.0  # mixed neighborhood
+
+    def test_ht_rows_are_the_exact_law_rounded_once(self):
+        # 1/pi(c) at t = c and -1/pi-bar(c) at t = 0, each rounded once
+        for d in (bernoulli_unit(2, 0.3), complete_gcr(singleton_clustering(46), 23)):
+            for c in range(1, 24):  # up to k = m - k = 23 under the complete design
+                row = _ht_row(d, None, c, 0)
+                assert row[c] == float(1 / _exact_probs(d, [c])[0])
+                assert row[0] == -float(1 / _exact_probs(d, [c], treated=False)[0])
+                assert not row[1:c].any()
 
     def test_crd_full_contact_weight(self):
         # two clusters, every unit touching both, one treated: weight 2/3
@@ -332,6 +342,30 @@ class TestOneWeightEngine:
                     a = _pinv_row(d, beta, c, 0)
                     b = reference_gcr_row(p, beta, c)
                     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (p, beta, c)
+
+    def test_one_table_per_distinct_weight(self, monkeypatch):
+        # pinv:1 and crd1 (or pinv:2 and gcr_explicit:2) name one table,
+        # solved once per neighborhood size
+        calls = []
+
+        def spy(d, c, beta):
+            calls.append((c, beta))
+            return moments.size_class_pinv(d, c, beta)
+
+        monkeypatch.setattr(estimator, "size_class_pinv", spy)
+        g = cycle_power(12, 1)
+        clus = contiguous_cycle_clusters(12, 3)
+        agg = lift(gen_cycle_model(g, 2), g, clus)
+        for d, specs in [
+            (complete_gcr(clus, 2), ["pinv:1", "crd1"]),
+            (bernoulli_gcr(clus, 0.3), ["pinv:2", "gcr_explicit:2", "ht"]),
+        ]:
+            calls.clear()
+            W = np.stack([sample(d, 0, r).w for r in range(5)])
+            specs = [EstimatorSpec.parse(s) for s in specs]
+            first, second, *_ = replicate_estimates(agg, d, specs, W)
+            assert sorted(calls) == [(1, specs[0].beta), (2, specs[0].beta)]
+            assert np.array_equal(first, second)
 
     def test_no_route_calls_numeric_pinv(self, monkeypatch):
         def spy(M):

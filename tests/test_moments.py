@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from pinvtte import (
     size_class_pinv,
     size_class_sums,
 )
-from pinvtte.moments import _exact_crd_pinv, _exact_treat_probs
+from pinvtte.design import _exact_probs
+from pinvtte.moments import _exact_pinv
 from conftest import (
     crd_determinant,
+    exact_bernoulli_theta_pinv,
     exact_crd_theta_pinv,
     neighbors,
     random_clustering,
@@ -345,7 +348,7 @@ class TestSizeClass:
                         if sum(math.comb(c, x) for x in range(top + 1)) > 11:
                             continue
                         index, v = exact_crd_theta_pinv(m, k, c, beta)
-                        a = _exact_crd_pinv(d, c, beta)
+                        a = _exact_pinv(d, c, beta)
                         assert len(a) == top + 1
                         assert all(x == a[s] for x, s in zip(v, index.sizes.tolist())), (
                             m, k, c, beta,
@@ -355,16 +358,40 @@ class TestSizeClass:
                         singular += support <= top
         assert cases >= 300 and singular >= 100
 
+    def test_exact_bernoulli_matches_dense_exact_pinv(self):
+        # Fraction equality with the dense M^+ theta, for float p (short
+        # binary fractions and not) and for rationals no float holds
+        cases = 0
+        for p in (0.5, 0.25, 0.75, 0.1, 0.3, 0.9, Fraction(1, 3), Fraction(2, 7)):
+            d = bernoulli_gcr(singleton_clustering(6), p)
+            for c in range(7):
+                for beta in range(1, 5):
+                    if sum(math.comb(c, x) for x in range(min(beta, c) + 1)) > 16:
+                        continue
+                    index, v = exact_bernoulli_theta_pinv(p, c, beta)
+                    a = _exact_pinv(d, c, beta)
+                    assert [a[s] for s in index.sizes.tolist()] == v, (p, c, beta)
+                    assert size_class_pinv(d, c, beta).tolist() == [float(x) for x in a]
+                    cases += 1
+        assert cases >= 180
+
+    def test_neighborhood_wider_than_the_design(self):
+        # a complete design of m = 3 clusters has no neighborhood of 4 or 5
+        d = complete_gcr(Clustering([0, 1, 2]), 1)
+        for c, beta in [(4, 1), (5, 3)]:
+            with pytest.raises(InputError, match=f"c={c} clusters is wider than the design's m=3"):
+                size_class_pinv(d, c, beta)
+
     def test_complete_design_rounds_the_exact_solve_once(self):
         # ill-conditioned systems: condition numbers up to 2.4e15, where an
         # SVD of the float system loses a true singular value
         for m, k, c, beta in [(1000, 500, 100, 4), (1000, 500, 300, 4), (1000, 500, 998, 2),
                               (2000, 1999, 1999, 1), (1000, 500, 1000, 3), (50, 2, 30, 4)]:
             d = complete_gcr(singleton_clustering(m), k)
-            exact = _exact_crd_pinv(d, c, beta)
+            exact = _exact_pinv(d, c, beta)
             assert size_class_pinv(d, c, beta).tolist() == [float(x) for x in exact]
             # and the exact a solves the normal equations K' D K a = K' D e
-            probs = _exact_treat_probs(d, min(c, 2 * beta) + 1)
+            probs = _exact_probs(d, range(min(c, 2 * beta) + 1))
             K = size_class_sums(probs, c, beta, beta)
             D = np.array([math.comb(c, s) for s in range(beta + 1)], dtype=object)
             e = np.array([int(s > 0) for s in range(beta + 1)], dtype=object)
