@@ -9,6 +9,7 @@ constructor only validates, so tests can build explicit labelings.
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
 
@@ -181,6 +182,22 @@ def cluster_stats(g: InterferenceGraph, c: Clustering) -> ClusterStats:
 # graph (indptr, nbr, wts) plus per-node strengths k. Every weight is a
 # whole number, so every sum is exact in any order and the partition does
 # not depend on how a level's arrays are laid out.
+#
+# A visit skips a node whose decision it can prove unchanged, the same
+# partition for less work. A visit that leaves v in place records a
+# certificate: the computed lead of v's own gain over every other candidate,
+# the move rule's 1e-12 included, less a rounding slack. A later visit
+# skips v while no neighbor of v has moved since (v's links and candidates
+# are then the same) and the strength the run has moved since, S, keeps
+# 2 hi k_v S / 2w below that lead, hi being the run's highest resolution.
+# The skip changes nothing: a move of k_x takes k_x from one tot entry and
+# adds it to another, so it shifts any difference of two exact gains by at
+# most 2 hi k_v k_x / 2w, and the slack covers the rounding of both visits'
+# gains. So the skipped visit would have kept v in place, and a stay leaves
+# com and tot as they were: it adds back exactly the k_v it took out.
+# A node with no other candidate skips until a neighbor moves. A group run
+# certifies only the stays its endpoint shortcut proves (see _sweep).
+# Certificates and S start fresh at each level, and each fork takes a copy.
 
 
 def _symmetrized(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -284,15 +301,20 @@ def _level(indptr, nbr, wts, k) -> _Level:
 
 
 def _fresh(level: _Level) -> tuple:
-    """A level's sweep state before its first visit: (com, tot, order, next
-    position, moved), each node its own community and no order drawn yet."""
-    return list(range(len(level.k))), level.k[:], None, 0, False
+    """A level's run state before its first visit: (com, tot, limit, flow,
+    order, next position, moved), each node its own community with no
+    certificate, nothing moved and no order drawn yet. flow is the strength
+    the level's moves have moved, S; a node is certified to stay while
+    flow < limit[v]. limit is a flat array of doubles, so certificates keep
+    no float objects alive and a fork copies them in one block."""
+    nn = len(level.k)
+    return list(range(nn)), level.k[:], array("d", bytes(8 * nn)), 0.0, None, 0, False
 
 
 def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
     """Continue one run from state to its end, returning (unit -> community
     map, []), or to its first fork, returning (None, the forked runs)."""
-    com, tot, order, pos, moved = state
+    com, tot, limit, flow, order, pos, moved = state
     while True:
         indptr, nbr, wts, k, adj = level
         nn = len(k)
@@ -301,9 +323,11 @@ def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
                 order = list(range(nn))
                 if rng is not None:
                     rng.shuffle(order)
-            pos, picks, moved = _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved)
+            state = com, tot, limit, flow, order, pos, moved
+            pos, picks, moved, flow = _sweep(group, adj, k, two_w, links, state)
             if picks is not None:
-                return None, _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved)
+                state = com, tot, limit, flow, order, pos, moved
+                return None, _forks(group, picks, level, mapping, rng, state)
             if not moved:
                 break
             order, pos, moved = None, 0, False
@@ -321,19 +345,23 @@ def _run(group, level, mapping, rng, state, two_w, links) -> tuple:
         wts = np.bincount(pair, weights=wts[cross], minlength=keys.size)
         level = _level(*_csr(keys, len(k), len(k)), wts, k)
         mapping = com[mapping]
-        com, tot, order, pos, moved = _fresh(level)
+        com, tot, limit, flow, order, pos, moved = _fresh(level)
 
 
-def _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved) -> tuple:
+def _sweep(group, adj, k, two_w, links, state) -> tuple:
     """Local moves for every resolution of the sorted group at once, in
-    place, from order's position pos while their decisions agree. Returns
-    (position, picks, moved): position len(order) and picks None at the
-    sweep's end, or the visit where decisions first differ, with one pick
-    per resolution and that visit not yet applied; moved is whether any
-    node of this sweep moved, the visits before pos included."""
+    place, from state's position while their decisions agree. Returns
+    (position, picks, moved, flow): position len(order) and picks None at
+    the sweep's end, or the visit where decisions first differ, with one
+    pick per resolution and that visit not yet applied; moved is whether
+    any node of this sweep moved, the visits before the position included,
+    and flow the strength moved at this level so far."""
+    com, tot, limit, flow, order, pos, moved = state
     lo, hi, lone = group[0], group[-1], len(group) == 1
     for i in range(pos, len(order)):
         v = order[i]
+        if flow < limit[v]:
+            continue  # certified to stay
         cv, kv = com[v], k[v]
         tot[cv] -= kv
         touched = []
@@ -353,14 +381,36 @@ def _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved) -> tuple:
             rk = lo * kv
             best_c = cv
             best_gain = links[cv] - rk * tot[cv] / two_w
+            top = -np.inf  # the best other gain, read only if v stays
             for cu in touched:
                 gain = links[cu] - rk * tot[cu] / two_w
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = cu, gain
+                elif gain > top and cu != cv:
+                    top = gain
                 links[cu] = 0.0
+            lead = best_gain - top
         else:
-            best_c, lead_lo = _pick(cv, touched, links, tot, lo * kv, two_w)
-            best_hi, lead_hi = _pick(cv, touched, links, tot, hi * kv, two_w)
+            # the scans at lo and hi, fused: _pick's expressions in its order
+            rlo, rhi = lo * kv, hi * kv
+            best_c = best_hi = cv
+            gain_lo = links[cv] - rlo * tot[cv] / two_w
+            gain_hi = links[cv] - rhi * tot[cv] / two_w
+            top_lo = top_hi = -np.inf
+            for cu in touched:
+                if cu == cv:
+                    continue
+                gain = links[cu] - rlo * tot[cu] / two_w
+                if gain > gain_lo + 1e-12:
+                    best_c, gain_lo, gain = cu, gain, gain_lo
+                if gain > top_lo:
+                    top_lo = gain
+                gain = links[cu] - rhi * tot[cu] / two_w
+                if gain > gain_hi + 1e-12:
+                    best_hi, gain_hi, gain = cu, gain, gain_hi
+                if gain > top_hi:
+                    top_hi = gain
+            lead_lo, lead_hi = gain_lo - top_lo, gain_hi - top_hi
             # Endpoint shortcut. With links_c, k_v and tot_c whole numbers,
             # each exact gain links_c - r k_v tot_c / 2w is linear in r, and
             # so is each difference of two gains. If the scans at lo and hi
@@ -376,18 +426,46 @@ def _sweep(group, adj, k, two_w, com, tot, links, order, pos, moved) -> tuple:
             # scanned.
             slack = 1e-12 + 2.0**-46 * kv * (1.0 + hi)
             picks = None
-            if best_hi != best_c or lead_lo <= slack or lead_hi <= slack:
+            if best_hi == best_c and lead_lo > slack and lead_hi > slack:
+                lead = min(lead_lo, lead_hi)
+            else:
                 inner = [_pick(cv, touched, links, tot, r * kv, two_w)[0] for r in group[1:-1]]
                 picks = [best_c, *inner, best_hi]
+                lead = -np.inf  # only a stay the shortcut shows is certified
             for cu in touched:  # every run shares links
                 links[cu] = 0.0
             if picks is not None and picks.count(best_c) != len(picks):
-                return i, picks, moved
-        com[v] = best_c
+                return i, picks, moved, flow
         tot[best_c] += kv
-        if best_c != cv:
+        if best_c == cv:
+            limit[v] = flow + _allowance(lead, kv, hi, two_w)
+        else:
+            com[v] = best_c
+            flow += kv
             moved = True
-    return len(order), None, moved
+            for u, _ in adj[v]:  # v's move changed their links
+                limit[u] = 0.0
+    return len(order), None, moved, flow
+
+
+def _allowance(lead, kv, hi, two_w) -> float:
+    """The strength the run may move before a node that stays must be
+    scored again, given lead, the computed gain of the node's community
+    minus the best other candidate's, at each resolution up to hi.
+
+    The margin is lead plus the move rule's 1e-12, less the endpoint
+    shortcut's slack, which covers the rounding of the gains at this visit
+    and the next and of this bound. The node stays while 2 hi k_v S / 2w,
+    the most that moving strength S shifts a gain difference, is below the
+    margin. No lead (nan or -inf) allows nothing. Infinite lead (no other
+    candidate) and k_v = 0 (no links) allow any strength, and the divisor is
+    never 0 otherwise: 2 hi k_v >= 2 * 5e-324."""
+    margin = lead + 1e-12 - 2.0**-46 * kv * (1.0 + hi)
+    if not margin > 0.0:
+        return 0.0
+    if not kv:
+        return np.inf
+    return margin / (2.0 * hi * kv) * two_w
 
 
 def _pick(cv, touched, links, tot, rk, two_w) -> tuple:
@@ -408,10 +486,11 @@ def _pick(cv, touched, links, tot, rk, two_w) -> tuple:
     return best_c, best_gain - runner_up
 
 
-def _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved) -> list:
+def _forks(group, picks, level, mapping, rng, state) -> list:
     """One run per distinct pick at the visit order[pos]: each applies its
-    pick to its own copy of com and tot, takes a copy of the generator, and
-    resumes at the next position."""
+    pick to its own copy of com, tot and the certificates, takes a copy of
+    the generator, and resumes at the next position."""
+    com, tot, limit, flow, order, pos, moved = state
     v = order[pos]
     cv, kv = com[v], level.k[v]
     by_pick: dict[int, list] = {}
@@ -419,10 +498,14 @@ def _forks(group, picks, level, mapping, rng, com, tot, order, pos, moved) -> li
         by_pick.setdefault(c, []).append(resolution)
     forks = []
     for c, sub in by_pick.items():
-        com_c, tot_c = com[:], tot[:]
+        com_c, tot_c, limit_c, flow_c = com[:], tot[:], limit[:], flow
         com_c[v] = c
         tot_c[c] += kv
-        state = (com_c, tot_c, order, pos + 1, moved or c != cv)
+        if c != cv:
+            flow_c += kv
+            for u, _ in level.adj[v]:
+                limit_c[u] = 0.0
+        state = (com_c, tot_c, limit_c, flow_c, order, pos + 1, moved or c != cv)
         forks.append((sub, level, mapping, copy.deepcopy(rng), state))
     return forks
 

@@ -259,18 +259,44 @@ def _cluster_keys(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregate
     sorts last. Rows come back sorted by (owner, U), trailing all-pad
     columns dropped.
     """
-    c = stats.clustering
-    # cmap[j] is every row's j-th cluster, one contiguous sort key per column
+    c, owner = stats.clustering, model.owner
     lut = np.append(c.assignment, c.m)
-    cmap = np.empty(model.members.shape[::-1], dtype=np.int64)
-    for j, col in enumerate(model.members.T):
+    # Blocks of whole units, so each (owner, U) run lies in one block. Rows
+    # out of owner order are walked in stable owner order, which keeps each
+    # run's rows, and so its sum, in their original order.
+    perm = None if np.all(owner[1:] >= owner[:-1]) else np.argsort(owner, kind="stable")
+    sorted_owner = owner if perm is None else owner[perm]
+    step = max(1, _BLOCK // max(1, model.members.shape[1]))
+    parts, a = [], 0
+    while a < owner.size or not parts:  # a model with no rows is one empty block
+        b = min(a + step, owner.size)
+        b = int(np.searchsorted(sorted_owner, sorted_owner[b - 1], "right")) if b else 0
+        rows = slice(a, b) if perm is None else perm[a:b]
+        parts.append(_keyed_block(lut, c.m, owner[rows], model.members[rows], model.values[rows]))
+        a = b
+    width = max(len(block) for _, block, _ in parts)
+    at = np.cumsum([0] + [keys.size for keys, _, _ in parts])
+    cols = np.full((width, at[-1]), c.m, dtype=np.int64)
+    for (_, block, _), start, stop in zip(parts, at[:-1], at[1:]):
+        cols[: len(block), start:stop] = block
+    keys = np.concatenate([keys for keys, _, _ in parts])
+    values = np.concatenate([vals for _, _, vals in parts])
+    return ClusterAggregatedModel(keys, cols.T, values, model, stats)
+
+
+def _keyed_block(lut, m, owner, members, values) -> tuple:
+    """(owner, cluster columns, summed values) of the distinct (owner, U)
+    keys of a block of rows, sorted, with all-pad columns dropped."""
+    # cmap[j] is every row's j-th cluster, one contiguous sort key per column
+    cmap = np.empty(members.shape[::-1], dtype=np.int64)
+    for j, col in enumerate(members.T):
         cmap[j] = lut[col]
     cmap.sort(axis=0)
-    cmap[1:][cmap[1:] == cmap[:-1]] = c.m
+    cmap[1:][cmap[1:] == cmap[:-1]] = m
     cmap.sort(axis=0)
     # each row's clusters come first, so the first all-pad column ends them all
-    width = sum(bool((col < c.m).any()) for col in cmap)
-    columns = [model.owner, *cmap[:width]]
+    width = sum(bool((col < m).any()) for col in cmap)
+    columns = [owner, *cmap[:width]]
     order = np.lexsort(columns[::-1])
     # a row starts a run when any of its keys differs from the row before
     first = np.zeros(order.size, dtype=bool)
@@ -282,9 +308,8 @@ def _cluster_keys(model: LowOrderModel, stats: ClusterStats) -> ClusterAggregate
     # each sorted row's run, numbered from 0 in the key buffer
     np.cumsum(first, out=key)
     key -= 1
-    values = np.bincount(key, weights=model.values[order])
     at = order[first]
-    return ClusterAggregatedModel(model.owner[at], cmap[:width, at].T, values, model, stats)
+    return owner[at], cmap[:width, at], np.bincount(key, weights=values[order])
 
 
 def _evaluate_hits(agg: ClusterAggregatedModel, hit: np.ndarray) -> np.ndarray:

@@ -37,6 +37,23 @@ from conftest import (
 
 # the CLI's default resolution grid for select
 DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+# resolutions where r k_v underflows to a subnormal, and where it overflows
+# so that a gain turns -inf or nan
+EXTREME_GRID = (5e-324, 1e-300, 1e308)
+
+
+def skip_cases() -> list:
+    """Graphs for the visit-skipping rule: units without links beside linked
+    ones (zero-strength nodes), and two block models whose runs end in long
+    tails of sweeps that move few nodes."""
+    gen = np.random.default_rng(31)
+    ring = [(0, 1), (1, 2), (2, 0), (4, 5)]
+    pairs = [(2 * int(a), 2 * int(b)) for a, b in gen.integers(0, 20, (30, 2)) if a != b]
+    graphs = [
+        from_edge_list(edges + [(j, i) for i, j in edges], n)
+        for edges, n in ((ring, 8), (pairs, 41))
+    ]
+    return graphs + [sbm_sample(600, 12, 0.05, 0.002, s) for s in (1, 3)]
 
 
 def two_triangles():
@@ -193,8 +210,9 @@ class TestLouvain:
             for _ in range(50)
         ]
         graphs += [cycle_power(30, 2), sbm_sample(120, 6, 0.2, 0.01, 8), from_edge_list([], 5)]
+        graphs += skip_cases()
         for g in graphs:
-            for resolution in DEFAULT_GRID:
+            for resolution in DEFAULT_GRID + EXTREME_GRID:
                 for seed in (0, 7):
                     c = louvain(g, resolution, seed)
                     assert c == oracle_louvain(g, resolution, seed), (g.n, resolution, seed)
@@ -208,8 +226,15 @@ class TestLouvain:
 
 
 class TestLouvainGrid:
-    # sorted, unsorted with repeats, one, none, and close resolutions
-    GRIDS = (DEFAULT_GRID, (2.0, 0.5, 1.0, 0.5, 0.25, 2.0), (1.25,), (), (0.3, 0.25, 1.0, 0.5))
+    # sorted, unsorted with repeats, one, none, close, and extreme resolutions
+    GRIDS = (
+        DEFAULT_GRID,
+        (2.0, 0.5, 1.0, 0.5, 0.25, 2.0),
+        (1.25,),
+        (),
+        (0.3, 0.25, 1.0, 0.5),
+        (1e-300, 1.0, 5e-324, 1e308, 0.5),
+    )
 
     @staticmethod
     def fork_levels(monkeypatch) -> list:
@@ -235,7 +260,7 @@ class TestLouvainGrid:
         # these fork at the first level and deeper, and only above the first
         sbm = [sbm_sample(120, 6, 0.2, 0.01, 8), sbm_sample(300, 10, 0.1, 0.005, 2)]
         first_fork = []
-        for g in graphs + sbm:
+        for g in graphs + sbm + skip_cases():
             for seed in (0, 7):
                 lone: dict[float, object] = {}
                 for grid in self.GRIDS:
@@ -245,7 +270,7 @@ class TestLouvainGrid:
                     assert got == want, (g.n, grid, seed)
                     if grid == DEFAULT_GRID:
                         first_fork.append([n == g.n for n, _, _ in seen])
-        sbm_forks = first_fork[-4:]
+        sbm_forks = first_fork[2 * len(graphs) :][:4]
         assert True in sbm_forks[0] and False in sbm_forks[0]
         assert sbm_forks[2] and True not in sbm_forks[2]
 
@@ -309,6 +334,102 @@ class TestLouvainGrid:
         monkeypatch.setattr(clustering, "_symmetrized", no_work)
         with pytest.raises(InputError, match=message):
             louvain_grid(two_triangles(), grid, seed)
+
+
+class TestStayCertificate:
+    @staticmethod
+    def case(gen):
+        """A random weighted level with whole weights, plus a reservoir: two
+        linked nodes in a community of their own, far from the rest. Returns
+        (adj, k, two_w, com, tot, v) with tot holding every node."""
+        nn = int(gen.integers(2, 12))
+        adj = [[] for _ in range(nn + 2)]
+        pairs = [p for p in itertools.combinations(range(nn), 2) if gen.random() < 0.4]
+        for a, b in pairs + [(nn, nn + 1)]:
+            w = float(gen.integers(1, 4) if b < nn else gen.integers(20, 200))
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+        for row in adj:
+            row.sort()
+        k = [sum(w for _, w in row) for row in adj]
+        com = gen.integers(0, nn, nn).tolist() + [nn, nn]
+        tot = [0.0] * (nn + 2)
+        for c, kv in zip(com, k):
+            tot[c] += kv
+        return adj, k, sum(k), com, tot, int(gen.integers(0, nn))
+
+    def test_moved_strength_within_allowance_keeps_every_stay(self):
+        # A visit that leaves v in place records flow + allowance, and a
+        # later visit skips v while the strength moved since is below it.
+        # Any moves of whole strengths totalling less than the allowance
+        # (v and its neighbors staying) leave each resolution's decision,
+        # by the sweep's gain expression and move rule, at "stay"; moving
+        # just past twice the allowance into v's own community can flip it.
+        certified = flips = 0
+        for trial in range(600):
+            gen = np.random.default_rng(500 + trial)
+            adj, k, two_w, com, tot, v = self.case(gen)
+            size = 1 if trial % 2 else int(gen.integers(2, 5))
+            group = sorted(set((10.0 ** gen.uniform(-1.5, 1.0, size)).tolist()))
+            links = [0.0] * len(k)
+            for _ in range(3):  # visit v until it stays, if its runs agree
+                limit = [0.0] * len(k)
+                state = com, tot, limit, 0.0, [v], 0, False
+                _, picks, moved, _ = clustering._sweep(group, adj, k, two_w, links, state)
+                if picks is not None or not moved:
+                    break
+            if picks is not None or moved:
+                continue
+            allowance, cv, kv = limit[v], com[v], k[v]
+            if not kv:  # no links: nothing ever draws v away
+                assert allowance == math.inf
+                continue
+            for u, wt in adj[v]:
+                links[com[u]] += wt
+            touched = sorted({com[u] for u, _ in adj[v]})
+            rest = tot[:]
+            rest[cv] -= kv  # the scan sees v outside its community
+
+            def stays(tot_now):
+                return all(
+                    clustering._pick(cv, touched, links, tot_now, r * kv, two_w)[0] == cv
+                    for r in group
+                )
+
+            assert stays(rest)
+            if not 0.0 < allowance < math.inf:
+                continue
+            certified += 1
+            budget = math.ceil(allowance) - 1  # whole strengths below the allowance
+            rivals = [c for c in touched if c != cv]  # some, as the allowance is finite
+            changes = []
+            # the worst case: strength leaves the best rival for v's community
+            rival = max(rivals, key=lambda c: links[c] - group[-1] * kv * rest[c] / two_w)
+            changes.append([(rival, cv, min(budget, rest[rival]))])
+            # and random moves among every community
+            moves, left = [], budget
+            while left > 0 and gen.random() < 0.8:
+                a, b = gen.choice(len(rest), 2, replace=False).tolist()
+                amount = float(gen.integers(0, min(left, rest[a]) + 1))
+                moves.append((a, b, amount))
+                left -= amount
+            changes.append(moves)
+            for moves in changes:
+                now = rest[:]
+                for a, b, amount in moves:
+                    now[a] -= amount
+                    now[b] += amount
+                assert stays(now), (trial, group, allowance, moves)
+            # just past twice the allowance, from the reservoir into cv
+            past = math.floor(2.0 * allowance) + 1.0
+            res = len(rest) - 2
+            if past <= rest[res]:
+                now = rest[:]
+                now[res] -= past
+                now[cv] += past
+                flips += not stays(now)
+        assert certified > 100
+        assert flips > 0
 
 
 class TestClusteringFiles:

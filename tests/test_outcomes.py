@@ -715,10 +715,24 @@ class TestArrayRoutesMatchDictOracles:
         }[stage]
         assert traced_peak(run) <= bound
 
-    def test_lift_and_bound_match_stacked_references(self):
+    def test_lift_walks_blocks_of_units(self):
+        # the lift of the 168k-row model keys a block of whole units at a
+        # time: beside its 0.9 MB output it holds one block's scratch, not
+        # a members-sized cluster map and three row-length arrays (7.2 MB)
+        g = cycle_power(6000, 3)
+        model = gen_cycle_model(g, 2)
+        stats = cluster_stats(g, contiguous_cycle_clusters(6000, 4))
+        cluster_aggregate(model, stats)  # checks model against g, once
+        assert traced_peak(lambda: cluster_aggregate(model, stats)) <= 3e6
+
+    def test_lift_and_bound_match_stacked_references(self, monkeypatch):
         # rows in shuffled order, values of either sign from 1e-8 to 1e8:
-        # the same keys, sums and bound as the stacked-row forms, bit for bit
+        # the same keys, sums and bound as the stacked-row forms, bit for
+        # bit, whatever blocks of units the lift walks
         for trial in range(240):
+            budget = (None, 1, 7)[trial // 80]  # member entries per block
+            if budget is not None:
+                monkeypatch.setattr("pinvtte.outcomes._BLOCK", budget)
             gen = np.random.default_rng(9000 + trial)
             n = int(gen.integers(1, 30))
             g = random_graph(gen, n)
@@ -736,10 +750,20 @@ class TestArrayRoutesMatchDictOracles:
                 scale[rows.size :],
             )
             stats = cluster_stats(g, c)
-            agg = cluster_aggregate(model, stats)
-            got = (agg.owner, agg.members, agg.values)
-            for a, b in zip(got, reference_cluster_keys(model, stats)):
-                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            # and with the same rows grouped by owner, in owner order
+            by_owner = np.argsort(model.owner, kind="stable")
+            grouped = LowOrderModel(
+                beta_star,
+                model.owner[by_owner],
+                model.members[by_owner],
+                model.values[by_owner],
+                model.baseline,
+            )
+            for m in (model, grouped):
+                agg = cluster_aggregate(m, stats)
+                got = (agg.owner, agg.members, agg.values)
+                for a, b in zip(got, reference_cluster_keys(m, stats)):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
             assert outcome_bound(model, g) == reference_outcome_bound(model)
 
     def test_validated_once_per_graph(self, monkeypatch):
