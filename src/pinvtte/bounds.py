@@ -4,9 +4,10 @@ The variance side revolves around the quadratic form theta' M^+ theta over a
 unit's cluster moment matrix. Three sources are supported: closed forms
 (exact for Bernoulli designs at any order, first-order only for the complete
 design, where the closed value also carries the (c+1) scale factor its
-variance analysis uses), quadforms from size_class_pinv's per-size
-coefficients of M^+ theta (any design and order), and quadforms from Monte
-Carlo moment estimates, the one route here that takes a numeric SVD.
+variance analysis uses), quadforms sum_{s >= 1} C(c, s) a_s over the exact
+per-size coefficients a_s of M^+ theta, summed exactly and rounded once
+(moments._pinv_sums; any design and order), and quadforms from Monte Carlo
+moment estimates, the one route here that takes a numeric SVD.
 
 The bias side evaluates the exact bias identity at the cluster level: with
 x the cluster-aggregated coefficients, psi the non-empty-row selector, M_w
@@ -20,7 +21,7 @@ This is algebraically identical to the unit-level identity because a unit
 subset is fully treated exactly when its cluster image is, and it keeps the
 computation polynomial when neighborhoods are large but touch few clusters.
 Both vectors on the right depend on a cluster subset U only through its size
-k (moments.size_class_pinv), and both equal (M v)_k - 1 for k >= 1, with
+k (moments._exact_pinv), and both equal (M v)_k - 1 for k >= 1, with
 v = M_w^+ psi; they differ only at U = (), which only the baseline reaches.
 So the split by order drops out: bias_exact builds one row per neighborhood
 size c, r_c[k] = (M v)_k - [k > 0] for k = 0..min(c, model order), the only
@@ -52,7 +53,7 @@ from .moments import (
     _bernoulli_finite,
     _exact_pinv,
     _mc_moments,
-    size_class_pinv,
+    _pinv_sums,
     size_class_sums,
 )
 from .outcomes import ClusterAggregatedModel, mixed_signs
@@ -196,8 +197,9 @@ def gamma_profile(
 
     "closed" uses the exact closed forms (Bernoulli any order, with the
     envelope as bound_sq; complete design requires beta = 1, with the
-    (c+1)-scaled form as bound_sq). "quadform" sums theta' M^+ theta from
-    size_class_pinv's per-size coefficients, any design and order.
+    (c+1)-scaled form as bound_sq). "quadform" sums theta' M^+ theta over
+    the exact per-size coefficients, one exact solve per distinct c, and
+    rounds it once, any design and order.
     "monte_carlo" computes it from moments estimated on each unit's cluster
     neighborhood in stats. Both set bound_sq to gamma_sq.
     """
@@ -219,9 +221,11 @@ def gamma_profile(
     elif gamma_source == "quadform":
 
         def quadform(c: int) -> float:
-            # theta' M^+ theta sums v = M^+ theta over the non-empty subsets
-            a = size_class_pinv(d, c, beta)
-            return math.fsum(math.comb(c, s) * a[s] for s in range(1, a.size))
+            # theta' M^+ theta sums v = M^+ theta over the non-empty subsets:
+            # sum_{s >= 1} C(c, s) a_s, exact and rounded once
+            row = [math.comb(c, s) * (s > 0) for s in range(min(beta, c) + 1)]
+            [gamma_sq] = _pinv_sums(d, c, beta, [row], "gamma terms")
+            return gamma_sq
 
         gamma_sq = _by_size(stats, quadform)
     elif gamma_source == "monte_carlo":
@@ -424,7 +428,9 @@ def variance_bound(
         If monotone is asserted, agg is supplied, and its coefficients carry
         mixed signs.
     CapacityError
-        If B^2 times a finite product overflows; the error names B and it.
+        If a gamma term or the sum over dependent pairs overflows double
+        precision (the error names it), or B^2/n^2 times a finite sum does
+        (the error names B and the sum).
     """
     _check_B(B)
     g, n = stats.graph, stats.n
@@ -440,11 +446,19 @@ def variance_bound(
     profile = gamma_profile(stats, d, beta, gamma_source)
     gam = np.sqrt(profile.bound_sq)
 
-    if d.is_bernoulli or monotone:
-        per_unit = _dependent_sums(stats, gam)
-    else:
-        per_unit = gam * gam.sum()
-    pair_sum = float(np.add.reduce(per_unit))
+    # an overflowing pair sum is named below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d.is_bernoulli or monotone:
+            per_unit = _dependent_sums(stats, gam)
+        else:
+            per_unit = gam * gam.sum()
+        pair_sum = float(np.add.reduce(per_unit))
+    if not math.isfinite(pair_sum):
+        raise CapacityError(
+            "the pairwise variance bound's sum of gamma_i gamma_j over dependent pairs"
+            " overflows double precision"
+            f" (the largest gamma_i^2 is {profile.bound_sq.max():.3g})"
+        )
     pairwise = float(B) * float(B) / (n * n) * pair_sum
     if not math.isfinite(pairwise):
         raise CapacityError(

@@ -14,15 +14,17 @@ routes build the tables:
 
   pinv  moment-matrix route, any design: sum_s a_s(c) C(t, s), where
         v[U] = a_{|U|} is M^+ theta over subsets of the neighborhood
-        (moments.size_class_pinv) and C(t, s) counts the treated ones
+        (moments._exact_pinv) and C(t, s) counts the treated ones
   ht    Horvitz-Thompson full-neighborhood route: 1/pi(c) at t = c and
         -1/pi-bar(c) at t = 0
 
-Both take a_s and pi in exact rationals from the design's law and round
-once. Two kinds name pinv tables: gcr_explicit, the paper's explicit product
-form for Bernoulli cluster designs, is pinv at its beta, and crd1, the
-first-order complete-design estimator, is pinv at beta = 1. Their closed
-forms are test oracles.
+Both take a_s and pi in exact rationals from the design's law, and each
+table entry is exact and rounded once (pinv's through moments._pinv_sums),
+so an entry past double precision is a CapacityError even where no draw
+reaches it. Two kinds name pinv tables: gcr_explicit, the paper's explicit
+product form for Bernoulli cluster designs, is pinv at its beta, and crd1,
+the first-order complete-design estimator, is pinv at beta = 1. Their
+closed forms are test oracles.
 
 An EstimatorSpec names one of these kinds and its order; its constructor is
 the only check of which kinds take an order.
@@ -30,7 +32,6 @@ the only check of which kinds take an order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .clustering import ClusterStats, _size_rows, cluster_stats
 from .design import AssignmentDraw, Design, _draws, _exact_probs
 from .errors import CapacityError, InputError, PositivityError
 from .graph import InterferenceGraph
-from .moments import size_class_pinv
+from .moments import _pinv_sums
 
 __all__ = ["EstimatorSpec", "EstimateBreakdown", "estimate"]
 
@@ -60,9 +61,13 @@ class EstimateBreakdown:
 
 
 def _pinv_row(d: Design, beta: int, c: int, unit: int) -> np.ndarray:
-    a = size_class_pinv(d, c, beta)
-    binomials = [[math.comb(t, s) for s in range(a.size)] for t in range(c + 1)]
-    return np.array(binomials, dtype=np.float64) @ a
+    # sum_s a_s C(t, s) for t = 0..c, each exact and rounded once; column s
+    # of C holds the Python ints C(t, s) = sum_{u < t} C(u, s - 1)
+    C = np.zeros((c + 1, min(beta, c) + 1), dtype=object)
+    C[:, 0] = 1
+    for s in range(1, C.shape[1]):
+        C[1:, s] = np.cumsum(C[:-1, s - 1])
+    return _pinv_sums(d, c, beta, C, "pseudoinverse weights")
 
 
 def _ht_row(d: Design, beta: int | None, c: int, unit: int) -> np.ndarray:

@@ -13,9 +13,12 @@ closed-form pseudoinverse.
 So M^+ theta is constant on each subset-size class, v[U] = a_{|U|}, and
 _exact_pinv returns a_0..a_beta in exact rationals without the dense system:
 in closed form for Bernoulli designs, by a rational solve for the complete
-design. size_class_pinv rounds each a_s once, for either design. The dense
-SubsetIndex systems serve as the reference it is tested against and for the
-Monte Carlo estimate.
+design. Every number derived from the a_s is summed exactly from them and
+rounded once, by _pinv_sums: the pinv weight table sum_s a_s C(t, s), the
+quadform gamma sum_{s >= 1} C(c, s) a_s, and size_class_pinv, the public
+float view of the a_s themselves. A value past double precision is a
+CapacityError that names it. The dense SubsetIndex systems serve as the
+reference these are tested against and for the Monte Carlo estimate.
 
 Numeric SVD pseudoinversion serves the Monte Carlo estimates and the dense
 complete-design systems above beta = 1; no estimator weight, exact bias or
@@ -242,8 +245,9 @@ def size_class_sums(values, c: int, rows: int, cols: int) -> np.ndarray:
 
 
 def _bernoulli_finite(f, p: float, beta: int, c: int, what: str):
-    """f(), a Bernoulli closed form in powers of 1/p or 1/(1-p), or CapacityError
-    once it leaves double precision (** raises OverflowError; * and / give inf)."""
+    """f(), a Bernoulli closed form in powers of 1/p or 1/(1-p) or an exact sum
+    rounded by int / int, or CapacityError once it leaves double precision
+    (** and int / int raise OverflowError; float * and / give inf)."""
     try:
         out = f()
     except OverflowError:
@@ -306,6 +310,28 @@ def _exact_pinv(d: Design, c: int, beta: int) -> list[Fraction]:
     return [row[-1] for row in _rref(A + [y + [0] * (len(Y) + 1) for y in Y])[: len(size)]]
 
 
+def _pinv_sums(d: Design, c: int, beta: int, rows, what: str) -> np.ndarray:
+    """rows @ a for integer rows (a 2-D array or nested list of ints, one
+    column per a_s), over the a_0..a_min(beta, c) of one exact solve
+    (_exact_pinv), each sum exact and rounded once.
+
+    Every number derived from the a_s goes through here: the pinv weight
+    table, the quadform gamma and size_class_pinv. CapacityError if an a_s
+    overflows double precision (naming pseudoinverse weights) or a sum does
+    (naming what).
+    """
+    a = _exact_pinv(d, c, beta)
+    # integer numerators over one common denominator: int / int rounds
+    # correctly, so each quotient is float() of its exact rational
+    den = math.lcm(*(x.denominator for x in a))
+    num = np.array([x.numerator * (den // x.denominator) for x in a], dtype=object)
+    _bernoulli_finite(
+        lambda: (num / den).astype(np.float64), d.p, beta, c, "pseudoinverse weights"
+    )
+    sums = np.asarray(rows, dtype=object) @ num
+    return _bernoulli_finite(lambda: (sums / den).astype(np.float64), d.p, beta, c, what)
+
+
 def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     """Per-size coefficients a_0..a_min(beta, c) of M^+ theta for a cluster
     neighborhood of c clusters under design d: v[U] = a_{|U|}.
@@ -313,12 +339,12 @@ def size_class_pinv(d: Design, c: int, beta: int) -> np.ndarray:
     _exact_pinv takes them in exact rationals from the design's law, for
     either design, and each a_s is rounded once: the float size-class system
     of the complete design has condition numbers past 1e15 (m = 1000,
-    k = 500, c = 300, beta = 4). CapacityError if one overflows double
-    precision; InputError if c passes the complete design's m.
+    k = 500, c = 300, beta = 4). This is the public float view of the a_s;
+    the estimator and bound paths sum the exact a_s through _pinv_sums
+    instead. CapacityError if one overflows double precision; InputError if
+    c passes the complete design's m.
     """
     if c < 0 or beta < 0:
         raise InputError(f"c and beta must be nonnegative, got c={c}, beta={beta}")
-    a = _exact_pinv(d, c, beta)
-    return _bernoulli_finite(
-        lambda: np.array([float(x) for x in a]), d.p, beta, c, "pseudoinverse weights"
-    )
+    size = min(beta, c) + 1
+    return _pinv_sums(d, c, beta, np.eye(size, dtype=np.int64), "pseudoinverse weights")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ from pinvtte import (
     true_tte,
     variance_bound,
 )
+from pinvtte import moments
+from pinvtte.estimator import _pinv_row
 from conftest import (
     agg_dicts,
     cluster_rows,
@@ -278,6 +281,69 @@ class TestGammaProfile:
             gamma_profile(cluster_stats(g, c), d, 0, source)
         with pytest.raises(InputError, match="at least 1, got beta=0"):
             variance_bound(cluster_stats(g, c), d, 0, 1.0, source)
+
+
+def staircase(m):
+    # unit i watches units 0..i-1: under singleton clusters its cluster
+    # neighborhood is {0..i}, so c runs 1..m and unit m-1 touches every cluster
+    return from_edge_list([(j, i) for i in range(m) for j in range(i)], m)
+
+
+class TestRoundOnce:
+    """Every number derived from the a_s is summed exactly from the exact
+    a_s and rounded once: the pinv weight table and the quadform gamma."""
+
+    def designs(self):
+        for m in (2, 3, 5, 7, 16):
+            clus = singleton_clustering(m)
+            for p in (0.5, 0.25, 0.75, 0.1, 0.3, 0.9, Fraction(1, 3)):
+                yield bernoulli_gcr(clus, p)
+            for k in sorted({1, 2, m // 2, m - 2, m - 1} & set(range(1, m))):
+                yield complete_gcr(clus, k)
+
+    def test_table_and_gamma_are_their_exact_values_rounded(self):
+        cases = singular = full = 0
+        for d in self.designs():
+            stats = cluster_stats(staircase(d.m), d.clustering)
+            sizes = np.diff(stats.indptr).tolist()
+            for beta in (1, 2, 3, 4):
+                gamma_sq = gamma_profile(stats, d, beta, "quadform").gamma_sq
+                for c in sorted(set(sizes)):
+                    a = moments._exact_pinv(d, c, beta)
+                    row = [sum(math.comb(t, s) * x for s, x in enumerate(a)) for t in range(c + 1)]
+                    assert _pinv_row(d, beta, c, 0).tolist() == [float(x) for x in row], (
+                        d, beta, c,
+                    )
+                    exact = sum(math.comb(c, s) * x for s, x in enumerate(a) if s)
+                    assert gamma_sq[sizes.index(c)] == float(exact), (d, beta, c)
+                    cases += 1
+                    if not d.is_bernoulli:
+                        # K is singular when t takes at most min(beta, c) values
+                        support = min(d.k, c) - max(0, d.k - d.m + c) + 1
+                        singular += support <= min(beta, c)
+                        full += c == d.m
+        assert cases >= 1000 and singular >= 50 and full >= 50
+
+    def test_one_exact_solve_per_size(self, monkeypatch):
+        calls = []
+        solve = moments._exact_pinv
+
+        def spy(d, c, beta):
+            calls.append((c, beta))
+            return solve(d, c, beta)
+
+        monkeypatch.setattr(moments, "_exact_pinv", spy)
+        g = cycle_power(40, 3)
+        # blocks of 3 and 5 units: neighborhoods of 2 and 3 clusters
+        clus = Clustering.from_labels([i // 3 if i < 30 else 4 + i // 5 for i in range(40)])
+        stats = cluster_stats(g, clus)
+        sizes = sorted(set(np.diff(stats.indptr).tolist()))
+        assert len(sizes) > 1
+        for d in (bernoulli_gcr(clus, 0.3), complete_gcr(clus, 6)):
+            for beta in (1, 3):
+                calls.clear()
+                gamma_profile(stats, d, beta, "quadform")
+                assert sorted(calls) == [(c, beta) for c in sizes]
 
 
 class TestBiasExact:

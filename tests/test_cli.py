@@ -393,7 +393,7 @@ class TestLiftOnce:
         for estimator in ("pinv", "gcr_explicit"):
             value = {r["metric"]: r["value"] for r in rows if r["estimator"] == estimator}
             assert value["analytic_bias"] == "0.0"
-            assert value["var_bound"] == "5.692416520604741"
+            assert value["var_bound"] == "5.692416520604744"
 
     @pytest.mark.parametrize("name", ["bounds", "oracle"])
     def test_one_lift(self, monkeypatch, tmp_path, name):
@@ -788,6 +788,20 @@ class TestErrorSurface:
             # a flag of the other mode fails before the default convergence grid runs
             (["mc-moments", "--n", "12", "--radius", "1", "--unit", "5"],
              "error: this run does not read --unit\n"),
+            # a_s that fit in a double whose weight table or gamma does not
+            (["simulate", "--n", "400", "--radius", "100", "--model", "weak", "--design", "bern",
+              "--p", "1e-306", "--estimator", "pinv:1", "--replications", "20"],
+             "error: p=1e-306: the order-1 pseudoinverse weights of a neighborhood of c=201"
+             " clusters overflow double precision\n"),
+            (["bounds", "--n", "400", "--radius", "100", "--design", "bern", "--p", "1e-306",
+              "--beta", "1", "--B-bound", "1"],
+             "error: p=1e-306: the order-1 gamma terms of a neighborhood of c=201"
+             " clusters overflow double precision\n"),
+            # finite gamma terms whose sum over dependent pairs is not; B is not to blame
+            (["bounds", "--n", "400", "--radius", "1", "--design", "gcr", "--p", "1e-307",
+              "--gamma", "closed", "--beta", "1", "--B-bound", "1e-100"],
+             "error: the pairwise variance bound's sum of gamma_i gamma_j over dependent pairs"
+             " overflows double precision (the largest gamma_i^2 is 6e+307)\n"),
         ],
     )
     def test_degenerate_inputs_rejected(self, tmp_path, capsys, argv, message):
@@ -1075,9 +1089,14 @@ from pinvtte.cli import main
 for name, argv in json.loads(sys.argv[1]).items():
     assert main(argv + ["--out", sys.argv[2] + "/" + name + ".csv"]) == 0, name
 """
-    # every weight, HT row and exact bias in these is rounded once from
-    # exact rationals, so no LAPACK or BLAS kernel reaches their digits
-    names = ["bounds_crd_singleton", "oracle_crd", "oracle_gcr", "simulate_crd", "simulate_cycle"]
+    # every weight, HT row, exact bias and quadform gamma in these is rounded
+    # once from exact rationals, so no LAPACK call reaches their digits; the
+    # float products left on their paths print the same bytes under each
+    # kernel tried
+    names = [
+        "bounds_crd_full", "bounds_crd_model", "bounds_crd_singleton", "oracle_crd",
+        "oracle_gcr", "select_sbm_model", "simulate_crd", "simulate_cycle",
+    ]
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps({n: GOLDEN_CASES[n] for n in names}),
          str(tmp_path)],

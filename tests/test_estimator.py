@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ class TestLargeNeighborhoods:
         with pytest.raises(CapacityError, match=message):
             estimate(g, np.ones(12), sample(d, 0, 0), d, "gcr_explicit", 2)
 
+    def test_overflowing_table_entry_is_named(self):
+        # every a_s of c = 201 at p = 1e-306 fits in a double, but the weights
+        # a_0 + t a_1 pass it for t past ~180; the weight table holds them
+        # whether or not a draw reaches them
+        g = cycle_power(400, 100)
+        d = bernoulli_gcr(singleton_clustering(400), 1e-306)
+        draw = draw_from_w(d, np.arange(400) < 300)
+        message = (r"p=1e-306: the order-1 pseudoinverse weights of a neighborhood of c=201 "
+                   r"clusters overflow double precision")
+        with pytest.raises(CapacityError, match=message):
+            estimate(g, np.ones(400), draw, d, "pinv", 1)
+
     def test_pinv_table_matches_product_form_at_p09(self):
         # a numeric solve of the size-class system misses here by ~1e-6
         d = bernoulli_unit(2, 0.9)
@@ -348,11 +361,13 @@ class TestOneWeightEngine:
         # solved once per neighborhood size
         calls = []
 
+        solve = moments._exact_pinv
+
         def spy(d, c, beta):
             calls.append((c, beta))
-            return moments.size_class_pinv(d, c, beta)
+            return solve(d, c, beta)
 
-        monkeypatch.setattr(estimator, "size_class_pinv", spy)
+        monkeypatch.setattr(moments, "_exact_pinv", spy)
         g = cycle_power(12, 1)
         clus = contiguous_cycle_clusters(12, 3)
         agg = lift(gen_cycle_model(g, 2), g, clus)
@@ -372,6 +387,15 @@ class TestOneWeightEngine:
             raise AssertionError("numeric_pinv called")
 
         monkeypatch.setattr(moments, "numeric_pinv", spy)
+
+        # nor size_class_pinv, the float view of the a_s: weights, exact
+        # bias and quadform bounds sum the exact a_s, under any binding
+        def float_view(d, c, beta):
+            raise AssertionError("size_class_pinv called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pinvtte") and hasattr(mod, "size_class_pinv"):
+                monkeypatch.setattr(mod, "size_class_pinv", float_view)
         g = cycle_power(12, 2)
         clus = contiguous_cycle_clusters(12, 2)
         agg = lift(gen_cycle_model(g, 2), g, clus)
