@@ -35,6 +35,10 @@ bias_exact at order 1 beside its full-contact bound. Callers lift once: the
 bias functions take that re-keyed model, which carries the cluster_stats it
 was keyed on, and clustering._same_lift rejects another clustering than the
 design's. variance_bound takes both and checks that they are one lift.
+
+The screened variance bound sums over the distinct cluster neighborhoods,
+whose units share their dependents; only 0/1 incidence counts, exact in
+any BLAS kernel, go through a matrix product.
 """
 
 from __future__ import annotations
@@ -73,8 +77,7 @@ __all__ = [
     "variance_bound",
 ]
 
-# block rows times dependents (and dependents times block clusters) held at
-# once; bounds _dependent_sums' incidence blocks
+# entries of any one array of _dependent_sums' blocks, beyond one row or column
 _BLOCK = 1 << 18
 
 
@@ -329,43 +332,78 @@ def bias_crd(agg: ClusterAggregatedModel, d: Design, B: float) -> tuple[float, f
 
 
 def _dependent_sums(stats: ClusterStats, gam: np.ndarray) -> np.ndarray:
-    """gam_i times the sum of gam_j over the units j whose cluster
-    neighborhood shares a cluster with unit i's (i itself included).
+    """Terms summing to the sum of gam_i gam_j over dependent pairs of units,
+    one per distinct cluster neighborhood a: G_a times the sum of G_b over
+    the sets b sharing a cluster with it, those of a's block once and later
+    ones twice, where G_a is the math.fsum of gam over a's units.
 
-    Works on blocks of consecutive units: cb holds the clusters the block
-    touches and jb the units touching any of them; with 0/1 incidences
-    H_b (block x cb) and H_j (jb x cb), unit i of the block depends on
-    unit j of jb exactly when (H_b H_j')_{ij} > 0. Blocks start at
-    _BLOCK // n units, so the product holds at most _BLOCK entries; while
-    H_j would hold more, the block size is halved for this block and the
-    rest, down to a single unit.
+    The sets, numbered by their lowest unit, come from a sort of the CSR
+    rows of each size. For a block of consecutive sets, cb holds the
+    clusters it touches and jb the sets from the block on touching any;
+    with 0/1 incidences H_b (block x cb) and H_j (jb x cb), set a depends on
+    set b exactly when (H_b H_j')_{ab} > 0, an integer count in any BLAS
+    kernel, and np.add.reduce contracts the hits with G. Blocks start at
+    _BLOCK // A sets and halve while H_j would hold more than _BLOCK
+    entries, down to one set, whose H_j is built _BLOCK // jb clusters at a
+    time: no incidence or hit array exceeds _BLOCK entries or one row or
+    column.
     """
     n, indptr, ids = stats.n, stats.indptr, stats.cluster_ids
-    owner = np.repeat(np.arange(n), np.diff(indptr))
-    # inverted CSR: the units touching cluster c, ascending, are
+    # units by size, then by the bytes of their rows; new marks a set's first
+    sizes = np.diff(indptr)
+    perm, new = np.argsort(sizes, kind="stable"), np.ones(n, dtype=bool)
+    cuts = [0, *(np.flatnonzero(np.diff(sizes[perm])) + 1).tolist(), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = ids[indptr[perm[lo:hi], None] + np.arange(sizes[perm[lo]])]
+        key = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
+        o = np.argsort(key, kind="stable")
+        perm[lo:hi], key = perm[lo:hi][o], key[o]
+        new[lo + 1 : hi] = key[1:] != key[:-1]
+    firsts = np.flatnonzero(new)
+    g, stops = gam[perm], np.append(firsts[1:], n)
+    G, runs = g[firsts], np.flatnonzero(stops - firsts > 1)
+    G[runs] = [math.fsum(g[i:j]) for i, j in zip(firsts[runs], stops[runs])]
+    rank = np.argsort(perm[firsts])
+    G, lowest = G[rank], perm[firsts[rank]]
+    # the sets' CSR rows; the sets touching cluster c, ascending, are
     # touching[cptr[c]:cptr[c + 1]]
-    touching = owner[np.argsort(ids, kind="stable")]
-    cptr = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=stats.m))))
+    A, width = G.size, sizes[lowest]
+    sptr = np.concatenate(([0], np.cumsum(width)))
+    sids = ids[np.repeat(indptr[lowest] - sptr[:-1], width) + np.arange(sptr[-1])]
+    owner = np.repeat(np.arange(A), width)
+    touching = owner[np.argsort(sids, kind="stable")]
+    cptr = np.concatenate(([0], np.cumsum(np.bincount(sids, minlength=stats.m))))
 
-    per_unit = np.empty(n)
-    step = max(1, _BLOCK // n)
-    a = 0
-    while a < n:
-        b = min(n, a + step)
-        cb, col = np.unique(ids[indptr[a] : indptr[b]], return_inverse=True)
+    per_set, step, a = np.empty(A), max(1, _BLOCK // A), 0
+    while a < A:
+        b = min(A, a + step)
+        cb, col = np.unique(sids[sptr[a] : sptr[b]], return_inverse=True)
         counts = cptr[cb + 1] - cptr[cb]
         starts = np.repeat(cptr[cb] - np.cumsum(counts) + counts, counts)
-        jb, row = np.unique(touching[starts + np.arange(starts.size)], return_inverse=True)
+        touch = touching[starts + np.arange(starts.size)]
+        jb, row = np.unique(touch[touch >= a], return_inverse=True)
         if b - a > 1 and jb.size * cb.size > _BLOCK:
             step = (b - a) // 2
             continue
         H_b = np.zeros((b - a, cb.size))
-        H_b[owner[indptr[a] : indptr[b]] - a, col] = 1.0
-        H_j = np.zeros((jb.size, cb.size))
-        H_j[row, np.repeat(np.arange(cb.size), counts)] = 1.0
-        per_unit[a:b] = gam[a:b] * (((H_b @ H_j.T) > 0) @ gam[jb])
+        H_b[owner[sptr[a] : sptr[b]] - a, col] = 1.0
+        cols = np.repeat(np.arange(cb.size), counts)[touch >= a]
+        span = max(1, _BLOCK // jb.size)
+        for lo in range(0, cb.size, span):
+            e = slice(*np.searchsorted(cols, [lo, lo + span]))
+            H_j = np.zeros((jb.size, min(span, cb.size - lo)))
+            H_j[row[e], cols[e] - lo] = 1.0
+            part = H_b[:, lo : lo + span] @ H_j.T
+            hits = part if lo == 0 else hits + part
+        # 0/1 hits; jb starts with the block itself, whose ordered pairs
+        # count once; pairs with later sets are read only here: twice
+        np.minimum(hits, 1.0, out=hits)
+        hits[:, : b - a] *= G[a:b]
+        hits[:, b - a :] *= 2.0 * G[jb[b - a :]]
+        per_set[a:b] = G[a:b] * np.add.reduce(hits, axis=1)
+        del hits, part  # before the next block builds its own
         a = b
-    return per_unit
+    return per_set
 
 
 @dataclass(frozen=True)
@@ -415,10 +453,10 @@ def variance_bound(
     their cluster neighborhoods share a cluster; the complete design couples
     all pairs unless the caller asserts monotone effects, which enables the
     negative-covariance screen on disjoint cluster neighborhoods. Screened
-    sums come from one blocked product of 0/1 cluster-incidence matrices over
-    stats' neighborhoods (units by clusters against the units touching those
-    clusters), with no per-unit loop. Per-pair gamma values are the square
-    roots of gamma_profile's bound_sq under gamma_source.
+    sums run over the distinct cluster neighborhoods of stats, not the
+    units: one blocked product of 0/1 cluster-incidence matrices, sets by
+    clusters against the sets touching those clusters. Per-pair gamma values
+    are the square roots of gamma_profile's bound_sq under gamma_source.
 
     Raises
     ------
@@ -449,10 +487,10 @@ def variance_bound(
     # an overflowing pair sum is named below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         if d.is_bernoulli or monotone:
-            per_unit = _dependent_sums(stats, gam)
+            terms = _dependent_sums(stats, gam)
         else:
-            per_unit = gam * gam.sum()
-        pair_sum = float(np.add.reduce(per_unit))
+            terms = gam * gam.sum()
+        pair_sum = float(np.add.reduce(terms))
     if not math.isfinite(pair_sum):
         raise CapacityError(
             "the pairwise variance bound's sum of gamma_i gamma_j over dependent pairs"

@@ -431,6 +431,20 @@ def pair_dependence(
     return True
 
 
+def oracle_pair_sum(stats: ClusterStats, gam) -> Fraction:
+    """The sum of gam_i gam_j over the ordered pairs of units whose cluster
+    neighborhoods share a cluster, in exact rationals: gam summed per
+    distinct neighborhood, then those sums multiplied over every ordered
+    pair of neighborhoods that meet."""
+    sums: dict[frozenset[int], Fraction] = {}
+    for row, x in zip(cluster_rows(stats), np.asarray(gam).tolist()):
+        sums[frozenset(row)] = sums.get(frozenset(row), Fraction(0)) + Fraction(x)
+    sets = list(sums.items())
+    return sum(
+        (ga * gb for a, ga in sets for b, gb in sets if not a.isdisjoint(b)), Fraction(0)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Louvain oracles: louvain and modularity as the library ran them on a list
 # of adjacency dicts, one dict built and sorted per node visit

@@ -38,14 +38,17 @@ from pinvtte import (
     gamma_profile,
     gamma_quadform,
     gen_cycle_model,
+    louvain,
     monte_carlo_moments,
     outcome_bound,
+    sbm_sample,
     singleton_clustering,
     size_class_pinv,
     true_tte,
     variance_bound,
 )
 from pinvtte import moments
+from pinvtte.bounds import _dependent_sums
 from pinvtte.estimator import _pinv_row
 from conftest import (
     agg_dicts,
@@ -58,10 +61,12 @@ from conftest import (
     oracle_bias_bound_gcr,
     oracle_bias_exact,
     oracle_cluster_aggregate,
+    oracle_pair_sum,
     pair_dependence,
     random_clustering,
     random_graph,
     random_model,
+    traced_peak,
 )
 
 
@@ -809,8 +814,8 @@ def _pair_oracle(g, stats, d, beta, B, source, monotone):
     """var_bound_pairwise by a double loop over all ordered pairs, with the
     per-pair gamma each source uses."""
     sizes = [len(nb) for nb in cluster_rows(stats)]
-    if source == "quadform":
-        eff = gamma_profile(stats, d, beta, "quadform").gamma_sq
+    if source in ("quadform", "monte_carlo"):
+        eff = gamma_profile(stats, d, beta, source).gamma_sq
     elif d.is_bernoulli:
         eff = [gamma_gcr_envelope(c, beta, d.p) for c in sizes]
     else:
@@ -876,6 +881,76 @@ class TestDependentSums:
             rep = variance_bound(stats, d, beta, B, source, monotone=monotone)
             want = _pair_oracle(g, stats, d, beta, B, source, monotone)
             assert rep.var_bound_pairwise == pytest.approx(want, rel=1e-12)
+        # monte_carlo gamma is not a function of the neighborhood size alone;
+        # a cycle under clusters wider than its neighborhoods, and random
+        # graphs under two or three clusters, put many units on each of a
+        # few neighborhoods
+        for trial in range(12):
+            gen = np.random.default_rng(4200 + trial)
+            if trial % 2:
+                r = int(gen.integers(1, 3))
+                w = int(gen.integers(2 * r + 2, 9))
+                n = w * int(gen.integers(3, 6))
+                g, c = cycle_power(n, r), contiguous_cycle_clusters(n, w)
+            else:
+                n = int(gen.integers(12, 26))
+                g = random_graph(gen, n, extra_max=2)
+                c = random_clustering(gen, n, int(gen.integers(2, 4)))
+            stats = cluster_stats(g, c)
+            assert 2 * len(set(cluster_rows(stats))) <= n
+            source = "monte_carlo" if trial % 3 else "quadform"
+            beta = int(gen.integers(1, 3))
+            if gen.integers(0, 2):
+                d, monotone = complete_gcr(c, int(gen.integers(1, c.m))), True
+            else:
+                d, monotone = bernoulli_gcr(c, 0.3), bool(gen.integers(0, 2))
+            rep = variance_bound(stats, d, beta, 1.5, source, monotone=monotone)
+            want = _pair_oracle(g, stats, d, beta, 1.5, source, monotone)
+            assert rep.var_bound_pairwise == pytest.approx(want, rel=1e-12)
+            # and through the kernel, with gam that differs within a set
+            gam = gen.uniform(0.0, 2.0, n)
+            got = float(np.add.reduce(_dependent_sums(stats, gam)))
+            assert got == pytest.approx(float(oracle_pair_sum(stats, gam)), rel=1e-15, abs=0)
+
+    def test_matches_exact_pair_sum(self):
+        # the pair sum against exact rationals rounded once, at benchmark
+        # size: one cluster (every unit on one set), five contiguous
+        # clusters (~30 sets) and a Louvain partition (~400-500 sets)
+        n = 2000
+        for seed in (0, 1):
+            g = sbm_sample(n, 20, 0.05, 0.001, seed)
+            labels = np.arange(n) * 5 // n
+            for c in (Clustering((0,) * n), Clustering.from_labels(labels), louvain(g, 0.5)):
+                stats = cluster_stats(g, c)
+                d = bernoulli_gcr(c, 0.25)
+                gam = np.sqrt(gamma_profile(stats, d, 2, "quadform").gamma_sq)
+                exact = oracle_pair_sum(stats, gam)
+                rep = variance_bound(stats, d, 2, 1.0, "quadform")
+                assert rep.var_bound_pairwise == pytest.approx(
+                    float(exact / (n * n)), rel=1e-15, abs=0
+                )
+                spread = np.random.default_rng(seed).uniform(0.5, 2.0, n) * gam
+                got = float(np.add.reduce(_dependent_sums(stats, spread)))
+                want = float(oracle_pair_sum(stats, spread))
+                assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_full_contact_unit_in_bounded_memory(self):
+        # a 4,000-unit cycle whose unit 0 every unit reaches: its cluster
+        # neighborhood is every cluster and every other set depends on it,
+        # so its dependents must be built a span of clusters at a time, not
+        # as one n x n (128 MB) block
+        n = 4000
+        edges = [(i, (i + s) % n) for i in range(n) for s in (1, -1)]
+        g = from_edge_list(edges + [(i, 0) for i in range(1, n)], n)
+        c = singleton_clustering(n)
+        stats = cluster_stats(g, c)
+        assert stats.full_contact_count == 1
+        d = bernoulli_gcr(c, 0.25)
+        reports = []
+        peak = traced_peak(lambda: reports.append(variance_bound(stats, d, 1, 1.0, "quadform")))
+        assert peak < 16 * 2**20
+        want = 0.313370000995088
+        assert reports[0].var_bound_pairwise == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_unscreened_complete_branch(self):
         # the complete design without the monotone screen couples every

@@ -1091,11 +1091,13 @@ for name, argv in json.loads(sys.argv[1]).items():
 """
     # every weight, HT row, exact bias and quadform gamma in these is rounded
     # once from exact rationals, so no LAPACK call reaches their digits; the
-    # float products left on their paths print the same bytes under each
-    # kernel tried
+    # variance bound's one BLAS product counts 0/1 incidences, exact in any
+    # kernel, and the float products left on their paths print the same
+    # bytes under each kernel tried
     names = [
-        "bounds_crd_full", "bounds_crd_model", "bounds_crd_singleton", "oracle_crd",
-        "oracle_gcr", "select_sbm_model", "simulate_crd", "simulate_cycle",
+        "bounds_crd_full", "bounds_crd_model", "bounds_crd_singleton", "bounds_gcr_model",
+        "oracle_crd", "oracle_gcr", "select_sbm", "select_sbm_model", "simulate_crd",
+        "simulate_cycle",
     ]
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps({n: GOLDEN_CASES[n] for n in names}),
